@@ -25,7 +25,9 @@
 //!   profile-evaluation reduction factor.
 //!
 //! `--quick` shrinks instances and repeats for CI smoke runs; the
-//! committed `BENCH_solver.json` comes from a full run.
+//! committed `BENCH_solver.json` comes from a full run, and a quick run
+//! refuses to overwrite a full-mode report (CI writes
+//! `BENCH_solver.quick.json` instead).
 
 use std::io::Write;
 use std::process::exit;
@@ -387,6 +389,14 @@ fn suite_json(representation: &str, instance: &str, rows: &[Row], speedup: f64) 
     ])
 }
 
+/// Whether the report at `path` exists and is a full-mode run.
+fn is_full_mode_report(path: &str) -> bool {
+    std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| Json::parse(&text).ok())
+        .is_some_and(|report| report.get("mode").and_then(Json::as_str) == Some("full"))
+}
+
 fn main() {
     let args = match parse_args() {
         Ok(args) => args,
@@ -395,6 +405,16 @@ fn main() {
             exit(2);
         }
     };
+    // Checked before any benching: a quick run's small instances would
+    // silently replace the committed full-mode numbers.
+    if args.quick && is_full_mode_report(&args.out) {
+        eprintln!(
+            "bench_solver_sweep: {} holds a full-mode report; refusing to overwrite it \
+             with a --quick run (pass another --out)",
+            args.out
+        );
+        exit(2);
+    }
     let repeats = if args.quick { 2 } else { 5 };
     let host_parallelism = std::thread::available_parallelism().map_or(1, usize::from);
     let print_rows = |rows: &[Row]| {

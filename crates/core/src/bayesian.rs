@@ -2,14 +2,14 @@
 //! the paper.
 
 use std::fmt;
+use std::sync::Arc;
 
 use bi_util::approx_eq;
 
 use crate::compiled::{CompiledSpace, EvalKernel, Lowered, SlotStep};
 use crate::game::{EnumerationError, MatrixFormGame, ProfileIter, MAX_ENUMERATION};
 use crate::measures::Measures;
-use crate::model::{BayesianModel, CompleteInfo};
-use crate::nash;
+use crate::model::BayesianModel;
 use crate::solve::{SolveError, Solver};
 
 /// A pure strategy profile: `profile[i][τ]` is the action agent `i` plays
@@ -111,7 +111,8 @@ impl From<EnumerationError> for MeasureError {
 struct State {
     types: Vec<usize>,
     prob: f64,
-    game: MatrixFormGame,
+    /// Shared with the state's [`BayesianModel::state_model`].
+    game: Arc<MatrixFormGame>,
 }
 
 /// A finite Bayesian game `⟨k, {A_i}, {T_i}, {C_{i,t}}, p⟩` with the prior
@@ -199,6 +200,7 @@ impl BayesianGame {
         }
         for (types, prob, game) in support {
             if prob > 0.0 {
+                let game = Arc::new(game);
                 states.push(State { types, prob, game });
             }
         }
@@ -532,23 +534,26 @@ impl BayesianModel for BayesianGame {
         })
     }
 
-    fn complete_info(&self) -> Result<CompleteInfo, SolveError> {
-        let mut opt_c = 0.0;
-        let mut best_eq_c = 0.0;
-        let mut worst_eq_c = 0.0;
-        for (idx, st) in self.states.iter().enumerate() {
-            let (opt, _) = nash::social_optimum(&st.game);
-            opt_c += st.prob * opt;
-            let (best, worst) = nash::equilibrium_cost_range(&st.game)
-                .ok_or(SolveError::NoStateEquilibrium { state: idx })?;
-            best_eq_c += st.prob * best;
-            worst_eq_c += st.prob * worst;
+    fn state_count(&self) -> usize {
+        self.states.len()
+    }
+
+    fn state_prob(&self, idx: usize) -> f64 {
+        self.states[idx].prob
+    }
+
+    fn state_model(&self, idx: usize) -> Self {
+        let k = self.num_agents();
+        BayesianGame {
+            type_counts: vec![1; k],
+            action_counts: self.action_counts.clone(),
+            states: vec![State {
+                types: vec![0; k],
+                prob: 1.0,
+                game: Arc::clone(&self.states[idx].game),
+            }],
+            marginals: vec![vec![1.0]; k],
         }
-        Ok(CompleteInfo {
-            opt_c,
-            best_eq_c,
-            worst_eq_c,
-        })
     }
 
     fn agents_interchangeable(&self, a: usize, b: usize) -> bool {

@@ -14,7 +14,7 @@
 //! top):
 //!
 //! * [`game::MatrixFormGame`] — a `k`-agent complete-information cost game;
-//! * [`nash`] — exhaustive pure-Nash enumeration, optima;
+//! * [`nash`] — exhaustive pure-Nash checks and enumeration;
 //! * [`potential`] — exact potential verification and Observation 2.1
 //!   (a prior-expected per-state potential is a Bayesian potential);
 //! * [`bayesian::BayesianGame`] — explicit-prior Bayesian games, strategy
@@ -31,7 +31,8 @@
 //!   state;
 //! * [`solve`] — the unified [`Solver`] engine: pluggable backends
 //!   (exhaustive, best-response dynamics, Monte Carlo sampling), budgets,
-//!   work-stealing multi-threaded sweeps, structured [`SolveReport`]s;
+//!   work-stealing multi-threaded sweeps (also of each state's `G_t`),
+//!   structured [`SolveReport`]s;
 //! * [`symmetry`] — exact agent-interchangeability detection and
 //!   canonical orbit enumeration: under [`symmetry::SymmetryMode::Auto`]
 //!   the exhaustive sweep visits one representative per symmetry orbit,

@@ -18,7 +18,8 @@
 use bi_util::{approx_le, EPS};
 
 use crate::compiled::{CompiledSpace, GenericLowered, Lowered};
-use crate::solve::SolveError;
+use crate::game::EnumerationError;
+use crate::solve::{SolveError, Solver};
 
 /// A pure strategy profile of a model: `profile[i][τ]` is the action agent
 /// `i` plays on observing her `τ`-th type.
@@ -114,15 +115,34 @@ pub trait BayesianModel: Sync {
         profile: &Profile<Self>,
     ) -> (Self::Action, f64);
 
-    /// The complete-information side of the measures, computed exactly
-    /// per support state.
+    /// Number of support states `t` (complete-information games `G_t`).
+    fn state_count(&self) -> usize;
+
+    /// Prior probability `p(t)` of support state `idx`.
+    fn state_prob(&self, idx: usize) -> f64;
+
+    /// `G_t` of support state `idx` as a model of its own: the same
+    /// agents with one type each, one state at prior `1.0`.
+    fn state_model(&self, idx: usize) -> Self
+    where
+        Self: Sized;
+
+    /// The error of a state game past the exact-enumeration limit.
+    fn state_too_large(&self, required: u128) -> SolveError {
+        SolveError::Model(Box::new(EnumerationError { required }))
+    }
+
+    /// The complete-information side: [`Solver::complete_info`], one thread.
     ///
     /// # Errors
     ///
-    /// Returns [`SolveError::NoStateEquilibrium`] when some underlying
-    /// game has no pure Nash equilibrium, and propagates enumeration
-    /// failures.
-    fn complete_info(&self) -> Result<CompleteInfo, SolveError>;
+    /// See [`Solver::complete_info`].
+    fn complete_info(&self) -> Result<CompleteInfo, SolveError>
+    where
+        Self: Sized,
+    {
+        Solver::default().complete_info(self)
+    }
 
     /// Whether agents `a` and `b` are **exactly interchangeable**:
     /// swapping their entire strategies (the two agents' per-type action

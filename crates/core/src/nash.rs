@@ -61,46 +61,21 @@ pub fn enumerate_nash(game: &MatrixFormGame) -> Vec<Vec<usize>> {
     game.profiles().filter(|p| is_nash(game, p)).collect()
 }
 
-/// `(social cost, profile)` of a social optimum.
-///
-/// Profiles with infinite social cost are still considered (a game may
-/// have no finite outcome); ties go to the first profile in enumeration
-/// order.
-#[must_use]
-pub fn social_optimum(game: &MatrixFormGame) -> (f64, Vec<usize>) {
-    let mut best = f64::INFINITY;
-    let mut best_profile = vec![0; game.num_agents()];
-    for p in game.profiles() {
-        let k = game.social_cost(&p);
-        if k < best {
-            best = k;
-            best_profile = p;
-        }
-    }
-    (best, best_profile)
-}
-
-/// Social costs of the best and worst pure Nash equilibria, or `None` if
-/// the game has no pure equilibrium.
-#[must_use]
-pub fn equilibrium_cost_range(game: &MatrixFormGame) -> Option<(f64, f64)> {
-    let mut best = f64::INFINITY;
-    let mut worst = f64::NEG_INFINITY;
-    let mut found = false;
-    for p in game.profiles() {
-        if is_nash(game, &p) {
-            found = true;
-            let k = game.social_cost(&p);
-            best = best.min(k);
-            worst = worst.max(k);
-        }
-    }
-    found.then_some((best, worst))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bayesian::BayesianGame;
+    use crate::model::{BayesianModel, CompleteInfo};
+
+    /// Social optimum and best/worst equilibrium cost of one game, as the
+    /// solver's complete-information side computes them (a one-state
+    /// Bayesian game at prior 1).
+    fn complete_info(game: &MatrixFormGame) -> Result<CompleteInfo, crate::solve::SolveError> {
+        let agents = game.num_agents();
+        BayesianGame::new(vec![1; agents], vec![(vec![0; agents], 1.0, game.clone())])
+            .expect("one-state game")
+            .complete_info()
+    }
 
     /// Prisoner's dilemma in cost form: defect (action 1) dominates.
     fn prisoners_dilemma() -> MatrixFormGame {
@@ -121,12 +96,10 @@ mod tests {
         let g = prisoners_dilemma();
         let eqs = enumerate_nash(&g);
         assert_eq!(eqs, vec![vec![1, 1]]);
-        let (best, worst) = equilibrium_cost_range(&g).unwrap();
-        assert_eq!(best, 4.0);
-        assert_eq!(worst, 4.0);
-        let (opt, profile) = social_optimum(&g);
-        assert_eq!(opt, 2.0);
-        assert_eq!(profile, vec![0, 0]);
+        let ci = complete_info(&g).unwrap();
+        assert_eq!(ci.best_eq_c, 4.0);
+        assert_eq!(ci.worst_eq_c, 4.0);
+        assert_eq!(ci.opt_c, 2.0);
     }
 
     #[test]
@@ -139,7 +112,10 @@ mod tests {
             }
         });
         assert!(enumerate_nash(&g).is_empty());
-        assert!(equilibrium_cost_range(&g).is_none());
+        assert!(matches!(
+            complete_info(&g),
+            Err(crate::solve::SolveError::NoStateEquilibrium { state: 0 })
+        ));
     }
 
     #[test]
@@ -159,8 +135,7 @@ mod tests {
             );
         let eqs = enumerate_nash(&g);
         assert!(eqs.contains(&vec![0, 0]));
-        let (opt, _) = social_optimum(&g);
-        assert_eq!(opt, 2.0);
+        assert_eq!(complete_info(&g).unwrap().opt_c, 2.0);
     }
 
     #[test]
@@ -178,8 +153,8 @@ mod tests {
             (1, 1) => 2.0,
             _ => 5.0,
         });
-        let (best, worst) = equilibrium_cost_range(&g).unwrap();
-        assert_eq!(best, 2.0);
-        assert_eq!(worst, 4.0);
+        let ci = complete_info(&g).unwrap();
+        assert_eq!(ci.best_eq_c, 2.0);
+        assert_eq!(ci.worst_eq_c, 4.0);
     }
 }

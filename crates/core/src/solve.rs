@@ -71,7 +71,7 @@ use rand::SeedableRng;
 use crate::compiled::{CompiledSpace, EvalKernel, Lowered, SlotStep};
 use crate::game::MAX_ENUMERATION;
 use crate::measures::Measures;
-use crate::model::BayesianModel;
+use crate::model::{BayesianModel, CompleteInfo};
 use crate::symmetry::{Symmetry, SymmetryMode};
 
 /// Smallest sweep (in visited profiles) that uses the parallel
@@ -469,66 +469,13 @@ impl Solver {
     pub fn solve<M: BayesianModel>(&self, model: &M) -> Result<SolveReport, SolveError> {
         let space = CompiledSpace::compile(model)?;
         let mut sample_cap = None;
-        let mut orbit = None;
-        let stats = match self.backend {
-            Backend::ExhaustiveEnum => {
-                // Only the exhaustive sweep needs the space size; the
-                // sampling backends must work on spaces too large to even
-                // size in `u128`.
-                let size = space.space_size()?;
-                // Under `Auto`, non-trivial agent symmetry shrinks the
-                // sweep domain to canonical orbit representatives; the
-                // budget then gates the work actually done (the orbit
-                // count), still exactly and before any sweeping.
-                //
-                // Detection itself costs up-front verification work
-                // (`agents_interchangeable` per candidate pair), so Auto
-                // first weighs that against the unreduced sweep: when
-                // the estimated check bill exceeds the full sweep, it
-                // falls back to sweeping the whole space — unless the
-                // full sweep is over budget anyway, in which case the
-                // reduction is the only path to an answer and detection
-                // always runs.
-                let symmetry = match self.symmetry {
-                    SymmetryMode::Off => None,
-                    SymmetryMode::Auto => {
-                        let check_bill = model
-                            .interchangeable_check_cost()
-                            .saturating_mul(model.num_agents().saturating_sub(1) as u128);
-                        if check_bill < size || size > self.budget.max_profiles {
-                            Some(Symmetry::detect(model, &space)).filter(|sym| !sym.is_trivial())
-                        } else {
-                            None
-                        }
-                    }
-                };
-                let sweep_size = match &symmetry {
-                    None => size,
-                    Some(sym) => {
-                        let orbits = sym.orbit_count()?;
-                        orbit = Some(OrbitStats {
-                            orbits_evaluated: orbits,
-                            profiles_represented: size,
-                            group_order: sym.group_order_saturating(),
-                        });
-                        orbits
-                    }
-                };
-                if sweep_size > self.budget.max_profiles {
-                    return Err(SolveError::BudgetExceeded {
-                        required: sweep_size,
-                        max_profiles: self.budget.max_profiles,
-                    });
-                }
-                self.exhaustive(model, &space, symmetry.as_ref(), sweep_size)
+        let (stats, orbit) = match self.backend {
+            Backend::ExhaustiveEnum => self.exhaustive(model, &space, self.budget.max_profiles)?,
+            Backend::BestResponseDynamics { restarts, seed } => {
+                let runs = u64::from(restarts) + 1;
+                let starts = Starts::DeterministicThenRandom;
+                (self.dynamics(model, &space, starts, runs, seed), None)
             }
-            Backend::BestResponseDynamics { restarts, seed } => self.dynamics(
-                model,
-                &space,
-                Starts::DeterministicThenRandom,
-                u64::from(restarts) + 1,
-                seed,
-            ),
             Backend::MonteCarloSampling { samples, seed } => {
                 // The profile budget caps the sampled starts (it used to be
                 // silently ignored here); the truncation is reported. The
@@ -541,13 +488,14 @@ impl Solver {
                 if u128::from(effective) < requested {
                     sample_cap = Some(effective);
                 }
-                self.dynamics(model, &space, Starts::Random, effective, seed)
+                let stats = self.dynamics(model, &space, Starts::Random, effective, seed);
+                (stats, None)
             }
         };
         if !stats.found_equilibrium {
             return Err(SolveError::NoEquilibrium);
         }
-        let ci = model.complete_info()?;
+        let ci = self.complete_info(model)?;
         Ok(SolveReport {
             measures: Measures {
                 opt_p: stats.opt_p,
@@ -563,6 +511,41 @@ impl Solver {
             sample_cap,
             orbit,
         })
+    }
+
+    /// The complete-information side: each state's game `G_t`
+    /// ([`BayesianModel::state_model`]) goes through the exhaustive sweep
+    /// with this solver's threads and symmetry mode, and its extrema are
+    /// weighted by `p(t)` in state order. Whatever the backend or
+    /// [`Budget`], a state is gated at [`MAX_ENUMERATION`] profiles.
+    ///
+    /// # Errors
+    ///
+    /// [`BayesianModel::state_too_large`] past the gate,
+    /// [`SolveError::NoStateEquilibrium`], and enumeration failures.
+    pub fn complete_info<M: BayesianModel>(&self, model: &M) -> Result<CompleteInfo, SolveError> {
+        let mut ci = CompleteInfo {
+            opt_c: 0.0,
+            best_eq_c: 0.0,
+            worst_eq_c: 0.0,
+        };
+        for state in 0..model.state_count() {
+            let game = model.state_model(state);
+            let space = CompiledSpace::compile(&game)?;
+            let size = space.space_size()?;
+            if size > MAX_ENUMERATION {
+                return Err(model.state_too_large(size));
+            }
+            let (stats, _) = self.exhaustive(&game, &space, MAX_ENUMERATION)?;
+            if !stats.found_equilibrium {
+                return Err(SolveError::NoStateEquilibrium { state });
+            }
+            let prob = model.state_prob(state);
+            ci.opt_c += prob * stats.opt_p;
+            ci.best_eq_c += prob * stats.best_eq_p;
+            ci.worst_eq_c += prob * stats.worst_eq_p;
+        }
+        Ok(ci)
     }
 
     /// Solves a batch of games of one representation, distributing the
@@ -634,9 +617,12 @@ impl Solver {
             .collect()
     }
 
-    /// Exhaustive sweep over the flat profile space (`symmetry: None`) or
-    /// the canonical orbit domain (`symmetry: Some`), on the
-    /// work-stealing scheduler when the domain is large enough.
+    /// The exhaustive sweep of both measure sides: over the flat profile
+    /// space or, under `Auto` with non-trivial agent symmetry, the
+    /// canonical orbit domain, gated at `max_profiles` evaluations before
+    /// any sweeping. Auto skips detection (its `agents_interchangeable`
+    /// checks) when their estimated bill exceeds the full sweep, unless
+    /// the full sweep is over budget and reduction is the only way in.
     ///
     /// The model is lowered once. Small domains (below
     /// [`PARALLEL_SWEEP_MIN_PROFILES`]) or single-worker configurations
@@ -650,9 +636,35 @@ impl Solver {
         &self,
         model: &M,
         space: &CompiledSpace<M>,
-        symmetry: Option<&Symmetry>,
-        size: u128,
-    ) -> SweepStats {
+        max_profiles: u128,
+    ) -> Result<(SweepStats, Option<OrbitStats>), SolveError> {
+        let full = space.space_size()?;
+        let check_bill = model
+            .interchangeable_check_cost()
+            .saturating_mul(model.num_agents().saturating_sub(1) as u128);
+        let symmetry = (self.symmetry == SymmetryMode::Auto
+            && (check_bill < full || full > max_profiles))
+            .then(|| Symmetry::detect(model, space))
+            .filter(|sym| !sym.is_trivial());
+        let (size, orbit) = match &symmetry {
+            None => (full, None),
+            Some(sym) => {
+                let orbits = sym.orbit_count()?;
+                let stats = OrbitStats {
+                    orbits_evaluated: orbits,
+                    profiles_represented: full,
+                    group_order: sym.group_order_saturating(),
+                };
+                (orbits, Some(stats))
+            }
+        };
+        if size > max_profiles {
+            return Err(SolveError::BudgetExceeded {
+                required: size,
+                max_profiles,
+            });
+        }
+        let symmetry = symmetry.as_ref();
         let lowered = model.lower(space);
         let lowered: &dyn Lowered = &*lowered;
         lowered.prepare_sweep();
@@ -660,7 +672,8 @@ impl Solver {
         if workers <= 1 || size < PARALLEL_SWEEP_MIN_PROFILES {
             let mut kernel = lowered.kernel();
             let mut digits = vec![0u32; space.num_slots()];
-            return sweep_block(space, symmetry, kernel.as_mut(), &mut digits, 0, size);
+            let stats = sweep_block(space, symmetry, kernel.as_mut(), &mut digits, 0, size);
+            return Ok((stats, orbit));
         }
         // Block sizing: enough blocks that an unlucky worker (stalled on
         // a slow block or a busy core) never strands more than ~1/32 of
@@ -672,7 +685,7 @@ impl Solver {
         let num_blocks =
             u64::try_from(size.div_ceil(block_len)).expect("block count bounded by workers * 32");
         let next_block = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|scope| {
+        let stats = std::thread::scope(|scope| {
             let next_block = &next_block;
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
@@ -712,7 +725,8 @@ impl Solver {
                 .into_iter()
                 .map(|(_, stats)| stats)
                 .fold(SweepStats::new(), SweepStats::merge)
-        })
+        });
+        Ok((stats, orbit))
     }
 
     /// Shared driver of the two dynamics-based backends: evaluate each
@@ -962,7 +976,6 @@ mod tests {
     use super::*;
     use crate::bayesian::BayesianGame;
     use crate::game::MatrixFormGame;
-    use crate::model::CompleteInfo;
     use crate::random_games::random_bayesian_potential_game;
 
     fn coordination_game() -> BayesianGame {
@@ -1328,7 +1341,15 @@ mod tests {
     /// product is `2^129 > u128::MAX`. Interim cost equals the played
     /// action, so the all-zeros profile is the unique equilibrium and
     /// best-response dynamics reach it from anywhere in one sweep.
-    struct HugeSpaceModel;
+    ///
+    /// `dominated` says whether the strictly dominated action 1 is a
+    /// candidate. The one support state's game leaves it out: the
+    /// optimum and every equilibrium lie on `{0}`, so that is exact by
+    /// the candidate contract, and the complete-information side stays
+    /// enumerable.
+    struct HugeSpaceModel {
+        dominated: bool,
+    }
 
     impl BayesianModel for HugeSpaceModel {
         type Action = usize;
@@ -1346,7 +1367,7 @@ mod tests {
         }
 
         fn candidate_actions(&self, _agent: usize, _tau: usize) -> Result<Vec<usize>, SolveError> {
-            Ok(vec![0, 1])
+            Ok(if self.dominated { vec![0, 1] } else { vec![0] })
         }
 
         fn social_cost(&self, profile: &Vec<Vec<usize>>) -> f64 {
@@ -1372,18 +1393,22 @@ mod tests {
             (0, 0.0)
         }
 
-        fn complete_info(&self) -> Result<CompleteInfo, SolveError> {
-            Ok(CompleteInfo {
-                opt_c: 0.0,
-                best_eq_c: 0.0,
-                worst_eq_c: 0.0,
-            })
+        fn state_count(&self) -> usize {
+            1
+        }
+
+        fn state_prob(&self, _idx: usize) -> f64 {
+            1.0
+        }
+
+        fn state_model(&self, _idx: usize) -> Self {
+            HugeSpaceModel { dominated: false }
         }
     }
 
     #[test]
     fn space_overflow_errors_only_under_the_exhaustive_backend() {
-        let model = HugeSpaceModel;
+        let model = HugeSpaceModel { dominated: true };
         assert!(matches!(
             BayesianModel::strategy_space_size(&model),
             Err(SolveError::SpaceTooLarge)
@@ -1404,6 +1429,10 @@ mod tests {
         assert_eq!(report.measures.opt_p, 0.0);
         assert_eq!(report.measures.best_eq_p, 0.0);
         assert_eq!(report.measures.worst_eq_p, 0.0);
+        // The state game's one-candidate space is swept exactly.
+        assert_eq!(report.measures.opt_c, 0.0);
+        assert_eq!(report.measures.best_eq_c, 0.0);
+        assert_eq!(report.measures.worst_eq_c, 0.0);
     }
 
     #[test]

@@ -3,13 +3,12 @@
 use bi_core::compiled::{CompiledSpace, EvalKernel, Lowered, SlotStep};
 use bi_core::game::EnumerationError;
 use bi_core::measures::Measures;
-use bi_core::model::{BayesianModel, CompleteInfo};
+use bi_core::model::BayesianModel;
 use bi_core::solve::{SolveError, Solver};
 use bi_graph::paths::{self, PathLimits};
 use bi_graph::Graph;
 use bi_util::harmonic;
 
-use crate::analysis;
 use crate::error::NcsError;
 use crate::game::{NcsGame, Path};
 use crate::prior::{AgentType, Prior};
@@ -549,24 +548,22 @@ impl BayesianModel for BayesianNcsGame {
                     .all(|types| types[a] == types[b]))
     }
 
-    fn complete_info(&self) -> Result<CompleteInfo, SolveError> {
-        let mut opt_c = 0.0;
-        let mut best_eq_c = 0.0;
-        let mut worst_eq_c = 0.0;
-        for (idx, ((_, prob), game)) in self.support.iter().zip(&self.state_games).enumerate() {
-            let a = analysis::analyze(game, self.limits).map_err(|e| match e {
-                NcsError::NoEquilibrium { .. } => SolveError::NoStateEquilibrium { state: idx },
-                other => SolveError::Model(Box::new(other)),
-            })?;
-            opt_c += prob * a.opt;
-            best_eq_c += prob * a.best_eq;
-            worst_eq_c += prob * a.worst_eq;
-        }
-        Ok(CompleteInfo {
-            opt_c,
-            best_eq_c,
-            worst_eq_c,
-        })
+    fn state_count(&self) -> usize {
+        self.support.len()
+    }
+
+    fn state_prob(&self, idx: usize) -> f64 {
+        self.support[idx].1
+    }
+
+    fn state_model(&self, idx: usize) -> Self {
+        let prior = Prior::joint(vec![(self.support[idx].0.clone(), 1.0)]);
+        BayesianNcsGame::with_limits(self.graph.clone(), prior, self.limits)
+            .expect("a support state of a valid game is a valid game")
+    }
+
+    fn state_too_large(&self, required: u128) -> SolveError {
+        SolveError::Model(Box::new(NcsError::TooLarge(EnumerationError { required })))
     }
 
     fn lower<'a>(&'a self, space: &'a CompiledSpace<Self>) -> Box<dyn Lowered + 'a> {

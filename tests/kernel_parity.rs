@@ -20,7 +20,7 @@
 use bayesian_ignorance::constructions::universal::random_bayesian_ncs;
 use bayesian_ignorance::core::bayesian::BayesianGame;
 use bayesian_ignorance::core::game::ProfileIter;
-use bayesian_ignorance::core::model::{CompleteInfo, Profile};
+use bayesian_ignorance::core::model::Profile;
 use bayesian_ignorance::core::random_games::random_bayesian_potential_game;
 use bayesian_ignorance::core::solve::{Backend, SolveError, SolveReport, Solver};
 use bayesian_ignorance::core::{BayesianModel, Measures};
@@ -32,10 +32,11 @@ use proptest::prelude::*;
 /// Forwards every [`BayesianModel`] primitive (including the fused
 /// overrides) but *not* `lower`, so the solver uses the generic
 /// clone-based kernel — the pre-compiled evaluation strategy on the
-/// modern engine.
-struct Uncompiled<'a, M>(&'a M);
+/// modern engine. Its state models are wrapped too, so the
+/// complete-information sweeps run on the generic kernel as well.
+struct Uncompiled<M>(M);
 
-impl<M: BayesianModel> BayesianModel for Uncompiled<'_, M> {
+impl<M: BayesianModel> BayesianModel for Uncompiled<M> {
     type Action = M::Action;
 
     fn num_agents(&self) -> usize {
@@ -89,8 +90,20 @@ impl<M: BayesianModel> BayesianModel for Uncompiled<'_, M> {
         self.0.slot_improvement(agent, tau, profile)
     }
 
-    fn complete_info(&self) -> Result<CompleteInfo, SolveError> {
-        self.0.complete_info()
+    fn state_count(&self) -> usize {
+        self.0.state_count()
+    }
+
+    fn state_prob(&self, idx: usize) -> f64 {
+        self.0.state_prob(idx)
+    }
+
+    fn state_model(&self, idx: usize) -> Self {
+        Uncompiled(self.0.state_model(idx))
+    }
+
+    fn state_too_large(&self, required: u128) -> SolveError {
+        self.0.state_too_large(required)
     }
 }
 
@@ -246,7 +259,7 @@ proptest! {
     #[test]
     fn matrix_backends_match_generic_kernel(seed in 0u64..2000) {
         let (game, _) = random_bayesian_potential_game(&[2, 2], &[2, 2], 3, seed);
-        let generic = Uncompiled(&game);
+        let generic = Uncompiled(game.clone());
         for backend in [
             Backend::ExhaustiveEnum,
             Backend::BestResponseDynamics { restarts: 4, seed },
@@ -265,7 +278,7 @@ proptest! {
     fn ncs_backends_match_generic_kernel(seed in 0u64..500) {
         let game = random_bayesian_ncs(Direction::Undirected, 4, 0.4, 2, 2, seed)
             .expect("connected generator");
-        let generic = Uncompiled(&game);
+        let generic = Uncompiled(game.clone());
         for backend in [
             Backend::ExhaustiveEnum,
             Backend::BestResponseDynamics { restarts: 4, seed },

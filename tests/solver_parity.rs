@@ -13,7 +13,7 @@
 
 use bayesian_ignorance::constructions::universal::random_bayesian_ncs;
 use bayesian_ignorance::core::bayesian::BayesianGame;
-use bayesian_ignorance::core::game::ProfileIter;
+use bayesian_ignorance::core::game::{MatrixFormGame, ProfileIter};
 use bayesian_ignorance::core::random_games::random_bayesian_potential_game;
 use bayesian_ignorance::core::solve::{Backend, SolveError, Solver};
 use bayesian_ignorance::core::{nash, BayesianModel, Measures};
@@ -21,6 +21,36 @@ use bayesian_ignorance::graph::paths::PathLimits;
 use bayesian_ignorance::graph::Direction;
 use bayesian_ignorance::ncs::{analysis, BayesianNcsGame, Path};
 use proptest::prelude::*;
+
+/// The former `nash::social_optimum`, verbatim.
+fn social_optimum(game: &MatrixFormGame) -> (f64, Vec<usize>) {
+    let mut best = f64::INFINITY;
+    let mut best_profile = vec![0; game.num_agents()];
+    for p in game.profiles() {
+        let k = game.social_cost(&p);
+        if k < best {
+            best = k;
+            best_profile = p;
+        }
+    }
+    (best, best_profile)
+}
+
+/// The former `nash::equilibrium_cost_range`, verbatim.
+fn equilibrium_cost_range(game: &MatrixFormGame) -> Option<(f64, f64)> {
+    let mut best = f64::INFINITY;
+    let mut worst = f64::NEG_INFINITY;
+    let mut found = false;
+    for p in game.profiles() {
+        if nash::is_nash(game, &p) {
+            found = true;
+            let k = game.social_cost(&p);
+            best = best.min(k);
+            worst = worst.max(k);
+        }
+    }
+    found.then_some((best, worst))
+}
 
 /// The pre-redesign `BayesianGame::measures()` loop, verbatim, over the
 /// public strategy iterator and per-state Nash analysis.
@@ -44,9 +74,9 @@ fn reference_matrix_measures(game: &BayesianGame) -> Measures {
     let mut worst_eq_c = 0.0;
     for idx in 0..game.support_len() {
         let (_, prob, state_game) = game.state(idx);
-        let (opt, _) = nash::social_optimum(state_game);
+        let (opt, _) = social_optimum(state_game);
         opt_c += prob * opt;
-        let (best, worst) = nash::equilibrium_cost_range(state_game).expect("potential game");
+        let (best, worst) = equilibrium_cost_range(state_game).expect("potential game");
         best_eq_c += prob * best;
         worst_eq_c += prob * worst;
     }
