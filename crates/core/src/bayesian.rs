@@ -658,6 +658,13 @@ struct MatrixLowered<'a> {
     /// order (interim sums must preserve the legacy state iteration
     /// order bit-for-bit).
     slot_states: Vec<Vec<(usize, usize)>>,
+    /// Per slot, a bitset over slots (`num_slots.div_ceil(64)` words at
+    /// `slot · words`) of the *other* slots sharing one of its states —
+    /// exactly the slots whose interim vectors read its digit.
+    readers: Vec<u64>,
+    /// Start of each slot's entries in a kernel's memo arena (one extra
+    /// terminal entry, so slot `j` spans `memo_base[j]..memo_base[j + 1]`).
+    memo_base: Vec<usize>,
     /// Per state, `prob · K_t(a)` per joint index — one lookup instead of
     /// `k` table reads per profile. Built by
     /// [`Lowered::prepare_sweep`] only: the tables amortize over an
@@ -685,7 +692,10 @@ impl<'a> MatrixLowered<'a> {
             slot_base.push(acc);
             acc += count;
         }
-        let mut slot_states: Vec<Vec<(usize, usize)>> = vec![Vec::new(); space.num_slots()];
+        let num_slots = space.num_slots();
+        let words = num_slots.div_ceil(64);
+        let mut slot_states: Vec<Vec<(usize, usize)>> = vec![Vec::new(); num_slots];
+        let mut readers = vec![0u64; num_slots * words];
         let mut states = Vec::with_capacity(game.states.len());
         for (s_idx, st) in game.states.iter().enumerate() {
             let mut offset_terms = Vec::with_capacity(game.num_agents());
@@ -695,6 +705,13 @@ impl<'a> MatrixLowered<'a> {
                 offset_terms.push((slot, stride));
                 slot_states[slot].push((s_idx, stride));
             }
+            for &(slot, _) in &offset_terms {
+                for &(other, _) in &offset_terms {
+                    if other != slot {
+                        readers[slot * words + other / 64] |= 1 << (other % 64);
+                    }
+                }
+            }
             states.push(MatrixState {
                 prob: st.prob,
                 agent_tables: (0..game.num_agents())
@@ -703,10 +720,19 @@ impl<'a> MatrixLowered<'a> {
                 offset_terms,
             });
         }
+        let mut memo_base = Vec::with_capacity(num_slots + 1);
+        let mut acc = 0usize;
+        for j in 0..num_slots {
+            memo_base.push(acc);
+            acc += space.slot_size(j) as usize;
+        }
+        memo_base.push(acc);
         MatrixLowered {
             space,
             states,
             slot_states,
+            readers,
+            memo_base,
             social: std::sync::OnceLock::new(),
         }
     }
@@ -714,16 +740,14 @@ impl<'a> MatrixLowered<'a> {
 
 impl Lowered for MatrixLowered<'_> {
     fn kernel(&self) -> Box<dyn EvalKernel + '_> {
-        let max_actions = (0..self.space.num_slots())
-            .map(|j| self.space.slot_size(j) as usize)
-            .max()
-            .unwrap_or(0);
+        let entries = self.memo_base[self.space.num_slots()];
         Box::new(MatrixKernel {
             lowered: self,
             offsets: vec![0; self.states.len()],
             digits: vec![0; self.space.num_slots()],
-            interim_buf: Vec::with_capacity(max_actions),
-            unstable_hint: 0,
+            interim: vec![0.0; entries],
+            verdicts: vec![None; entries],
+            fresh: vec![0; self.space.num_slots().div_ceil(64)],
         })
     }
 
@@ -774,55 +798,77 @@ impl Lowered for MatrixLowered<'_> {
 /// strided joint-profile offset per support state, so social cost is one
 /// table lookup per state and interim deviation costs are strided reads
 /// off the same offsets.
+///
+/// Each slot's interim vector is memoized. It reads only the digits of
+/// the other slots in its states (see [`MatrixLowered::readers`]), never
+/// its own: the base `offsets[s] − played·stride` cancels the own term
+/// exactly in integer arithmetic. So it is recomputed only after one of
+/// those digits moves. On the odometer the last slots' vectors depend on
+/// slow digits and survive a whole inner cycle.
 struct MatrixKernel<'a> {
     lowered: &'a MatrixLowered<'a>,
     /// Joint profile index per state under the current digits.
     offsets: Vec<usize>,
     digits: Vec<u32>,
-    /// Scratch buffer of per-action interim costs, filled by one fused
-    /// pass over a slot's states ([`MatrixKernel::interim_all`]).
-    interim_buf: Vec<f64>,
-    /// The slot that refuted the previous equilibrium check — checked
-    /// first next time (pure evaluation-order heuristic; the result of
-    /// the AND is order-independent).
-    unstable_hint: usize,
+    /// Every slot's unnormalized interim cost per candidate, slot-major
+    /// at [`MatrixLowered::memo_base`].
+    interim: Vec<f64>,
+    /// Per `(slot, digit)`, aligned with `interim`: whether playing that
+    /// digit is stable against the slot's memoized vector, once checked.
+    verdicts: Vec<Option<bool>>,
+    /// Bitset over slots: whether the slot's memoized vector matches the
+    /// current digits.
+    fresh: Vec<u64>,
 }
 
 impl MatrixKernel<'_> {
-    /// Fills [`Self::interim_buf`] with the unnormalized interim cost of
-    /// every deviation at `slot` in one fused pass over the slot's states
-    /// — bit-identical per action to the legacy one-action-at-a-time
-    /// `BayesianGame::interim_cost` (each accumulator starts at `0.0` and
-    /// adds the same `prob · table[..]` products in the same state
-    /// order), but reading each state's table row once, contiguously.
-    fn interim_all(&mut self, slot: usize) {
+    /// Brings `slot`'s memoized interim vector up to date and returns its
+    /// range in [`Self::interim`]. A recomputation is one fused pass over
+    /// the slot's states, bit-identical per action to the legacy
+    /// one-action-at-a-time `BayesianGame::interim_cost` (each
+    /// accumulator starts at `0.0` and adds the same `prob · table[..]`
+    /// products in the same state order), and forgets the slot's
+    /// verdicts.
+    fn refresh(&mut self, slot: usize) -> std::ops::Range<usize> {
         let lowered = self.lowered;
+        let range = lowered.memo_base[slot]..lowered.memo_base[slot + 1];
+        if self.fresh[slot / 64] >> (slot % 64) & 1 == 1 {
+            return range;
+        }
         let played = self.digits[slot] as usize;
         let (agent, _) = lowered.space.slot(slot);
-        let actions = lowered.space.slot_size(slot) as usize;
-        self.interim_buf.clear();
-        self.interim_buf.resize(actions, 0.0);
+        let interim = &mut self.interim[range.clone()];
+        interim.fill(0.0);
         for &(s, stride) in &lowered.slot_states[slot] {
             let state = &lowered.states[s];
             let table = state.agent_tables[agent];
             let base = self.offsets[s] - played * stride;
             let prob = state.prob;
-            for (a, acc) in self.interim_buf.iter_mut().enumerate() {
+            for (a, acc) in interim.iter_mut().enumerate() {
                 *acc += prob * table[base + a * stride];
             }
         }
+        self.verdicts[range.clone()].fill(None);
+        self.fresh[slot / 64] |= 1 << (slot % 64);
+        range
     }
 
     /// Bit-faithful `BayesianGame::slot_is_stable` for one slot: exact
     /// over every deviation. The legacy short-circuit over actions only
-    /// skipped computation, never changed the decision, so the fused
-    /// all-deviations pass returns the identical boolean.
+    /// skipped computation, never changed the decision, so the verdict
+    /// over the memoized all-deviations vector is the identical boolean.
     fn slot_is_stable(&mut self, slot: usize) -> bool {
-        self.interim_all(slot);
-        let played = self.interim_buf[self.digits[slot] as usize];
-        self.interim_buf
+        let range = self.refresh(slot);
+        let at = range.start + self.digits[slot] as usize;
+        if let Some(stable) = self.verdicts[at] {
+            return stable;
+        }
+        let played = self.interim[at];
+        let stable = self.interim[range]
             .iter()
-            .all(|&dev| dev >= played || bi_util::approx_le(played, dev))
+            .all(|&dev| dev >= played || bi_util::approx_le(played, dev));
+        self.verdicts[at] = Some(stable);
+        stable
     }
 }
 
@@ -836,12 +882,18 @@ impl EvalKernel for MatrixKernel<'_> {
                 .map(|&(slot, stride)| digits[slot] as usize * stride)
                 .sum();
         }
+        self.fresh.fill(0);
     }
 
     fn advance(&mut self, slot: usize, old: u32, new: u32) {
         self.digits[slot] = new;
         for &(s, stride) in &self.lowered.slot_states[slot] {
             self.offsets[s] = self.offsets[s] - old as usize * stride + new as usize * stride;
+        }
+        let words = self.fresh.len();
+        let readers = &self.lowered.readers[slot * words..(slot + 1) * words];
+        for (fresh, &readers) in self.fresh.iter_mut().zip(readers) {
+            *fresh &= !readers;
         }
     }
 
@@ -869,27 +921,26 @@ impl EvalKernel for MatrixKernel<'_> {
     }
 
     fn is_equilibrium(&mut self) -> bool {
+        // An AND over independent slots, so the order cannot change the
+        // result. Last to first: the last slots move fastest, so their
+        // vectors depend only on slow digits and a memoized verdict
+        // usually refutes the profile in O(1).
         let space = self.lowered.space;
-        let mut hint = self.unstable_hint;
-        let stable = crate::compiled::stable_with_hint(
-            space.num_slots(),
-            |slot| space.weight(slot),
-            &mut hint,
-            |slot| self.slot_is_stable(slot),
-        );
-        self.unstable_hint = hint;
-        stable
+        (0..space.num_slots())
+            .rev()
+            .all(|slot| space.weight(slot) == 0.0 || self.slot_is_stable(slot))
     }
 
     fn slot_improvement(&mut self, slot: usize) -> SlotStep {
         // Replicates the default `BayesianModel::slot_improvement` +
         // `BayesianGame::best_response` pair: EPS tie-breaking to the
         // smallest action index, improvement only beyond the tolerance.
-        self.interim_all(slot);
-        let played = self.interim_buf[self.digits[slot] as usize];
+        let range = self.refresh(slot);
+        let interim = &self.interim[range];
+        let played = interim[self.digits[slot] as usize];
         let mut best_a = 0usize;
         let mut best_c = f64::INFINITY;
-        for (a, &c) in self.interim_buf.iter().enumerate() {
+        for (a, &c) in interim.iter().enumerate() {
             if c < best_c - bi_util::EPS {
                 best_c = c;
                 best_a = a;

@@ -265,7 +265,8 @@ pub trait Lowered: Sync {
 }
 
 /// Order-independent equilibrium check over per-slot stability tests,
-/// shared by the representation kernels: `is_equilibrium` is an AND over
+/// used by the NCS kernel (the matrix kernel memoizes its verdicts and
+/// checks slots last to first instead): `is_equilibrium` is an AND over
 /// independent slots, so evaluation order cannot change the result — the
 /// slot that refuted the previous profile (`hint`) is checked first
 /// (odometer neighbours usually fail at the same slot), then the rest in

@@ -227,11 +227,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Compiled matrix kernels reproduce the pre-change sweep bit-for-bit
-    /// across 1/2/4 threads.
+    /// across 1/2/4 threads. With 3–6 actions, and a 3-agent shape, the
+    /// odometer's inner cycle is long enough for a memoized interim
+    /// vector to be reused and then invalidated.
     #[test]
-    fn matrix_kernel_matches_reference_sweep(seed in 0u64..5000, support in 1usize..5) {
-        let (game, _) = random_bayesian_potential_game(&[2, 2], &[2, 2], support, seed);
-        assert_sweep_parity(&game, "matrix");
+    fn matrix_kernel_matches_reference_sweep(
+        seed in 0u64..5000,
+        support in 1usize..5,
+        actions in 2usize..7,
+        three_agents in 0usize..2,
+    ) {
+        let (types, action_counts) = if three_agents == 1 {
+            (vec![1, 2, 2], vec![actions; 3])
+        } else {
+            (vec![2, 2], vec![actions; 2])
+        };
+        let (game, _) = random_bayesian_potential_game(&types, &action_counts, support, seed);
+        assert_sweep_parity(&game, &format!("matrix {types:?} x {actions} actions"));
     }
 
     /// Compiled NCS kernels reproduce the pre-change sweep bit-for-bit
@@ -251,6 +263,56 @@ proptest! {
         let limits = PathLimits { max_paths: 100_000, max_len: 2 };
         let game = complete_network_game(seed, limits);
         assert_sweep_parity(&game, "ncs/max_len=2");
+    }
+
+    /// The matrix kernel agrees with the generic kernel after every step
+    /// of a seeded walk of single-slot moves on arbitrary slots — the
+    /// non-odometer orders of orbit sweeps and dynamics, which must still
+    /// invalidate every memoized interim vector that reads the moved digit.
+    #[test]
+    fn matrix_kernel_tracks_generic_kernel_under_arbitrary_moves(seed in 0u64..2000) {
+        use bayesian_ignorance::core::compiled::{CompiledSpace, GenericLowered, Lowered};
+        use rand::Rng;
+        let game = pinned_infinite_game(seed);
+        let space = CompiledSpace::compile(&game).expect("compiles");
+        let compiled = game.lower(&space);
+        let generic = GenericLowered::new(&game, &space);
+        let mut kernel = compiled.kernel();
+        let mut reference = generic.kernel();
+        let mut rng = bayesian_ignorance::util::rng::seeded(seed ^ 0x5eed);
+        let mut digits = vec![0u32; space.num_slots()];
+        space.random_digits(&mut rng, &mut digits);
+        kernel.seed(&digits);
+        reference.seed(&digits);
+        let movable: Vec<usize> = (0..space.num_slots())
+            .filter(|&j| space.slot_size(j) > 1)
+            .collect();
+        for step in 0..64 {
+            let context = format!("seed {seed}, step {step}, digits {digits:?}");
+            assert_eq!(
+                kernel.social_cost().to_bits(),
+                reference.social_cost().to_bits(),
+                "{context}: social cost"
+            );
+            assert_eq!(
+                kernel.is_equilibrium(),
+                reference.is_equilibrium(),
+                "{context}: equilibrium"
+            );
+            for j in 0..space.num_slots() {
+                assert_eq!(
+                    kernel.slot_improvement(j),
+                    reference.slot_improvement(j),
+                    "{context}: improvement at slot {j}"
+                );
+            }
+            let slot = movable[rng.random_range(0..movable.len())];
+            let old = digits[slot];
+            let new = (old + rng.random_range(1..space.slot_size(slot))) % space.slot_size(slot);
+            digits[slot] = new;
+            kernel.advance(slot, old, new);
+            reference.advance(slot, old, new);
+        }
     }
 
     /// All three backends produce identical reports through the compiled
@@ -290,6 +352,42 @@ proptest! {
             assert_reports_identical(&compiled, &reference, &format!("{backend:?}"));
         }
     }
+}
+
+/// A 3-agent matrix game with type counts `[1, 2, 3]` and 3–5 actions per
+/// agent. Its support is 2–4 type profiles that never use agent 2's third
+/// type, so that slot (and sometimes agent 1's second type) is pinned at
+/// zero marginal. About one cost entry in twelve is `f64::INFINITY`.
+fn pinned_infinite_game(seed: u64) -> BayesianGame {
+    use bayesian_ignorance::core::game::MatrixFormGame;
+    use rand::Rng;
+    let mut rng = bayesian_ignorance::util::rng::seeded(seed);
+    let actions: Vec<usize> = (0..3).map(|_| rng.random_range(3..6)).collect();
+    let mut profiles = vec![vec![0, 0, 0], vec![0, 0, 1], vec![0, 1, 0], vec![0, 1, 1]];
+    let keep = rng.random_range(2..5);
+    while profiles.len() > keep {
+        profiles.remove(rng.random_range(0..profiles.len()));
+    }
+    let weights: Vec<f64> = profiles
+        .iter()
+        .map(|_| rng.random_range(0.2..1.0))
+        .collect();
+    let total: f64 = weights.iter().sum();
+    let support = profiles
+        .into_iter()
+        .zip(&weights)
+        .map(|(types, &w)| {
+            let game = MatrixFormGame::from_fn(3, &actions, |_, _| {
+                if rng.random_range(0..12) == 0 {
+                    f64::INFINITY
+                } else {
+                    f64::from(rng.random_range(0u32..10))
+                }
+            });
+            (types, w / total, game)
+        })
+        .collect();
+    BayesianGame::new(vec![1, 2, 3], support).expect("valid game")
 }
 
 /// The profile budget and space sizing behave identically through the
