@@ -21,8 +21,11 @@
 //!   report records `host_parallelism` so consumers can tell);
 //! * **symmetry-orbit reduction** (`--orbits`): construction families
 //!   with interchangeable agents (`G_worst`) and fully symmetric matrix
-//!   games are solved with `SymmetryMode::Off` vs `Auto`, reporting the
-//!   profile-evaluation reduction factor.
+//!   games are solved as they are (the solver sweeps one profile per
+//!   orbit) and through [`Unreduced`] (every profile), reporting the
+//!   profile-evaluation reduction factor and the speedup;
+//!   `--check-orbits` turns a suite that was not reduced, or whose
+//!   measures differ from the unreduced solve's, into a nonzero exit.
 //!
 //! `--quick` shrinks instances and repeats for CI smoke runs; the
 //! committed `BENCH_solver.json` comes from a full run, and a quick run
@@ -33,13 +36,15 @@ use std::io::Write;
 use std::process::exit;
 use std::time::Instant;
 
+use bi_bench::Unreduced;
 use bi_constructions::gworst::{GWorstGame, GWorstVariant};
 use bi_constructions::universal::random_bayesian_ncs;
+use bi_core::compiled::CompiledSpace;
 use bi_core::game::MatrixFormGame;
 use bi_core::model::{BayesianModel, Profile};
 use bi_core::random_games::random_bayesian_potential_game;
 use bi_core::solve::{Backend, SolveReport, Solver};
-use bi_core::{BayesianGame, SymmetryMode};
+use bi_core::{BayesianGame, Measures, Symmetry};
 use bi_graph::Direction;
 use bi_util::Json;
 
@@ -55,6 +60,10 @@ OPTIONS:
   --threads LIST    comma-separated thread counts for the compiled sweep
                     (default 1,4)
   --orbits          also bench symmetry-orbit reduction suites
+  --check-orbits    exit nonzero if an orbit suite was not reduced (no
+                    fewer orbits than profiles, or a solve capped at the
+                    orbit count fails) or its measures differ from the
+                    unreduced solve's (implies --orbits)
   --check-scaling   exit nonzero if the large suite's 4-thread sweep is
                     slower than 1-thread (only enforced when the host has
                     >= 4 cores and 1 and 4 are both in --threads)
@@ -67,6 +76,7 @@ struct Args {
     out: String,
     threads: Vec<usize>,
     orbits: bool,
+    check_orbits: bool,
     check_scaling: bool,
 }
 
@@ -77,6 +87,7 @@ fn parse_args() -> Result<Args, String> {
         out: "BENCH_solver.json".into(),
         threads: vec![1, 4],
         orbits: false,
+        check_orbits: false,
         check_scaling: false,
     };
     let mut args = std::env::args().skip(1);
@@ -109,6 +120,10 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--orbits" => parsed.orbits = true,
+            "--check-orbits" => {
+                parsed.orbits = true;
+                parsed.check_orbits = true;
+            }
             "--check-scaling" => parsed.check_scaling = true,
             other => return Err(format!("unknown flag {other} (see --help)")),
         }
@@ -303,77 +318,78 @@ fn symmetric_matrix_game(k: usize) -> BayesianGame {
     BayesianGame::new(vec![1; k], vec![(vec![0; k], 1.0, matrix)]).expect("valid game")
 }
 
-/// Benches symmetry-orbit reduction on one model: full sweep vs
-/// orbit-reduced sweep, asserting bitwise-identical measures, and
-/// reporting the profile-evaluation reduction factor.
-fn bench_orbit<M: BayesianModel>(model: &M, family: &str, repeats: u32) -> Json {
-    let full = Solver::builder().symmetry(SymmetryMode::Off).build();
-    let auto = Solver::builder().symmetry(SymmetryMode::Auto).build();
-    let (full_report, full_secs) = time_best(repeats, || full.solve(model).expect("solvable"));
-    let (auto_report, auto_secs) = time_best(repeats, || auto.solve(model).expect("solvable"));
-    assert_eq!(
-        (
-            full_report.measures.opt_p.to_bits(),
-            full_report.measures.best_eq_p.to_bits(),
-            full_report.measures.worst_eq_p.to_bits()
-        ),
-        (
-            auto_report.measures.opt_p.to_bits(),
-            auto_report.measures.best_eq_p.to_bits(),
-            auto_report.measures.worst_eq_p.to_bits()
-        ),
-        "{family}: orbit-reduced sweep must agree bit-for-bit"
-    );
-    let speedup = if auto_secs > 0.0 {
-        full_secs / auto_secs
+/// One orbit suite's outcome: its JSON row, plus what `--check-orbits`
+/// judges.
+struct OrbitRow {
+    json: Json,
+    family: String,
+    reduced: bool,
+    measures_agree: bool,
+}
+
+/// The six measures as bit patterns, for exact comparison.
+fn measure_bits(m: &Measures) -> [u64; 6] {
+    [
+        m.opt_p,
+        m.best_eq_p,
+        m.worst_eq_p,
+        m.opt_c,
+        m.best_eq_c,
+        m.worst_eq_c,
+    ]
+    .map(f64::to_bits)
+}
+
+/// Benches symmetry-orbit reduction on one model: the unreduced solve
+/// (through [`Unreduced`]) vs the solver's orbit-reduced one, comparing
+/// all six measures bitwise and reporting the profile-evaluation
+/// reduction factor. The orbit count is the one the solver sweeps:
+/// [`Symmetry::detect`] over the model's compiled space. A suite counts
+/// as reduced when it has fewer orbits than profiles and a solve capped
+/// at that many profiles still succeeds, which it can only if the
+/// solver swept the orbits.
+fn bench_orbit<M: BayesianModel + Clone>(model: &M, family: &str, repeats: u32) -> OrbitRow {
+    let solver = Solver::default();
+    let unreduced = Unreduced(model.clone());
+    let (full_report, full_secs) =
+        time_best(repeats, || solver.solve(&unreduced).expect("solvable"));
+    let (orbit_report, orbit_secs) = time_best(repeats, || solver.solve(model).expect("solvable"));
+    let measures_agree =
+        measure_bits(&full_report.measures) == measure_bits(&orbit_report.measures);
+    let space = CompiledSpace::compile(model).expect("compilable");
+    let symmetry = Symmetry::detect(model, &space);
+    let orbits = symmetry.orbit_count().expect("sized");
+    let profiles = full_report.profiles_evaluated;
+    let orbit_budget = Solver::builder().max_profiles(orbits).build();
+    let reduced = orbits < profiles && orbit_budget.solve(model).is_ok();
+    let reduction = profiles as f64 / orbits as f64;
+    let speedup = if orbit_secs > 0.0 {
+        full_secs / orbit_secs
     } else {
         0.0
     };
-    // `Auto` may decline the reduction when the up-front detection
-    // checks cost more than the unreduced sweep (the k=14 matrix
-    // family used to clock an 0.13x "speedup" before that gate). A
-    // fallback run still pins the bitwise-agreement contract above;
-    // the report records it so the JSON distinguishes "reduced" from
-    // "judged not worth reducing".
-    match auto_report.orbit {
-        Some(stats) => {
-            let reduction = stats.profiles_represented as f64 / stats.orbits_evaluated as f64;
-            eprintln!(
-                "  {family:<28} {:>8} profiles -> {:>6} orbits  ({reduction:.1}x fewer, {speedup:.1}x faster)",
-                stats.profiles_represented, stats.orbits_evaluated
-            );
-            Json::Obj(vec![
-                ("family".into(), Json::str(family)),
-                ("fell_back".into(), Json::Bool(false)),
-                (
-                    "full_profiles".into(),
-                    Json::from_u128(stats.profiles_represented),
-                ),
-                ("orbits".into(), Json::from_u128(stats.orbits_evaluated)),
-                ("group_order".into(), Json::from_u128(stats.group_order)),
-                ("reduction".into(), Json::num(reduction)),
-                ("seconds_full".into(), Json::num(full_secs)),
-                ("seconds_orbit".into(), Json::num(auto_secs)),
-                ("orbit_speedup".into(), Json::num(speedup)),
-            ])
-        }
-        None => {
-            let profiles = full_report.profiles_evaluated;
-            eprintln!(
-                "  {family:<28} {profiles:>8} profiles -> full sweep (detection judged too \
-                 expensive, {speedup:.1}x vs Off)"
-            );
-            Json::Obj(vec![
-                ("family".into(), Json::str(family)),
-                ("fell_back".into(), Json::Bool(true)),
-                ("full_profiles".into(), Json::from_u128(profiles)),
-                ("orbits".into(), Json::from_u128(profiles)),
-                ("reduction".into(), Json::num(1.0)),
-                ("seconds_full".into(), Json::num(full_secs)),
-                ("seconds_orbit".into(), Json::num(auto_secs)),
-                ("orbit_speedup".into(), Json::num(speedup)),
-            ])
-        }
+    eprintln!(
+        "  {family:<28} {profiles:>8} profiles -> {orbits:>6} orbits  ({reduction:.1}x fewer, {speedup:.1}x faster)"
+    );
+    let json = Json::Obj(vec![
+        ("family".into(), Json::str(family)),
+        ("full_profiles".into(), Json::from_u128(profiles)),
+        ("orbits".into(), Json::from_u128(orbits)),
+        (
+            "group_order".into(),
+            Json::from_u128(symmetry.group_order_saturating()),
+        ),
+        ("reduction".into(), Json::num(reduction)),
+        ("measures_agree".into(), Json::Bool(measures_agree)),
+        ("seconds_full".into(), Json::num(full_secs)),
+        ("seconds_orbit".into(), Json::num(orbit_secs)),
+        ("orbit_speedup".into(), Json::num(speedup)),
+    ]);
+    OrbitRow {
+        json,
+        family: family.into(),
+        reduced,
+        measures_agree,
     }
 }
 
@@ -478,13 +494,13 @@ fn main() {
         let gworst_half = GWorstGame::new(k, GWorstVariant::Half).expect("valid k");
         let sym_k = if args.quick { 10 } else { 14 };
         let symmetric = symmetric_matrix_game(sym_k);
-        Json::Arr(vec![
+        vec![
             bench_orbit(gworst_invk.game(), &format!("gworst-invk/k={k}"), repeats),
             bench_orbit(gworst_half.game(), &format!("gworst-half/k={k}"), repeats),
             bench_orbit(&symmetric, &format!("symmetric-matrix/k={sym_k}"), repeats),
-        ])
+        ]
     } else {
-        Json::Arr(Vec::new())
+        Vec::new()
     };
 
     let report = Json::Obj(vec![
@@ -507,7 +523,10 @@ fn main() {
             ),
         ),
         ("suites".into(), Json::Arr(suites)),
-        ("orbit_suites".into(), orbit_suites),
+        (
+            "orbit_suites".into(),
+            Json::Arr(orbit_suites.iter().map(|row| row.json.clone()).collect()),
+        ),
     ]);
     let mut file = match std::fs::File::create(&args.out) {
         Ok(file) => file,
@@ -523,6 +542,33 @@ fn main() {
         "bench_solver_sweep: matrix {matrix_speedup:.1}x | ncs {ncs_speedup:.1}x | large {large_speedup:.1}x vs baseline -> {}",
         args.out
     );
+
+    // A measure mismatch is a correctness failure, checked or not.
+    let mut orbit_failures: Vec<String> = orbit_suites
+        .iter()
+        .filter(|row| !row.measures_agree)
+        .map(|row| format!("{}: measures differ from the unreduced solve", row.family))
+        .collect();
+    if args.check_orbits {
+        orbit_failures.extend(
+            orbit_suites
+                .iter()
+                .filter(|row| !row.reduced)
+                .map(|row| format!("{}: the solve was not orbit-reduced", row.family)),
+        );
+    }
+    if !orbit_failures.is_empty() {
+        for failure in &orbit_failures {
+            eprintln!("bench_solver_sweep: ORBIT CHECK FAILED — {failure}");
+        }
+        exit(1);
+    }
+    if args.check_orbits {
+        eprintln!(
+            "bench_solver_sweep: orbit check passed ({} suites reduced, measures bit-identical)",
+            orbit_suites.len()
+        );
+    }
 
     if args.check_scaling {
         let pps = |rows: &[Row], name: &str| {

@@ -6,6 +6,10 @@
 //! the series of `(size, value)` points so callers can print or fit them.
 //! `EXPERIMENTS.md` records the outputs against the paper's bounds.
 
+mod unreduced;
+
+pub use unreduced::Unreduced;
+
 use bi_constructions::affine_game::AffinePlaneGame;
 use bi_constructions::diamond_game::DiamondGame;
 use bi_constructions::frt_strategy::{self, FrtRouting};

@@ -113,6 +113,9 @@ struct State {
     prob: f64,
     /// Shared with the state's [`BayesianModel::state_model`].
     game: Arc<MatrixFormGame>,
+    /// Per agent, the smallest agent whose cost table in `game` is
+    /// bitwise-equal to its own ([`table_classes`]).
+    table_class: Vec<usize>,
 }
 
 /// A finite Bayesian game `⟨k, {A_i}, {T_i}, {C_{i,t}}, p⟩` with the prior
@@ -200,8 +203,14 @@ impl BayesianGame {
         }
         for (types, prob, game) in support {
             if prob > 0.0 {
+                let table_class = table_classes(&game);
                 let game = Arc::new(game);
-                states.push(State { types, prob, game });
+                states.push(State {
+                    types,
+                    prob,
+                    game,
+                    table_class,
+                });
             }
         }
         if states.is_empty() {
@@ -551,6 +560,7 @@ impl BayesianModel for BayesianGame {
                 types: vec![0; k],
                 prob: 1.0,
                 game: Arc::clone(&self.states[idx].game),
+                table_class: self.states[idx].table_class.clone(),
             }],
             marginals: vec![vec![1.0]; k],
         }
@@ -573,6 +583,11 @@ impl BayesianModel for BayesianGame {
         // identical under the swap; (2)+(3) make the stability decision
         // of agent `a`'s slots under the swapped profile coincide with
         // agent `b`'s under the original.
+        //
+        // (3) and the cheap checks run over every state before any table
+        // walk, so asymmetric pairs cost O(states). (2) walks only each
+        // state's bitwise-distinct tables: equal tables are equally
+        // invariant.
         if a == b {
             return true;
         }
@@ -590,54 +605,70 @@ impl BayesianModel for BayesianGame {
         {
             return false;
         }
-        let k = self.num_agents();
         let n = self.action_counts[a];
-        self.states.iter().all(|st| {
-            if st.types[a] != st.types[b] {
-                return false;
-            }
-            let stride_a = st.game.stride(a);
-            let stride_b = st.game.stride(b);
-            let swap = |idx: usize| {
-                let da = idx / stride_a % n;
-                let db = idx / stride_b % n;
-                idx - da * stride_a - db * stride_b + db * stride_a + da * stride_b
-            };
-            let table_a = st.game.cost_table(a);
-            let table_b = st.game.cost_table(b);
-            table_a.iter().zip(table_b).all(|(&x, &y)| eq(x, y))
-                && (0..k).all(|l| {
-                    let t = st.game.cost_table(l);
-                    (0..t.len()).all(|idx| eq(t[swap(idx)], t[idx]))
-                })
-        })
-    }
-
-    fn interchangeable_check_cost(&self) -> u128 {
-        // One check rescans every state's k cost tables under a
-        // division-heavy swapped-index walk (the worst case: the pair
-        // *is* interchangeable, so nothing short-circuits). The 1/80
-        // constant folds two calibrations together: a swapped table
-        // compare is far cheaper per element than a premultiplied sweep
-        // kernel tick, and asymmetric candidate pairs short-circuit on
-        // the first mismatched entry, so the caller's pessimistic
-        // (num_agents - 1) pair count overstates typical work. Measured
-        // anchors: detection on a dense 14-agent 2^14-profile matrix
-        // game really does cost several times its sweep (must skip),
-        // while a 9-agent 2^16-profile game with one interchangeable
-        // pair amortizes its checks and wins (must detect).
-        let k = self.num_agents() as u128;
-        let table_work: u128 = self
-            .states
+        self.states
             .iter()
-            .map(|st| k * st.game.cost_table(0).len() as u128)
-            .sum();
-        table_work / 80
+            .all(|st| st.types[a] == st.types[b] && st.table_class[a] == st.table_class[b])
+            && self.states.iter().all(|st| {
+                let (stride_a, stride_b) = (st.game.stride(a), st.game.stride(b));
+                st.table_class
+                    .iter()
+                    .enumerate()
+                    .filter(|&(l, &class)| l == class)
+                    .all(|(l, _)| swap_invariant(st.game.cost_table(l), stride_a, stride_b, n))
+            })
     }
 
-    fn lower<'a>(&'a self, space: &'a CompiledSpace<Self>) -> Box<dyn Lowered + 'a> {
+    fn lower<'a>(&'a self, space: &'a CompiledSpace<Self::Action>) -> Box<dyn Lowered + 'a> {
         Box::new(MatrixLowered::new(self, space))
     }
+}
+
+/// Per agent of `game`, the smallest agent whose cost table is
+/// bitwise-equal to its own, so the distinct tables are the agents `i`
+/// with `classes[i] == i`. Tables are compared exactly (never by hash),
+/// and a mismatch usually ends a comparison at its first entry.
+fn table_classes(game: &MatrixFormGame) -> Vec<usize> {
+    let mut classes: Vec<usize> = Vec::with_capacity(game.num_agents());
+    for i in 0..game.num_agents() {
+        let table = game.cost_table(i);
+        let class = (0..i)
+            .filter(|&r| classes[r] == r)
+            .find(|&r| {
+                game.cost_table(r)
+                    .iter()
+                    .zip(table)
+                    .all(|(x, y)| x.to_bits() == y.to_bits())
+            })
+            .unwrap_or(i);
+        classes.push(class);
+    }
+    classes
+}
+
+/// Whether `table` is bitwise-invariant under swapping the digits at
+/// strides `stride_a` and `stride_b` (both of radix `n`) of its joint
+/// index. Division-free: the index is walked as
+/// `outer + y·hi + mid + x·lo + inner` with `lo < hi` the two strides,
+/// and only the pairs `x < y` are compared (`x == y` is the identity,
+/// `x > y` mirrors a compared pair).
+fn swap_invariant(table: &[f64], stride_a: usize, stride_b: usize, n: usize) -> bool {
+    let (lo, hi) = (stride_a.min(stride_b), stride_a.max(stride_b));
+    (0..table.len()).step_by(hi * n).all(|outer| {
+        (0..hi).step_by(lo * n).all(|mid| {
+            let base = outer + mid;
+            (0..n).all(|x| {
+                (x + 1..n).all(|y| {
+                    let p = base + x * lo + y * hi;
+                    let q = base + y * lo + x * hi;
+                    table[p..p + lo]
+                        .iter()
+                        .zip(&table[q..q + lo])
+                        .all(|(u, v)| u.to_bits() == v.to_bits())
+                })
+            })
+        })
+    })
 }
 
 /// Cap on precomputed social-table entries (`support states × joint
@@ -651,7 +682,7 @@ const MATRIX_TABLE_BUDGET: usize = 1 << 22;
 /// offsets, plus the `(slot, stride)` terms that keep each state's offset
 /// maintained incrementally as the sweep odometer advances digits.
 struct MatrixLowered<'a> {
-    space: &'a CompiledSpace<BayesianGame>,
+    space: &'a CompiledSpace<usize>,
     states: Vec<MatrixState<'a>>,
     /// Per slot: the states the slot participates in, as
     /// `(state, stride of the slot's agent in that state)`, in state
@@ -684,7 +715,7 @@ struct MatrixState<'a> {
 }
 
 impl<'a> MatrixLowered<'a> {
-    fn new(game: &'a BayesianGame, space: &'a CompiledSpace<BayesianGame>) -> Self {
+    fn new(game: &'a BayesianGame, space: &'a CompiledSpace<usize>) -> Self {
         // Slot index of (agent, tau): slots are agent-major.
         let mut slot_base = Vec::with_capacity(game.num_agents());
         let mut acc = 0usize;
@@ -1111,5 +1142,241 @@ mod tests {
         for s in game.strategies().unwrap() {
             assert_eq!(s[0][1], 0, "unused type must stay pinned");
         }
+    }
+}
+
+#[cfg(test)]
+mod interchangeable_oracle {
+    //! Exactness of the division-free, class-deduplicated
+    //! `agents_interchangeable` against the implementation it replaced.
+
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The check as it stood before per-state table classes and the
+    /// division-free walk (every pair rescanned all `k` tables under a
+    /// division-based swapped index), kept verbatim as the oracle.
+    fn legacy_agents_interchangeable(game: &BayesianGame, a: usize, b: usize) -> bool {
+        if a == b {
+            return true;
+        }
+        if game.type_counts[a] != game.type_counts[b]
+            || game.action_counts[a] != game.action_counts[b]
+        {
+            return false;
+        }
+        let eq = |x: f64, y: f64| x.to_bits() == y.to_bits();
+        if game.marginals[a].len() != game.marginals[b].len()
+            || !game.marginals[a]
+                .iter()
+                .zip(&game.marginals[b])
+                .all(|(&x, &y)| eq(x, y))
+        {
+            return false;
+        }
+        let k = game.num_agents();
+        let n = game.action_counts[a];
+        game.states.iter().all(|st| {
+            if st.types[a] != st.types[b] {
+                return false;
+            }
+            let stride_a = st.game.stride(a);
+            let stride_b = st.game.stride(b);
+            let swap = |idx: usize| {
+                let da = idx / stride_a % n;
+                let db = idx / stride_b % n;
+                idx - da * stride_a - db * stride_b + db * stride_a + da * stride_b
+            };
+            let table_a = st.game.cost_table(a);
+            let table_b = st.game.cost_table(b);
+            table_a.iter().zip(table_b).all(|(&x, &y)| eq(x, y))
+                && (0..k).all(|l| {
+                    let t = st.game.cost_table(l);
+                    (0..t.len()).all(|idx| eq(t[swap(idx)], t[idx]))
+                })
+        })
+    }
+
+    /// Costs drawn from here make signed zeros and infinities common.
+    const PALETTE: [f64; 6] = [0.0, -0.0, 1.0, 2.5, f64::INFINITY, 1e-300];
+
+    fn mix(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn hash(seed: u64, key: impl IntoIterator<Item = usize>) -> u64 {
+        key.into_iter().fold(mix(seed), |h, x| mix(h ^ x as u64))
+    }
+
+    /// One damaging edit of a planted game.
+    #[derive(Clone, Copy, Debug)]
+    enum Mutation {
+        None,
+        /// Flip one bit of one table entry.
+        FlipBit,
+        /// Negate one entry (`0.0` becomes `-0.0`).
+        Negate,
+        /// Overwrite one entry with `+∞`.
+        Infinity,
+        /// Move one agent to another type in one state.
+        Retype,
+    }
+
+    const MUTATIONS: [Mutation; 5] = [
+        Mutation::None,
+        Mutation::FlipBit,
+        Mutation::Negate,
+        Mutation::Infinity,
+        Mutation::Retype,
+    ];
+
+    /// A `k`-agent, `n`-action game whose agents `0..planted` are
+    /// interchangeable by construction — one type shared in every state,
+    /// one shared cost function of their action multiset, every other
+    /// agent's costs symmetric in them too — then damaged by `mutation`
+    /// at a spot picked by `target`. `None` when the random type
+    /// profiles collide (an invalid prior).
+    #[allow(clippy::too_many_arguments)]
+    fn planted_game(
+        seed: u64,
+        k: usize,
+        n: usize,
+        planted: usize,
+        states: usize,
+        types: usize,
+        mutation: Mutation,
+        target: u64,
+    ) -> Option<BayesianGame> {
+        let planted = planted.min(k);
+        let (bad_state, bad_agent) = (
+            (target % states as u64) as usize,
+            (target >> 8) as usize % k,
+        );
+        let bad_entry = (target >> 16) as usize % n.pow(k as u32);
+        let bit = (target >> 40) % 64;
+        let support = (0..states)
+            .map(|s| {
+                let shared = hash(seed, [s, 1]) as usize % types;
+                let mut profile: Vec<usize> = (0..k)
+                    .map(|i| {
+                        if i < planted {
+                            shared
+                        } else {
+                            hash(seed, [s, 2, i]) as usize % types
+                        }
+                    })
+                    .collect();
+                if matches!(mutation, Mutation::Retype) && s == bad_state {
+                    profile[bad_agent] = (profile[bad_agent] + 1) % types;
+                }
+                let game = MatrixFormGame::from_fn(k, &vec![n; k], |i, a| {
+                    let mut key: Vec<usize> = a[..planted].to_vec();
+                    key.sort_unstable();
+                    key.extend_from_slice(&a[planted..]);
+                    key.extend([s, if i < planted { k } else { i }]);
+                    let h = hash(seed, key);
+                    let cost = if h % 3 == 0 {
+                        PALETTE[(h >> 8) as usize % PALETTE.len()]
+                    } else {
+                        (h >> 11) as f64 / 1024.0
+                    };
+                    let entry = a.iter().fold(0, |acc, &x| acc * n + x);
+                    if s != bad_state || i != bad_agent || entry != bad_entry {
+                        return cost;
+                    }
+                    match mutation {
+                        Mutation::FlipBit => {
+                            let flipped = f64::from_bits(cost.to_bits() ^ (1 << bit));
+                            if flipped.is_nan() {
+                                f64::MAX
+                            } else {
+                                flipped
+                            }
+                        }
+                        Mutation::Negate => -cost,
+                        Mutation::Infinity => f64::INFINITY,
+                        Mutation::None | Mutation::Retype => cost,
+                    }
+                });
+                (profile, 1.0 / states as f64, game)
+            })
+            .collect();
+        BayesianGame::new(vec![types; k], support).ok()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The fast check and the legacy walk agree on every agent pair.
+        #[test]
+        fn division_free_check_agrees_with_the_legacy_walk(
+            seed in 0u64..u64::MAX,
+            k in 2usize..6,
+            n in 2usize..5,
+            planted in 0usize..6,
+            states in 1usize..4,
+            types in 1usize..4,
+            mutation in prop::sample::select(MUTATIONS.to_vec()),
+            target in 0u64..u64::MAX,
+        ) {
+            let Some(game) = planted_game(seed, k, n, planted, states, types, mutation, target)
+            else {
+                return Ok(());
+            };
+            for a in 0..k {
+                for b in 0..k {
+                    prop_assert_eq!(
+                        game.agents_interchangeable(a, b),
+                        legacy_agents_interchangeable(&game, a, b)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn planted_pairs_are_found_and_one_flipped_bit_breaks_them() {
+        let mut planted_hits = 0;
+        for seed in 0..64 {
+            let Some(game) = planted_game(seed, 4, 3, 3, 2, 2, Mutation::None, 0) else {
+                continue;
+            };
+            assert!(game.agents_interchangeable(0, 1), "seed {seed}");
+            assert!(game.agents_interchangeable(1, 2), "seed {seed}");
+            assert!(legacy_agents_interchangeable(&game, 0, 2), "seed {seed}");
+            planted_hits += 1;
+            // Flip the lowest bit of agent 1's first entry in state 0.
+            let target = 1 << 8;
+            let flipped = planted_game(seed, 4, 3, 3, 2, 2, Mutation::FlipBit, target).unwrap();
+            assert!(!flipped.agents_interchangeable(0, 1), "seed {seed}");
+            assert!(
+                !legacy_agents_interchangeable(&flipped, 0, 1),
+                "seed {seed}"
+            );
+        }
+        assert!(planted_hits > 32, "most seeds must yield a valid prior");
+    }
+
+    #[test]
+    fn signed_zero_is_not_zero() {
+        // Identical tables except one `0.0` against `-0.0`: equal as
+        // floats, different as bits, so not interchangeable.
+        let g = MatrixFormGame::from_fn(
+            2,
+            &[2, 2],
+            |i, a| {
+                if i == 1 && a == [0, 0] {
+                    -0.0
+                } else {
+                    0.0
+                }
+            },
+        );
+        let game = BayesianGame::new(vec![1, 1], vec![(vec![0, 0], 1.0, g)]).unwrap();
+        assert!(!game.agents_interchangeable(0, 1));
+        assert!(!legacy_agents_interchangeable(&game, 0, 1));
     }
 }

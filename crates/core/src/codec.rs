@@ -1,7 +1,6 @@
 //! Wire-codec ([`Encode`]/[`Decode`]) implementations for the core
 //! types: [`MatrixFormGame`], [`BayesianGame`], [`Measures`], [`Budget`],
-//! [`Backend`], [`SymmetryMode`], [`SolverConfig`], [`OrbitStats`], and
-//! [`SolveReport`].
+//! [`Backend`], [`SolverConfig`], and [`SolveReport`].
 //!
 //! The representation is the canonical JSON of [`bi_util::json`]:
 //! deterministic canonical bytes (sorted keys, shortest-round-trip
@@ -37,8 +36,7 @@ use bi_util::{CodecError, Decode, Encode, Json};
 use crate::bayesian::BayesianGame;
 use crate::game::{MatrixFormGame, MAX_ENUMERATION};
 use crate::measures::Measures;
-use crate::solve::{Backend, Budget, OrbitStats, SolveReport, Solver, SolverConfig};
-use crate::symmetry::SymmetryMode;
+use crate::solve::{Backend, Budget, SolveReport, Solver, SolverConfig};
 
 /// Largest total number of `(agent, type)` slots a wire game may
 /// declare. `BayesianGame::new` allocates marginals of this size, and a
@@ -131,32 +129,11 @@ impl Decode for Backend {
     }
 }
 
-impl Encode for SymmetryMode {
-    fn encode(&self) -> Json {
-        Json::str(match self {
-            SymmetryMode::Off => "off",
-            SymmetryMode::Auto => "auto",
-        })
-    }
-}
-
-impl Decode for SymmetryMode {
-    fn decode(v: &Json) -> Result<Self, CodecError> {
-        match v.as_str() {
-            Some("off") => Ok(SymmetryMode::Off),
-            Some("auto") => Ok(SymmetryMode::Auto),
-            Some(other) => Err(CodecError::new(format!("unknown symmetry mode `{other}`"))),
-            None => Err(CodecError::new("symmetry mode must be a string")),
-        }
-    }
-}
-
 impl Encode for SolverConfig {
     fn encode(&self) -> Json {
         Json::Obj(vec![
             ("backend".into(), self.backend.encode()),
             ("budget".into(), self.budget.encode()),
-            ("symmetry".into(), self.symmetry.encode()),
             ("threads".into(), Json::num(self.threads as f64)),
         ])
     }
@@ -164,17 +141,12 @@ impl Encode for SolverConfig {
 
 impl Decode for SolverConfig {
     fn decode(v: &Json) -> Result<Self, CodecError> {
-        // Tolerant of pre-symmetry wire bodies: a missing `symmetry`
-        // field decodes as the default `Off` (the behavior those
-        // configs had when encoded).
-        let symmetry = match field(v, "symmetry") {
-            Ok(mode) => SymmetryMode::decode(mode).map_err(|e| e.context("symmetry"))?,
-            Err(_) => SymmetryMode::Off,
-        };
+        // A `symmetry` field (any value) from clients of the retired
+        // `off`/`auto` knob is ignored: the sweep always reduces, and the
+        // answer bytes are the same either way.
         Ok(SolverConfig {
             backend: Backend::decode(field(v, "backend")?).map_err(|e| e.context("backend"))?,
             budget: Budget::decode(field(v, "budget")?).map_err(|e| e.context("budget"))?,
-            symmetry,
             threads: field_usize(v, "threads")?,
         })
     }
@@ -192,32 +164,6 @@ impl Decode for Solver {
     }
 }
 
-impl Encode for OrbitStats {
-    fn encode(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "orbits_evaluated".into(),
-                Json::from_u128(self.orbits_evaluated),
-            ),
-            (
-                "profiles_represented".into(),
-                Json::from_u128(self.profiles_represented),
-            ),
-            ("group_order".into(), Json::from_u128(self.group_order)),
-        ])
-    }
-}
-
-impl Decode for OrbitStats {
-    fn decode(v: &Json) -> Result<Self, CodecError> {
-        Ok(OrbitStats {
-            orbits_evaluated: field_u128(v, "orbits_evaluated")?,
-            profiles_represented: field_u128(v, "profiles_represented")?,
-            group_order: field_u128(v, "group_order")?,
-        })
-    }
-}
-
 impl Encode for SolveReport {
     fn encode(&self) -> Json {
         Json::Obj(vec![
@@ -232,10 +178,9 @@ impl Encode for SolveReport {
                 "sample_cap".into(),
                 self.sample_cap.map_or(Json::Null, Json::from_u64),
             ),
-            (
-                "orbit".into(),
-                self.orbit.as_ref().map_or(Json::Null, Encode::encode),
-            ),
+            // Always null: kept so report bytes (cache entries, pinned
+            // digests) match those written when orbit stats existed.
+            ("orbit".into(), Json::Null),
         ])
     }
 }
@@ -248,19 +193,14 @@ impl Decode for SolveReport {
                 CodecError::new("field `sample_cap` must be null or a decimal string (u64)")
             })?),
         };
-        // Tolerant of pre-symmetry wire bodies: a missing `orbit` field
-        // decodes as `None` (those sweeps never reduced by orbits).
-        let orbit = match field(v, "orbit") {
-            Ok(Json::Null) | Err(_) => None,
-            Ok(other) => Some(OrbitStats::decode(other).map_err(|e| e.context("orbit"))?),
-        };
+        // Any `orbit` field (null, absent, or the stats older reports
+        // carried) is ignored.
         Ok(SolveReport {
             measures: Measures::decode(field(v, "measures")?).map_err(|e| e.context("measures"))?,
             method: Backend::decode(field(v, "method")?).map_err(|e| e.context("method"))?,
             profiles_evaluated: field_u128(v, "profiles_evaluated")?,
             exact: field_bool(v, "exact")?,
             sample_cap,
-            orbit,
         })
     }
 }
@@ -479,44 +419,62 @@ mod tests {
         ];
         for backend in backends {
             assert_eq!(Backend::decode(&backend.encode()).unwrap(), backend);
-            for symmetry in [SymmetryMode::Off, SymmetryMode::Auto] {
-                let config = SolverConfig {
-                    backend,
-                    budget: Budget {
-                        max_profiles: u128::MAX,
-                        max_iterations: u64::MAX,
-                    },
-                    symmetry,
-                    threads: 2,
-                };
-                assert_eq!(SolverConfig::decode(&config.encode()).unwrap(), config);
-                let solver = Solver::decode(&Solver::from_config(config).encode()).unwrap();
-                assert_eq!(solver.config(), config);
-            }
+            let config = SolverConfig {
+                backend,
+                budget: Budget {
+                    max_profiles: u128::MAX,
+                    max_iterations: u64::MAX,
+                },
+                threads: 2,
+            };
+            assert_eq!(SolverConfig::decode(&config.encode()).unwrap(), config);
+            let solver = Solver::decode(&Solver::from_config(config).encode()).unwrap();
+            assert_eq!(solver.config(), config);
         }
     }
 
     #[test]
     fn pre_symmetry_wire_bodies_still_decode() {
-        // Configs and reports encoded before the `symmetry`/`orbit`
-        // fields existed must keep decoding, with the behavior they had
-        // when encoded.
-        let old_config = r#"{"backend":{"kind":"exhaustive"},
-            "budget":{"max_iterations":"1","max_profiles":"1"},"threads":4}"#;
-        let config = SolverConfig::decode_str(old_config).unwrap();
-        assert_eq!(config.symmetry, SymmetryMode::Off);
-        let old_report = r#"{"exact":true,
-            "measures":{"best_eq_c":0,"best_eq_p":0,"opt_c":0,"opt_p":0,
-                        "worst_eq_c":0,"worst_eq_p":0},
-            "method":{"kind":"exhaustive"},"profiles_evaluated":"8","sample_cap":null}"#;
-        let report = SolveReport::decode_str(old_report).unwrap();
-        assert_eq!(report.orbit, None);
-        assert!(SolverConfig::decode_str(
-            r#"{"backend":{"kind":"exhaustive"},
-            "budget":{"max_iterations":"1","max_profiles":"1"},
-            "symmetry":"sideways","threads":1}"#
-        )
-        .is_err());
+        // Configs with or without the retired `symmetry` field decode
+        // alike: any value (even one the old knob rejected) is ignored.
+        let config = |symmetry: &str| {
+            SolverConfig::decode_str(&format!(
+                r#"{{"backend":{{"kind":"exhaustive"}},
+                "budget":{{"max_iterations":"1","max_profiles":"1"}},{symmetry}"threads":4}}"#
+            ))
+            .unwrap()
+        };
+        let canonical = config("");
+        for field in [
+            r#""symmetry":"off","#,
+            r#""symmetry":"auto","#,
+            r#""symmetry":"sideways","#,
+            r#""symmetry":7,"#,
+        ] {
+            assert_eq!(config(field), canonical, "{field}");
+        }
+        assert!(!canonical.encode().canonical_string().contains("symmetry"));
+        // Reports decode with no `orbit` field, a null one, or the stats
+        // object orbit-reduced reports once carried; they re-encode with
+        // the constant `"orbit":null`.
+        let report = |orbit: &str| {
+            SolveReport::decode_str(&format!(
+                r#"{{"exact":true,
+                "measures":{{"best_eq_c":0,"best_eq_p":0,"opt_c":0,"opt_p":0,
+                            "worst_eq_c":0,"worst_eq_p":0}},
+                "method":{{"kind":"exhaustive"}},{orbit}"profiles_evaluated":"8",
+                "sample_cap":null}}"#
+            ))
+            .unwrap()
+        };
+        let old = report("");
+        for orbit in [
+            r#""orbit":null,"#,
+            r#""orbit":{"group_order":"6","orbits_evaluated":"4","profiles_represented":"8"},"#,
+        ] {
+            assert_eq!(report(orbit), old, "{orbit}");
+        }
+        assert!(old.encode().canonical_string().contains(r#""orbit":null"#));
     }
 
     #[test]
@@ -537,17 +495,11 @@ mod tests {
             profiles_evaluated: u128::from(u64::MAX) + 7,
             exact: false,
             sample_cap: Some(12),
-            orbit: Some(OrbitStats {
-                orbits_evaluated: 9,
-                profiles_represented: u128::from(u64::MAX) * 3,
-                group_order: 720,
-            }),
         };
         let decoded = SolveReport::decode(&report.encode()).unwrap();
         assert_eq!(decoded, report);
         let no_cap = SolveReport {
             sample_cap: None,
-            orbit: None,
             ..report
         };
         assert_eq!(SolveReport::decode(&no_cap.encode()).unwrap(), no_cap);

@@ -39,13 +39,15 @@ use crate::solve::SolveError;
 /// arena and addressed by a `u32` digit.
 ///
 /// Built once per solve by [`CompiledSpace::compile`]; shared (immutably)
-/// by all sweep workers.
-pub struct CompiledSpace<M: BayesianModel> {
+/// by all sweep workers. The space is keyed by the action type `A`, not
+/// the model, so models over the same actions (a model and a wrapper
+/// around it) share one compiled space and one lowering.
+pub struct CompiledSpace<A> {
     /// `(agent, tau)` per slot, agent-major (the order every sweep and
     /// dynamics pass uses).
     slots: Vec<(usize, usize)>,
     /// All candidate actions, slot-major.
-    arena: Vec<M::Action>,
+    arena: Vec<A>,
     /// Start of each slot's candidates in `arena` (one extra terminal
     /// entry, so slot `j` spans `offsets[j]..offsets[j + 1]`).
     offsets: Vec<usize>,
@@ -59,7 +61,7 @@ pub struct CompiledSpace<M: BayesianModel> {
     num_agents: usize,
 }
 
-impl<M: BayesianModel> CompiledSpace<M> {
+impl<A: Clone + PartialEq> CompiledSpace<A> {
     /// Collects every slot's candidate set into the flat arena.
     ///
     /// # Errors
@@ -67,7 +69,7 @@ impl<M: BayesianModel> CompiledSpace<M> {
     /// Propagates [`BayesianModel::candidate_actions`] failures and
     /// returns [`SolveError::SpaceTooLarge`] if any single slot exceeds
     /// `u32::MAX` candidates (no such space could be swept anyway).
-    pub fn compile(model: &M) -> Result<Self, SolveError> {
+    pub fn compile<M: BayesianModel<Action = A>>(model: &M) -> Result<Self, SolveError> {
         let mut slots = Vec::new();
         let mut arena = Vec::new();
         let mut offsets = vec![0usize];
@@ -143,7 +145,7 @@ impl<M: BayesianModel> CompiledSpace<M> {
     ///
     /// Panics if `j` or `digit` is out of range.
     #[must_use]
-    pub fn action(&self, j: usize, digit: u32) -> &M::Action {
+    pub fn action(&self, j: usize, digit: u32) -> &A {
         &self.arena[self.offsets[j] + digit as usize]
     }
 
@@ -153,7 +155,7 @@ impl<M: BayesianModel> CompiledSpace<M> {
     ///
     /// Panics if `j` is out of range.
     #[must_use]
-    pub fn slot_actions(&self, j: usize) -> &[M::Action] {
+    pub fn slot_actions(&self, j: usize) -> &[A] {
         &self.arena[self.offsets[j]..self.offsets[j + 1]]
     }
 
@@ -163,7 +165,7 @@ impl<M: BayesianModel> CompiledSpace<M> {
     ///
     /// Panics if `j` is out of range.
     #[must_use]
-    pub fn digit_of(&self, j: usize, action: &M::Action) -> Option<u32> {
+    pub fn digit_of(&self, j: usize, action: &A) -> Option<u32> {
         self.slot_actions(j)
             .iter()
             .position(|a| a == action)
@@ -222,9 +224,9 @@ impl<M: BayesianModel> CompiledSpace<M> {
     /// Panics if `digits.len() != self.num_slots()` or any digit is out of
     /// range.
     #[must_use]
-    pub fn materialize(&self, digits: &[u32]) -> Profile<M> {
+    pub fn materialize(&self, digits: &[u32]) -> Vec<Vec<A>> {
         assert_eq!(digits.len(), self.num_slots(), "digit buffer length");
-        let mut profile: Profile<M> = (0..self.num_agents).map(|_| Vec::new()).collect();
+        let mut profile: Vec<Vec<A>> = (0..self.num_agents).map(|_| Vec::new()).collect();
         for (j, &(i, _)) in self.slots.iter().enumerate() {
             profile[i].push(self.action(j, digits[j]).clone());
         }
@@ -333,13 +335,13 @@ pub trait EvalKernel {
 /// without a specialized kernel.
 pub struct GenericLowered<'a, M: BayesianModel> {
     model: &'a M,
-    space: &'a CompiledSpace<M>,
+    space: &'a CompiledSpace<M::Action>,
 }
 
 impl<'a, M: BayesianModel> GenericLowered<'a, M> {
     /// Pairs a model with its compiled space.
     #[must_use]
-    pub fn new(model: &'a M, space: &'a CompiledSpace<M>) -> Self {
+    pub fn new(model: &'a M, space: &'a CompiledSpace<M::Action>) -> Self {
         GenericLowered { model, space }
     }
 }
@@ -357,7 +359,7 @@ impl<M: BayesianModel> Lowered for GenericLowered<'_, M> {
 /// The clone-based reference kernel of [`GenericLowered`].
 struct GenericKernel<'a, M: BayesianModel> {
     model: &'a M,
-    space: &'a CompiledSpace<M>,
+    space: &'a CompiledSpace<M::Action>,
     profile: Profile<M>,
 }
 

@@ -34,9 +34,9 @@
 //!   work-stealing multi-threaded sweeps (also of each state's `G_t`),
 //!   structured [`SolveReport`]s;
 //! * [`symmetry`] — exact agent-interchangeability detection and
-//!   canonical orbit enumeration: under [`symmetry::SymmetryMode::Auto`]
-//!   the exhaustive sweep visits one representative per symmetry orbit,
-//!   bit-for-bit identical results at a fraction of the evaluations;
+//!   canonical orbit enumeration: the exhaustive sweep visits one
+//!   representative per symmetry orbit, bit-for-bit identical results at
+//!   a fraction of the evaluations;
 //! * [`randomness`] — Section 4: `R(φ)`, `R̃(φ)`, the Proposition 4.2
 //!   equality, and the Lemma 4.1 public-randomness distribution computed
 //!   by solving the associated zero-sum game exactly;
@@ -80,7 +80,5 @@ pub use compiled::{CompiledSpace, EvalKernel, Lowered, SlotStep};
 pub use game::MatrixFormGame;
 pub use measures::{IgnoranceRatios, Measures};
 pub use model::{BayesianModel, CompleteInfo};
-pub use solve::{
-    Backend, Budget, OrbitStats, SolveError, SolveReport, Solver, SolverBuilder, SolverConfig,
-};
-pub use symmetry::{Symmetry, SymmetryMode};
+pub use solve::{Backend, Budget, SolveError, SolveReport, Solver, SolverBuilder, SolverConfig};
+pub use symmetry::Symmetry;

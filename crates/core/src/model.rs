@@ -158,27 +158,13 @@ pub trait BayesianModel: Sync {
     /// under the coordinate swap). The relation must be an equivalence
     /// (exact interchangeability always is — transpositions compose).
     /// The default is the always-safe `false` (no symmetry detected).
+    ///
+    /// Every exhaustive solve runs detection, with up to `k²/2` calls, so
+    /// a call should cost little next to a sweep: asymmetric pairs in
+    /// particular should be refuted early.
     fn agents_interchangeable(&self, a: usize, b: usize) -> bool {
         let _ = (a, b);
         false
-    }
-
-    /// Estimated cost of **one** [`agents_interchangeable`] check, in
-    /// units comparable to one full-sweep profile evaluation.
-    ///
-    /// [`SymmetryMode::Auto`](crate::symmetry::SymmetryMode) uses this to
-    /// decide whether symmetry detection is worth running at all: when
-    /// the up-front verification work (roughly `num_agents - 1` checks)
-    /// would exceed the unreduced sweep itself, Auto skips detection and
-    /// sweeps the full space — detection overhead must never turn a
-    /// cheap solve into an expensive one. The default of `0` means
-    /// "detection is free" and always runs it; models whose check
-    /// rescans large cost tables (e.g. dense matrix games) should
-    /// return their per-check table work scaled to sweep-tick units.
-    ///
-    /// [`agents_interchangeable`]: Self::agents_interchangeable
-    fn interchangeable_check_cost(&self) -> u128 {
-        0
     }
 
     /// Whether the slot `(agent, tau)` is interim-stable under `profile`:
@@ -295,7 +281,7 @@ pub trait BayesianModel: Sync {
     /// representations override it with incrementally-maintained kernels
     /// (matrix form: strided per-state cost-table offsets; NCS: per-state
     /// edge loads) that preserve the arithmetic.
-    fn lower<'a>(&'a self, space: &'a CompiledSpace<Self>) -> Box<dyn Lowered + 'a>
+    fn lower<'a>(&'a self, space: &'a CompiledSpace<Self::Action>) -> Box<dyn Lowered + 'a>
     where
         Self: Sized,
     {

@@ -18,12 +18,14 @@
 //!   results are merged in block order, so reports are bit-for-bit
 //!   identical across any thread count (sweeps below
 //!   [`PARALLEL_SWEEP_MIN_PROFILES`] fall back to a purely sequential
-//!   sweep so small games never pay pool overhead);
-//! * a [`SymmetryMode`] — under [`SymmetryMode::Auto`] the solver
-//!   detects interchangeable agents ([`crate::symmetry`]) and sweeps only
-//!   canonical orbit representatives: identical measures, orders of
-//!   magnitude fewer evaluations on symmetric games, with the reduction
-//!   reported in [`SolveReport::orbit`].
+//!   sweep so small games never pay pool overhead).
+//!
+//! The exhaustive sweep always reduces by agent symmetry: it detects
+//! interchangeable agents ([`crate::symmetry`]) and sweeps one canonical
+//! representative per orbit, on both measure sides. The measures are
+//! bit-for-bit those of the full sweep, and so is the report:
+//! [`SolveReport::profiles_evaluated`] counts the profiles the sweep
+//! covers, not the representatives it evaluated.
 //!
 //! Every backend evaluates profiles through the **compiled evaluation
 //! layer** ([`crate::compiled`]): the solver lowers the model once into a
@@ -72,7 +74,7 @@ use crate::compiled::{CompiledSpace, EvalKernel, Lowered, SlotStep};
 use crate::game::MAX_ENUMERATION;
 use crate::measures::Measures;
 use crate::model::{BayesianModel, CompleteInfo};
-use crate::symmetry::{Symmetry, SymmetryMode};
+use crate::symmetry::Symmetry;
 
 /// Smallest sweep (in visited profiles) that uses the parallel
 /// work-stealing scheduler; anything smaller runs sequentially on the
@@ -206,21 +208,6 @@ pub enum Backend {
     },
 }
 
-/// Orbit-reduction statistics of a symmetry-reduced exhaustive sweep
-/// (see [`crate::symmetry`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OrbitStats {
-    /// Canonical orbit representatives the sweep evaluated (equals
-    /// [`SolveReport::profiles_evaluated`] for a reduced sweep).
-    pub orbits_evaluated: u128,
-    /// Profiles of the full, unreduced strategy space those orbits
-    /// represent.
-    pub profiles_represented: u128,
-    /// Order of the detected symmetry group (`Π |class|!`), saturating
-    /// at `u128::MAX`.
-    pub group_order: u128,
-}
-
 /// Structured outcome of a [`Solver::solve`] call.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SolveReport {
@@ -228,7 +215,11 @@ pub struct SolveReport {
     pub measures: Measures,
     /// The backend that produced the partial-information side.
     pub method: Backend,
-    /// Number of strategy profiles whose social cost was evaluated.
+    /// Profiles covered by the sweep. For [`Backend::ExhaustiveEnum`]
+    /// this is the full strategy-space size, whether or not symmetry let
+    /// the sweep evaluate one representative per orbit; for the dynamics
+    /// backends it is the number of profiles whose social cost was
+    /// evaluated.
     pub profiles_evaluated: u128,
     /// Whether the partial-information side is exact. `true` only for
     /// [`Backend::ExhaustiveEnum`]; approximate backends report genuine
@@ -238,12 +229,6 @@ pub struct SolveReport {
     /// asked for more samples than [`Budget::max_profiles`] allows and was
     /// truncated to `effective` starts; `None` otherwise.
     pub sample_cap: Option<u64>,
-    /// `Some(stats)` when an exhaustive sweep under
-    /// [`SymmetryMode::Auto`] found non-trivial agent symmetry and swept
-    /// only canonical orbit representatives; `None` otherwise. The
-    /// measures are identical either way — this records how much work the
-    /// reduction saved.
-    pub orbit: Option<OrbitStats>,
 }
 
 /// The full configuration of a [`Solver`] as plain data — the wire form
@@ -267,9 +252,6 @@ pub struct SolverConfig {
     pub budget: Budget,
     /// Worker threads for the exhaustive sweep (`0` = one per core).
     pub threads: usize,
-    /// Whether the exhaustive sweep reduces by agent symmetry
-    /// ([`SymmetryMode::Off`] by default).
-    pub symmetry: SymmetryMode,
 }
 
 impl Default for SolverConfig {
@@ -305,18 +287,16 @@ pub struct SolverBuilder {
     backend: Backend,
     budget: Budget,
     threads: usize,
-    symmetry: SymmetryMode,
 }
 
 impl Default for SolverBuilder {
-    /// Exhaustive backend, default [`Budget`], one thread, no symmetry
-    /// reduction — the exact historical `measures()` configuration.
+    /// Exhaustive backend, default [`Budget`], one thread — the exact
+    /// historical `measures()` configuration.
     fn default() -> Self {
         SolverBuilder {
             backend: Backend::default(),
             budget: Budget::default(),
             threads: 1,
-            symmetry: SymmetryMode::Off,
         }
     }
 }
@@ -359,16 +339,6 @@ impl SolverBuilder {
         self
     }
 
-    /// Whether the exhaustive sweep reduces by agent symmetry (see
-    /// [`crate::symmetry`]). [`SymmetryMode::Auto`] produces bit-for-bit
-    /// identical measures while evaluating only one canonical
-    /// representative per orbit; the default is [`SymmetryMode::Off`].
-    #[must_use]
-    pub fn symmetry(mut self, symmetry: SymmetryMode) -> Self {
-        self.symmetry = symmetry;
-        self
-    }
-
     /// Finalizes the configuration.
     #[must_use]
     pub fn build(self) -> Solver {
@@ -376,7 +346,6 @@ impl SolverBuilder {
             backend: self.backend,
             budget: self.budget,
             threads: self.threads,
-            symmetry: self.symmetry,
         }
     }
 }
@@ -390,7 +359,6 @@ pub struct Solver {
     backend: Backend,
     budget: Budget,
     threads: usize,
-    symmetry: SymmetryMode,
 }
 
 impl Default for Solver {
@@ -424,12 +392,6 @@ impl Solver {
         self.threads
     }
 
-    /// The configured symmetry mode.
-    #[must_use]
-    pub fn symmetry(&self) -> SymmetryMode {
-        self.symmetry
-    }
-
     /// The full configuration as plain data (the wire form).
     #[must_use]
     pub fn config(&self) -> SolverConfig {
@@ -437,7 +399,6 @@ impl Solver {
             backend: self.backend,
             budget: self.budget,
             threads: self.threads,
-            symmetry: self.symmetry,
         }
     }
 
@@ -448,7 +409,6 @@ impl Solver {
             backend: config.backend,
             budget: config.budget,
             threads: config.threads,
-            symmetry: config.symmetry,
         }
     }
 
@@ -469,12 +429,12 @@ impl Solver {
     pub fn solve<M: BayesianModel>(&self, model: &M) -> Result<SolveReport, SolveError> {
         let space = CompiledSpace::compile(model)?;
         let mut sample_cap = None;
-        let (stats, orbit) = match self.backend {
+        let stats = match self.backend {
             Backend::ExhaustiveEnum => self.exhaustive(model, &space, self.budget.max_profiles)?,
             Backend::BestResponseDynamics { restarts, seed } => {
                 let runs = u64::from(restarts) + 1;
                 let starts = Starts::DeterministicThenRandom;
-                (self.dynamics(model, &space, starts, runs, seed), None)
+                self.dynamics(model, &space, starts, runs, seed)
             }
             Backend::MonteCarloSampling { samples, seed } => {
                 // The profile budget caps the sampled starts (it used to be
@@ -488,8 +448,7 @@ impl Solver {
                 if u128::from(effective) < requested {
                     sample_cap = Some(effective);
                 }
-                let stats = self.dynamics(model, &space, Starts::Random, effective, seed);
-                (stats, None)
+                self.dynamics(model, &space, Starts::Random, effective, seed)
             }
         };
         if !stats.found_equilibrium {
@@ -509,14 +468,13 @@ impl Solver {
             profiles_evaluated: stats.evaluated,
             exact: matches!(self.backend, Backend::ExhaustiveEnum),
             sample_cap,
-            orbit,
         })
     }
 
     /// The complete-information side: each state's game `G_t`
-    /// ([`BayesianModel::state_model`]) goes through the exhaustive sweep
-    /// with this solver's threads and symmetry mode, and its extrema are
-    /// weighted by `p(t)` in state order. Whatever the backend or
+    /// ([`BayesianModel::state_model`]) goes through the exhaustive
+    /// (orbit-reduced) sweep with this solver's threads, and its extrema
+    /// are weighted by `p(t)` in state order. Whatever the backend or
     /// [`Budget`], a state is gated at [`MAX_ENUMERATION`] profiles.
     ///
     /// # Errors
@@ -536,7 +494,7 @@ impl Solver {
             if size > MAX_ENUMERATION {
                 return Err(model.state_too_large(size));
             }
-            let (stats, _) = self.exhaustive(&game, &space, MAX_ENUMERATION)?;
+            let stats = self.exhaustive(&game, &space, MAX_ENUMERATION)?;
             if !stats.found_equilibrium {
                 return Err(SolveError::NoStateEquilibrium { state });
             }
@@ -617,12 +575,11 @@ impl Solver {
             .collect()
     }
 
-    /// The exhaustive sweep of both measure sides: over the flat profile
-    /// space or, under `Auto` with non-trivial agent symmetry, the
-    /// canonical orbit domain, gated at `max_profiles` evaluations before
-    /// any sweeping. Auto skips detection (its `agents_interchangeable`
-    /// checks) when their estimated bill exceeds the full sweep, unless
-    /// the full sweep is over budget and reduction is the only way in.
+    /// The exhaustive sweep of both measure sides: over the canonical
+    /// orbit domain when [`Symmetry::detect`] finds interchangeable
+    /// agents, over the flat profile space otherwise, gated at
+    /// `max_profiles` evaluations before any sweeping. The returned
+    /// `evaluated` count is the full space size either way.
     ///
     /// The model is lowered once. Small domains (below
     /// [`PARALLEL_SWEEP_MIN_PROFILES`]) or single-worker configurations
@@ -635,28 +592,14 @@ impl Solver {
     fn exhaustive<M: BayesianModel>(
         &self,
         model: &M,
-        space: &CompiledSpace<M>,
+        space: &CompiledSpace<M::Action>,
         max_profiles: u128,
-    ) -> Result<(SweepStats, Option<OrbitStats>), SolveError> {
+    ) -> Result<SweepStats, SolveError> {
         let full = space.space_size()?;
-        let check_bill = model
-            .interchangeable_check_cost()
-            .saturating_mul(model.num_agents().saturating_sub(1) as u128);
-        let symmetry = (self.symmetry == SymmetryMode::Auto
-            && (check_bill < full || full > max_profiles))
-            .then(|| Symmetry::detect(model, space))
-            .filter(|sym| !sym.is_trivial());
-        let (size, orbit) = match &symmetry {
-            None => (full, None),
-            Some(sym) => {
-                let orbits = sym.orbit_count()?;
-                let stats = OrbitStats {
-                    orbits_evaluated: orbits,
-                    profiles_represented: full,
-                    group_order: sym.group_order_saturating(),
-                };
-                (orbits, Some(stats))
-            }
+        let symmetry = Some(Symmetry::detect(model, space)).filter(|sym| !sym.is_trivial());
+        let size = match &symmetry {
+            None => full,
+            Some(sym) => sym.orbit_count()?,
         };
         if size > max_profiles {
             return Err(SolveError::BudgetExceeded {
@@ -673,7 +616,10 @@ impl Solver {
             let mut kernel = lowered.kernel();
             let mut digits = vec![0u32; space.num_slots()];
             let stats = sweep_block(space, symmetry, kernel.as_mut(), &mut digits, 0, size);
-            return Ok((stats, orbit));
+            return Ok(SweepStats {
+                evaluated: full,
+                ..stats
+            });
         }
         // Block sizing: enough blocks that an unlucky worker (stalled on
         // a slow block or a busy core) never strands more than ~1/32 of
@@ -726,7 +672,10 @@ impl Solver {
                 .map(|(_, stats)| stats)
                 .fold(SweepStats::new(), SweepStats::merge)
         });
-        Ok((stats, orbit))
+        Ok(SweepStats {
+            evaluated: full,
+            ..stats
+        })
     }
 
     /// Shared driver of the two dynamics-based backends: evaluate each
@@ -739,7 +688,7 @@ impl Solver {
     fn dynamics<M: BayesianModel>(
         &self,
         model: &M,
-        space: &CompiledSpace<M>,
+        space: &CompiledSpace<M::Action>,
         starts: Starts,
         runs: u64,
         seed: u64,
@@ -826,8 +775,8 @@ enum DynamicsOutcome {
 /// sweep order, tolerances and termination rules as
 /// [`BayesianModel::best_response_dynamics`], with the kernel's
 /// incremental state reused across rounds.
-fn kernel_dynamics<M: BayesianModel>(
-    space: &CompiledSpace<M>,
+fn kernel_dynamics<A: Clone + PartialEq>(
+    space: &CompiledSpace<A>,
     kernel: &mut dyn EvalKernel,
     digits: &mut [u32],
     max_rounds: usize,
@@ -918,8 +867,8 @@ const MIN_STEAL_BLOCK: u128 = 1024;
 /// stolen blocks); the kernel is re-seeded once from the block's starting
 /// digits, then delta-updated per tick — no action is cloned anywhere in
 /// this loop.
-fn sweep_block<M: BayesianModel>(
-    space: &CompiledSpace<M>,
+fn sweep_block<A: Clone + PartialEq>(
+    space: &CompiledSpace<A>,
     symmetry: Option<&Symmetry>,
     kernel: &mut dyn EvalKernel,
     digits: &mut [u32],
@@ -1043,68 +992,64 @@ mod tests {
         BayesianGame::new(vec![1; 7], vec![(vec![0; 7], 1.0, g)]).unwrap()
     }
 
+    /// `(optP, best-eqP, worst-eqP)` by brute force over every profile
+    /// through the trait methods: the unreduced oracle of the sweep.
+    fn brute_force_partial(game: &BayesianGame) -> (f64, f64, f64) {
+        let mut stats = SweepStats::new();
+        for profile in game.strategies().unwrap() {
+            stats.observe(
+                BayesianModel::social_cost(game, &profile),
+                game.is_equilibrium(&profile),
+            );
+        }
+        (stats.opt_p, stats.best_eq_p, stats.worst_eq_p)
+    }
+
+    fn partial(report: &SolveReport) -> (f64, f64, f64) {
+        let m = report.measures;
+        (m.opt_p, m.best_eq_p, m.worst_eq_p)
+    }
+
+    fn symmetry_of(game: &BayesianGame) -> Symmetry {
+        Symmetry::detect(game, &CompiledSpace::compile(game).unwrap())
+    }
+
     #[test]
     fn orbit_sweep_matches_full_sweep_and_reports_stats() {
         let game = symmetric_congestion_game(3, 2);
-        let full = Solver::default().solve(&game).unwrap();
-        let reduced = Solver::builder()
-            .symmetry(SymmetryMode::Auto)
-            .build()
-            .solve(&game)
-            .unwrap();
-        assert_eq!(reduced.measures, full.measures);
-        assert_eq!(full.profiles_evaluated, 8);
-        assert_eq!(full.orbit, None);
+        let report = Solver::default().solve(&game).unwrap();
+        assert_eq!(partial(&report), brute_force_partial(&game));
+        // The report covers the full space, as an unreduced sweep's did.
+        assert_eq!(report.profiles_evaluated, 8);
         // 3 interchangeable binary agents: multichoose(2, 3) = 4 orbits.
-        assert_eq!(reduced.profiles_evaluated, 4);
-        assert_eq!(
-            reduced.orbit,
-            Some(OrbitStats {
-                orbits_evaluated: 4,
-                profiles_represented: 8,
-                group_order: 6,
-            })
-        );
+        let sym = symmetry_of(&game);
+        assert_eq!(sym.classes(), &[vec![0, 1, 2]]);
+        assert_eq!(sym.orbit_count().unwrap(), 4);
+        assert_eq!(sym.group_order_saturating(), 6);
     }
 
     #[test]
     fn auto_symmetry_on_an_asymmetric_game_reports_no_orbit() {
         let game = coordination_game();
-        let off = Solver::default().solve(&game).unwrap();
-        let auto = Solver::builder()
-            .symmetry(SymmetryMode::Auto)
-            .build()
-            .solve(&game)
-            .unwrap();
-        assert_eq!(auto.orbit, None);
-        assert_eq!(auto.profiles_evaluated, off.profiles_evaluated);
-        assert_eq!(auto.measures, off.measures);
+        assert!(symmetry_of(&game).is_trivial());
+        let report = Solver::default().solve(&game).unwrap();
+        assert_eq!(report.profiles_evaluated, 8);
+        assert_eq!(partial(&report), brute_force_partial(&game));
     }
 
     #[test]
     fn budget_gates_on_the_orbit_count_under_auto_symmetry() {
         let game = symmetric_congestion_game(3, 2);
-        // 8 profiles but only 4 orbits: a 4-profile budget fails the full
-        // sweep and exactly fits the reduced one.
-        let err = Solver::builder()
-            .max_profiles(4)
-            .build()
-            .solve(&game)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SolveError::BudgetExceeded { required: 8, .. }
-        ));
+        // 8 profiles but only 4 orbits: a 4-orbit budget exactly fits the
+        // reduced sweep, a 3-orbit one does not.
         let report = Solver::builder()
             .max_profiles(4)
-            .symmetry(SymmetryMode::Auto)
             .build()
             .solve(&game)
             .unwrap();
-        assert_eq!(report.profiles_evaluated, 4);
+        assert_eq!(report.profiles_evaluated, 8);
         let err = Solver::builder()
             .max_profiles(3)
-            .symmetry(SymmetryMode::Auto)
             .build()
             .solve(&game)
             .unwrap_err();
@@ -1115,44 +1060,21 @@ mod tests {
     }
 
     #[test]
-    fn auto_symmetry_skips_detection_when_checks_cost_more_than_the_sweep() {
-        // The BENCH_solver.json regression family: 14 interchangeable
-        // binary agents. Verifying the 13 candidate pairs rescans 14
-        // tables of 2^14 entries each under a swapped index — several
-        // times the work of the 2^14-profile sweep — so Auto must fall
-        // back to the full sweep (orbit reporting stays `None`) rather
-        // than pay for a reduction that slows the solve down ~8x.
-        use crate::model::BayesianModel as _;
+    fn dense_symmetric_game_sweeps_its_orbits() {
+        // The BENCH_solver.json `symmetric-matrix` shape: 14
+        // interchangeable binary agents over one dense 2^14-entry state.
+        // multichoose(2, 14) = 15 orbits, so a 15-profile budget admits
+        // the solve only if the reduced sweep ran.
         let game = symmetric_congestion_game(14, 2);
-        let check_bill = game
-            .interchangeable_check_cost()
-            .saturating_mul(game.num_agents() as u128 - 1);
-        assert!(
-            check_bill >= game.strategy_space_size().unwrap(),
-            "the fixture must make detection more expensive than sweeping"
-        );
-        let auto = Solver::builder()
-            .symmetry(SymmetryMode::Auto)
+        assert_eq!(symmetry_of(&game).orbit_count().unwrap(), 15);
+        let report = Solver::builder()
+            .max_profiles(15)
             .build()
             .solve(&game)
             .unwrap();
-        assert_eq!(auto.orbit, None, "Auto must not pay for detection here");
-        assert_eq!(auto.profiles_evaluated, 1 << 14);
-        let full = Solver::default().solve(&game).unwrap();
-        assert_eq!(auto.measures, full.measures);
-
-        // But when the full sweep is over budget, the reduction is the
-        // only viable path, so Auto runs detection regardless of cost.
-        let gated = Solver::builder()
-            .symmetry(SymmetryMode::Auto)
-            .max_profiles(1 << 10)
-            .build()
-            .solve(&game)
-            .unwrap();
-        // 14 interchangeable binary agents: multichoose(2, 14) = 15
-        // orbits, well under the budget the full sweep busts.
-        assert_eq!(gated.profiles_evaluated, 15);
-        assert_eq!(gated.measures, full.measures);
+        assert_eq!(report.profiles_evaluated, 1 << 14);
+        assert_eq!(partial(&report), brute_force_partial(&game));
+        assert_eq!(report, Solver::default().solve(&game).unwrap());
     }
 
     #[test]
@@ -1286,15 +1208,12 @@ mod tests {
                 max_iterations: 32,
             },
             threads: 3,
-            symmetry: SymmetryMode::Auto,
         };
         let solver = Solver::from_config(config);
         assert_eq!(solver.config(), config);
         assert_eq!(Solver::from(config).config(), config);
         assert_eq!(SolverConfig::default(), Solver::default().config());
         assert_eq!(solver.threads(), 3);
-        assert_eq!(solver.symmetry(), SymmetryMode::Auto);
-        assert_eq!(Solver::default().symmetry(), SymmetryMode::Off);
     }
 
     #[test]
@@ -1433,6 +1352,98 @@ mod tests {
         assert_eq!(report.measures.opt_c, 0.0);
         assert_eq!(report.measures.best_eq_c, 0.0);
         assert_eq!(report.measures.worst_eq_c, 0.0);
+    }
+
+    /// `k` interchangeable one-type binary agents whose costs are exact
+    /// integer counts (so every permutation is bitwise cost-preserving).
+    /// Playing action 1 costs 1, so the all-zeros profile is optimal and
+    /// the unique equilibrium. The one state's game is a 4-agent copy:
+    /// the complete-information side is gated on the full state size.
+    struct CountingModel {
+        agents: usize,
+    }
+
+    impl BayesianModel for CountingModel {
+        type Action = usize;
+
+        fn num_agents(&self) -> usize {
+            self.agents
+        }
+
+        fn type_count(&self, _agent: usize) -> usize {
+            1
+        }
+
+        fn type_weight(&self, _agent: usize, _tau: usize) -> f64 {
+            1.0
+        }
+
+        fn candidate_actions(&self, _agent: usize, _tau: usize) -> Result<Vec<usize>, SolveError> {
+            Ok(vec![0, 1])
+        }
+
+        fn social_cost(&self, profile: &Vec<Vec<usize>>) -> f64 {
+            profile.iter().flatten().map(|&a| a as f64).sum()
+        }
+
+        fn interim_cost(
+            &self,
+            _agent: usize,
+            _tau: usize,
+            action: &usize,
+            _profile: &Vec<Vec<usize>>,
+        ) -> f64 {
+            *action as f64
+        }
+
+        fn best_response(
+            &self,
+            _agent: usize,
+            _tau: usize,
+            _profile: &Vec<Vec<usize>>,
+        ) -> (usize, f64) {
+            (0, 0.0)
+        }
+
+        fn state_count(&self) -> usize {
+            1
+        }
+
+        fn state_prob(&self, _idx: usize) -> f64 {
+            1.0
+        }
+
+        fn state_model(&self, _idx: usize) -> Self {
+            CountingModel { agents: 4 }
+        }
+
+        fn agents_interchangeable(&self, _a: usize, _b: usize) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn symmetric_spaces_past_the_enumeration_limit_solve_by_orbits() {
+        // 2^30 profiles, far past MAX_ENUMERATION, but only 31 orbits:
+        // the budget gates the sweep it runs, over the orbits.
+        let model = CountingModel { agents: 30 };
+        assert!(BayesianModel::strategy_space_size(&model).unwrap() > MAX_ENUMERATION);
+        let report = Solver::default().solve(&model).unwrap();
+        assert_eq!(report.profiles_evaluated, 1 << 30);
+        assert_eq!(report.measures.opt_p, 0.0);
+        assert_eq!(report.measures.worst_eq_p, 0.0);
+        assert_eq!(report.measures.opt_c, 0.0);
+        assert_eq!(report.measures.worst_eq_c, 0.0);
+        // A 30-orbit budget is one short of the partial side's 31.
+        let err = Solver::builder()
+            .max_profiles(30)
+            .build()
+            .solve(&model)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            SolveError::BudgetExceeded { required: 31, .. }
+        ));
     }
 
     #[test]

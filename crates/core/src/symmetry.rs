@@ -49,21 +49,6 @@ use crate::compiled::CompiledSpace;
 use crate::model::BayesianModel;
 use crate::solve::SolveError;
 
-/// Whether [`crate::solve::Solver`] looks for agent symmetry before an
-/// exhaustive sweep.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SymmetryMode {
-    /// Never reduce: sweep the full strategy space (the historical
-    /// behavior, and the default).
-    #[default]
-    Off,
-    /// Detect interchangeable agents and sweep only canonical orbit
-    /// representatives when any non-trivial class exists. Results are
-    /// bit-for-bit identical to [`SymmetryMode::Off`]; only
-    /// `profiles_evaluated` and the orbit statistics differ.
-    Auto,
-}
-
 /// The detected agent-interchangeability structure of one compiled model:
 /// equivalence classes of agents whose strategies may be permuted freely,
 /// plus the slot layout needed to enumerate canonical representatives.
@@ -107,7 +92,7 @@ impl Symmetry {
     /// Panics if `space` was not compiled from `model` (slot counts
     /// disagree).
     #[must_use]
-    pub fn detect<M: BayesianModel>(model: &M, space: &CompiledSpace<M>) -> Symmetry {
+    pub fn detect<M: BayesianModel>(model: &M, space: &CompiledSpace<M::Action>) -> Symmetry {
         let num_agents = space.num_agents();
         let mut agent_slots = vec![(0usize, 0usize); num_agents];
         for j in 0..space.num_slots() {
@@ -450,8 +435,8 @@ impl Symmetry {
 /// `space`-level structural equality of two agents' slot blocks: same
 /// slot count and per-slot bitwise-equal weights, equal sizes, and equal
 /// candidate lists.
-fn structurally_equal<M: BayesianModel>(
-    space: &CompiledSpace<M>,
+fn structurally_equal<A: Clone + PartialEq>(
+    space: &CompiledSpace<A>,
     a: (usize, usize),
     b: (usize, usize),
 ) -> bool {
@@ -495,7 +480,7 @@ mod tests {
         BayesianGame::new(vec![1, 1, 1], vec![(vec![0, 0, 0], 1.0, symmetric)]).unwrap()
     }
 
-    fn symmetry_of(game: &BayesianGame) -> (Symmetry, CompiledSpace<BayesianGame>) {
+    fn symmetry_of(game: &BayesianGame) -> (Symmetry, CompiledSpace<usize>) {
         let space = CompiledSpace::compile(game).unwrap();
         let sym = Symmetry::detect(game, &space);
         (sym, space)

@@ -566,7 +566,7 @@ impl BayesianModel for BayesianNcsGame {
         SolveError::Model(Box::new(NcsError::TooLarge(EnumerationError { required })))
     }
 
-    fn lower<'a>(&'a self, space: &'a CompiledSpace<Self>) -> Box<dyn Lowered + 'a> {
+    fn lower<'a>(&'a self, space: &'a CompiledSpace<Self::Action>) -> Box<dyn Lowered + 'a> {
         Box::new(NcsLowered::new(self, space))
     }
 }
@@ -578,7 +578,7 @@ impl BayesianModel for BayesianNcsGame {
 /// path's) instead of rebuilding every state's loads per profile.
 struct NcsLowered<'a> {
     game: &'a BayesianNcsGame,
-    space: &'a CompiledSpace<BayesianNcsGame>,
+    space: &'a CompiledSpace<Path>,
     /// `c(e)` per edge id, in `Graph::edges` order.
     edge_costs: Vec<f64>,
     /// Support-state probabilities, in support order.
@@ -605,7 +605,7 @@ struct NcsLowered<'a> {
 }
 
 impl<'a> NcsLowered<'a> {
-    fn new(game: &'a BayesianNcsGame, space: &'a CompiledSpace<BayesianNcsGame>) -> Self {
+    fn new(game: &'a BayesianNcsGame, space: &'a CompiledSpace<Path>) -> Self {
         let edge_costs: Vec<f64> = game.graph.edges().map(|(_, e)| e.cost()).collect();
         let mut slot_base = Vec::with_capacity(game.num_agents());
         let mut acc = 0usize;

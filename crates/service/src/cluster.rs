@@ -76,6 +76,7 @@ use bi_obs::{Recorder, Stage, StageTimings, TraceCtx};
 use bi_util::{fnv1a, Decode, Encode, Json};
 
 use crate::cache::{CacheConfig, ShardedLru};
+use crate::fault::mix;
 use crate::http::{read_request, ClientResponse, HttpClient, Response};
 use crate::service::{error_body, BatchRequest, FastOutcome, SolveRequest, SolveService};
 
@@ -90,8 +91,11 @@ pub enum FallbackMode {
 }
 
 /// A consistent-hash ring: `vnodes` virtual points per backend over the
-/// 64-bit FNV-1a space, routing a key hash to the first live backend at
-/// or clockwise after it.
+/// 64-bit space of key hashes, routing a key hash to the first live
+/// backend at or clockwise after it. Backends are identified by their index in the
+/// configured backend list, never by address, so the ring (and every
+/// key's owner) is the same on every run, whatever ports the backends
+/// bound.
 #[derive(Clone, Debug)]
 pub struct HashRing {
     /// `(point, backend index)`, sorted by point; ties (64-bit point
@@ -102,24 +106,21 @@ pub struct HashRing {
 }
 
 impl HashRing {
-    /// Builds the ring for `backends` with `vnodes` virtual points each
-    /// (point `v` of backend `b` is `fnv1a("vnode:{b}:{v}")`).
+    /// Builds the ring for `backends` backends with `vnodes` virtual
+    /// points each (point `v` of backend `i` is the splitmix64-style
+    /// hash `mix(i, v)`, which spreads the points evenly over the ring).
     #[must_use]
-    pub fn new<S: AsRef<str>>(backends: &[S], vnodes: usize) -> HashRing {
+    pub fn new(backends: usize, vnodes: usize) -> HashRing {
         let vnodes = vnodes.max(1);
-        let mut points = Vec::with_capacity(backends.len() * vnodes);
-        for (i, backend) in backends.iter().enumerate() {
+        let mut points = Vec::with_capacity(backends * vnodes);
+        for i in 0..backends {
             for v in 0..vnodes {
-                let point = fnv1a(format!("vnode:{}:{v}", backend.as_ref()).as_bytes());
-                points.push((point, i));
+                points.push((mix(i as u64, v as u64), i));
             }
         }
         points.sort_unstable();
         points.dedup_by(|a, b| a.0 == b.0);
-        HashRing {
-            points,
-            backends: backends.len(),
-        }
+        HashRing { points, backends }
     }
 
     /// How many backends the ring was built over.
@@ -409,7 +410,7 @@ impl Router {
     /// Returns the bind failure.
     pub fn bind(config: RouterConfig) -> io::Result<Router> {
         let listener = TcpListener::bind(&config.addr)?;
-        let ring = HashRing::new(&config.backends, config.vnodes);
+        let ring = HashRing::new(config.backends.len(), config.vnodes);
         let backends = config.backends.iter().cloned().map(Backend::new).collect();
         let key_cache = ShardedLru::new(config.key_cache);
         let recorder = Arc::new(Recorder::default());
@@ -1420,10 +1421,6 @@ fn metrics_json(shared: &Shared) -> Json {
 mod tests {
     use super::*;
 
-    fn addrs(n: usize) -> Vec<String> {
-        (0..n).map(|i| format!("10.0.0.{i}:4000")).collect()
-    }
-
     /// The full assignment of `count` deterministic key hashes.
     fn assignment(ring: &HashRing, live: &[bool], count: u64) -> Vec<Option<usize>> {
         (0..count)
@@ -1433,16 +1430,15 @@ mod tests {
 
     #[test]
     fn routing_is_deterministic() {
-        let backends = addrs(3);
-        let a = HashRing::new(&backends, 64);
-        let b = HashRing::new(&backends, 64);
+        let a = HashRing::new(3, 64);
+        let b = HashRing::new(3, 64);
         let all = vec![true; 3];
         assert_eq!(assignment(&a, &all, 1000), assignment(&b, &all, 1000));
     }
 
     #[test]
     fn every_backend_owns_a_share_of_the_space() {
-        let ring = HashRing::new(&addrs(3), 64);
+        let ring = HashRing::new(3, 64);
         let all = vec![true; 3];
         let mut counts = [0usize; 3];
         for owner in assignment(&ring, &all, 3000) {
@@ -1458,7 +1454,7 @@ mod tests {
 
     #[test]
     fn eject_moves_only_the_ejected_arc_and_readmit_restores_it() {
-        let ring = HashRing::new(&addrs(3), 64);
+        let ring = HashRing::new(3, 64);
         let before = assignment(&ring, &[true, true, true], 2000);
         let after = assignment(&ring, &[true, false, true], 2000);
         let mut moved = 0usize;
@@ -1481,16 +1477,15 @@ mod tests {
 
     #[test]
     fn route_is_none_only_when_every_backend_is_dead() {
-        let ring = HashRing::new(&addrs(2), 16);
+        let ring = HashRing::new(2, 16);
         assert_eq!(ring.route(12345, |_| false), None);
         assert!(ring.route(12345, |i| i == 1).is_some());
-        let empty: Vec<String> = Vec::new();
-        assert_eq!(HashRing::new(&empty, 16).route(1, |_| true), None);
+        assert_eq!(HashRing::new(0, 16).route(1, |_| true), None);
     }
 
     #[test]
     fn route_replicas_yields_distinct_owners_led_by_the_primary() {
-        let ring = HashRing::new(&addrs(4), 64);
+        let ring = HashRing::new(4, 64);
         for i in 0..500u64 {
             let hash = fnv1a(format!("key-{i}").as_bytes());
             let owners = ring.route_replicas(hash, 2, |_| true);
@@ -1507,7 +1502,7 @@ mod tests {
 
     #[test]
     fn ejecting_a_backend_keeps_every_surviving_owner_in_place() {
-        let ring = HashRing::new(&addrs(4), 64);
+        let ring = HashRing::new(4, 64);
         for i in 0..500u64 {
             let hash = fnv1a(format!("key-{i}").as_bytes());
             let before = ring.route_replicas(hash, 2, |_| true);
@@ -1523,8 +1518,7 @@ mod tests {
 
     #[test]
     fn single_backend_owns_everything() {
-        let backends = addrs(1);
-        let ring = HashRing::new(&backends, 8);
+        let ring = HashRing::new(1, 8);
         for i in 0..100u64 {
             assert_eq!(ring.route(fnv1a(&i.to_le_bytes()), |_| true), Some(0));
         }

@@ -236,8 +236,8 @@ impl FaultPlan {
 }
 
 /// splitmix64-style finalizer over `(seed, n)` — a statistically flat
-/// 64-bit hash, pure and lock-free.
-fn mix(seed: u64, n: u64) -> u64 {
+/// 64-bit hash, pure and lock-free (also the hash ring's point hash).
+pub(crate) fn mix(seed: u64, n: u64) -> u64 {
     let mut z = seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -56,16 +56,6 @@ pub struct ServiceMetrics {
     /// `POST /solve` cache hits that went through the decode path (body
     /// non-canonical, or first sighting of these exact bytes).
     pub parsed_hits: AtomicU64,
-    /// Engine solves whose report carried orbit statistics (symmetry was
-    /// detected and the sweep was orbit-reduced).
-    pub orbit_sweeps: AtomicU64,
-    /// Cumulative canonical orbit representatives actually evaluated by
-    /// orbit-reduced solves (saturating).
-    pub orbits_evaluated: AtomicU64,
-    /// Cumulative profiles those orbits represent (saturating) — the
-    /// work a full sweep would have done; the ratio to
-    /// `orbits_evaluated` is the fleet-wide orbit-reduction factor.
-    pub orbit_profiles_represented: AtomicU64,
     /// Solve jobs currently inside the solver pool (a gauge) — together
     /// with `cfg_queue_capacity`, a router can read how close a backend
     /// is to shedding load.
@@ -109,9 +99,6 @@ impl Default for ServiceMetrics {
             reactor_wakeups: AtomicU64::new(0),
             zero_copy_hits: AtomicU64::new(0),
             parsed_hits: AtomicU64::new(0),
-            orbit_sweeps: AtomicU64::new(0),
-            orbits_evaluated: AtomicU64::new(0),
-            orbit_profiles_represented: AtomicU64::new(0),
             solves_in_flight: AtomicU64::new(0),
             cfg_queue_capacity: AtomicU64::new(0),
             cfg_idle_timeout_ms: AtomicU64::new(0),
@@ -133,22 +120,6 @@ impl ServiceMetrics {
             _ => &self.responses_5xx,
         };
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one orbit-reduced engine solve: the orbits it evaluated
-    /// and the profiles those orbits represent, saturating into the
-    /// cumulative counters (orbit reductions routinely represent spaces
-    /// far beyond `u64`).
-    pub fn record_orbit_sweep(&self, orbits_evaluated: u128, profiles_represented: u128) {
-        fn saturating_add(counter: &AtomicU64, v: u128) {
-            let v = u64::try_from(v).unwrap_or(u64::MAX);
-            let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                Some(cur.saturating_add(v))
-            });
-        }
-        self.orbit_sweeps.fetch_add(1, Ordering::Relaxed);
-        saturating_add(&self.orbits_evaluated, orbits_evaluated);
-        saturating_add(&self.orbit_profiles_represented, profiles_represented);
     }
 
     /// Sets the start-time configuration gauges the document reports
@@ -206,17 +177,6 @@ impl ServiceMetrics {
                     ("parsed_hits".into(), count(&self.parsed_hits)),
                     ("backpressure_429".into(), count(&self.backpressure_429)),
                     ("solves_in_flight".into(), count(&self.solves_in_flight)),
-                ]),
-            ),
-            (
-                "orbit".into(),
-                Json::Obj(vec![
-                    ("sweeps".into(), count(&self.orbit_sweeps)),
-                    ("orbits_evaluated".into(), count(&self.orbits_evaluated)),
-                    (
-                        "profiles_represented".into(),
-                        count(&self.orbit_profiles_represented),
-                    ),
                 ]),
             ),
             ("solve_us".into(), self.solve_us.to_json()),
@@ -342,33 +302,6 @@ mod tests {
             stages.get("parse").unwrap().get("count").unwrap().as_u64(),
             Some(1)
         );
-    }
-
-    #[test]
-    fn orbit_counters_accumulate_and_saturate() {
-        let m = ServiceMetrics::default();
-        m.record_orbit_sweep(4, 8);
-        m.record_orbit_sweep(6, u128::MAX);
-        assert_eq!(m.orbit_sweeps.load(Ordering::Relaxed), 2);
-        assert_eq!(m.orbits_evaluated.load(Ordering::Relaxed), 10);
-        assert_eq!(
-            m.orbit_profiles_represented.load(Ordering::Relaxed),
-            u64::MAX
-        );
-        let doc = m.to_json(
-            CacheStats {
-                hits: 0,
-                misses: 0,
-                insertions: 0,
-                evictions: 0,
-                entries: 0,
-                capacity: 64,
-            },
-            None,
-        );
-        let orbit = doc.get("orbit").unwrap();
-        assert_eq!(orbit.get("sweeps").unwrap().as_u64(), Some(2));
-        assert_eq!(orbit.get("orbits_evaluated").unwrap().as_u64(), Some(10));
     }
 
     #[test]

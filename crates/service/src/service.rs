@@ -16,12 +16,10 @@
 //!   response is `{"reports": [{"report": …} | {"error": …}, …]}`,
 //!   aligned by index.
 //!
-//! The cache key is the canonical bytes of `{game, backend, budget,
-//! symmetry}` — the thread count is deliberately **excluded** (sweeps are
-//! bit-for-bit identical across thread counts, so results are shareable
-//! across differently-threaded clients), but the symmetry mode is
-//! **included**: orbit-reduced reports carry different `orbit` stats and
-//! `profiles_evaluated` counts than full sweeps, so the bodies differ.
+//! The cache key is the canonical bytes of `{game, backend, budget}` —
+//! the thread count is deliberately **excluded**: sweeps are bit-for-bit
+//! identical across thread counts, so results are shareable across
+//! differently-threaded clients.
 
 use std::sync::Arc;
 
@@ -338,16 +336,14 @@ impl SolveService {
     }
 
     /// The content address of a request: canonical bytes of
-    /// `{game, backend, budget, symmetry}` (threads excluded — they never
-    /// change results; the symmetry mode is included because it changes
-    /// the report's `orbit` stats and `profiles_evaluated`).
+    /// `{game, backend, budget}` (threads excluded — they never change
+    /// results).
     #[must_use]
     pub fn cache_key(game: &GameSpec, config: &SolverConfig) -> Vec<u8> {
         Json::Obj(vec![
             ("game".into(), game.encode()),
             ("backend".into(), config.backend.encode()),
             ("budget".into(), config.budget.encode()),
-            ("symmetry".into(), config.symmetry.encode()),
         ])
         .canonical_bytes()
     }
@@ -384,7 +380,7 @@ impl SolveService {
         // successes.
         self.record_solve_time(started);
         let report = result?;
-        self.record_computed(&report);
+        self.record_computed();
         Ok(SolveOutcome {
             body: self.insert_report(key, &report),
             cache_hit: false,
@@ -479,7 +475,7 @@ impl SolveService {
                 .record(ctx.trace_id, ctx.parent, Stage::Solve, t_solve, t1);
         }
         let report = result?;
-        self.record_computed(&report);
+        self.record_computed();
         let t_encode = self.recorder.now_ns();
         let body = self.insert_report(key, &report);
         if let Some(raw) = &raw {
@@ -554,17 +550,11 @@ impl SolveService {
         self.metrics.stages.record(Stage::Solve, micros);
     }
 
-    /// Bumps the per-solve counters for a freshly computed report,
-    /// including the orbit-reduction counters when the sweep was
-    /// symmetry-reduced.
-    fn record_computed(&self, report: &SolveReport) {
+    /// Bumps the per-solve counter for a freshly computed report.
+    fn record_computed(&self) {
         self.metrics
             .solves_computed
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if let Some(orbit) = &report.orbit {
-            self.metrics
-                .record_orbit_sweep(orbit.orbits_evaluated, orbit.profiles_represented);
-        }
     }
 
     fn finish_miss(
@@ -573,7 +563,7 @@ impl SolveService {
         result: Result<SolveReport, SolveError>,
     ) -> Result<SolveOutcome, SolveError> {
         let report = result?;
-        self.record_computed(&report);
+        self.record_computed();
         Ok(SolveOutcome {
             body: self.insert_report(key, &report),
             cache_hit: false,
@@ -724,8 +714,8 @@ mod tests {
         assert!(service.solve(&four).unwrap().cache_hit);
     }
 
-    /// Three interchangeable binary agents — `Auto` symmetry reduces its
-    /// 8-profile sweep to 4 orbits.
+    /// Three interchangeable binary agents: the sweep covers 8 profiles
+    /// through 4 orbits.
     fn symmetric_game() -> GameSpec {
         let g = bi_core::MatrixFormGame::from_fn(3, &[2, 2, 2], |_, a| {
             a.iter().map(|&x| (x + 1) as f64).sum()
@@ -734,50 +724,37 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_mode_splits_the_cache_and_feeds_orbit_metrics() {
+    fn legacy_symmetry_field_is_ignored_and_shares_the_cache() {
         let service = SolveService::new(CacheConfig::default());
         let game = symmetric_game();
-        let off = SolveRequest {
-            game: game.clone(),
-            config: SolverConfig::default(),
-        };
-        let auto = SolveRequest {
-            game,
-            config: SolverConfig {
-                symmetry: bi_core::SymmetryMode::Auto,
-                ..SolverConfig::default()
-            },
-        };
-        // Orbit-reduced reports carry different bytes, so the key must
-        // differ — an `Auto` request after an `Off` one is a miss.
-        assert_ne!(
-            SolveService::cache_key(&off.game, &off.config),
-            SolveService::cache_key(&auto.game, &auto.config)
-        );
-        let full = service.solve(&off).unwrap();
-        let reduced = service.solve(&auto).unwrap();
-        assert!(!reduced.cache_hit);
-        assert_ne!(full.body, reduced.body);
-        // Only the reduced solve feeds the orbit counters: 4 orbits
-        // representing all 8 profiles.
-        let m = service.metrics();
-        assert_eq!(m.orbit_sweeps.load(std::sync::atomic::Ordering::Relaxed), 1);
+        let canonical = request(game.clone());
+        // A body from a client of the retired `off`/`auto` knob decodes
+        // to the canonical request, so it shares its cache entry.
+        let mut body = canonical.encode();
+        if let Json::Obj(fields) = &mut body {
+            let config = &mut fields.iter_mut().find(|(k, _)| k == "config").unwrap().1;
+            if let Json::Obj(config) = config {
+                config.push(("symmetry".into(), Json::str("auto")));
+            }
+        }
+        let legacy = SolveRequest::decode(&body).unwrap();
+        assert_eq!(legacy.config, canonical.config);
         assert_eq!(
-            m.orbits_evaluated
-                .load(std::sync::atomic::Ordering::Relaxed),
-            4
+            SolveService::cache_key(&legacy.game, &legacy.config),
+            SolveService::cache_key(&canonical.game, &canonical.config)
         );
-        assert_eq!(
-            m.orbit_profiles_represented
-                .load(std::sync::atomic::Ordering::Relaxed),
-            8
-        );
-        let doc = service.metrics_json();
-        let orbit = doc.get("orbit").unwrap();
-        assert_eq!(orbit.get("sweeps").unwrap().as_u64(), Some(1));
-        // And both measures agree (the reduced body differs only in the
-        // orbit/profiles fields).
-        assert!(service.solve(&auto).unwrap().cache_hit);
+        let cold = service.solve(&legacy).unwrap();
+        assert!(!cold.cache_hit);
+        let warm = service.solve(&canonical).unwrap();
+        assert!(warm.cache_hit);
+        assert_eq!(cold.body, warm.body);
+        // The report is byte-identical to an unreduced sweep's: the
+        // profiles it covers, and a null `orbit`.
+        let report = SolveReport::decode_str(std::str::from_utf8(&warm.body).unwrap()).unwrap();
+        assert_eq!(report.profiles_evaluated, 8);
+        let text = std::str::from_utf8(&warm.body).unwrap();
+        assert!(text.contains(r#""orbit":null"#), "{text}");
+        assert!(service.metrics_json().get("orbit").is_none());
     }
 
     #[test]

@@ -70,6 +70,34 @@ fn solve_answers_match_the_in_process_engine_for_both_representations() {
 }
 
 #[test]
+fn a_legacy_symmetry_field_gets_the_canonical_report_bytes() {
+    // Clients of the retired `off`/`auto` symmetry knob still send the
+    // field; it is ignored, so the answer is the canonical body's, and
+    // the second request is a hit on the first one's entry.
+    let handle = start_server();
+    let game = matrix_game(13);
+    let canonical = solve_body(&game);
+    let text = String::from_utf8(canonical.clone()).unwrap();
+    let legacy = text.replacen(r#""config":{"#, r#""config":{"symmetry":"auto","#, 1);
+    assert_ne!(legacy, text, "the canonical body carries a config object");
+    let first = call(handle.addr(), "POST", "/solve", legacy.as_bytes());
+    let second = call(handle.addr(), "POST", "/solve", &canonical);
+    assert_eq!(first.status, 200);
+    assert_eq!(second.status, 200);
+    assert_eq!(first.header("x-cache"), Some("miss"));
+    assert_eq!(second.header("x-cache"), Some("hit"));
+    assert_eq!(first.body, second.body);
+    let GameSpec::Matrix(g) = &game else {
+        unreachable!("matrix_game builds a matrix game")
+    };
+    assert_eq!(
+        first.body,
+        Solver::default().solve(g).unwrap().canonical_bytes()
+    );
+    handle.stop();
+}
+
+#[test]
 fn resubmission_is_a_cache_hit_visible_in_metrics() {
     let handle = start_server();
     let body = solve_body(&matrix_game(21));

@@ -8,12 +8,12 @@
 
 use bayesian_ignorance::core::random_games::random_bayesian_potential_game;
 use bayesian_ignorance::core::solve::{Backend, Budget, SolverConfig};
-use bayesian_ignorance::core::SymmetryMode;
 use bayesian_ignorance::core::{BayesianGame, Solver};
 use bayesian_ignorance::graph::{generators, Direction, NodeId};
 use bayesian_ignorance::ncs::{BayesianNcsGame, Prior};
 use bayesian_ignorance::util::json::Json;
 use bayesian_ignorance::util::{Decode, Encode};
+use bi_bench::Unreduced;
 use proptest::prelude::*;
 
 proptest! {
@@ -53,14 +53,15 @@ proptest! {
     }
 
     /// Solver configurations of every backend round-trip exactly,
-    /// including extreme seeds and budgets beyond f64 precision.
+    /// including extreme seeds and budgets beyond f64 precision, with or
+    /// without the retired `symmetry` field older clients still send.
     #[test]
     fn solver_configs_round_trip(
         samples in 1u32..1000,
         seed in 0u64..u64::MAX,
         max_profiles in 0u64..u64::MAX,
         threads in 0usize..16,
-        auto_symmetry in 0u8..2,
+        legacy_symmetry in prop::sample::select(vec![None, Some("off"), Some("auto")]),
     ) {
         for backend in [
             Backend::ExhaustiveEnum,
@@ -73,10 +74,13 @@ proptest! {
                     max_profiles: u128::from(max_profiles) << 32,
                     max_iterations: seed,
                 },
-                symmetry: if auto_symmetry == 1 { SymmetryMode::Auto } else { SymmetryMode::Off },
                 threads,
             };
-            let decoded = SolverConfig::decode(&config.encode()).unwrap();
+            let mut wire = config.encode();
+            if let (Some(mode), Json::Obj(fields)) = (legacy_symmetry, &mut wire) {
+                fields.push(("symmetry".into(), Json::str(mode)));
+            }
+            let decoded = SolverConfig::decode(&wire).unwrap();
             prop_assert_eq!(decoded, config);
         }
     }
@@ -108,6 +112,9 @@ fn golden_bayesian_game_fixture_is_stable() {
         canonical(include_str!("fixtures/solve_report.json")),
         "the solved report of the fixture game is itself golden"
     );
+    // And the unreduced sweep writes those same bytes.
+    let unreduced = Solver::default().solve(&Unreduced(game)).unwrap();
+    assert_eq!(unreduced, report, "unreduced and reduced reports agree");
 }
 
 #[test]

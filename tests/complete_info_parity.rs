@@ -15,8 +15,9 @@
 //! index must match), random Bayesian NCS games on directed and
 //! undirected networks (also with length-limited path enumeration), and
 //! both `G_worst` families for k = 3..12. Every case is checked across
-//! 1/2/4 threads and symmetry `Off`/`Auto`, and under budgets and
-//! backends that must not affect this side.
+//! 1/2/4 threads, orbit-reduced and through [`Unreduced`] (every profile
+//! swept), and under budgets and backends that must not affect this
+//! side.
 
 use bayesian_ignorance::constructions::gworst::{GWorstGame, GWorstVariant};
 use bayesian_ignorance::constructions::universal::random_bayesian_ncs;
@@ -25,11 +26,12 @@ use bayesian_ignorance::core::game::{EnumerationError, MatrixFormGame};
 use bayesian_ignorance::core::model::CompleteInfo;
 use bayesian_ignorance::core::random_games::{random_bayesian_potential_game, random_game};
 use bayesian_ignorance::core::solve::{Backend, SolveError, Solver};
-use bayesian_ignorance::core::{BayesianModel, SymmetryMode};
+use bayesian_ignorance::core::BayesianModel;
 use bayesian_ignorance::graph::paths::PathLimits;
 use bayesian_ignorance::graph::{Direction, Graph};
 use bayesian_ignorance::ncs::{analysis, BayesianNcsGame, NcsError, Prior};
 use bayesian_ignorance::util::approx_le;
+use bi_bench::Unreduced;
 use proptest::prelude::*;
 
 /// The former `nash::social_optimum`, verbatim.
@@ -145,11 +147,11 @@ fn outcome(result: Result<CompleteInfo, SolveError>) -> Result<[u64; 3], String>
         .map_err(|e| format!("{e:?}"))
 }
 
-/// Checks the new path against `reference` under every thread count and
-/// symmetry mode, through the trait's own `complete_info`, and under a
-/// budget and backends that must not touch this side. When the game is
-/// solvable, the full report must carry the same three measures.
-fn assert_parity<M: BayesianModel>(
+/// Checks the new path against `reference` under every thread count,
+/// reduced and unreduced, through the trait's own `complete_info`, and
+/// under a budget and backends that must not touch this side. When the
+/// game is solvable, the full report must carry the same three measures.
+fn assert_parity<M: BayesianModel + Clone>(
     game: &M,
     reference: Result<CompleteInfo, SolveError>,
     context: &str,
@@ -160,18 +162,19 @@ fn assert_parity<M: BayesianModel>(
         expected,
         "{context}: trait complete_info"
     );
+    let unreduced = Unreduced(game.clone());
     for threads in [1usize, 2, 4] {
-        for symmetry in [SymmetryMode::Off, SymmetryMode::Auto] {
-            let solver = Solver::builder()
-                .threads(threads)
-                .symmetry(symmetry)
-                .build();
-            assert_eq!(
-                outcome(solver.complete_info(game)),
-                expected,
-                "{context}: {threads} threads, {symmetry:?}"
-            );
-        }
+        let solver = Solver::builder().threads(threads).build();
+        assert_eq!(
+            outcome(solver.complete_info(game)),
+            expected,
+            "{context}: {threads} threads"
+        );
+        assert_eq!(
+            outcome(solver.complete_info(&unreduced)),
+            expected,
+            "{context}: {threads} threads, unreduced"
+        );
     }
     for backend in [
         Backend::ExhaustiveEnum,
@@ -362,7 +365,8 @@ fn gworst_families_match_the_legacy_loop() {
 }
 
 /// States of 4^7 = 16,384 profiles: large enough for the work-stealing
-/// sweep, symmetric enough for `Auto` to reduce them.
+/// sweep when unreduced, symmetric enough for the orbit sweep to reduce
+/// them.
 #[test]
 fn large_symmetric_states_match_across_threads_and_symmetry() {
     for states in [1, 2] {
@@ -410,22 +414,25 @@ fn no_equilibrium_error_names_the_failing_state() {
 #[test]
 fn per_state_enumeration_bound_holds_under_sampling() {
     let gworst = GWorstGame::new(23, GWorstVariant::InvK).expect("valid k");
-    for symmetry in [SymmetryMode::Off, SymmetryMode::Auto] {
-        let solver = Solver::builder()
-            .backend(Backend::MonteCarloSampling {
-                samples: 4,
-                seed: 1,
-            })
-            .max_profiles(u128::MAX)
-            .symmetry(symmetry)
-            .build();
-        match gworst.solve_with(&solver) {
+    let solver = Solver::builder()
+        .backend(Backend::MonteCarloSampling {
+            samples: 4,
+            seed: 1,
+        })
+        .max_profiles(u128::MAX)
+        .build();
+    let unreduced = Unreduced(gworst.game().clone());
+    for (label, result) in [
+        ("reduced", gworst.solve_with(&solver)),
+        ("unreduced", solver.solve(&unreduced)),
+    ] {
+        match result {
             Err(SolveError::Model(inner)) => assert_eq!(
                 inner.downcast_ref::<NcsError>(),
                 Some(&NcsError::TooLarge(EnumerationError { required: 1 << 24 })),
-                "{symmetry:?}"
+                "{label}"
             ),
-            other => panic!("{symmetry:?}: expected the per-state bound, got {other:?}"),
+            other => panic!("{label}: expected the per-state bound, got {other:?}"),
         }
     }
 }

@@ -27,13 +27,16 @@ use bayesian_ignorance::core::{BayesianModel, Measures};
 use bayesian_ignorance::graph::paths::PathLimits;
 use bayesian_ignorance::graph::{Direction, Graph};
 use bayesian_ignorance::ncs::{BayesianNcsGame, Prior};
+use bi_bench::Unreduced;
 use proptest::prelude::*;
 
 /// Forwards every [`BayesianModel`] primitive (including the fused
 /// overrides) but *not* `lower`, so the solver uses the generic
 /// clone-based kernel — the pre-compiled evaluation strategy on the
 /// modern engine. Its state models are wrapped too, so the
-/// complete-information sweeps run on the generic kernel as well.
+/// complete-information sweeps run on the generic kernel as well. Nor
+/// does it forward `agents_interchangeable`, so its sweeps are
+/// unreduced, like [`Unreduced`]'s.
 struct Uncompiled<M>(M);
 
 impl<M: BayesianModel> BayesianModel for Uncompiled<M> {
@@ -127,7 +130,6 @@ fn assert_reports_identical(a: &SolveReport, b: &SolveReport, context: &str) {
     );
     assert_eq!(a.sample_cap, b.sample_cap, "{context}: sample cap");
     assert_eq!(a.exact, b.exact, "{context}: exactness");
-    assert_eq!(a.orbit, b.orbit, "{context}: orbit stats");
 }
 
 /// The pre-change exhaustive sweep, verbatim, over the generic model API:
@@ -163,14 +165,19 @@ fn reference_sweep<M: BayesianModel>(model: &M) -> (f64, f64, f64, u128) {
     (opt_p, best_eq_p, worst_eq_p, evaluated)
 }
 
-fn assert_sweep_parity<M: BayesianModel>(model: &M, context: &str) {
+/// The reference sweep against the solver's compiled sweep, both
+/// orbit-reduced and through [`Unreduced`].
+fn assert_sweep_parity<M: BayesianModel + Clone>(model: &M, context: &str) {
     let (opt_p, best_eq_p, worst_eq_p, evaluated) = reference_sweep(model);
+    let unreduced = Unreduced(model.clone());
     for threads in [1usize, 2, 4] {
-        let report = Solver::builder()
-            .threads(threads)
-            .build()
-            .solve(model)
-            .expect("solvable");
+        let solver = Solver::builder().threads(threads).build();
+        let report = solver.solve(model).expect("solvable");
+        assert_reports_identical(
+            &report,
+            &solver.solve(&unreduced).expect("solvable"),
+            &format!("{context}: reduced vs unreduced, {threads} threads"),
+        );
         assert_eq!(
             opt_p.to_bits(),
             report.measures.opt_p.to_bits(),
@@ -331,6 +338,8 @@ proptest! {
             let compiled = solver.solve(&game).expect("solvable");
             let reference = solver.solve(&generic).expect("solvable");
             assert_reports_identical(&compiled, &reference, &format!("{backend:?}"));
+            let unreduced = solver.solve(&Unreduced(game.clone())).expect("solvable");
+            assert_reports_identical(&unreduced, &reference, &format!("{backend:?}, unreduced"));
         }
     }
 
@@ -350,6 +359,8 @@ proptest! {
             let compiled = solver.solve(&game).expect("solvable");
             let reference = solver.solve(&generic).expect("solvable");
             assert_reports_identical(&compiled, &reference, &format!("{backend:?}"));
+            let unreduced = solver.solve(&Unreduced(game.clone())).expect("solvable");
+            assert_reports_identical(&unreduced, &reference, &format!("{backend:?}, unreduced"));
         }
     }
 }

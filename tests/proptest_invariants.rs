@@ -171,8 +171,7 @@ proptest! {
         vnodes in 1usize..48,
         r in 1usize..5,
     ) {
-        let names: Vec<String> = (0..backends).map(|i| format!("10.0.0.{i}:4{i:03}")).collect();
-        let ring = bayesian_ignorance::service::HashRing::new(&names, vnodes);
+        let ring = bayesian_ignorance::service::HashRing::new(backends, vnodes);
         let owners = ring.route_replicas(hash, r, |_| true);
         prop_assert_eq!(owners.len(), r.min(backends));
         let mut dedup = owners.clone();
@@ -194,8 +193,7 @@ proptest! {
         r in 1usize..5,
         dead_pick in 0u64..u64::MAX,
     ) {
-        let names: Vec<String> = (0..backends).map(|i| format!("10.0.0.{i}:4{i:03}")).collect();
-        let ring = bayesian_ignorance::service::HashRing::new(&names, vnodes);
+        let ring = bayesian_ignorance::service::HashRing::new(backends, vnodes);
         let before = ring.route_replicas(hash, r, |_| true);
         let dead = (dead_pick as usize) % backends;
         let after = ring.route_replicas(hash, r, |i| i != dead);

@@ -1,4 +1,4 @@
-//! Tentpole parity layer of the work-stealing + symmetry-orbit PR:
+//! Tentpole parity layer of the work-stealing + symmetry-orbit sweep:
 //! the optimized sweep paths are **bit-for-bit** equivalent to the
 //! reference paths, proven on the canonical wire encoding.
 //!
@@ -9,22 +9,23 @@
 //!   encodes to identical canonical bytes whatever the thread count,
 //!   including on spaces large enough to actually cross the
 //!   work-stealing threshold ([`PARALLEL_SWEEP_MIN_PROFILES`]);
-//! * **orbit-reduced ≡ unreduced** — solving with
-//!   [`SymmetryMode::Auto`] yields bitwise-identical `measures` to
-//!   [`SymmetryMode::Off`], with the orbit statistics accounting for
-//!   exactly the full profile space.
+//! * **orbit-reduced ≡ unreduced** — the solver's orbit-reduced solve
+//!   encodes to the same canonical bytes as the solve of the same model
+//!   through [`Unreduced`] (every profile swept), and
+//!   [`Symmetry::detect`] finds strictly fewer orbits than profiles.
 //!
 //! Sampling backends don't sweep, so for them the invariance is that
-//! the knobs are inert: thread count and symmetry mode must not change
-//! the report at all.
+//! the knobs are inert: thread count and symmetry must not change the
+//! report at all.
 
 use bayesian_ignorance::constructions::gworst::{GWorstGame, GWorstVariant};
 use bayesian_ignorance::core::random_games::random_bayesian_potential_game;
 use bayesian_ignorance::core::solve::{Backend, PARALLEL_SWEEP_MIN_PROFILES};
 use bayesian_ignorance::core::{
-    BayesianGame, BayesianModel, MatrixFormGame, SolveReport, Solver, SymmetryMode,
+    BayesianGame, BayesianModel, CompiledSpace, MatrixFormGame, SolveReport, Solver, Symmetry,
 };
 use bayesian_ignorance::util::Encode;
+use bi_bench::Unreduced;
 
 /// The canonical wire bytes of a report — the equality notion of this
 /// whole test file. Two reports with equal canonical bytes are
@@ -34,59 +35,50 @@ fn canonical(report: &SolveReport) -> String {
     report.encode().canonical_string()
 }
 
-fn solver(backend: Backend, threads: usize, symmetry: SymmetryMode) -> Solver {
-    Solver::builder()
-        .backend(backend)
-        .threads(threads)
-        .symmetry(symmetry)
-        .build()
+fn solver(backend: Backend, threads: usize) -> Solver {
+    Solver::builder().backend(backend).threads(threads).build()
 }
 
 /// Solves `model` at every thread count and asserts all reports encode
 /// to the same canonical bytes as the sequential (threads = 1) one.
-fn assert_thread_parity<M: BayesianModel>(model: &M, backend: Backend, symmetry: SymmetryMode) {
-    let baseline = solver(backend, 1, symmetry).solve(model).unwrap();
+fn assert_thread_parity<M: BayesianModel>(model: &M, backend: Backend) {
+    let baseline = solver(backend, 1).solve(model).unwrap();
     let want = canonical(&baseline);
     for threads in [2usize, 4, 8] {
-        let report = solver(backend, threads, symmetry).solve(model).unwrap();
+        let report = solver(backend, threads).solve(model).unwrap();
         assert_eq!(
             canonical(&report),
             want,
-            "threads={threads} must be bit-for-bit identical to sequential \
-             (backend {backend:?}, symmetry {symmetry:?})"
+            "threads={threads} must be bit-for-bit identical to sequential (backend {backend:?})"
         );
     }
 }
 
-/// Asserts the orbit-reduced sweep is equivalent to the unreduced one:
-/// bitwise-equal measures, and orbit stats that represent the full
-/// space the unreduced sweep walked.
-fn assert_orbit_equivalence<M: BayesianModel>(model: &M) -> SolveReport {
-    let off = solver(Backend::ExhaustiveEnum, 1, SymmetryMode::Off)
-        .solve(model)
-        .unwrap();
-    let auto = solver(Backend::ExhaustiveEnum, 1, SymmetryMode::Auto)
-        .solve(model)
-        .unwrap();
+/// The symmetry the solver's exhaustive sweep reduces `model` by.
+fn symmetry_of<M: BayesianModel>(model: &M) -> Symmetry {
+    Symmetry::detect(model, &CompiledSpace::compile(model).unwrap())
+}
+
+/// Asserts the orbit-reduced solve is equivalent to the unreduced one:
+/// identical canonical report bytes, `profiles_evaluated` included.
+/// Returns the detected symmetry for the caller's orbit assertions.
+fn assert_orbit_equivalence<M: BayesianModel + Clone>(model: &M) -> Symmetry {
+    let full = Solver::default().solve(&Unreduced(model.clone())).unwrap();
+    let reduced = Solver::default().solve(model).unwrap();
     assert_eq!(
-        auto.measures.encode().canonical_string(),
-        off.measures.encode().canonical_string(),
-        "orbit-reduced measures must be bit-for-bit identical"
+        canonical(&reduced),
+        canonical(&full),
+        "orbit-reduced report must be bit-for-bit the unreduced one"
     );
-    assert_eq!(off.orbit, None, "symmetry off never reports orbits");
-    if let Some(stats) = auto.orbit {
-        assert_eq!(
-            stats.profiles_represented, off.profiles_evaluated,
-            "orbit stats must account for exactly the unreduced sweep"
-        );
-        assert_eq!(auto.profiles_evaluated, stats.orbits_evaluated);
-        assert!(stats.orbits_evaluated < stats.profiles_represented);
-        assert!(stats.group_order >= 2);
+    let symmetry = symmetry_of(model);
+    let orbits = symmetry.orbit_count().unwrap();
+    if symmetry.is_trivial() {
+        assert_eq!(orbits, full.profiles_evaluated);
     } else {
-        // Trivial symmetry: Auto must have degraded to the identical sweep.
-        assert_eq!(canonical(&auto), canonical(&off));
+        assert!(orbits < full.profiles_evaluated);
+        assert!(symmetry.group_order_saturating() >= 2);
     }
-    auto
+    symmetry
 }
 
 /// A fully symmetric `k`-agent game: every agent has one type and the
@@ -162,9 +154,8 @@ fn random_games_are_thread_invariant_on_every_backend() {
             Backend::BestResponseDynamics { restarts: 4, seed },
             Backend::MonteCarloSampling { samples: 32, seed },
         ] {
-            for symmetry in [SymmetryMode::Off, SymmetryMode::Auto] {
-                assert_thread_parity(&game, backend, symmetry);
-            }
+            assert_thread_parity(&game, backend);
+            assert_thread_parity(&Unreduced(game.clone()), backend);
         }
     }
 }
@@ -173,43 +164,43 @@ fn random_games_are_thread_invariant_on_every_backend() {
 fn symmetric_random_games_orbit_sweep_is_equivalent() {
     for (k, actions, seed) in [(3usize, 2usize, 5u64), (4, 3, 11), (5, 2, 23)] {
         let game = symmetric_game(k, actions, seed);
-        let auto = assert_orbit_equivalence(&game);
-        let stats = auto.orbit.expect("fully symmetric game has orbits");
+        let symmetry = assert_orbit_equivalence(&game);
         let factorial: u128 = (2..=k as u128).product();
-        assert_eq!(stats.group_order, factorial);
-        assert_eq!(stats.profiles_represented, (actions as u128).pow(k as u32));
+        assert_eq!(symmetry.group_order_saturating(), factorial);
+        assert_eq!(symmetry.classes().len(), 1, "one class of all agents");
         // Orbit-reduced sweeps are thread-invariant too.
-        assert_thread_parity(&game, Backend::ExhaustiveEnum, SymmetryMode::Auto);
+        assert_thread_parity(&game, Backend::ExhaustiveEnum);
     }
 }
 
 #[test]
 fn asymmetric_random_games_degrade_gracefully_under_auto() {
     let (game, _) = random_bayesian_potential_game(&[2, 2], &[2, 3], 2, 41);
-    let auto = assert_orbit_equivalence(&game);
-    assert_eq!(auto.orbit, None, "no symmetry to exploit");
+    let symmetry = assert_orbit_equivalence(&game);
+    assert!(symmetry.is_trivial(), "no symmetry to exploit");
 }
 
 #[test]
 fn gworst_construction_orbit_sweep_is_equivalent() {
     for variant in [GWorstVariant::Half, GWorstVariant::InvK] {
         let g = GWorstGame::new(5, variant).unwrap();
-        let auto = assert_orbit_equivalence(g.game());
-        let stats = auto.orbit.expect("G_worst has k interchangeable agents");
-        assert_eq!(stats.group_order, 120, "S_5 on the u→w agents");
-        assert_thread_parity(g.game(), Backend::ExhaustiveEnum, SymmetryMode::Auto);
-        // Sampling backends must treat both knobs as inert on the
-        // construction too.
+        let symmetry = assert_orbit_equivalence(g.game());
+        assert_eq!(
+            symmetry.group_order_saturating(),
+            120,
+            "S_5 on the u→w agents"
+        );
+        assert_thread_parity(g.game(), Backend::ExhaustiveEnum);
+        // Sampling backends must treat threads and symmetry as inert on
+        // the construction too.
         let backend = Backend::MonteCarloSampling {
             samples: 16,
             seed: 7,
         };
-        let a = solver(backend, 1, SymmetryMode::Off)
-            .solve(g.game())
+        let a = solver(backend, 1)
+            .solve(&Unreduced(g.game().clone()))
             .unwrap();
-        let b = solver(backend, 4, SymmetryMode::Auto)
-            .solve(g.game())
-            .unwrap();
+        let b = solver(backend, 4).solve(g.game()).unwrap();
         assert_eq!(canonical(&a), canonical(&b));
     }
 }
@@ -217,23 +208,24 @@ fn gworst_construction_orbit_sweep_is_equivalent() {
 #[test]
 fn work_stealing_crosses_the_threshold_bit_for_bit() {
     let game = large_asymmetric_game();
-    let space = bayesian_ignorance::core::CompiledSpace::compile(&game).unwrap();
+    let space = CompiledSpace::compile(&game).unwrap();
     assert!(
         space.space_size().unwrap() >= PARALLEL_SWEEP_MIN_PROFILES,
         "the fixture must actually exercise the parallel path"
     );
-    assert_thread_parity(&game, Backend::ExhaustiveEnum, SymmetryMode::Off);
+    assert_thread_parity(&game, Backend::ExhaustiveEnum);
 }
 
 #[test]
 fn work_stealing_over_the_orbit_domain_is_bit_for_bit() {
     let game = large_partially_symmetric_game();
-    let auto = assert_orbit_equivalence(&game);
-    let stats = auto.orbit.expect("agents 0 and 1 are interchangeable");
-    assert_eq!(stats.group_order, 2);
+    let symmetry = assert_orbit_equivalence(&game);
+    assert_eq!(symmetry.group_order_saturating(), 2);
     assert!(
-        stats.orbits_evaluated >= PARALLEL_SWEEP_MIN_PROFILES,
+        symmetry.orbit_count().unwrap() >= PARALLEL_SWEEP_MIN_PROFILES,
         "the reduced domain itself must cross the work-stealing threshold"
     );
-    assert_thread_parity(&game, Backend::ExhaustiveEnum, SymmetryMode::Auto);
+    assert_thread_parity(&game, Backend::ExhaustiveEnum);
+    // The unreduced sweep of the same game crosses it too.
+    assert_thread_parity(&Unreduced(game), Backend::ExhaustiveEnum);
 }
