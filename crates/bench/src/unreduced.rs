@@ -1,29 +1,32 @@
-//! [`Unreduced`]: a model wrapper that hides agent symmetry from the
-//! solver.
+//! [`Unreduced`]: a model wrapper that hides agent symmetry and the
+//! state split from the solver.
 
 use bi_core::compiled::{CompiledSpace, Lowered};
 use bi_core::model::{BayesianModel, Profile};
 use bi_core::solve::SolveError;
 
-/// A model wrapper that hides agent symmetry from the solver, so the
-/// exhaustive sweep visits every profile.
+/// A model wrapper that hides agent symmetry and the state split from the
+/// solver, so the exhaustive sweep visits every profile of the whole
+/// space.
 ///
 /// The solver reduces every exhaustive sweep by the interchangeable
-/// agents [`BayesianModel::agents_interchangeable`] reports. Wrapping a
-/// model in [`Unreduced`] forwards every hook to it, its compiled
-/// kernels included, except that one, which stays at the trait's
-/// default `false`. `complete_info` keeps its default too, which runs
-/// the solver on the wrapper. Solving the wrapper is therefore the full,
-/// unreduced sweep of the same model: the oracle the parity suites
-/// compare orbit-reduced solves against, and the "full" side of
-/// `bench_solver_sweep --orbits`.
+/// agents [`BayesianModel::agents_interchangeable`] reports, and splits
+/// it into one sweep per support state when
+/// [`BayesianModel::state_types`] shows that no `(agent, type)` slot is
+/// in two states. Wrapping a model in [`Unreduced`] forwards every hook
+/// to it, its compiled kernels included, except those two, which stay at
+/// the trait's defaults (`false` and `None`). `complete_info` keeps its
+/// default too, which runs the solver on the wrapper. Solving the
+/// wrapper is therefore the full, unreduced sweep of the same model: the
+/// oracle the parity suites compare reduced and split solves against,
+/// and the "full" side of `bench_solver_sweep --orbits`.
 ///
 /// # Examples
 ///
 /// ```
 /// use bi_bench::Unreduced;
 /// use bi_core::game::MatrixFormGame;
-/// use bi_core::solve::Solver;
+/// use bi_core::solve::{SolveError, Solver};
 /// use bi_core::BayesianGame;
 ///
 /// // Three interchangeable agents: 8 profiles, 4 orbits.
@@ -32,6 +35,20 @@ use bi_core::solve::SolveError;
 /// let reduced = Solver::default().solve(&game).unwrap();
 /// let full = Solver::default().solve(&Unreduced(game)).unwrap();
 /// assert_eq!(reduced, full);
+///
+/// // Two agents whose types reveal the state: 2^4 = 16 profiles in all,
+/// // but each of the two states' games has only 4.
+/// let g = MatrixFormGame::from_fn(2, &[2, 2], |i, a| (a[0] + 2 * a[1] + i) as f64);
+/// let game = BayesianGame::new(
+///     vec![2, 2],
+///     vec![(vec![0, 0], 0.5, g.clone()), (vec![1, 1], 0.5, g)],
+/// )
+/// .unwrap();
+/// let split = Solver::builder().max_profiles(8).build().solve(&game).unwrap();
+/// assert_eq!(split.profiles_evaluated, 16);
+/// let whole = Solver::builder().max_profiles(8).build().solve(&Unreduced(game.clone()));
+/// assert!(matches!(whole, Err(SolveError::BudgetExceeded { required: 16, .. })));
+/// assert_eq!(split, Solver::default().solve(&Unreduced(game)).unwrap());
 /// ```
 #[derive(Clone, Debug)]
 pub struct Unreduced<M>(pub M);
@@ -86,8 +103,8 @@ impl<M: BayesianModel> BayesianModel for Unreduced<M> {
     }
 
     /// Wrapped too, so the complete-information side is unreduced as well.
-    fn state_model(&self, idx: usize) -> Self {
-        Unreduced(self.0.state_model(idx))
+    fn state_model(&self, idx: usize, prob: f64) -> Self {
+        Unreduced(self.0.state_model(idx, prob))
     }
 
     fn state_too_large(&self, required: u128) -> SolveError {

@@ -551,18 +551,22 @@ impl BayesianModel for BayesianGame {
         self.states[idx].prob
     }
 
-    fn state_model(&self, idx: usize) -> Self {
+    fn state_types(&self, idx: usize) -> Option<&[usize]> {
+        Some(&self.states[idx].types)
+    }
+
+    fn state_model(&self, idx: usize, prob: f64) -> Self {
         let k = self.num_agents();
         BayesianGame {
             type_counts: vec![1; k],
             action_counts: self.action_counts.clone(),
             states: vec![State {
                 types: vec![0; k],
-                prob: 1.0,
+                prob,
                 game: Arc::clone(&self.states[idx].game),
                 table_class: self.states[idx].table_class.clone(),
             }],
-            marginals: vec![vec![1.0]; k],
+            marginals: vec![vec![prob]; k],
         }
     }
 

@@ -121,9 +121,24 @@ pub trait BayesianModel: Sync {
     /// Prior probability `p(t)` of support state `idx`.
     fn state_prob(&self, idx: usize) -> f64;
 
+    /// The type index of each agent in support state `idx`, when the
+    /// model can name it. The exhaustive sweep uses it to split a model
+    /// whose states share no `(agent, type)` slot into one sub-sweep per
+    /// state ([`crate::solve`]). The default `None` means never split.
+    fn state_types(&self, idx: usize) -> Option<&[usize]> {
+        let _ = idx;
+        None
+    }
+
     /// `G_t` of support state `idx` as a model of its own: the same
-    /// agents with one type each, one state at prior `1.0`.
-    fn state_model(&self, idx: usize) -> Self
+    /// agents with one type each (of marginal weight `prob`), one state
+    /// at prior `prob`.
+    ///
+    /// The complete-information side asks for `prob = 1.0`. The split
+    /// sweep asks for `p(t)`, so that every cost term of the state game
+    /// is bit for bit the `p(t)·C` term the whole model computes for
+    /// that state. That is why `prob` is not renormalized to `1.0`.
+    fn state_model(&self, idx: usize, prob: f64) -> Self
     where
         Self: Sized;
 

@@ -27,6 +27,19 @@
 //! [`SolveReport::profiles_evaluated`] counts the profiles the sweep
 //! covers, not the representatives it evaluated.
 //!
+//! The exhaustive sweep also splits by support state when every agent's
+//! type reveals the state: no `(agent, type)` slot appears in two states
+//! ([`BayesianModel::state_types`]). Each state's game `G_t` is then an
+//! independent subgame. It is swept on its own at prior `p(t)`
+//! ([`BayesianModel::state_model`]), orbit-reduced as above, and the
+//! per-state extrema are summed in state order, so the sweep costs
+//! Σ_t |G_t| profiles instead of Π_t |G_t|. This is exact bit for bit:
+//! the whole model's social cost is the same left-to-right sum of the
+//! same `p(t)·K_t` terms, and rounded addition is monotone in each
+//! argument. [`Budget::max_profiles`] gates the sum of the per-state
+//! sweeps, and `profiles_evaluated` is still the whole space. A model
+//! in which any slot is shared by two states is swept whole.
+//!
 //! Every backend evaluates profiles through the **compiled evaluation
 //! layer** ([`crate::compiled`]): the solver lowers the model once into a
 //! flat `u32`-indexed candidate arena plus a per-representation
@@ -217,7 +230,8 @@ pub struct SolveReport {
     pub method: Backend,
     /// Profiles covered by the sweep. For [`Backend::ExhaustiveEnum`]
     /// this is the full strategy-space size, whether or not symmetry let
-    /// the sweep evaluate one representative per orbit; for the dynamics
+    /// the sweep evaluate one representative per orbit, or the states
+    /// were swept one at a time; for the dynamics
     /// backends it is the number of profiles whose social cost was
     /// evaluated.
     pub profiles_evaluated: u128,
@@ -488,7 +502,7 @@ impl Solver {
             worst_eq_c: 0.0,
         };
         for state in 0..model.state_count() {
-            let game = model.state_model(state);
+            let game = model.state_model(state, 1.0);
             let space = CompiledSpace::compile(&game)?;
             let size = space.space_size()?;
             if size > MAX_ENUMERATION {
@@ -575,20 +589,17 @@ impl Solver {
             .collect()
     }
 
-    /// The exhaustive sweep of both measure sides: over the canonical
-    /// orbit domain when [`Symmetry::detect`] finds interchangeable
-    /// agents, over the flat profile space otherwise, gated at
+    /// The exhaustive sweep of both measure sides, gated at
     /// `max_profiles` evaluations before any sweeping. The returned
-    /// `evaluated` count is the full space size either way.
+    /// `evaluated` count is the full space size, whatever was swept.
     ///
-    /// The model is lowered once. Small domains (below
-    /// [`PARALLEL_SWEEP_MIN_PROFILES`]) or single-worker configurations
-    /// sweep sequentially on the calling thread. Otherwise the index
-    /// range is cut into blocks; idle workers claim the next block from a
-    /// shared atomic counter, re-seeding one long-lived kernel per block
-    /// they steal. Per-block results are merged in block-index order
-    /// after the join, so the result is bit-for-bit independent of which
-    /// worker claimed what.
+    /// When the support states share no `(agent, type)` slot
+    /// ([`split_states`]), each state's game `G_t` at prior `p(t)` is
+    /// swept on its own and the budget gates the sum of those sweeps:
+    /// Σ_t |G_t| profiles instead of Π_t |G_t|. Otherwise the whole space
+    /// is one sweep. Every sweep runs over the canonical orbit domain when
+    /// [`Symmetry::detect`] finds interchangeable agents, over the flat
+    /// profile space otherwise.
     fn exhaustive<M: BayesianModel>(
         &self,
         model: &M,
@@ -596,30 +607,82 @@ impl Solver {
         max_profiles: u128,
     ) -> Result<SweepStats, SolveError> {
         let full = space.space_size()?;
-        let symmetry = Some(Symmetry::detect(model, space)).filter(|sym| !sym.is_trivial());
-        let size = match &symmetry {
-            None => full,
-            Some(sym) => sym.orbit_count()?,
+        let stats = match split_states(model) {
+            None => {
+                let domain = Domain::detect(model, space)?;
+                gate(domain.size, max_profiles)?;
+                self.sweep(space, &domain, model.lower(space).as_ref())
+            }
+            Some(games) => {
+                let spaces = games
+                    .iter()
+                    .map(CompiledSpace::compile)
+                    .collect::<Result<Vec<_>, _>>()?;
+                let domains = games
+                    .iter()
+                    .zip(&spaces)
+                    .map(|(game, space)| Domain::detect(game, space))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let required = domains
+                    .iter()
+                    .fold(0u128, |sum, domain| sum.saturating_add(domain.size));
+                gate(required, max_profiles)?;
+                // Exact: a state game priced at p(t) computes the whole
+                // model's p(t)·K_t terms and interim costs bit for bit, a
+                // profile is an equilibrium iff each state's restriction
+                // is one, and K(s) folds the p(t)·K_t terms left to right
+                // in state order from the empty sum. Rounded addition is
+                // monotone in each argument, so folding each state's
+                // extremum the same way gives the extremum of the folds.
+                let zero: f64 = std::iter::empty::<f64>().sum();
+                let mut total = SweepStats {
+                    opt_p: zero,
+                    best_eq_p: zero,
+                    worst_eq_p: zero,
+                    found_equilibrium: true,
+                    evaluated: 0,
+                };
+                for ((game, space), domain) in games.iter().zip(&spaces).zip(&domains) {
+                    let state = self.sweep(space, domain, game.lower(space).as_ref());
+                    if !state.found_equilibrium {
+                        total.found_equilibrium = false;
+                        break;
+                    }
+                    total.opt_p += state.opt_p;
+                    total.best_eq_p += state.best_eq_p;
+                    total.worst_eq_p += state.worst_eq_p;
+                }
+                total
+            }
         };
-        if size > max_profiles {
-            return Err(SolveError::BudgetExceeded {
-                required: size,
-                max_profiles,
-            });
-        }
-        let symmetry = symmetry.as_ref();
-        let lowered = model.lower(space);
-        let lowered: &dyn Lowered = &*lowered;
+        Ok(SweepStats {
+            evaluated: full,
+            ..stats
+        })
+    }
+
+    /// Sweeps every index of `domain` through kernels of `lowered`.
+    ///
+    /// Small domains (below [`PARALLEL_SWEEP_MIN_PROFILES`]) or
+    /// single-worker configurations sweep sequentially on the calling
+    /// thread. Otherwise the index range is cut into blocks; idle workers
+    /// claim the next block from a shared atomic counter, re-seeding one
+    /// long-lived kernel per block they steal. Per-block results are
+    /// merged in block-index order after the join, so the result is
+    /// bit-for-bit independent of which worker claimed what.
+    fn sweep<A: Clone + PartialEq + Sync>(
+        &self,
+        space: &CompiledSpace<A>,
+        domain: &Domain,
+        lowered: &dyn Lowered,
+    ) -> SweepStats {
+        let (symmetry, size) = (domain.symmetry.as_ref(), domain.size);
         lowered.prepare_sweep();
         let workers = effective_threads(self.threads, size);
         if workers <= 1 || size < PARALLEL_SWEEP_MIN_PROFILES {
             let mut kernel = lowered.kernel();
             let mut digits = vec![0u32; space.num_slots()];
-            let stats = sweep_block(space, symmetry, kernel.as_mut(), &mut digits, 0, size);
-            return Ok(SweepStats {
-                evaluated: full,
-                ..stats
-            });
+            return sweep_block(space, symmetry, kernel.as_mut(), &mut digits, 0, size);
         }
         // Block sizing: enough blocks that an unlucky worker (stalled on
         // a slow block or a busy core) never strands more than ~1/32 of
@@ -631,7 +694,7 @@ impl Solver {
         let num_blocks =
             u64::try_from(size.div_ceil(block_len)).expect("block count bounded by workers * 32");
         let next_block = std::sync::atomic::AtomicU64::new(0);
-        let stats = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let next_block = &next_block;
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
@@ -671,10 +734,6 @@ impl Solver {
                 .into_iter()
                 .map(|(_, stats)| stats)
                 .fold(SweepStats::new(), SweepStats::merge)
-        });
-        Ok(SweepStats {
-            evaluated: full,
-            ..stats
         })
     }
 
@@ -755,6 +814,71 @@ fn effective_threads(threads: usize, size: u128) -> usize {
         threads
     };
     usize::try_from(size.min(configured as u128)).unwrap_or(configured)
+}
+
+/// The support states of `model` as games of their own, `G_t` at prior
+/// `p(t)` ([`BayesianModel::state_model`]), when the exhaustive sweep can
+/// split on them: there are at least two, every one names its type tuple
+/// ([`BayesianModel::state_types`]), and no `(agent, type)` slot appears
+/// in two of them — every agent's type reveals the state. `None`
+/// otherwise, at the first shared slot.
+fn split_states<M: BayesianModel>(model: &M) -> Option<Vec<M>> {
+    let states = model.state_count();
+    if states < 2 {
+        return None;
+    }
+    let mut slot_base = Vec::with_capacity(model.num_agents());
+    let mut slots = 0;
+    for agent in 0..model.num_agents() {
+        slot_base.push(slots);
+        slots += model.type_count(agent);
+    }
+    let mut seen = vec![false; slots];
+    for idx in 0..states {
+        for (&base, &tau) in slot_base.iter().zip(model.state_types(idx)?) {
+            if std::mem::replace(&mut seen[base + tau], true) {
+                return None;
+            }
+        }
+    }
+    Some(
+        (0..states)
+            .map(|idx| model.state_model(idx, model.state_prob(idx)))
+            .collect(),
+    )
+}
+
+/// What one exhaustive sweep enumerates: one canonical profile per orbit
+/// of the detected symmetry, or every profile when there is none.
+struct Domain {
+    symmetry: Option<Symmetry>,
+    /// Indices in the domain: the orbit count or the space size.
+    size: u128,
+}
+
+impl Domain {
+    fn detect<M: BayesianModel>(
+        model: &M,
+        space: &CompiledSpace<M::Action>,
+    ) -> Result<Domain, SolveError> {
+        let symmetry = Some(Symmetry::detect(model, space)).filter(|sym| !sym.is_trivial());
+        let size = match &symmetry {
+            None => space.space_size()?,
+            Some(sym) => sym.orbit_count()?,
+        };
+        Ok(Domain { symmetry, size })
+    }
+}
+
+/// The budget check of an exhaustive solve, before anything is swept.
+fn gate(required: u128, max_profiles: u128) -> Result<(), SolveError> {
+    if required > max_profiles {
+        return Err(SolveError::BudgetExceeded {
+            required,
+            max_profiles,
+        });
+    }
+    Ok(())
 }
 
 /// Outcome of one kernel-driven dynamics run.
@@ -1320,7 +1444,7 @@ mod tests {
             1.0
         }
 
-        fn state_model(&self, _idx: usize) -> Self {
+        fn state_model(&self, _idx: usize, _prob: f64) -> Self {
             HugeSpaceModel { dominated: false }
         }
     }
@@ -1354,13 +1478,49 @@ mod tests {
         assert_eq!(report.measures.worst_eq_c, 0.0);
     }
 
-    /// `k` interchangeable one-type binary agents whose costs are exact
-    /// integer counts (so every permutation is bitwise cost-preserving).
-    /// Playing action 1 costs 1, so the all-zeros profile is optimal and
-    /// the unique equilibrium. The one state's game is a 4-agent copy:
-    /// the complete-information side is gated on the full state size.
+    /// Binary agents whose costs are exact integer counts (so every
+    /// permutation of agents with the same types is bitwise
+    /// cost-preserving). Playing action 1 costs 1, so the all-zeros
+    /// profile is optimal and the unique equilibrium. A state game keeps
+    /// at most 4 agents, so a one-state model of many agents still has an
+    /// enumerable complete-information side. Every `social_cost` call is
+    /// counted, the state games' calls included.
     struct CountingModel {
         agents: usize,
+        /// Each support state's type tuple.
+        states: Vec<Vec<usize>>,
+        calls: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl CountingModel {
+        /// `agents` interchangeable one-type agents in one state.
+        fn new(agents: usize) -> Self {
+            CountingModel {
+                agents,
+                states: vec![vec![0; agents]],
+                calls: Default::default(),
+            }
+        }
+
+        /// `states` support states, every agent at type `t` in state `t`
+        /// (a diagonal support); with `shared`, agent 0 is at type 0 in
+        /// state 1 too, so that slot appears in two states and agent 0's
+        /// type 1 in none.
+        fn diagonal(agents: usize, states: usize, shared: bool) -> Self {
+            let mut types: Vec<Vec<usize>> = (0..states).map(|t| vec![t; agents]).collect();
+            if shared {
+                types[1][0] = 0;
+            }
+            CountingModel {
+                agents,
+                states: types,
+                calls: Default::default(),
+            }
+        }
+
+        fn calls(&self) -> u64 {
+            self.calls.load(std::sync::atomic::Ordering::Relaxed)
+        }
     }
 
     impl BayesianModel for CountingModel {
@@ -1370,20 +1530,34 @@ mod tests {
             self.agents
         }
 
-        fn type_count(&self, _agent: usize) -> usize {
-            1
+        fn type_count(&self, agent: usize) -> usize {
+            self.states
+                .iter()
+                .map(|types| types[agent] + 1)
+                .max()
+                .unwrap()
         }
 
-        fn type_weight(&self, _agent: usize, _tau: usize) -> f64 {
-            1.0
+        fn type_weight(&self, agent: usize, tau: usize) -> f64 {
+            let states = self.states.iter().filter(|types| types[agent] == tau);
+            states.count() as f64
         }
 
-        fn candidate_actions(&self, _agent: usize, _tau: usize) -> Result<Vec<usize>, SolveError> {
-            Ok(vec![0, 1])
+        fn candidate_actions(&self, agent: usize, tau: usize) -> Result<Vec<usize>, SolveError> {
+            Ok(if self.type_weight(agent, tau) > 0.0 {
+                vec![0, 1]
+            } else {
+                vec![0]
+            })
         }
 
         fn social_cost(&self, profile: &Vec<Vec<usize>>) -> f64 {
-            profile.iter().flatten().map(|&a| a as f64).sum()
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.states
+                .iter()
+                .flat_map(|types| profile.iter().zip(types).map(|(s, &t)| s[t] as f64))
+                .sum()
         }
 
         fn interim_cost(
@@ -1406,19 +1580,55 @@ mod tests {
         }
 
         fn state_count(&self) -> usize {
-            1
+            self.states.len()
         }
 
         fn state_prob(&self, _idx: usize) -> f64 {
-            1.0
+            1.0 / self.states.len() as f64
         }
 
-        fn state_model(&self, _idx: usize) -> Self {
-            CountingModel { agents: 4 }
+        fn state_types(&self, idx: usize) -> Option<&[usize]> {
+            Some(&self.states[idx])
         }
 
-        fn agents_interchangeable(&self, _a: usize, _b: usize) -> bool {
-            true
+        fn state_model(&self, _idx: usize, _prob: f64) -> Self {
+            CountingModel {
+                calls: std::sync::Arc::clone(&self.calls),
+                ..CountingModel::new(self.agents.min(4))
+            }
+        }
+
+        fn agents_interchangeable(&self, a: usize, b: usize) -> bool {
+            self.states.iter().all(|types| types[a] == types[b])
+        }
+    }
+
+    #[test]
+    fn diagonal_support_sweeps_each_state_alone() {
+        // Two interchangeable binary agents in four states: 2^8 = 256
+        // profiles, but each state game has multichoose(2, 2) = 3 orbits,
+        // so the split sweep evaluates 4 · 3 = 12 profiles.
+        let diagonal = CountingModel::diagonal(2, 4, false);
+        // One shared slot makes the whole model one sweep. The agents
+        // are no longer interchangeable and agent 0's type 1 is in no
+        // state (one candidate): 2^3 · 2^4 = 128 profiles, all evaluated.
+        let shared = CountingModel::diagonal(2, 4, true);
+        for (model, full, evaluated) in [(&diagonal, 256, 12), (&shared, 128, 128)] {
+            let space = CompiledSpace::compile(model).unwrap();
+            let stats = Solver::default()
+                .exhaustive(model, &space, evaluated)
+                .unwrap();
+            assert_eq!(model.calls(), evaluated as u64);
+            assert_eq!(stats.evaluated, full);
+            assert!(stats.found_equilibrium);
+            assert_eq!((stats.opt_p, stats.worst_eq_p), (0.0, 0.0));
+            let err = Solver::default()
+                .exhaustive(model, &space, evaluated - 1)
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                SolveError::BudgetExceeded { required, .. } if required == evaluated
+            ));
         }
     }
 
@@ -1426,7 +1636,7 @@ mod tests {
     fn symmetric_spaces_past_the_enumeration_limit_solve_by_orbits() {
         // 2^30 profiles, far past MAX_ENUMERATION, but only 31 orbits:
         // the budget gates the sweep it runs, over the orbits.
-        let model = CountingModel { agents: 30 };
+        let model = CountingModel::new(30);
         assert!(BayesianModel::strategy_space_size(&model).unwrap() > MAX_ENUMERATION);
         let report = Solver::default().solve(&model).unwrap();
         assert_eq!(report.profiles_evaluated, 1 << 30);

@@ -556,10 +556,25 @@ impl BayesianModel for BayesianNcsGame {
         self.support[idx].1
     }
 
-    fn state_model(&self, idx: usize) -> Self {
-        let prior = Prior::joint(vec![(self.support[idx].0.clone(), 1.0)]);
-        BayesianNcsGame::with_limits(self.graph.clone(), prior, self.limits)
-            .expect("a support state of a valid game is a valid game")
+    fn state_types(&self, idx: usize) -> Option<&[usize]> {
+        Some(&self.support_type_idx[idx])
+    }
+
+    fn state_model(&self, idx: usize, prob: f64) -> Self {
+        // Built directly rather than through a `Prior`, whose validation
+        // wants the weights to sum to 1. The state's types were checked
+        // feasible when `self` was built.
+        let types = &self.support[idx].0;
+        let k = types.len();
+        BayesianNcsGame {
+            graph: self.graph.clone(),
+            support: vec![(types.clone(), prob)],
+            agent_types: types.iter().map(|&t| vec![t]).collect(),
+            support_type_idx: vec![vec![0; k]],
+            state_games: vec![self.state_games[idx].clone()],
+            type_weights: vec![vec![prob]; k],
+            limits: self.limits,
+        }
     }
 
     fn state_too_large(&self, required: u128) -> SolveError {

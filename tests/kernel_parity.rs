@@ -101,8 +101,8 @@ impl<M: BayesianModel> BayesianModel for Uncompiled<M> {
         self.0.state_prob(idx)
     }
 
-    fn state_model(&self, idx: usize) -> Self {
-        Uncompiled(self.0.state_model(idx))
+    fn state_model(&self, idx: usize, prob: f64) -> Self {
+        Uncompiled(self.0.state_model(idx, prob))
     }
 
     fn state_too_large(&self, required: u128) -> SolveError {
