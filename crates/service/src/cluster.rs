@@ -29,6 +29,18 @@
 //! mapping), and readmission restores the original assignment exactly.
 //! Both properties are locked by unit tests below.
 //!
+//! The router serves on the same reactor as a node ([`crate::server`]):
+//! it is a [`Dispatcher`] that answers `GET /healthz`, `GET /metrics`
+//! and `GET /debug/trace` on the reactor thread and hands every
+//! `POST /solve` and `POST /solve_batch` to a bounded pool of
+//! forwarders, one per pooled upstream connection (`backends ×
+//! pool_capacity`). The forwarders block on upstream I/O, retries and
+//! backoff; the reactor never does. A full forward queue is answered
+//! `429` + `Retry-After`, exactly as a node sheds load. Connection and
+//! status counters and stage histograms live in the embedded fallback
+//! engine's [`crate::metrics::ServiceMetrics`]; the router adds only
+//! its own fallback, retry and replication counters.
+//!
 //! Health is probed (`GET /healthz`) on an interval; forwarding failures
 //! count against the same consecutive-failure threshold, so a backend
 //! that dies mid-burst is ejected by the traffic itself rather than
@@ -55,29 +67,33 @@
 //! exponential backoff, honoring an upstream `Retry-After`. An exhausted
 //! budget falls back per [`FallbackMode`], exactly like a dead cluster.
 //!
-//! **Tracing**: every downstream request gets a 64-bit trace id —
-//! adopted from an `X-Bi-Trace` header when present, minted otherwise —
-//! and a root `route` span. The router records `ring_lookup` and one
-//! `upstream` span per forward attempt into its [`Recorder`], and
-//! forwards the trace id plus the upstream span id (`X-Bi-Trace` /
-//! `X-Bi-Parent`) so the backend's own spans nest under this hop. The
-//! local fallback engine shares the router's recorder, so fallback
-//! solves land in the same `GET /debug/trace` dump.
+//! **Tracing**: the reactor gives every downstream request a 64-bit
+//! trace id — adopted from an `X-Bi-Trace` header when present, minted
+//! otherwise — plus `parse`/`write` spans and a root `route` span. The
+//! forwarders record `ring_lookup` and one `upstream` span per forward
+//! attempt, and forward the trace id plus the upstream span id
+//! (`X-Bi-Trace` / `X-Bi-Parent`) so the backend's own spans nest under
+//! this hop. Everything lands in the fallback engine's [`Recorder`], so
+//! routing spans and fallback solves share one `GET /debug/trace` dump.
+//!
+//! [`Recorder`]: bi_obs::Recorder
+//! [`Dispatcher`]: crate::server
 
 use std::collections::{HashSet, VecDeque};
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bi_obs::{Recorder, Stage, StageTimings, TraceCtx};
+use bi_obs::{Stage, TraceCtx};
 use bi_util::{fnv1a, Decode, Encode, Json};
 
 use crate::cache::{CacheConfig, ShardedLru};
 use crate::fault::mix;
-use crate::http::{read_request, ClientResponse, HttpClient, Response};
+use crate::http::{ClientResponse, HttpClient, Response};
+use crate::server::{serve, Dispatcher, Engine, Reply, Request, ServerConfig};
 use crate::service::{error_body, BatchRequest, FastOutcome, SolveRequest, SolveService};
 
 /// What the router does with a request when every backend is dead.
@@ -192,7 +208,9 @@ pub struct RouterConfig {
     pub connect_timeout: Duration,
     /// Response deadline for a forwarded request.
     pub upstream_timeout: Duration,
-    /// Pooled keep-alive connections retained per backend.
+    /// Pooled keep-alive connections retained per backend. The router
+    /// runs one forwarder thread per pooled connection
+    /// (`backends × pool_capacity`, at least one).
     pub pool_capacity: usize,
     /// Sizing of the body-bytes → routing-hash cache (skips re-decoding
     /// hot canonical bodies).
@@ -304,16 +322,11 @@ impl Backend {
     }
 }
 
-/// The router's own counters (`GET /metrics`).
+/// The router-only counters of `GET /metrics`; request, connection and
+/// status counts and the stage histograms are the reactor's, kept in
+/// the fallback engine's `ServiceMetrics`.
 #[derive(Default)]
 struct RouterMetrics {
-    requests_total: AtomicU64,
-    solve_requests: AtomicU64,
-    batch_requests: AtomicU64,
-    connections_total: AtomicU64,
-    responses_2xx: AtomicU64,
-    responses_4xx: AtomicU64,
-    responses_5xx: AtomicU64,
     fallback_local: AtomicU64,
     fallback_503: AtomicU64,
     /// Forward attempts that failed at the transport (connect/read) —
@@ -333,20 +346,6 @@ struct RouterMetrics {
     read_repairs: AtomicU64,
     /// Repair jobs dropped (queue overflow or delivery given up).
     repair_drops: AtomicU64,
-    /// Per-stage latency histograms (`route`, `ring_lookup`,
-    /// `upstream`, …) — fed on every request regardless of tracing.
-    stages: StageTimings,
-}
-
-impl RouterMetrics {
-    fn record_status(&self, status: u16) {
-        let counter = match status {
-            200..=299 => &self.responses_2xx,
-            400..=499 => &self.responses_4xx,
-            _ => &self.responses_5xx,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// One pending `POST /cache_put` delivery: bring `backend` a copy of
@@ -377,7 +376,8 @@ struct RepairQueue {
 /// refusing while nominally alive).
 const REPAIR_MAX_ATTEMPTS: u32 = 64;
 
-/// Everything the accept loop, connection threads, and prober share.
+/// Everything the reactor, the forwarders, the prober and the repair
+/// worker share; it is also the router's [`Dispatcher`].
 struct Shared {
     config: RouterConfig,
     ring: HashRing,
@@ -385,15 +385,63 @@ struct Shared {
     metrics: RouterMetrics,
     /// Exact canonical body bytes → routing hash (skips re-decode).
     key_cache: ShardedLru<u64>,
-    /// The local-solve fallback engine (shares `recorder`).
+    /// The local-solve fallback engine. Its metrics and flight recorder
+    /// are the router's: the reactor counts requests and statuses there,
+    /// and every routing span lands in its recorder.
     local: SolveService,
-    /// The span flight recorder behind `GET /debug/trace`.
-    recorder: Arc<Recorder>,
     /// Pending replica deliveries, drained by the repair worker.
     repair: Mutex<RepairQueue>,
     /// Router start time — the epoch of `last_probe_ms`.
     started: Instant,
+    /// Stops the prober and the repair worker.
     shutdown: AtomicBool,
+}
+
+/// A `POST /solve` or `POST /solve_batch` body (copied out of the
+/// connection buffer) on its way to a forwarder, with its trace.
+enum Forward {
+    Solve(Vec<u8>, TraceCtx),
+    Batch(Vec<u8>, TraceCtx),
+}
+
+impl Dispatcher for Shared {
+    type Job = Forward;
+    const ROOT: Stage = Stage::Route;
+    const NAME: &'static str = "bi-router";
+
+    fn service(&self) -> &SolveService {
+        &self.local
+    }
+
+    fn dispatch(&self, request: &Request<'_>, reply: &mut Reply<'_>) -> Option<Forward> {
+        match (request.method, request.path) {
+            (b"POST", b"/solve") => {
+                return Some(Forward::Solve(request.body.to_vec(), request.ctx))
+            }
+            (b"POST", b"/solve_batch") => {
+                return Some(Forward::Batch(request.body.to_vec(), request.ctx));
+            }
+            (b"GET", b"/healthz") => reply.send(200, &healthz_json(self).canonical_bytes(), &[]),
+            (b"GET", b"/metrics") => {
+                reply.send(200, metrics_json(self).to_string().as_bytes(), &[])
+            }
+            (b"GET", b"/debug/trace") => {
+                reply.send(200, self.local.trace_json().to_string().as_bytes(), &[]);
+            }
+            (_, b"/solve" | b"/solve_batch" | b"/healthz" | b"/metrics" | b"/debug/trace") => {
+                reply.send(405, &error_body("method not allowed"), &[]);
+            }
+            _ => reply.send(404, &error_body("unknown endpoint"), &[]),
+        }
+        None
+    }
+
+    fn run(&self, job: Forward) -> Response {
+        match job {
+            Forward::Solve(body, ctx) => handle_solve(self, &body, ctx),
+            Forward::Batch(body, ctx) => handle_batch(self, &body, ctx),
+        }
+    }
 }
 
 /// A bound (but not yet serving) router.
@@ -413,14 +461,12 @@ impl Router {
         let ring = HashRing::new(config.backends.len(), config.vnodes);
         let backends = config.backends.iter().cloned().map(Backend::new).collect();
         let key_cache = ShardedLru::new(config.key_cache);
-        let recorder = Arc::new(Recorder::default());
         let shared = Arc::new(Shared {
             ring,
             backends,
             metrics: RouterMetrics::default(),
             key_cache,
-            local: SolveService::with_recorder(config.key_cache, None, Arc::clone(&recorder)),
-            recorder,
+            local: SolveService::new(config.key_cache),
             repair: Mutex::new(RepairQueue::default()),
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
@@ -438,19 +484,24 @@ impl Router {
         self.listener.local_addr()
     }
 
-    /// Starts the accept loop and health prober; returns the stop handle.
+    /// Starts the reactor with its forwarders, the health prober and the
+    /// repair worker; returns the stop handle.
     ///
     /// # Errors
     ///
     /// Propagates socket setup failures.
     pub fn start(self) -> io::Result<RouterHandle> {
-        let addr = self.local_addr()?;
-        self.listener.set_nonblocking(true)?;
-        let accept = {
-            let shared = Arc::clone(&self.shared);
-            let listener = self.listener;
-            std::thread::spawn(move || accept_loop(&listener, &shared))
+        let config = &self.shared.config;
+        let engine_config = ServerConfig {
+            // One forwarder per pooled upstream connection.
+            workers: (config.backends.len() * config.pool_capacity).max(1),
+            read_timeout: config.read_timeout,
+            trace_slow_us: config.trace_slow_us,
+            // The forward-queue bound and the connection cap are a
+            // node's defaults.
+            ..ServerConfig::default()
         };
+        let engine = serve(self.listener, Arc::clone(&self.shared), &engine_config)?;
         let prober = {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || probe_loop(&shared))
@@ -460,11 +511,10 @@ impl Router {
             std::thread::spawn(move || repair_loop(&shared))
         };
         Ok(RouterHandle {
-            addr,
+            engine,
             shared: self.shared,
-            accept: Some(accept),
-            prober: Some(prober),
-            repairer: Some(repairer),
+            prober,
+            repairer,
         })
     }
 
@@ -474,28 +524,24 @@ impl Router {
     ///
     /// Propagates startup failures; never returns otherwise.
     pub fn run(self) -> io::Result<()> {
-        let handle = self.start()?;
-        if let Some(accept) = handle.accept {
-            let _ = accept.join();
-        }
+        self.start()?.engine.join();
         Ok(())
     }
 }
 
 /// A running router: address plus the stop switch.
 pub struct RouterHandle {
-    addr: SocketAddr,
+    engine: Engine<Forward>,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    prober: Option<JoinHandle<()>>,
-    repairer: Option<JoinHandle<()>>,
+    prober: JoinHandle<()>,
+    repairer: JoinHandle<()>,
 }
 
 impl RouterHandle {
     /// The routing address.
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.engine.addr()
     }
 
     /// The `GET /metrics` document (for asserting in tests without a
@@ -505,187 +551,13 @@ impl RouterHandle {
         metrics_json(&self.shared)
     }
 
-    /// Stops the accept loop and prober, joining every thread (open
-    /// connection handlers included).
-    pub fn stop(mut self) {
+    /// Stops the reactor, the forwarders, the prober and the repair
+    /// worker, joining every thread.
+    pub fn stop(self) {
+        self.engine.stop();
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        if let Some(prober) = self.prober.take() {
-            let _ = prober.join();
-        }
-        if let Some(repairer) = self.repairer.take() {
-            let _ = repairer.join();
-        }
-    }
-}
-
-/// Accepts connections until shutdown, one handler thread each.
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                shared
-                    .metrics
-                    .connections_total
-                    .fetch_add(1, Ordering::Relaxed);
-                let shared = Arc::clone(shared);
-                handlers.push(std::thread::spawn(move || handle_conn(&stream, &shared)));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                handlers.retain(|h| !h.is_finished());
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-    for handler in handlers {
-        let _ = handler.join();
-    }
-}
-
-/// One downstream connection: read requests, dispatch, write responses,
-/// until idle timeout, EOF, or shutdown.
-fn handle_conn(stream: &TcpStream, shared: &Shared) {
-    if stream.set_nonblocking(false).is_err() || stream.set_nodelay(true).is_err() {
-        return;
-    }
-    let Ok(clone) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(clone);
-    let poll = Duration::from_millis(100).min(shared.config.read_timeout);
-    let mut last_activity = Instant::now();
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        // Between requests, wait with a short poll so shutdown and the
-        // idle timeout stay responsive. `peek` never consumes, so a
-        // timeout here can't tear a partially read request; buffered
-        // pipelined bytes skip the gate entirely.
-        if reader.buffer().is_empty() {
-            let mut probe = [0u8; 1];
-            if stream.set_read_timeout(Some(poll)).is_err() {
-                return;
-            }
-            match stream.peek(&mut probe) {
-                Ok(0) => return, // clean EOF
-                Ok(_) => {}
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if last_activity.elapsed() > shared.config.read_timeout {
-                        return;
-                    }
-                    continue;
-                }
-                Err(_) => return,
-            }
-        }
-        // A request is arriving: give it the full read timeout.
-        if stream
-            .set_read_timeout(Some(shared.config.read_timeout))
-            .is_err()
-        {
-            return;
-        }
-        let request = match read_request(&mut reader) {
-            Ok(Some(Ok(request))) => request,
-            Ok(Some(Err(e))) => {
-                // Protocol errors poison framing: answer and close.
-                shared.metrics.record_status(e.status);
-                let response = Response::json(e.status, error_body(&e.msg));
-                let _ = response.write(&mut &*stream, false);
-                return;
-            }
-            Ok(None) | Err(_) => return,
-        };
-        last_activity = Instant::now();
-        shared
-            .metrics
-            .requests_total
-            .fetch_add(1, Ordering::Relaxed);
-        let keep_alive = request.keep_alive();
-        // Adopt the caller's trace id (mint one otherwise) and
-        // pre-allocate the root `route` span so the stages recorded
-        // below parent under it. Malformed header values degrade to a
-        // fresh trace, never an error.
-        let t_start = shared.recorder.now_ns();
-        let trace_id = request
-            .header("x-bi-trace")
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&id| id != 0)
-            .unwrap_or_else(|| shared.recorder.new_trace_id());
-        let parent = request
-            .header("x-bi-parent")
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0);
-        let root = shared.recorder.next_span_id();
-        let ctx = TraceCtx {
-            trace_id,
-            parent: root,
-        };
-        let response = match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/solve") => handle_solve(shared, &request.body, ctx),
-            ("POST", "/solve_batch") => handle_batch(shared, &request.body, ctx),
-            ("GET", "/healthz") => Response::json(200, healthz_json(shared).canonical_bytes()),
-            ("GET", "/metrics") => {
-                Response::json(200, metrics_json(shared).to_string().into_bytes())
-            }
-            ("GET", "/debug/trace") => {
-                Response::json(200, shared.recorder.to_json().to_string().into_bytes())
-            }
-            (_, "/solve" | "/solve_batch" | "/healthz" | "/metrics" | "/debug/trace") => {
-                Response::json(405, error_body("method not allowed"))
-            }
-            _ => Response::json(404, error_body("unknown endpoint")),
-        };
-        shared.metrics.record_status(response.status);
-        let write_failed = response.write(&mut &*stream, keep_alive).is_err();
-        finish_route(shared, trace_id, root, parent, t_start);
-        if write_failed || !keep_alive {
-            return;
-        }
-    }
-}
-
-/// Closes a request's root `route` span (response write included),
-/// feeds the stage histogram, and logs the whole span tree at `warn`
-/// when the request breaches the configured slow threshold.
-fn finish_route(shared: &Shared, trace_id: u64, root: u64, parent: u64, t_start: u64) {
-    let now = shared.recorder.now_ns();
-    let total_us = now.saturating_sub(t_start) / 1_000;
-    shared.metrics.stages.record(Stage::Route, total_us);
-    shared
-        .recorder
-        .record_span(root, trace_id, parent, Stage::Route, t_start, now);
-    let slow = shared
-        .config
-        .trace_slow_us
-        .is_some_and(|limit| total_us >= limit);
-    if slow && bi_obs::log::enabled(bi_obs::Level::Warn) {
-        let spans: Vec<Json> = shared
-            .recorder
-            .trace_spans(trace_id)
-            .iter()
-            .map(bi_obs::SpanEvent::to_json)
-            .collect();
-        bi_obs::log::warn(
-            "bi-router",
-            "slow request",
-            &[
-                ("trace", Json::from_u64(trace_id)),
-                ("total_us", Json::from_u64(total_us)),
-                ("spans", Json::Arr(spans)),
-            ],
-        );
+        let _ = self.prober.join();
+        let _ = self.repairer.join();
     }
 }
 
@@ -768,32 +640,38 @@ fn healthz_json(shared: &Shared) -> Json {
     ])
 }
 
-/// Records `stage` ending now: histogram always, a span event only when
-/// the request carries an active trace.
-fn finish_stage(shared: &Shared, ctx: TraceCtx, stage: Stage, t0: u64) {
-    let t1 = shared.recorder.now_ns();
-    shared
-        .metrics
-        .stages
-        .record(stage, t1.saturating_sub(t0) / 1_000);
-    if ctx.active() {
-        shared
-            .recorder
-            .record(ctx.trace_id, ctx.parent, stage, t0, t1);
-    }
-}
-
-/// The `X-Bi-Trace` / `X-Bi-Parent` header pair for a forwarded hop, so
-/// the backend's spans nest under `span` in the shared trace.
-fn trace_headers(ctx: TraceCtx, span: u64) -> Vec<(&'static str, String)> {
-    if ctx.active() {
+/// [`forward`] as one `upstream` span. The span id is minted up front so
+/// it rides the forwarded `X-Bi-Trace` / `X-Bi-Parent` headers as the
+/// backend's parent, nesting the backend's spans under this hop.
+fn forward_traced(
+    shared: &Shared,
+    idx: usize,
+    path: &str,
+    body: &[u8],
+    ctx: TraceCtx,
+) -> io::Result<ClientResponse> {
+    let recorder = shared.local.recorder();
+    let span = recorder.next_span_id();
+    let headers = if ctx.active() {
         vec![
             ("X-Bi-Trace", ctx.trace_id.to_string()),
             ("X-Bi-Parent", span.to_string()),
         ]
     } else {
         Vec::new()
+    };
+    let t0 = recorder.now_ns();
+    let outcome = forward(shared, idx, path, body, &headers);
+    let t1 = recorder.now_ns();
+    shared
+        .local
+        .metrics()
+        .stages
+        .record(Stage::Upstream, t1.saturating_sub(t0) / 1_000);
+    if ctx.active() {
+        recorder.record_span(span, ctx.trace_id, ctx.parent, Stage::Upstream, t0, t1);
     }
+    outcome
 }
 
 /// A status the router retries on another replica (or a later round)
@@ -826,15 +704,16 @@ fn retry_backoff(config: &RouterConfig, hash: u64, round: u32) -> Duration {
 /// intended owners.
 fn handle_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
     shared
-        .metrics
+        .local
+        .metrics()
         .solve_requests
         .fetch_add(1, Ordering::Relaxed);
-    let t_lookup = shared.recorder.now_ns();
+    let t_lookup = shared.local.recorder().now_ns();
     let hash = match routing_hash(shared, body) {
         Ok(hash) => hash,
         Err(response) => return response,
     };
-    finish_stage(shared, ctx, Stage::RingLookup, t_lookup);
+    shared.local.finish_stage(ctx, Stage::RingLookup, t_lookup);
     // The key's intended owners, liveness-blind: where its value should
     // live. The serve walk below skips dead backends; `schedule_repairs`
     // reconciles the difference after a successful serve.
@@ -852,34 +731,8 @@ fn handle_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
             tried[idx] = true;
             attempted = true;
             let backend = &shared.backends[idx];
-            // Each attempt is its own `upstream` span; the span id is
-            // minted up front so it can ride the forwarded headers as
-            // the backend's parent.
-            let upstream_span = shared.recorder.next_span_id();
-            let t_fwd = shared.recorder.now_ns();
-            let outcome = forward(
-                shared,
-                idx,
-                "/solve",
-                body,
-                &trace_headers(ctx, upstream_span),
-            );
-            let t_done = shared.recorder.now_ns();
-            shared
-                .metrics
-                .stages
-                .record(Stage::Upstream, t_done.saturating_sub(t_fwd) / 1_000);
-            if ctx.active() {
-                shared.recorder.record_span(
-                    upstream_span,
-                    ctx.trace_id,
-                    ctx.parent,
-                    Stage::Upstream,
-                    t_fwd,
-                    t_done,
-                );
-            }
-            match outcome {
+            // Each attempt is its own `upstream` span.
+            match forward_traced(shared, idx, "/solve", body, ctx) {
                 Ok(upstream) if retryable_status(upstream.status) => {
                     backend.record_success();
                     let cause = if upstream.status == 429 {
@@ -1125,7 +978,8 @@ fn fallback_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
 /// whose backend fails (transport or non-200) falls back whole.
 fn handle_batch(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
     shared
-        .metrics
+        .local
+        .metrics()
         .batch_requests
         .fetch_add(1, Ordering::Relaxed);
     let text = match std::str::from_utf8(body) {
@@ -1159,31 +1013,7 @@ fn handle_batch(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
         let sub_body = sub.encode().canonical_bytes();
         let backend = &shared.backends[idx];
         // One `upstream` span per sub-batch hop, same as `/solve`.
-        let upstream_span = shared.recorder.next_span_id();
-        let t_fwd = shared.recorder.now_ns();
-        let outcome = forward(
-            shared,
-            idx,
-            "/solve_batch",
-            &sub_body,
-            &trace_headers(ctx, upstream_span),
-        );
-        let t_done = shared.recorder.now_ns();
-        shared
-            .metrics
-            .stages
-            .record(Stage::Upstream, t_done.saturating_sub(t_fwd) / 1_000);
-        if ctx.active() {
-            shared.recorder.record_span(
-                upstream_span,
-                ctx.trace_id,
-                ctx.parent,
-                Stage::Upstream,
-                t_fwd,
-                t_done,
-            );
-        }
-        match outcome {
+        match forward_traced(shared, idx, "/solve_batch", &sub_body, ctx) {
             Ok(upstream) if upstream.status == 200 => {
                 backend.record_success();
                 backend.forwarded.fetch_add(1, Ordering::Relaxed);
@@ -1321,6 +1151,7 @@ fn probe(backend: &Backend, timeout: Duration) -> bool {
 /// The router's `GET /metrics` document, per-backend array included.
 fn metrics_json(shared: &Shared) -> Json {
     let load = |a: &AtomicU64| Json::from_u64(a.load(Ordering::Relaxed));
+    let served = shared.local.metrics();
     let key_cache = shared.key_cache.stats();
     let backends: Vec<Json> = shared
         .backends
@@ -1342,28 +1173,16 @@ fn metrics_json(shared: &Shared) -> Json {
         })
         .collect();
     Json::Obj(vec![
-        (
-            "requests_total".into(),
-            load(&shared.metrics.requests_total),
-        ),
-        (
-            "solve_requests".into(),
-            load(&shared.metrics.solve_requests),
-        ),
-        (
-            "batch_requests".into(),
-            load(&shared.metrics.batch_requests),
-        ),
-        (
-            "connections_total".into(),
-            load(&shared.metrics.connections_total),
-        ),
+        ("requests_total".into(), load(&served.requests_total)),
+        ("solve_requests".into(), load(&served.solve_requests)),
+        ("batch_requests".into(), load(&served.batch_requests)),
+        ("connections_total".into(), load(&served.connections_total)),
         (
             "responses".into(),
             Json::Obj(vec![
-                ("status_2xx".into(), load(&shared.metrics.responses_2xx)),
-                ("status_4xx".into(), load(&shared.metrics.responses_4xx)),
-                ("status_5xx".into(), load(&shared.metrics.responses_5xx)),
+                ("status_2xx".into(), load(&served.responses_2xx)),
+                ("status_4xx".into(), load(&served.responses_4xx)),
+                ("status_5xx".into(), load(&served.responses_5xx)),
             ]),
         ),
         (
@@ -1404,7 +1223,7 @@ fn metrics_json(shared: &Shared) -> Json {
                 ),
             ]),
         ),
-        ("stages".into(), shared.metrics.stages.to_json()),
+        ("stages".into(), served.stages.to_json()),
         (
             "key_cache".into(),
             Json::Obj(vec![

@@ -6,9 +6,11 @@
 //! status responses. Not supported (requests using them get `400`/`501`):
 //! chunked transfer encoding, upgrades, continuations.
 //!
-//! Both sides of the repo speak this module: the server parses requests
-//! with [`read_request`] and answers with [`Response::write`]; the load
-//! generator writes requests with [`write_request`] and parses responses
+//! Both sides of the repo speak this module. The reactor behind
+//! `bi-serve` and `bi-router` parses requests in place with
+//! [`parse_head`] and stages every answer through [`write_head_into`].
+//! Clients (the load generator, the router's upstream forwards, the
+//! tests) write requests with [`write_request`] and parse responses
 //! with [`read_response`].
 
 use std::io::{self, BufRead, Read, Write};
@@ -20,43 +22,11 @@ const MAX_HEAD: usize = 64 * 1024;
 /// a few thousand states fits comfortably).
 const MAX_BODY: usize = 64 * 1024 * 1024;
 
-/// A parsed HTTP request.
-#[derive(Clone, Debug)]
-pub struct Request {
-    /// The method verb, uppercased by the client (`GET`, `POST`, …).
-    pub method: String,
-    /// The request target (path + optional query), e.g. `/solve`.
-    pub path: String,
-    /// Header `(name, value)` pairs; names lowercased.
-    pub headers: Vec<(String, String)>,
-    /// The request body (empty without `Content-Length`).
-    pub body: Vec<u8>,
-}
-
-impl Request {
-    /// The value of header `name` (lowercase), if present.
-    #[must_use]
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Whether the connection should stay open after this exchange
-    /// (HTTP/1.1 default unless `Connection: close`).
-    #[must_use]
-    pub fn keep_alive(&self) -> bool {
-        !self
-            .header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
-    }
-}
-
 /// A request parse failure, mapped to a status code by the server.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HttpError {
-    /// The status the server should answer with (`400` or `501`).
+    /// The status the server should answer with (`400`, `413`, `431` or
+    /// `501`).
     pub status: u16,
     /// What was wrong.
     pub msg: String,
@@ -77,86 +47,6 @@ fn bad(msg: impl Into<String>) -> HttpError {
     }
 }
 
-/// Reads one request from `stream`.
-///
-/// Returns `Ok(None)` on clean end-of-stream before any byte of a
-/// request (the keep-alive peer hung up), `Err(Ok(HttpError))`-style
-/// protocol failures as the inner `Result`, and transport failures as
-/// `io::Error`.
-///
-/// # Errors
-///
-/// `io::Error` for transport failures (including read timeouts).
-pub fn read_request<S: BufRead>(stream: &mut S) -> io::Result<Option<Result<Request, HttpError>>> {
-    let mut line = String::new();
-    if read_limited_line(stream, &mut line, MAX_HEAD)? == 0 {
-        return Ok(None); // clean EOF between requests
-    }
-    let mut parts = line.split_whitespace();
-    let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
-    else {
-        return Ok(Some(Err(bad("malformed request line"))));
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Ok(Some(Err(bad("unsupported HTTP version"))));
-    }
-    let method = method.to_string();
-    let path = path.to_string();
-    let mut headers = Vec::new();
-    let mut head_bytes = line.len();
-    loop {
-        line.clear();
-        if read_limited_line(stream, &mut line, MAX_HEAD)? == 0 {
-            return Ok(Some(Err(bad("connection closed inside headers"))));
-        }
-        head_bytes += line.len();
-        if head_bytes > MAX_HEAD {
-            return Ok(Some(Err(bad("header block too large"))));
-        }
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() {
-            break;
-        }
-        let Some((name, value)) = trimmed.split_once(':') else {
-            return Ok(Some(Err(bad("malformed header"))));
-        };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-    if headers
-        .iter()
-        .any(|(k, v)| k == "transfer-encoding" && !v.eq_ignore_ascii_case("identity"))
-    {
-        return Ok(Some(Err(HttpError {
-            status: 501,
-            msg: "transfer encodings are not supported".into(),
-        })));
-    }
-    let mut body = Vec::new();
-    if let Some(len) = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| v.as_str())
-    {
-        let Ok(len) = len.parse::<usize>() else {
-            return Ok(Some(Err(bad("invalid Content-Length"))));
-        };
-        if len > MAX_BODY {
-            return Ok(Some(Err(HttpError {
-                status: 413,
-                msg: "body too large".into(),
-            })));
-        }
-        body = vec![0u8; len];
-        stream.read_exact(&mut body)?;
-    }
-    Ok(Some(Ok(Request {
-        method,
-        path,
-        headers,
-        body,
-    })))
-}
-
 /// One request head parsed **in place** from a connection buffer: all
 /// text is addressed as ranges into the scanned bytes, so the reactor's
 /// hot path allocates nothing.
@@ -174,7 +64,8 @@ pub struct Head {
     pub keep_alive: bool,
     /// The trace id adopted from an `X-Bi-Trace` header (decimal u64),
     /// if the peer sent one — how a router's trace id survives the hop
-    /// into a backend. Malformed values are ignored, not errors.
+    /// into a backend. Malformed values and `0` (the recorder's "no
+    /// trace" id) are ignored, not errors.
     pub trace_id: Option<u64>,
     /// The parent span id from an `X-Bi-Parent` header (decimal u64):
     /// the upstream span this request's root span nests under.
@@ -197,11 +88,12 @@ impl Head {
 /// (read more), `Ok(Some(head))` once the request line and headers are
 /// complete (the body may still be in flight — compare
 /// [`Head::total_len`] with the buffered length), and `Err` on protocol
-/// violations mapped to response statuses, exactly like [`read_request`].
+/// violations mapped to response statuses.
 ///
 /// # Errors
 ///
-/// `400` malformed line/header/length, `413` oversized declared body,
+/// `400` malformed line/header/length (a `Content-Length` must be
+/// digits only, and repeats must agree), `413` oversized declared body,
 /// `431` head larger than the protocol cap, `501` transfer encodings.
 pub fn parse_head(buf: &[u8]) -> Result<Option<Head>, HttpError> {
     let Some(head_len) = find_head_end(buf) else {
@@ -229,7 +121,7 @@ pub fn parse_head(buf: &[u8]) -> Result<Option<Head>, HttpError> {
     if parts.next().is_some() || !buf[version.clone()].starts_with(b"HTTP/1.") {
         return Err(bad("unsupported HTTP version"));
     }
-    let mut body_len = 0usize;
+    let mut body_len = None;
     let mut keep_alive = true;
     let mut trace_id = None;
     let mut parent_span = None;
@@ -245,18 +137,23 @@ pub fn parse_head(buf: &[u8]) -> Result<Option<Head>, HttpError> {
         let name = trim_ascii(&line[..colon]);
         let value = trim_ascii(&line[colon + 1..]);
         if name.eq_ignore_ascii_case(b"content-length") {
-            let text = std::str::from_utf8(value).map_err(|_| bad("invalid Content-Length"))?;
-            body_len = text.parse().map_err(|_| bad("invalid Content-Length"))?;
-            if body_len > MAX_BODY {
+            let len = parse_content_length(value)?;
+            // RFC 9112 §6.3: repeated lengths that disagree make the
+            // framing ambiguous.
+            if body_len.is_some_and(|prev| prev != len) {
+                return Err(bad("conflicting Content-Length headers"));
+            }
+            if len > MAX_BODY {
                 return Err(HttpError {
                     status: 413,
                     msg: "body too large".into(),
                 });
             }
+            body_len = Some(len);
         } else if name.eq_ignore_ascii_case(b"connection") {
             keep_alive = !value.eq_ignore_ascii_case(b"close");
         } else if name.eq_ignore_ascii_case(b"x-bi-trace") {
-            trace_id = parse_decimal_u64(value);
+            trace_id = parse_decimal_u64(value).filter(|&id| id != 0);
         } else if name.eq_ignore_ascii_case(b"x-bi-parent") {
             parent_span = parse_decimal_u64(value);
         } else if name.eq_ignore_ascii_case(b"transfer-encoding")
@@ -272,11 +169,23 @@ pub fn parse_head(buf: &[u8]) -> Result<Option<Head>, HttpError> {
         method,
         path,
         head_len,
-        body_len,
+        body_len: body_len.unwrap_or(0),
         keep_alive,
         trace_id,
         parent_span,
     }))
+}
+
+/// A `Content-Length` value: `1*DIGIT` only (no sign, no spaces inside),
+/// and small enough for `usize`.
+fn parse_content_length(value: &[u8]) -> Result<usize, HttpError> {
+    if value.is_empty() || !value.iter().all(u8::is_ascii_digit) {
+        return Err(bad("invalid Content-Length"));
+    }
+    std::str::from_utf8(value)
+        .ok()
+        .and_then(|text| text.parse().ok())
+        .ok_or_else(|| bad("invalid Content-Length"))
 }
 
 /// A decimal `u64` header value, or `None` when malformed — trace
@@ -347,15 +256,14 @@ fn read_limited_line<S: BufRead>(
     Ok(n)
 }
 
-/// An outgoing HTTP response.
+/// An outgoing JSON response built off the reactor thread (a pool job's
+/// answer), staged by the reactor through [`write_head_into`].
 #[derive(Clone, Debug)]
 pub struct Response {
     /// The status code.
     pub status: u16,
     /// The response body.
     pub body: Vec<u8>,
-    /// The `Content-Type` (the service always speaks JSON).
-    pub content_type: &'static str,
     /// Extra `(name, value)` headers (e.g. `X-Cache`).
     pub extra_headers: Vec<(&'static str, String)>,
 }
@@ -367,7 +275,6 @@ impl Response {
         Response {
             status,
             body: body.into(),
-            content_type: "application/json",
             extra_headers: Vec::new(),
         }
     }
@@ -378,37 +285,11 @@ impl Response {
         self.extra_headers.push((name, value.into()));
         self
     }
-
-    /// Writes the response; `keep_alive` controls the `Connection`
-    /// header.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport failures.
-    pub fn write<S: Write>(&self, stream: &mut S, keep_alive: bool) -> io::Result<()> {
-        let mut head = Vec::with_capacity(128);
-        let extra: Vec<(&str, &str)> = self
-            .extra_headers
-            .iter()
-            .map(|(k, v)| (*k, v.as_str()))
-            .collect();
-        write_head_into(
-            &mut head,
-            self.status,
-            self.content_type,
-            self.body.len(),
-            keep_alive,
-            &extra,
-        );
-        stream.write_all(&head)?;
-        stream.write_all(&self.body)?;
-        stream.flush()
-    }
 }
 
-/// Serializes a response head into `out` (cleared first) — the one head
-/// writer both [`Response::write`] and the reactor's reusable
-/// per-connection head buffer go through.
+/// Serializes a response head into `out` (cleared first) — the one
+/// response head writer: every answer the reactor stages, and the
+/// connection-cap rejection, go through it.
 pub fn write_head_into(
     out: &mut Vec<u8>,
     status: u16,
@@ -482,18 +363,21 @@ pub fn write_request_with<S: Write>(
     keep_alive: bool,
     extra: &[(&str, String)],
 ) -> io::Result<()> {
+    // Head and body leave in one write: a split write costs the peer an
+    // extra wakeup per request.
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let mut head = format!(
+    let mut message = Vec::with_capacity(160 + body.len());
+    write!(
+        message,
         "{method} {path} HTTP/1.1\r\nHost: bi-serve\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
         body.len(),
-    );
+    )?;
     for (name, value) in extra {
-        use std::fmt::Write as _;
-        write!(head, "{name}: {value}\r\n").expect("writing to a String cannot fail");
+        write!(message, "{name}: {value}\r\n")?;
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    message.extend_from_slice(b"\r\n");
+    message.extend_from_slice(body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 
@@ -662,64 +546,110 @@ mod tests {
     fn requests_round_trip_through_the_wire_format() {
         let mut wire = Vec::new();
         write_request(&mut wire, "POST", "/solve", b"{\"x\":1}", true).unwrap();
-        let req = read_request(&mut BufReader::new(&wire[..]))
-            .unwrap()
-            .unwrap()
-            .unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/solve");
-        assert_eq!(req.body, b"{\"x\":1}");
-        assert!(req.keep_alive());
-        assert_eq!(req.header("content-type"), Some("application/json"));
+        let head = parse_head(&wire).unwrap().unwrap();
+        assert_eq!(&wire[head.method.clone()], b"POST");
+        assert_eq!(&wire[head.path.clone()], b"/solve");
+        assert_eq!(&wire[head.head_len..head.total_len()], b"{\"x\":1}");
+        assert_eq!(head.total_len(), wire.len());
+        assert!(head.keep_alive);
+        let text = String::from_utf8(wire).unwrap();
+        assert!(
+            text.contains("\r\nContent-Type: application/json\r\n"),
+            "{text}"
+        );
     }
 
     #[test]
     fn connection_close_is_honored() {
         let mut wire = Vec::new();
         write_request(&mut wire, "GET", "/healthz", b"", false).unwrap();
-        let req = read_request(&mut BufReader::new(&wire[..]))
-            .unwrap()
-            .unwrap()
-            .unwrap();
-        assert!(!req.keep_alive());
+        let head = parse_head(&wire).unwrap().unwrap();
+        assert!(!head.keep_alive);
+    }
+
+    /// A writer that records each `write` call separately.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
     }
 
     #[test]
-    fn eof_between_requests_is_clean() {
-        let wire: &[u8] = b"";
-        assert!(read_request(&mut BufReader::new(wire)).unwrap().is_none());
+    fn a_request_leaves_in_one_write() {
+        let mut writes = Writes::default();
+        write_request_with(
+            &mut writes,
+            "POST",
+            "/solve",
+            b"{\"x\":1}",
+            true,
+            &[("X-Bi-Trace", "5".to_string())],
+        )
+        .unwrap();
+        assert_eq!(writes.0.len(), 1, "head and body must share one write");
+        let head = parse_head(&writes.0[0]).unwrap().unwrap();
+        assert_eq!(head.trace_id, Some(5));
+        assert_eq!(head.total_len(), writes.0[0].len());
     }
 
     #[test]
     fn responses_round_trip() {
         let mut wire = Vec::new();
-        Response::json(200, br#"{"ok":true}"#.to_vec())
-            .with_header("X-Cache", "hit")
-            .write(&mut wire, true)
-            .unwrap();
+        write_head_into(
+            &mut wire,
+            200,
+            "application/json",
+            11,
+            true,
+            &[("X-Cache", "hit")],
+        );
+        wire.extend_from_slice(br#"{"ok":true}"#);
         let resp = read_response(&mut BufReader::new(&wire[..])).unwrap();
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, br#"{"ok":true}"#);
         assert_eq!(resp.header("x-cache"), Some("hit"));
+        assert_eq!(resp.header("content-type"), Some("application/json"));
         assert_eq!(resp.header("connection"), Some("keep-alive"));
     }
 
     #[test]
     fn malformed_requests_report_protocol_errors() {
-        let cases: [(&[u8], u16); 4] = [
+        let huge = format!(
+            "POST /solve HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
+        let cases: [(&[u8], u16); 11] = [
             (b"NONSENSE\r\n\r\n", 400),
             (b"GET /x SPDY/3\r\n\r\n", 400),
             (b"POST /solve HTTP/1.1\r\nContent-Length: nine\r\n\r\n", 400),
+            (b"POST /solve HTTP/1.1\r\nContent-Length: +5\r\n\r\n", 400),
+            (b"POST /solve HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+            (b"POST /solve HTTP/1.1\r\nContent-Length:\r\n\r\n", 400),
+            (
+                b"POST /solve HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 500\r\n\r\n",
+                400,
+            ),
             (
                 b"POST /solve HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
                 501,
             ),
+            (b"POST / HTTP/1.1\r\nno-colon-header\r\n\r\n", 400),
+            (huge.as_bytes(), 413),
+            (
+                b"POST /solve HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n",
+                400,
+            ),
         ];
         for (wire, status) in cases {
-            let err = read_request(&mut BufReader::new(wire))
-                .unwrap()
-                .unwrap()
-                .unwrap_err();
+            let err = parse_head(wire).unwrap_err();
             assert_eq!(
                 err.status,
                 status,
@@ -727,19 +657,19 @@ mod tests {
                 String::from_utf8_lossy(wire)
             );
         }
+        // Repeats that agree are not ambiguous.
+        let twice = b"POST /solve HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\n";
+        assert_eq!(parse_head(twice).unwrap().unwrap().body_len, 5);
     }
 
     #[test]
     fn oversized_bodies_are_rejected_cheaply() {
+        // The head alone decides: no body byte has to be buffered.
         let wire = format!(
             "POST /solve HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY + 1
         );
-        let err = read_request(&mut BufReader::new(wire.as_bytes()))
-            .unwrap()
-            .unwrap()
-            .unwrap_err();
-        assert_eq!(err.status, 413);
+        assert_eq!(parse_head(wire.as_bytes()).unwrap_err().status, 413);
     }
 
     #[test]
@@ -766,7 +696,14 @@ mod tests {
 
     #[test]
     fn incremental_parse_matches_the_blocking_parser_on_errors() {
-        let cases: [(&[u8], u16); 5] = [
+        // A head that arrives a byte at a time must end in the same
+        // status as one read whole: every strict prefix before the
+        // terminator is Incomplete, and the full head is the error.
+        let huge = format!(
+            "POST /solve HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
+        let cases: [(&[u8], u16); 6] = [
             (b"NONSENSE\r\n\r\n", 400),
             (b"GET /x SPDY/3\r\n\r\n", 400),
             (b"POST /solve HTTP/1.1\r\nContent-Length: nine\r\n\r\n", 400),
@@ -775,8 +712,16 @@ mod tests {
                 501,
             ),
             (b"POST / HTTP/1.1\r\nno-colon-header\r\n\r\n", 400),
+            (huge.as_bytes(), 413),
         ];
         for (wire, status) in cases {
+            for cut in 0..wire.len() {
+                assert!(
+                    parse_head(&wire[..cut]).unwrap().is_none(),
+                    "prefix of {cut} bytes of {:?} must be incomplete",
+                    String::from_utf8_lossy(wire)
+                );
+            }
             let err = parse_head(wire).unwrap_err();
             assert_eq!(
                 err.status,
@@ -785,11 +730,6 @@ mod tests {
                 String::from_utf8_lossy(wire)
             );
         }
-        let huge = format!(
-            "POST /solve HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-            MAX_BODY + 1
-        );
-        assert_eq!(parse_head(huge.as_bytes()).unwrap_err().status, 413);
     }
 
     #[test]
@@ -824,6 +764,11 @@ mod tests {
         let garbage = b"POST /solve HTTP/1.1\r\nX-Bi-Trace: zebra\r\nContent-Length: 0\r\n\r\n";
         let head = parse_head(garbage).unwrap().unwrap();
         assert_eq!(head.trace_id, None);
+        // Trace 0 is the recorder's "untraced" id: the server must mint
+        // a fresh trace rather than record spans under it.
+        let zero = b"POST /solve HTTP/1.1\r\nX-Bi-Trace: 0\r\nContent-Length: 0\r\n\r\n";
+        let head = parse_head(zero).unwrap().unwrap();
+        assert_eq!(head.trace_id, None);
     }
 
     #[test]
@@ -841,14 +786,12 @@ mod tests {
             ],
         )
         .unwrap();
-        // Visible to the blocking parser as ordinary headers…
-        let req = read_request(&mut BufReader::new(&wire[..]))
-            .unwrap()
-            .unwrap()
-            .unwrap();
-        assert_eq!(req.header("x-bi-trace"), Some("99"));
-        assert_eq!(req.header("x-bi-parent"), Some("3"));
-        // …and to the incremental parser as adopted trace context.
+        let text = String::from_utf8(wire.clone()).unwrap();
+        assert!(
+            text.contains("\r\nX-Bi-Trace: 99\r\nX-Bi-Parent: 3\r\n"),
+            "{text}"
+        );
+        // The parser adopts them as trace context.
         let head = parse_head(&wire).unwrap().unwrap();
         assert_eq!(head.trace_id, Some(99));
         assert_eq!(head.parent_span, Some(3));
@@ -861,35 +804,16 @@ mod tests {
     }
 
     #[test]
-    fn head_writer_matches_response_write() {
-        let mut via_response = Vec::new();
-        Response::json(200, br#"{"ok":true}"#.to_vec())
-            .with_header("X-Cache", "hit")
-            .write(&mut via_response, true)
-            .unwrap();
-        let mut head = Vec::new();
-        write_head_into(
-            &mut head,
-            200,
-            "application/json",
-            11,
-            true,
-            &[("X-Cache", "hit")],
-        );
-        head.extend_from_slice(br#"{"ok":true}"#);
-        assert_eq!(via_response, head);
-    }
-
-    #[test]
     fn two_keep_alive_requests_parse_in_sequence() {
         let mut wire = Vec::new();
         write_request(&mut wire, "GET", "/metrics", b"", true).unwrap();
         write_request(&mut wire, "GET", "/healthz", b"", true).unwrap();
-        let mut reader = BufReader::new(&wire[..]);
-        let a = read_request(&mut reader).unwrap().unwrap().unwrap();
-        let b = read_request(&mut reader).unwrap().unwrap().unwrap();
-        assert_eq!(a.path, "/metrics");
-        assert_eq!(b.path, "/healthz");
-        assert!(read_request(&mut reader).unwrap().is_none());
+        let a = parse_head(&wire).unwrap().unwrap();
+        let rest = &wire[a.total_len()..];
+        let b = parse_head(rest).unwrap().unwrap();
+        assert_eq!(&wire[a.path.clone()], b"/metrics");
+        assert_eq!(&rest[b.path.clone()], b"/healthz");
+        assert_eq!(b.total_len(), rest.len());
+        assert!(parse_head(&rest[b.total_len()..]).unwrap().is_none());
     }
 }

@@ -11,7 +11,8 @@
 //!
 //! ```text
 //!   client ──► bi-router ──(consistent-hash ring over canonical key)──►
-//!                  │                         bi-serve node 1..N, each:
+//!               reactor +                    bi-serve node 1..N, each:
+//!               forwarder pool
 //!                  │ all dead → fallback
 //!                  ▼
 //!             local solve / 503
@@ -40,14 +41,18 @@
 //!   [`SolveService`] routing every solve through the cache (with the
 //!   raw-byte zero-copy index in front) and [`Solver::solve_many`] for
 //!   batches;
-//! * [`http`] — a minimal HTTP/1.1 layer over `std::io`, including the
-//!   allocation-free incremental head parser the reactor feeds;
+//! * [`http`] — a minimal HTTP/1.1 layer over `std::io`: the
+//!   allocation-free incremental head parser the reactor feeds, the one
+//!   response head writer, and the blocking client;
 //! * [`reactor`] — the readiness layer: a `ppoll(2)` syscall shim (no
 //!   libc) with a portable fallback, plus the loopback wake channel;
-//! * [`server`] — the `bi-serve` engine: a single reactor thread
-//!   multiplexing every connection, a solver pool that only cache misses
-//!   cross into, `429` + `Retry-After` backpressure on the bounded
-//!   pending-solve queue, endpoints `POST /solve`, `POST /solve_batch`,
+//! * [`server`] — the one connection engine, behind both binaries: a
+//!   single reactor thread multiplexing every connection, a bounded
+//!   worker pool, `429` + `Retry-After` backpressure on its queue, the
+//!   connection cap and the idle sweep. What a request means is a
+//!   dispatcher's business; `bi-serve`'s (here) answers hits inline and
+//!   sends only cache misses to the solver pool, for endpoints
+//!   `POST /solve`, `POST /solve_batch`, `POST /cache_put`,
 //!   `GET /metrics`, `GET /healthz`, `GET /debug/trace`;
 //! * [`metrics`] — the relaxed-atomic counters `GET /metrics` reports,
 //!   including the reactor's zero-copy/parsed hit split and the
@@ -56,17 +61,18 @@
 //!   of canonical-request-bytes → response-bytes with CRC-framed
 //!   records, rebuilt by a torn-tail-tolerant boot scan, appended behind
 //!   the hot path — a restarted node answers its old key space warm;
-//! * [`cluster`] — the `bi-router` engine: a consistent-hash ring
-//!   (virtual nodes over the same FNV-1a key space the cache uses)
-//!   routing `/solve` bodies by canonical cache key across N `bi-serve`
-//!   backends over keep-alive upstream pools, with `/healthz` probing,
-//!   automatic eject/readmit, and batch split/re-merge.
+//! * [`cluster`] — `bi-router`: a second dispatcher on the same reactor,
+//!   whose forwarder pool routes `/solve` bodies by canonical cache key
+//!   over a consistent-hash ring (virtual nodes over the same FNV-1a key
+//!   space the cache uses) across N `bi-serve` backends over keep-alive
+//!   upstream pools, with `/healthz` probing, automatic eject/readmit,
+//!   replication, retries, and batch split/re-merge.
 //!
 //! Every request is traced end to end through the `bi_obs` flight
-//! recorder: the router (or server) adopts an `X-Bi-Trace` id or mints
-//! one, stage spans (`route`/`ring_lookup`/`upstream` on the router;
-//! `request`/`parse`/`cache`/`disk_promote`/`solve`/`encode`/`write` on
-//! a backend) nest under it, and `GET /debug/trace` dumps the recent
+//! recorder: the reactor adopts an `X-Bi-Trace` id or mints one, stage
+//! spans (`route`/`parse`/`ring_lookup`/`upstream`/`write` on the
+//! router; `request`/`parse`/`cache`/`disk_promote`/`solve`/`encode`/
+//! `write` on a backend) nest under it, and `GET /debug/trace` dumps the recent
 //! span window as JSON. The commonly needed tracing types are
 //! re-exported here as [`Recorder`], [`Stage`], and [`TraceCtx`].
 //!

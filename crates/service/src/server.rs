@@ -1,66 +1,78 @@
-//! The event-driven HTTP server: a single reactor thread multiplexing
-//! every connection over [`crate::reactor`] readiness, plus a small
-//! solver pool that **only cache misses** cross into.
+//! The event-driven HTTP engine behind both binaries: a single reactor
+//! thread multiplexing every connection over [`crate::reactor`]
+//! readiness, plus a bounded worker pool for the requests that must not
+//! run on it.
 //!
 //! ```text
 //!                        ┌──────────────────────────────┐
 //!   clients ──accept──▶  │        reactor thread        │
 //!     ▲                  │  poll(listener, conns, wake) │
-//!     │   hits, errors,  │  read → parse → dispatch     │
+//!     │  inline answers, │  read → parse → dispatch     │
 //!     └── 4xx, metrics ◀─│  write staged responses      │
 //!                        └──────┬──────────────▲────────┘
-//!                     misses    │              │ wake pipe +
+//!                      jobs     │              │ wake pipe +
 //!                 (bounded try_send)           │ completion queue
 //!                        ┌──────▼──────────────┴────────┐
-//!                        │       solver pool (N)        │
-//!                        │  complete_solve / batches    │
+//!                        │        worker pool (N)       │
+//!                        │  solves / batches / forwards │
 //!                        └──────────────────────────────┘
 //! ```
 //!
+//! The reactor knows HTTP framing, connections and tracing; what a
+//! request *means* is a `Dispatcher`'s business. For each parsed
+//! request the dispatcher either stages an inline answer on the reactor
+//! thread or returns a job for the pool. Two dispatchers exist:
+//! `bi-serve`'s node (below: cache hits, probes and metrics inline;
+//! misses and batches to the solver pool) and `bi-router`'s
+//! ([`crate::cluster`]: probes and metrics inline; every `/solve` and
+//! `/solve_batch` to a pool of forwarders). Either way, the connection
+//! cap, the idle sweep, in-order pipelining, the `413`/`431` limits,
+//! `429` backpressure and trace roots are this module's.
+//!
 //! Each connection is a small state machine (reading → dispatch →
-//! writing) over two reusable buffers. Cache hits, protocol errors, and
-//! the GET endpoints are answered **on the reactor thread** — a hit never
-//! queues behind a cold solve. `POST /solve` bodies go through
-//! [`SolveService::try_serve_fast`], so a byte-identical canonical body
-//! is served straight off the raw-byte index without building a JSON
-//! value tree at all.
+//! writing) over two reusable buffers. On a node, `POST /solve` bodies
+//! go through [`SolveService::try_serve_fast`], so a byte-identical
+//! canonical body is served straight off the raw-byte index without
+//! building a JSON value tree at all — a hit never queues behind a cold
+//! solve.
 //!
-//! Backpressure is explicit at two levels: the pending-solve queue is a
-//! bounded `sync_channel` whose overflow is answered `429 Too Many
-//! Requests` + `Retry-After` (the request was understood — retry
-//! shortly), and a connection cap above which new arrivals get `503` and
-//! an immediate close. Responses are staged one at a time per
-//! connection, so pipelined requests are answered strictly in order; the
-//! connection's read interest is dropped while a response is pending,
-//! letting the TCP window push back on floods.
+//! Backpressure is explicit at two levels: the job queue is bounded and
+//! its overflow is answered `429 Too Many Requests` + `Retry-After`
+//! (the request was understood — retry shortly), and a
+//! connection cap above which new arrivals get `503` and an immediate
+//! close. Responses are staged one at a time per connection, so
+//! pipelined requests are answered strictly in order; the connection's
+//! read interest is dropped while a response is pending, letting the TCP
+//! window push back on floods.
 //!
-//! Endpoints:
+//! A node's endpoints:
 //!
 //! | Endpoint            | Behavior                                        |
 //! |---------------------|-------------------------------------------------|
 //! | `POST /solve`       | one game through cache + [`Solver`]; `X-Cache: hit\|miss` |
 //! | `POST /solve_batch` | many games, one config; misses go through `solve_many` |
+//! | `POST /cache_put`   | install a peer's solved response (replication)  |
 //! | `GET /metrics`      | service counters + reactor counters + cache stats |
 //! | `GET /healthz`      | liveness probe                                  |
 //! | `GET /debug/trace`  | the span flight recorder as JSON                |
 //!
 //! Every request is traced: the reactor adopts the trace id from an
 //! `X-Bi-Trace` header (how a router hop correlates with the backend)
-//! or mints one, records `parse`/`cache`/`encode`/`write` spans around
-//! its own work plus a root `request` span, and the solver pool
-//! records `solve`/`encode` under the same trace. Recording is a few
-//! relaxed atomic stores per stage — the zero-copy hit path stays
-//! intact. Requests slower than `--trace-slow-us` get their whole span
-//! tree logged as one JSON line.
+//! or mints one, records `parse` and `write` spans around its own work
+//! plus the root span (`request` on a node, `route` on a router), and
+//! the dispatcher and pool record their stages under the same trace.
+//! Recording is a few relaxed atomic stores per stage — the zero-copy
+//! hit path stays intact. Requests slower than `trace_slow_us` get their
+//! whole span tree logged as one JSON line.
 //!
 //! [`Solver`]: bi_core::solve::Solver
 
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use bi_obs::{Stage, TraceCtx};
@@ -183,58 +195,18 @@ impl Server {
     ///
     /// Propagates socket setup failures.
     pub fn start(self) -> io::Result<ServerHandle> {
-        let addr = self.local_addr()?;
-        self.listener.set_nonblocking(true)?;
-        let workers = if self.config.workers == 0 {
-            std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get)
-        } else {
-            self.config.workers
-        };
-        self.service.metrics().set_config_gauges(
-            self.config.queue_capacity.max(1),
-            u64::try_from(self.config.read_timeout.as_millis()).unwrap_or(u64::MAX),
-            workers,
-            self.config.max_connections.max(1),
-        );
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (job_tx, job_rx) = sync_channel::<Job>(self.config.queue_capacity.max(1));
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
-        let wake = WakePair::new()?;
-        let stop_waker = wake.waker()?;
-        let mut worker_handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let rx = Arc::clone(&job_rx);
-            let service = Arc::clone(&self.service);
-            let completions = Arc::clone(&completions);
-            let mut waker = wake.waker()?;
-            worker_handles.push(std::thread::spawn(move || {
-                solver_loop(&rx, &service, &completions, &mut waker);
-            }));
+        let mut config = self.config;
+        if config.workers == 0 {
+            config.workers =
+                std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
         }
-        let mut reactor = Reactor {
-            listener: self.listener,
+        let node = Node {
             service: Arc::clone(&self.service),
-            poller: Poller::new(),
-            wake,
-            completions,
-            job_tx,
-            slots: Vec::new(),
-            free: Vec::new(),
-            shutdown: Arc::clone(&shutdown),
-            read_timeout: self.config.read_timeout,
-            max_connections: self.config.max_connections.max(1),
-            trace_slow_us: self.config.trace_slow_us,
-            fault: self.config.fault.clone(),
+            fault: config.fault.clone(),
         };
-        let reactor_handle = std::thread::spawn(move || reactor.run());
         Ok(ServerHandle {
-            addr,
-            shutdown,
-            reactor: Some(reactor_handle),
-            workers: worker_handles,
+            engine: serve(self.listener, Arc::new(node), &config)?,
             service: self.service,
-            waker: stop_waker,
         })
     }
 
@@ -244,29 +216,22 @@ impl Server {
     ///
     /// Propagates startup failures; never returns otherwise.
     pub fn run(self) -> io::Result<()> {
-        let handle = self.start()?;
-        if let Some(reactor) = handle.reactor {
-            let _ = reactor.join();
-        }
+        self.start()?.engine.join();
         Ok(())
     }
 }
 
 /// A running server: address plus the stop switch.
 pub struct ServerHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    engine: Engine<NodeJob>,
     service: Arc<SolveService>,
-    waker: Waker,
 }
 
 impl ServerHandle {
     /// The serving address.
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.engine.addr()
     }
 
     /// The shared service state (for asserting on metrics in tests).
@@ -276,39 +241,241 @@ impl ServerHandle {
     }
 
     /// Stops the reactor, drains the pool, and joins all threads.
-    pub fn stop(mut self) {
+    pub fn stop(self) {
+        self.engine.stop();
+    }
+}
+
+/// One fully buffered request, borrowed from its connection's buffer.
+pub(crate) struct Request<'a> {
+    pub(crate) method: &'a [u8],
+    pub(crate) path: &'a [u8],
+    pub(crate) body: &'a [u8],
+    /// The request's trace: its id and the root span every stage nests
+    /// under.
+    pub(crate) ctx: TraceCtx,
+}
+
+/// What a request means: the part of serving that differs between a
+/// node and a router. The reactor owns everything else.
+pub(crate) trait Dispatcher: Send + Sync + 'static {
+    /// Work that must leave the reactor thread for the bounded pool.
+    type Job: Send + 'static;
+    /// The stage of each request's root span.
+    const ROOT: Stage;
+    /// The component name on the slow-request log line.
+    const NAME: &'static str;
+    /// The service whose counters, stage histograms and flight recorder
+    /// the reactor records into.
+    fn service(&self) -> &SolveService;
+    /// Handles one request on the reactor thread: stages an answer
+    /// through `reply` and returns `None`, or returns a job for the pool
+    /// (and stages nothing).
+    fn dispatch(&self, request: &Request<'_>, reply: &mut Reply<'_>) -> Option<Self::Job>;
+    /// Runs one job on a pool thread; the answer travels back to the
+    /// reactor over the wake channel.
+    fn run(&self, job: Self::Job) -> Response;
+}
+
+/// Where a dispatcher stages an inline answer: straight into the
+/// connection's reusable output buffer, with no intermediate copy.
+pub(crate) struct Reply<'a> {
+    conn: &'a mut Conn,
+    service: &'a SolveService,
+}
+
+impl Reply<'_> {
+    /// Stages `status` + `body` (+ `extra` headers) as the answer.
+    pub(crate) fn send(&mut self, status: u16, body: &[u8], extra: &[(&str, &str)]) {
+        stage_bytes(self.conn, self.service, status, body, extra);
+    }
+}
+
+/// A running reactor and its pool of `J` jobs.
+pub(crate) struct Engine<J> {
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    reactor: JoinHandle<()>,
+    pool: Arc<Pool<J>>,
+    workers: Vec<JoinHandle<()>>,
+    waker: Waker,
+}
+
+impl<J> Engine<J> {
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Blocks on the reactor thread, which only exits on [`Engine::stop`].
+    pub(crate) fn join(self) {
+        let _ = self.reactor.join();
+    }
+
+    /// Stops the reactor, drains the pool, and joins all threads.
+    pub(crate) fn stop(mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
         self.waker.wake();
-        if let Some(reactor) = self.reactor.take() {
-            let _ = reactor.join();
-        }
-        // The reactor owned the job sender; its exit disconnects the
-        // solver pool's `recv` and ends every worker.
-        for worker in self.workers.drain(..) {
+        let _ = self.reactor.join();
+        // Workers finish the queued jobs, then exit.
+        self.pool.close();
+        for worker in self.workers {
             let _ = worker.join();
         }
     }
 }
 
-/// One unit of work for the solver pool — only cache misses become jobs.
-enum Job {
-    /// A decoded `POST /solve` miss.
-    Solve {
-        slot: usize,
-        generation: u64,
-        prepared: Box<PreparedSolve>,
-    },
-    /// A `POST /solve_batch` body (parsed on the worker: batches are
-    /// bulk work by definition, so their decode cost stays off the
-    /// reactor).
-    Batch {
-        slot: usize,
-        generation: u64,
-        body: Vec<u8>,
-        /// The request's trace context — the worker records the batch
-        /// decode + solve as one `solve` span under it.
-        ctx: TraceCtx,
-    },
+/// Serves `listener` through `dispatcher` on a new reactor thread and
+/// `config.workers` pool threads. Of `config` only the engine's sizing
+/// is read: `workers` (resolved, ≥ 1), `queue_capacity`,
+/// `read_timeout`, `max_connections`, `trace_slow_us` and `fault`.
+///
+/// # Errors
+///
+/// Propagates socket setup failures.
+pub(crate) fn serve<D: Dispatcher>(
+    listener: TcpListener,
+    dispatcher: Arc<D>,
+    config: &ServerConfig,
+) -> io::Result<Engine<D::Job>> {
+    let addr = listener.local_addr()?;
+    listener.set_nonblocking(true)?;
+    let workers = config.workers.max(1);
+    let queue_capacity = config.queue_capacity.max(1);
+    let max_connections = config.max_connections.max(1);
+    dispatcher.service().metrics().set_config_gauges(
+        queue_capacity,
+        u64::try_from(config.read_timeout.as_millis()).unwrap_or(u64::MAX),
+        workers,
+        max_connections,
+    );
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let pool = Arc::new(Pool::new(queue_capacity));
+    let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
+    let wake = WakePair::new()?;
+    let stop_waker = wake.waker()?;
+    let mut worker_handles = Vec::with_capacity(workers);
+    for _ in 0..workers {
+        let pool = Arc::clone(&pool);
+        let dispatcher = Arc::clone(&dispatcher);
+        let completions = Arc::clone(&completions);
+        let mut waker = wake.waker()?;
+        worker_handles.push(std::thread::spawn(move || {
+            pool_loop(&pool, &*dispatcher, &completions, &mut waker);
+        }));
+    }
+    let mut reactor = Reactor {
+        io: Io {
+            dispatcher,
+            pool: Arc::clone(&pool),
+            trace_slow_us: config.trace_slow_us,
+            fault: config.fault.clone(),
+        },
+        listener,
+        poller: Poller::new(),
+        wake,
+        completions,
+        slots: Vec::new(),
+        free: Vec::new(),
+        shutdown: Arc::clone(&shutdown),
+        read_timeout: config.read_timeout,
+        max_connections,
+    };
+    let reactor_handle = std::thread::spawn(move || reactor.run());
+    Ok(Engine {
+        addr,
+        shutdown,
+        reactor: reactor_handle,
+        pool,
+        workers: worker_handles,
+        waker: stop_waker,
+    })
+}
+
+/// A job on its way to the pool, tagged with the connection it answers.
+struct Task<J> {
+    slot: usize,
+    generation: u64,
+    job: J,
+}
+
+/// The bounded job queue between the reactor and its workers. Idle
+/// workers wait on a stack, so the most recently idle one — its stack
+/// and allocator arena still warm — takes the next job, and a light
+/// load leaves the rest asleep instead of rotating through all of them.
+struct Pool<J> {
+    state: Mutex<PoolState<J>>,
+    /// Queued (not yet taken) jobs beyond which `submit` refuses.
+    capacity: usize,
+}
+
+struct PoolState<J> {
+    queue: VecDeque<Task<J>>,
+    /// Parked workers, most recently idle last.
+    idle: Vec<Thread>,
+    /// Set on stop: workers drain the queue, then exit.
+    closed: bool,
+}
+
+impl<J> Pool<J> {
+    fn new(capacity: usize) -> Self {
+        Pool {
+            state: Mutex::new(PoolState {
+                queue: VecDeque::new(),
+                idle: Vec::new(),
+                closed: false,
+            }),
+            capacity,
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, PoolState<J>> {
+        self.state.lock().expect("pool lock poisoned")
+    }
+
+    /// Queues `task` and wakes the most recently idle worker; hands the
+    /// task back when `capacity` jobs are already waiting.
+    fn submit(&self, task: Task<J>) -> Result<(), Task<J>> {
+        let mut state = self.lock();
+        if state.queue.len() >= self.capacity {
+            return Err(task);
+        }
+        state.queue.push_back(task);
+        if let Some(worker) = state.idle.pop() {
+            worker.unpark();
+        }
+        Ok(())
+    }
+
+    /// The next job, parking until one is queued; `None` once the pool
+    /// is closed and drained.
+    fn take(&self) -> Option<Task<J>> {
+        let me = std::thread::current();
+        let mut state = self.lock();
+        loop {
+            if let Some(task) = state.queue.pop_front() {
+                // A spurious wakeup may have left this worker listed.
+                state.idle.retain(|t| t.id() != me.id());
+                return Some(task);
+            }
+            if state.closed {
+                return None;
+            }
+            if !state.idle.iter().any(|t| t.id() == me.id()) {
+                state.idle.push(me.clone());
+            }
+            drop(state);
+            std::thread::park();
+            state = self.lock();
+        }
+    }
+
+    fn close(&self) {
+        let mut state = self.lock();
+        state.closed = true;
+        for worker in state.idle.drain(..) {
+            worker.unpark();
+        }
+    }
 }
 
 /// A finished job traveling back to the reactor over the wake channel.
@@ -318,71 +485,28 @@ struct Completion {
     response: Response,
 }
 
-fn solver_loop(
-    rx: &Mutex<Receiver<Job>>,
-    service: &SolveService,
+fn pool_loop<D: Dispatcher>(
+    pool: &Pool<D::Job>,
+    dispatcher: &D,
     completions: &Mutex<Vec<Completion>>,
     waker: &mut Waker,
 ) {
-    loop {
-        let job = match rx.lock().expect("job lock poisoned").recv() {
-            Ok(job) => job,
-            Err(_) => return, // reactor gone
-        };
-        let completion = run_job(service, job);
-        service
+    while let Some(task) = pool.take() {
+        let response = dispatcher.run(task.job);
+        dispatcher
+            .service()
             .metrics()
             .solves_in_flight
             .fetch_sub(1, Ordering::Relaxed);
         completions
             .lock()
             .expect("completion lock poisoned")
-            .push(completion);
+            .push(Completion {
+                slot: task.slot,
+                generation: task.generation,
+                response,
+            });
         waker.wake();
-    }
-}
-
-fn run_job(service: &SolveService, job: Job) -> Completion {
-    match job {
-        Job::Solve {
-            slot,
-            generation,
-            prepared,
-        } => {
-            let response = match service.complete_solve(*prepared) {
-                Ok(served) => {
-                    Response::json(200, served.body.to_vec()).with_header("X-Cache", "miss")
-                }
-                // The request was well-formed; the game is unsolvable as
-                // asked (budget, no equilibrium, …) — a semantic 422.
-                Err(e) => Response::json(422, error_body(&e.to_string())),
-            };
-            Completion {
-                slot,
-                generation,
-                response,
-            }
-        }
-        Job::Batch {
-            slot,
-            generation,
-            body,
-            ctx,
-        } => {
-            let t0 = service.recorder().now_ns();
-            let response = handle_batch(service, &body);
-            if ctx.active() {
-                let t1 = service.recorder().now_ns();
-                service
-                    .recorder()
-                    .record(ctx.trace_id, ctx.parent, Stage::Solve, t0, t1);
-            }
-            Completion {
-                slot,
-                generation,
-                response,
-            }
-        }
     }
 }
 
@@ -390,7 +514,7 @@ fn run_job(service: &SolveService, job: Job) -> Completion {
 const READ_CHUNK: usize = 16 * 1024;
 
 /// One connection's state machine: reading into `buf`, at most one
-/// staged response in `out`, and the in-flight marker while a solve is
+/// staged response in `out`, and the in-flight marker while a job is
 /// in the pool.
 struct Conn {
     stream: TcpStream,
@@ -399,7 +523,7 @@ struct Conn {
     /// The staged response (head + body), written from `out_pos`.
     out: Vec<u8>,
     out_pos: usize,
-    /// A solve for this connection is in the pool; parsing is paused.
+    /// A job for this connection is in the pool; parsing is paused.
     in_flight: bool,
     /// Keep-alive of the request currently being answered.
     req_keep_alive: bool,
@@ -409,8 +533,7 @@ struct Conn {
     eof: bool,
     last_activity: Instant,
     /// The trace of the request currently being answered, closed (root
-    /// `request` span + `write` span recorded) once its response is
-    /// fully flushed.
+    /// span + `write` span recorded) once its response is fully flushed.
     trace: Option<ConnTrace>,
 }
 
@@ -418,10 +541,10 @@ struct Conn {
 struct ConnTrace {
     /// The trace id (adopted from `X-Bi-Trace` or minted).
     trace_id: u64,
-    /// The root `request` span id — pre-allocated so every stage span
-    /// can parent under it before the root itself is recorded.
+    /// The root span id — pre-allocated so every stage span can parent
+    /// under it before the root itself is recorded.
     root_span: u64,
-    /// The upstream parent span (from `X-Bi-Parent`; 0 when this node
+    /// The upstream parent span (from `X-Bi-Parent`; 0 when this hop
     /// is the trace origin).
     parent: u64,
     /// When the request's bytes were first seen complete (ns).
@@ -447,26 +570,39 @@ enum ConnAction {
 }
 
 /// The reactor: owns the listener, the connection slab, and the poll
-/// loop; everything it serves inline never touches the solver pool.
-struct Reactor {
+/// loop.
+struct Reactor<D: Dispatcher> {
+    /// What every connection pass needs (kept apart from the slab so a
+    /// connection can be borrowed alongside it).
+    io: Io<D>,
     listener: TcpListener,
-    service: Arc<SolveService>,
     poller: Poller,
     wake: WakePair,
     completions: Arc<Mutex<Vec<Completion>>>,
-    job_tx: SyncSender<Job>,
     slots: Vec<Slot>,
     free: Vec<usize>,
     shutdown: Arc<AtomicBool>,
     read_timeout: Duration,
     max_connections: usize,
+}
+
+/// The per-request side of the reactor: dispatch, the pool's queue, and
+/// trace closing.
+struct Io<D: Dispatcher> {
+    dispatcher: Arc<D>,
+    pool: Arc<Pool<D::Job>>,
     trace_slow_us: Option<u64>,
-    /// The seeded fault plan, consulted at each seam (accept, read,
-    /// write, dispatch); `None` on a faithful server.
+    /// The seeded fault plan, consulted at the accept, read and write
+    /// seams (a node's dispatcher holds the same plan for its dispatch
+    /// seam); `None` when serving faithfully.
     fault: Option<Arc<FaultPlan>>,
 }
 
-impl Reactor {
+impl<D: Dispatcher> Reactor<D> {
+    fn service(&self) -> &SolveService {
+        self.io.dispatcher.service()
+    }
+
     fn run(&mut self) {
         let mut fds: Vec<PollFd> = Vec::new();
         let mut fd_slots: Vec<usize> = Vec::new();
@@ -498,7 +634,7 @@ impl Reactor {
                 Err(_) => continue,
             };
             if ready > 0 {
-                self.service
+                self.service()
                     .metrics()
                     .reactor_wakeups
                     .fetch_add(1, Ordering::Relaxed);
@@ -524,34 +660,18 @@ impl Reactor {
     /// Applies readiness to one connection and removes it on failure.
     fn handle_conn_event(&mut self, idx: usize, fd: PollFd) {
         let generation = self.slots[idx].generation;
-        let fault = self.fault.as_deref();
+        let io = &self.io;
         let action = {
             let Some(conn) = self.slots[idx].conn.as_mut() else {
                 return;
             };
             let result = if fd.ready(POLLOUT) && !conn.out.is_empty() {
-                pump(
-                    conn,
-                    &self.service,
-                    &self.job_tx,
-                    idx,
-                    generation,
-                    self.trace_slow_us,
-                    fault,
-                )
+                io.pump(conn, idx, generation)
             } else if fd.ready(POLLIN) && !conn.in_flight && conn.out.is_empty() && !conn.eof {
-                on_readable(
-                    conn,
-                    &self.service,
-                    &self.job_tx,
-                    idx,
-                    generation,
-                    self.trace_slow_us,
-                    fault,
-                )
+                io.on_readable(conn, idx, generation)
             } else if fd.revents() & (POLLERR | POLLHUP | POLLNVAL) != 0 {
                 // An errored or hung-up peer we have nothing staged for
-                // (including one we are mid-solve for): drop it; any
+                // (including one we are mid-job for): drop it; any
                 // completion is discarded by the generation check.
                 Ok(ConnAction::Remove)
             } else {
@@ -574,13 +694,11 @@ impl Reactor {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
             };
-            self.service
-                .metrics()
-                .connections_total
-                .fetch_add(1, Ordering::Relaxed);
+            let metrics = self.io.dispatcher.service().metrics();
+            metrics.connections_total.fetch_add(1, Ordering::Relaxed);
             // The accept seam: a refused connection is dropped before a
             // byte is exchanged, as if the listener's backlog reset it.
-            if let Some(plan) = &self.fault {
+            if let Some(plan) = &self.io.fault {
                 if plan.next() == Some(FaultKind::Refuse) {
                     let _ = stream.shutdown(std::net::Shutdown::Both);
                     continue;
@@ -588,7 +706,7 @@ impl Reactor {
             }
             let open = self.slots.iter().filter(|s| s.conn.is_some()).count();
             if open >= self.max_connections {
-                reject_busy(stream, &self.service);
+                reject_busy(stream, self.io.dispatcher.service());
                 continue;
             }
             if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
@@ -617,14 +735,11 @@ impl Reactor {
                 }
             };
             self.slots[idx].conn = Some(conn);
-            self.service
-                .metrics()
-                .open_connections
-                .fetch_add(1, Ordering::Relaxed);
+            metrics.open_connections.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Stages every completed solve onto its (still-live) connection and
+    /// Stages every completed job onto its (still-live) connection and
     /// pushes the response out.
     fn drain_completions(&mut self) {
         let done = std::mem::take(&mut *self.completions.lock().expect("completion lock poisoned"));
@@ -632,23 +747,23 @@ impl Reactor {
             let idx = completion.slot;
             let action = {
                 if self.slots[idx].generation != completion.generation {
-                    continue; // the connection closed mid-solve
+                    continue; // the connection closed mid-job
                 }
                 let Some(conn) = self.slots[idx].conn.as_mut() else {
                     continue;
                 };
                 conn.in_flight = false;
-                stage_response(conn, &self.service, &completion.response);
-                pump(
-                    conn,
-                    &self.service,
-                    &self.job_tx,
-                    idx,
-                    completion.generation,
-                    self.trace_slow_us,
-                    self.fault.as_deref(),
-                )
-                .unwrap_or(ConnAction::Remove)
+                let response = &completion.response;
+                let extra: Vec<(&str, &str)> = response
+                    .extra_headers
+                    .iter()
+                    .map(|(k, v)| (*k, v.as_str()))
+                    .collect();
+                let service = self.io.dispatcher.service();
+                stage_bytes(conn, service, response.status, &response.body, &extra);
+                self.io
+                    .pump(conn, idx, completion.generation)
+                    .unwrap_or(ConnAction::Remove)
             };
             if action == ConnAction::Remove {
                 self.remove_conn(idx);
@@ -657,7 +772,7 @@ impl Reactor {
     }
 
     /// Closes connections quiet for longer than the timeout. In-flight
-    /// connections are exempt — their clock is the solve, not the peer.
+    /// connections are exempt — their clock is the job, not the peer.
     fn sweep_idle(&mut self) {
         let now = Instant::now();
         for idx in 0..self.slots.len() {
@@ -674,7 +789,7 @@ impl Reactor {
         if self.slots[idx].conn.take().is_some() {
             self.slots[idx].generation += 1;
             self.free.push(idx);
-            self.service
+            self.service()
                 .metrics()
                 .open_connections
                 .fetch_sub(1, Ordering::Relaxed);
@@ -682,302 +797,203 @@ impl Reactor {
     }
 }
 
-/// Reads everything available, then drives the state machine.
-fn on_readable(
-    conn: &mut Conn,
-    service: &SolveService,
-    job_tx: &SyncSender<Job>,
-    slot: usize,
-    generation: u64,
-    trace_slow_us: Option<u64>,
-    fault: Option<&FaultPlan>,
-) -> io::Result<ConnAction> {
-    // The read seam: a disconnect drops the peer mid-body, a delay
-    // stalls the whole pass, a short read caps it at one byte (the
-    // request still completes — across many passes).
-    let mut read_cap = READ_CHUNK;
-    if let Some(plan) = fault {
-        match plan.next() {
-            Some(FaultKind::Disconnect) => return Ok(ConnAction::Remove),
-            Some(FaultKind::Delay) => std::thread::sleep(plan.delay()),
-            Some(FaultKind::ShortRead) => read_cap = 1,
-            _ => {}
-        }
-    }
-    let mut chunk = [0u8; READ_CHUNK];
-    loop {
-        match conn.stream.read(&mut chunk[..read_cap]) {
-            Ok(0) => {
-                conn.eof = true;
-                break;
+impl<D: Dispatcher> Io<D> {
+    /// Reads everything available, then drives the state machine.
+    fn on_readable(&self, conn: &mut Conn, slot: usize, generation: u64) -> io::Result<ConnAction> {
+        // The read seam: a disconnect drops the peer mid-body, a delay
+        // stalls the whole pass, a short read caps it at one byte (the
+        // request still completes — across many passes).
+        let mut read_cap = READ_CHUNK;
+        if let Some(plan) = &self.fault {
+            match plan.next() {
+                Some(FaultKind::Disconnect) => return Ok(ConnAction::Remove),
+                Some(FaultKind::Delay) => std::thread::sleep(plan.delay()),
+                Some(FaultKind::ShortRead) => read_cap = 1,
+                _ => {}
             }
-            Ok(n) => {
-                conn.buf.extend_from_slice(&chunk[..n]);
-                conn.last_activity = Instant::now();
-                if n < read_cap || read_cap < READ_CHUNK {
+        }
+        let mut chunk = [0u8; READ_CHUNK];
+        loop {
+            match conn.stream.read(&mut chunk[..read_cap]) {
+                Ok(0) => {
+                    conn.eof = true;
                     break;
                 }
+                Ok(n) => {
+                    conn.buf.extend_from_slice(&chunk[..n]);
+                    conn.last_activity = Instant::now();
+                    if n < read_cap || read_cap < READ_CHUNK {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
         }
+        self.pump(conn, slot, generation)
     }
-    pump(
-        conn,
-        service,
-        job_tx,
-        slot,
-        generation,
-        trace_slow_us,
-        fault,
-    )
-}
 
-/// Drives one connection as far as it can go without blocking:
-/// parse → dispatch → write, looping while pipelined requests complete.
-fn pump(
-    conn: &mut Conn,
-    service: &SolveService,
-    job_tx: &SyncSender<Job>,
-    slot: usize,
-    generation: u64,
-    trace_slow_us: Option<u64>,
-    fault: Option<&FaultPlan>,
-) -> io::Result<ConnAction> {
-    loop {
-        process_buffered(conn, service, job_tx, slot, generation, fault);
-        if conn.out.is_empty() {
-            // Waiting on more bytes or on the solver pool. A peer that
-            // finished sending and owes us nothing is done.
-            if conn.eof && !conn.in_flight {
+    /// Drives one connection as far as it can go without blocking:
+    /// parse → dispatch → write, looping while pipelined requests
+    /// complete.
+    fn pump(&self, conn: &mut Conn, slot: usize, generation: u64) -> io::Result<ConnAction> {
+        loop {
+            self.process_buffered(conn, slot, generation);
+            if conn.out.is_empty() {
+                // Waiting on more bytes or on the pool. A peer that
+                // finished sending and owes us nothing is done.
+                if conn.eof && !conn.in_flight {
+                    return Ok(ConnAction::Remove);
+                }
+                return Ok(ConnAction::Keep);
+            }
+            if !flush_out(conn, self.fault.as_deref())? {
+                return Ok(ConnAction::Keep); // socket full; wait for POLLOUT
+            }
+            conn.out.clear();
+            conn.out_pos = 0;
+            self.finish_trace(conn);
+            if conn.close_after_write {
                 return Ok(ConnAction::Remove);
             }
-            return Ok(ConnAction::Keep);
+            // Response delivered — loop to answer the next pipelined request.
         }
-        if !flush_out(conn, fault)? {
-            return Ok(ConnAction::Keep); // socket full; wait for POLLOUT
-        }
-        conn.out.clear();
-        conn.out_pos = 0;
-        finish_trace(conn, service, trace_slow_us);
-        if conn.close_after_write {
-            return Ok(ConnAction::Remove);
-        }
-        // Response delivered — loop to answer the next pipelined request.
     }
-}
 
-/// Closes the flushed request's trace: records the `write` span (staged
-/// → fully flushed), the root `request` span covering the whole
-/// exchange, and — when the total crosses the slow threshold — logs the
-/// entire span tree as one JSON line.
-fn finish_trace(conn: &mut Conn, service: &SolveService, trace_slow_us: Option<u64>) {
-    let Some(trace) = conn.trace.take() else {
-        return;
-    };
-    let recorder = service.recorder();
-    let now = recorder.now_ns();
-    let staged = if trace.staged_ns == 0 {
-        now
-    } else {
-        trace.staged_ns
-    };
-    recorder.record(trace.trace_id, trace.root_span, Stage::Write, staged, now);
-    recorder.record_span(
-        trace.root_span,
-        trace.trace_id,
-        trace.parent,
-        Stage::Request,
-        trace.req_start_ns,
-        now,
-    );
-    let stages = &service.metrics().stages;
-    stages.record(Stage::Write, now.saturating_sub(staged) / 1_000);
-    let total_us = now.saturating_sub(trace.req_start_ns) / 1_000;
-    stages.record(Stage::Request, total_us);
-    if trace_slow_us.is_some_and(|limit| total_us >= limit)
-        && bi_obs::log::enabled(bi_obs::Level::Warn)
-    {
-        let spans = recorder.trace_spans(trace.trace_id);
-        bi_obs::log::warn(
-            "bi-serve",
-            "slow request",
-            &[
-                ("trace", Json::from_u64(trace.trace_id)),
-                ("total_us", Json::from_u64(total_us)),
-                (
-                    "spans",
-                    Json::Arr(spans.iter().map(bi_obs::SpanEvent::to_json).collect()),
-                ),
-            ],
-        );
-    }
-}
-
-/// Parses and dispatches buffered requests while the connection has no
-/// staged response and no solve in flight (one response at a time keeps
-/// pipelined answers in order).
-fn process_buffered(
-    conn: &mut Conn,
-    service: &SolveService,
-    job_tx: &SyncSender<Job>,
-    slot: usize,
-    generation: u64,
-    fault: Option<&FaultPlan>,
-) {
-    while conn.out.is_empty() && !conn.in_flight {
+    /// Closes the flushed request's trace: records the `write` span
+    /// (staged → fully flushed), the root span covering the whole
+    /// exchange, and — when the total crosses the slow threshold — logs
+    /// the entire span tree as one JSON line.
+    fn finish_trace(&self, conn: &mut Conn) {
+        let Some(trace) = conn.trace.take() else {
+            return;
+        };
+        let service = self.dispatcher.service();
         let recorder = service.recorder();
-        let t_parse = recorder.now_ns();
-        let head = match parse_head(&conn.buf) {
-            Ok(None) => return, // need more bytes
-            Ok(Some(head)) => head,
-            Err(e) => {
-                // Protocol errors poison framing: answer and close.
-                conn.close_after_write = true;
-                stage_bytes(conn, service, e.status, &error_body(&e.msg), &[]);
-                return;
-            }
+        let now = recorder.now_ns();
+        let staged = if trace.staged_ns == 0 {
+            now
+        } else {
+            trace.staged_ns
         };
-        let total = head.total_len();
-        if conn.buf.len() < total {
-            return; // body still in flight
+        recorder.record(trace.trace_id, trace.root_span, Stage::Write, staged, now);
+        recorder.record_span(
+            trace.root_span,
+            trace.trace_id,
+            trace.parent,
+            D::ROOT,
+            trace.req_start_ns,
+            now,
+        );
+        let stages = &service.metrics().stages;
+        stages.record(Stage::Write, now.saturating_sub(staged) / 1_000);
+        let total_us = now.saturating_sub(trace.req_start_ns) / 1_000;
+        stages.record(D::ROOT, total_us);
+        if self.trace_slow_us.is_some_and(|limit| total_us >= limit)
+            && bi_obs::log::enabled(bi_obs::Level::Warn)
+        {
+            let spans = recorder.trace_spans(trace.trace_id);
+            bi_obs::log::warn(
+                D::NAME,
+                "slow request",
+                &[
+                    ("trace", Json::from_u64(trace.trace_id)),
+                    ("total_us", Json::from_u64(total_us)),
+                    (
+                        "spans",
+                        Json::Arr(spans.iter().map(bi_obs::SpanEvent::to_json).collect()),
+                    ),
+                ],
+            );
         }
-        let metrics = service.metrics();
-        metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-        conn.req_keep_alive = head.keep_alive;
-        // Adopt the peer's trace id (a router hop) or mint one; the
-        // root span id is allocated now so every stage nests under it,
-        // and the root itself is recorded when the response flushes.
-        let trace_id = head.trace_id.unwrap_or_else(|| recorder.new_trace_id());
-        let root_span = recorder.next_span_id();
-        conn.trace = Some(ConnTrace {
-            trace_id,
-            root_span,
-            parent: head.parent_span.unwrap_or(0),
-            req_start_ns: t_parse,
-            staged_ns: 0,
-        });
-        let ctx = TraceCtx {
-            trace_id,
-            parent: root_span,
-        };
-        let t_parsed = recorder.now_ns();
-        recorder.record(trace_id, root_span, Stage::Parse, t_parse, t_parsed);
-        metrics
-            .stages
-            .record(Stage::Parse, t_parsed.saturating_sub(t_parse) / 1_000);
-        let target = classify(&conn.buf[head.method.clone()], &conn.buf[head.path.clone()]);
-        let body_range = head.head_len..total;
-        // The dispatch seam: serving endpoints can answer an injected
-        // 500 — the request was understood, the work was "lost". Probes
-        // and metrics stay faithful so chaos runs remain observable.
-        if matches!(target, Target::Solve | Target::Batch | Target::CachePut) {
-            if let Some(plan) = fault {
-                if plan.next() == Some(FaultKind::Err500) {
-                    conn.buf.drain(..total);
-                    stage_bytes(conn, service, 500, &error_body("injected fault"), &[]);
-                    continue;
+    }
+
+    /// Parses and dispatches buffered requests while the connection has
+    /// no staged response and no job in flight (one response at a time
+    /// keeps pipelined answers in order).
+    fn process_buffered(&self, conn: &mut Conn, slot: usize, generation: u64) {
+        let service = self.dispatcher.service();
+        let recorder = service.recorder();
+        while conn.out.is_empty() && !conn.in_flight {
+            let t_parse = recorder.now_ns();
+            let head = match parse_head(&conn.buf) {
+                Ok(None) => return, // need more bytes
+                Ok(Some(head)) => head,
+                Err(e) => {
+                    // Protocol errors poison framing: answer and close.
+                    conn.close_after_write = true;
+                    stage_bytes(conn, service, e.status, &error_body(&e.msg), &[]);
+                    return;
                 }
+            };
+            let total = head.total_len();
+            if conn.buf.len() < total {
+                return; // body still in flight
             }
-        }
-        match target {
-            Target::Solve => {
-                metrics.solve_requests.fetch_add(1, Ordering::Relaxed);
-                match service.try_serve_fast(&conn.buf[body_range], ctx) {
-                    Ok(FastOutcome::Hit(served)) => {
-                        let body = served.body;
-                        conn.buf.drain(..total);
-                        // Staging the cached bytes is the hit path's
-                        // `encode` stage (head build + body copy).
-                        let t_enc = recorder.now_ns();
-                        stage_bytes(conn, service, 200, &body, &[("X-Cache", "hit")]);
-                        service.finish_encode_stage(ctx, t_enc);
-                    }
-                    Ok(FastOutcome::Miss(prepared)) => {
-                        conn.buf.drain(..total);
-                        submit_job(
-                            conn,
-                            service,
-                            job_tx,
-                            Job::Solve {
-                                slot,
-                                generation,
-                                prepared,
-                            },
-                        );
-                    }
-                    Err(e) => {
-                        conn.buf.drain(..total);
-                        stage_bytes(conn, service, 400, &error_body(&e.to_string()), &[]);
-                    }
-                }
-            }
-            Target::Batch => {
-                metrics.batch_requests.fetch_add(1, Ordering::Relaxed);
-                let body = conn.buf[body_range].to_vec();
-                conn.buf.drain(..total);
-                submit_job(
+            let metrics = service.metrics();
+            metrics.requests_total.fetch_add(1, Ordering::Relaxed);
+            conn.req_keep_alive = head.keep_alive;
+            // Adopt the peer's trace id (a router hop) or mint one; the
+            // root span id is allocated now so every stage nests under
+            // it, and the root itself is recorded when the response
+            // flushes.
+            let trace_id = head.trace_id.unwrap_or_else(|| recorder.new_trace_id());
+            let root_span = recorder.next_span_id();
+            conn.trace = Some(ConnTrace {
+                trace_id,
+                root_span,
+                parent: head.parent_span.unwrap_or(0),
+                req_start_ns: t_parse,
+                staged_ns: 0,
+            });
+            let t_parsed = recorder.now_ns();
+            recorder.record(trace_id, root_span, Stage::Parse, t_parse, t_parsed);
+            metrics
+                .stages
+                .record(Stage::Parse, t_parsed.saturating_sub(t_parse) / 1_000);
+            // The buffer is moved out (not copied) for the dispatch, so
+            // the request can borrow it while the answer is staged into
+            // the same connection.
+            let buf = std::mem::take(&mut conn.buf);
+            let request = Request {
+                method: &buf[head.method.clone()],
+                path: &buf[head.path.clone()],
+                body: &buf[head.head_len..total],
+                ctx: TraceCtx {
+                    trace_id,
+                    parent: root_span,
+                },
+            };
+            let job = self
+                .dispatcher
+                .dispatch(&request, &mut Reply { conn, service });
+            conn.buf = buf;
+            conn.buf.drain(..total);
+            if let Some(job) = job {
+                self.submit(
                     conn,
-                    service,
-                    job_tx,
-                    Job::Batch {
+                    Task {
                         slot,
                         generation,
-                        body,
-                        ctx,
+                        job,
                     },
                 );
             }
-            Target::Healthz => {
-                conn.buf.drain(..total);
-                stage_bytes(conn, service, 200, &healthz_body(), &[]);
-            }
-            Target::CachePut => {
-                let (status, body) = handle_cache_put(service, &conn.buf[body_range]);
-                conn.buf.drain(..total);
-                stage_bytes(conn, service, status, &body, &[]);
-            }
-            Target::Metrics => {
-                conn.buf.drain(..total);
-                let mut doc = service.metrics_json();
-                if let Some(plan) = fault {
-                    if let Json::Obj(fields) = &mut doc {
-                        fields.push(("faults".into(), plan.to_json()));
-                    }
-                }
-                let body = doc.to_string().into_bytes();
-                stage_bytes(conn, service, 200, &body, &[]);
-            }
-            Target::DebugTrace => {
-                conn.buf.drain(..total);
-                let body = service.trace_json().to_string().into_bytes();
-                stage_bytes(conn, service, 200, &body, &[]);
-            }
-            Target::MethodNotAllowed => {
-                conn.buf.drain(..total);
-                stage_bytes(conn, service, 405, &error_body("method not allowed"), &[]);
-            }
-            Target::NotFound => {
-                conn.buf.drain(..total);
-                stage_bytes(conn, service, 404, &error_body("unknown endpoint"), &[]);
-            }
         }
     }
-}
 
-/// Hands a miss to the solver pool, answering `429` + `Retry-After` when
-/// the bounded queue is full — backpressure, not failure.
-fn submit_job(conn: &mut Conn, service: &SolveService, job_tx: &SyncSender<Job>, job: Job) {
-    match job_tx.try_send(job) {
-        Ok(()) => {
+    /// Hands a job to the pool, answering `429` + `Retry-After` when the
+    /// bounded queue is full — backpressure, not failure.
+    fn submit(&self, conn: &mut Conn, task: Task<D::Job>) {
+        let service = self.dispatcher.service();
+        if self.pool.submit(task).is_ok() {
             conn.in_flight = true;
             service
                 .metrics()
                 .solves_in_flight
                 .fetch_add(1, Ordering::Relaxed);
-        }
-        Err(TrySendError::Full(_)) => {
+        } else {
             service
                 .metrics()
                 .backpressure_429
@@ -986,18 +1002,8 @@ fn submit_job(conn: &mut Conn, service: &SolveService, job_tx: &SyncSender<Job>,
                 conn,
                 service,
                 429,
-                &error_body("solver queue is full, retry shortly"),
+                &error_body("work queue is full, retry shortly"),
                 &[("Retry-After", "1")],
-            );
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            conn.close_after_write = true;
-            stage_bytes(
-                conn,
-                service,
-                503,
-                &error_body("server is shutting down"),
-                &[],
             );
         }
     }
@@ -1069,17 +1075,136 @@ fn stage_bytes(
     }
 }
 
-/// Stages a solver-pool [`Response`] (carries its own extra headers).
-fn stage_response(conn: &mut Conn, service: &SolveService, response: &Response) {
-    let extra: Vec<(&str, &str)> = response
-        .extra_headers
-        .iter()
-        .map(|(k, v)| (*k, v.as_str()))
-        .collect();
-    stage_bytes(conn, service, response.status, &response.body, &extra);
+/// Answers `503` on the reactor when the connection cap is reached — the
+/// rejection path must stay cheap and never block on a worker. The
+/// freshly accepted socket is still in blocking mode; the response is a
+/// handful of bytes, so the write cannot stall meaningfully.
+fn reject_busy(mut stream: TcpStream, service: &SolveService) {
+    service
+        .metrics()
+        .rejected_busy
+        .fetch_add(1, Ordering::Relaxed);
+    service.metrics().record_status(503);
+    let body = error_body("connection limit reached, retry later");
+    let mut out = Vec::with_capacity(128 + body.len());
+    write_head_into(&mut out, 503, "application/json", body.len(), false, &[]);
+    out.extend_from_slice(&body);
+    let _ = stream.write_all(&out);
+    let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-/// What one parsed request asks the reactor to do.
+/// `bi-serve`'s dispatcher: cache hits, probes, metrics and cache puts
+/// are answered inline; cache misses and batches go to the solver pool.
+struct Node {
+    service: Arc<SolveService>,
+    /// The seeded fault plan, consulted at the dispatch seam.
+    fault: Option<Arc<FaultPlan>>,
+}
+
+/// One unit of work for the solver pool.
+enum NodeJob {
+    /// A decoded `POST /solve` miss.
+    Solve(Box<PreparedSolve>),
+    /// A `POST /solve_batch` body (parsed on the worker: batches are
+    /// bulk work by definition, so their decode cost stays off the
+    /// reactor) and its trace, under which the worker records the batch
+    /// decode + solve as one `solve` span.
+    Batch(Vec<u8>, TraceCtx),
+}
+
+impl Dispatcher for Node {
+    type Job = NodeJob;
+    const ROOT: Stage = Stage::Request;
+    const NAME: &'static str = "bi-serve";
+
+    fn service(&self) -> &SolveService {
+        &self.service
+    }
+
+    fn dispatch(&self, request: &Request<'_>, reply: &mut Reply<'_>) -> Option<NodeJob> {
+        let service = &*self.service;
+        let metrics = service.metrics();
+        let target = classify(request.method, request.path);
+        // The dispatch seam: serving endpoints can answer an injected
+        // 500 — the request was understood, the work was "lost". Probes
+        // and metrics stay faithful so chaos runs remain observable.
+        if matches!(target, Target::Solve | Target::Batch | Target::CachePut) {
+            if let Some(plan) = &self.fault {
+                if plan.next() == Some(FaultKind::Err500) {
+                    reply.send(500, &error_body("injected fault"), &[]);
+                    return None;
+                }
+            }
+        }
+        match target {
+            Target::Solve => {
+                metrics.solve_requests.fetch_add(1, Ordering::Relaxed);
+                match service.try_serve_fast(request.body, request.ctx) {
+                    Ok(FastOutcome::Hit(served)) => {
+                        // Staging the cached bytes is the hit path's
+                        // `encode` stage (head build + body copy).
+                        let t_enc = service.recorder().now_ns();
+                        reply.send(200, &served.body, &[("X-Cache", "hit")]);
+                        service.finish_stage(request.ctx, Stage::Encode, t_enc);
+                    }
+                    Ok(FastOutcome::Miss(prepared)) => return Some(NodeJob::Solve(prepared)),
+                    Err(e) => reply.send(400, &error_body(&e.to_string()), &[]),
+                }
+            }
+            Target::Batch => {
+                metrics.batch_requests.fetch_add(1, Ordering::Relaxed);
+                return Some(NodeJob::Batch(request.body.to_vec(), request.ctx));
+            }
+            Target::Healthz => reply.send(200, &healthz_body(), &[]),
+            Target::CachePut => {
+                let (status, body) = handle_cache_put(service, request.body);
+                reply.send(status, &body, &[]);
+            }
+            Target::Metrics => {
+                let mut doc = service.metrics_json();
+                if let Some(plan) = &self.fault {
+                    if let Json::Obj(fields) = &mut doc {
+                        fields.push(("faults".into(), plan.to_json()));
+                    }
+                }
+                reply.send(200, doc.to_string().as_bytes(), &[]);
+            }
+            Target::DebugTrace => {
+                reply.send(200, service.trace_json().to_string().as_bytes(), &[]);
+            }
+            Target::MethodNotAllowed => reply.send(405, &error_body("method not allowed"), &[]),
+            Target::NotFound => reply.send(404, &error_body("unknown endpoint"), &[]),
+        }
+        None
+    }
+
+    fn run(&self, job: NodeJob) -> Response {
+        let service = &*self.service;
+        match job {
+            NodeJob::Solve(prepared) => match service.complete_solve(*prepared) {
+                Ok(served) => {
+                    Response::json(200, served.body.to_vec()).with_header("X-Cache", "miss")
+                }
+                // The request was well-formed; the game is unsolvable as
+                // asked (budget, no equilibrium, …) — a semantic 422.
+                Err(e) => Response::json(422, error_body(&e.to_string())),
+            },
+            NodeJob::Batch(body, ctx) => {
+                let t0 = service.recorder().now_ns();
+                let response = handle_batch(service, &body);
+                if ctx.active() {
+                    let t1 = service.recorder().now_ns();
+                    service
+                        .recorder()
+                        .record(ctx.trace_id, ctx.parent, Stage::Solve, t0, t1);
+                }
+                response
+            }
+        }
+    }
+}
+
+/// Which node endpoint a request names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Target {
     Solve,
@@ -1111,21 +1236,6 @@ fn classify(method: &[u8], path: &[u8]) -> Target {
 
 fn healthz_body() -> Vec<u8> {
     Json::Obj(vec![("status".into(), Json::str("ok"))]).canonical_bytes()
-}
-
-/// Answers `503` on the reactor when the connection cap is reached — the
-/// rejection path must stay cheap and never block on a worker. The
-/// freshly accepted socket is still in blocking mode; the response is a
-/// handful of bytes, so the write cannot stall meaningfully.
-fn reject_busy(mut stream: TcpStream, service: &SolveService) {
-    service
-        .metrics()
-        .rejected_busy
-        .fetch_add(1, Ordering::Relaxed);
-    service.metrics().record_status(503);
-    let response = Response::json(503, error_body("connection limit reached, retry later"));
-    let _ = response.write(&mut stream, false);
-    let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
 /// Installs a peer-shipped response (`POST /cache_put`). The body is
@@ -1216,6 +1326,25 @@ mod tests {
         assert_eq!(classify(b"POST", b"/healthz"), Target::MethodNotAllowed);
         assert_eq!(classify(b"POST", b"/debug/trace"), Target::MethodNotAllowed);
         assert_eq!(classify(b"GET", b"/nope"), Target::NotFound);
+    }
+
+    #[test]
+    fn the_pool_bounds_its_queue_and_drains_before_closing() {
+        let task = |job: u32| Task {
+            slot: 0,
+            generation: 0,
+            job,
+        };
+        let pool = Pool::new(2);
+        assert!(pool.submit(task(1)).is_ok());
+        assert!(pool.submit(task(2)).is_ok());
+        let refused = pool.submit(task(3)).expect_err("a full queue refuses");
+        assert_eq!(refused.job, 3);
+        assert_eq!(pool.take().map(|t| t.job), Some(1));
+        pool.close();
+        // Queued jobs still run after close; then workers are told to exit.
+        assert_eq!(pool.take().map(|t| t.job), Some(2));
+        assert!(pool.take().is_none());
     }
 
     #[test]

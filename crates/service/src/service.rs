@@ -221,9 +221,8 @@ pub struct SolveService {
     disk: Option<DiskTier>,
     metrics: ServiceMetrics,
     /// The span flight recorder every stage of this node records into
-    /// (`GET /debug/trace` dumps it). The router shares its recorder
-    /// with its fallback service so local-serve spans land in the same
-    /// dump as routing spans.
+    /// (`GET /debug/trace` dumps it). On a router this is the fallback
+    /// service's, and the routing spans land in it too: one dump.
     recorder: Arc<Recorder>,
 }
 
@@ -238,24 +237,12 @@ impl SolveService {
     /// [`SolveService::new`] with an optional disk-backed second tier.
     #[must_use]
     pub fn with_disk(cache: CacheConfig, disk: Option<DiskTier>) -> Self {
-        Self::with_recorder(cache, disk, Arc::new(Recorder::default()))
-    }
-
-    /// [`SolveService::with_disk`] recording spans into a caller-owned
-    /// flight recorder (how the router and its local fallback service
-    /// share one `/debug/trace` dump).
-    #[must_use]
-    pub fn with_recorder(
-        cache: CacheConfig,
-        disk: Option<DiskTier>,
-        recorder: Arc<Recorder>,
-    ) -> Self {
         SolveService {
             cache: ShardedLru::new(cache),
             raw_index: ShardedLru::new(cache),
             disk,
             metrics: ServiceMetrics::default(),
-            recorder,
+            recorder: Arc::new(Recorder::default()),
         }
     }
 
@@ -273,14 +260,17 @@ impl SolveService {
         }
     }
 
-    /// Looks `key` up in the disk tier, promoting a hit into the LRU so
-    /// the next lookup stays in memory. A hit records the promotion as
-    /// a `disk_promote` stage (read + decompress + LRU insert).
-    fn disk_lookup(&self, key: &[u8], ctx: TraceCtx) -> Option<Arc<[u8]>> {
+    /// The one cache lookup: the LRU, then the disk tier, promoting a
+    /// disk hit into the LRU so the next lookup stays in memory. The
+    /// promotion is recorded as a `disk_promote` stage (read +
+    /// decompress + LRU insert).
+    fn lookup(&self, key: &[u8], ctx: TraceCtx) -> Option<Arc<[u8]>> {
+        if let Some(body) = self.cache.get(key) {
+            return Some(body);
+        }
         let disk = self.disk.as_ref()?;
         let t0 = self.recorder.now_ns();
-        let bytes = disk.get(key)?;
-        let body: Arc<[u8]> = Arc::from(bytes);
+        let body: Arc<[u8]> = Arc::from(disk.get(key)?);
         self.cache.insert(key, Arc::clone(&body));
         self.finish_stage(ctx, Stage::DiskPromote, t0);
         Some(body)
@@ -288,7 +278,7 @@ impl SolveService {
 
     /// Closes one pipeline stage: feeds the per-stage histogram always,
     /// and records a span when the request is traced.
-    fn finish_stage(&self, ctx: TraceCtx, stage: Stage, t0: u64) {
+    pub(crate) fn finish_stage(&self, ctx: TraceCtx, stage: Stage, t0: u64) {
         let t1 = self.recorder.now_ns();
         self.metrics
             .stages
@@ -297,12 +287,6 @@ impl SolveService {
             self.recorder
                 .record(ctx.trace_id, ctx.parent, stage, t0, t1);
         }
-    }
-
-    /// Closes a transport-side `encode` stage opened at `t0` (the hit
-    /// path's response staging): histogram always, a span when traced.
-    pub fn finish_encode_stage(&self, ctx: TraceCtx, t0: u64) {
-        self.finish_stage(ctx, Stage::Encode, t0);
     }
 
     /// The span flight recorder this node records into.
@@ -357,32 +341,14 @@ impl SolveService {
     /// Returns the engine's [`SolveError`] (never cached).
     pub fn solve(&self, request: &SolveRequest) -> Result<SolveOutcome, SolveError> {
         let key = Self::cache_key(&request.game, &request.config);
-        if let Some(body) = self.cache.get(&key) {
+        if let Some(body) = self.lookup(&key, TraceCtx::NONE) {
             return Ok(SolveOutcome {
                 body,
                 cache_hit: true,
             });
         }
-        if let Some(body) = self.disk_lookup(&key, TraceCtx::NONE) {
-            return Ok(SolveOutcome {
-                body,
-                cache_hit: true,
-            });
-        }
-        let solver = Solver::from_config(request.config);
-        let started = std::time::Instant::now();
-        let result = match &request.game {
-            GameSpec::Matrix(g) => solver.solve(g),
-            GameSpec::Ncs(g) => solver.solve(g),
-        };
-        // Recorded before the `?` so failed invocations count too, same
-        // as the batch path: the histogram tracks engine invocations, not
-        // successes.
-        self.record_solve_time(started);
-        let report = result?;
-        self.record_computed();
         Ok(SolveOutcome {
-            body: self.insert_report(key, &report),
+            body: self.compute(request, key, None, TraceCtx::NONE)?,
             cache_hit: false,
         })
     }
@@ -422,8 +388,7 @@ impl SolveService {
         let request = SolveRequest::decode_str(text)?;
         let key = Self::cache_key(&request.game, &request.config);
         let raw = canonical.then(|| body.to_vec());
-        let cached = self.cache.get(&key).or_else(|| self.disk_lookup(&key, ctx));
-        if let Some(cached) = cached {
+        if let Some(cached) = self.lookup(&key, ctx) {
             self.metrics
                 .parsed_hits
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -461,6 +426,25 @@ impl SolveService {
             raw,
             ctx,
         } = prepared;
+        Ok(ServedResponse {
+            body: self.compute(&request, key, raw.as_deref(), ctx)?,
+            cache_hit: false,
+            zero_copy: false,
+        })
+    }
+
+    /// The one compute step of a miss: runs the engine (timed into the
+    /// cold-path histogram, and as a `solve` span when traced), then
+    /// encodes and caches the report under `key` — and under the raw
+    /// request bytes when they were canonical. The encode + insert is the
+    /// miss's `encode` stage.
+    fn compute(
+        &self,
+        request: &SolveRequest,
+        key: Vec<u8>,
+        raw: Option<&[u8]>,
+        ctx: TraceCtx,
+    ) -> Result<Arc<[u8]>, SolveError> {
         let solver = Solver::from_config(request.config);
         let t_solve = self.recorder.now_ns();
         let started = std::time::Instant::now();
@@ -468,6 +452,9 @@ impl SolveService {
             GameSpec::Matrix(g) => solver.solve(g),
             GameSpec::Ncs(g) => solver.solve(g),
         };
+        // Recorded before the `?` so failed invocations count too, same
+        // as the batch path: the histogram tracks engine invocations, not
+        // successes.
         self.record_solve_time(started);
         if ctx.active() {
             let t1 = self.recorder.now_ns();
@@ -478,15 +465,11 @@ impl SolveService {
         self.record_computed();
         let t_encode = self.recorder.now_ns();
         let body = self.insert_report(key, &report);
-        if let Some(raw) = &raw {
+        if let Some(raw) = raw {
             self.raw_index.insert(raw, Arc::clone(&body));
         }
         self.finish_stage(ctx, Stage::Encode, t_encode);
-        Ok(ServedResponse {
-            body,
-            cache_hit: false,
-            zero_copy: false,
-        })
+        Ok(body)
     }
 
     /// Solves a batch: answers cached games immediately, routes the
@@ -501,11 +484,7 @@ impl SolveService {
         let mut ncs_misses: Vec<(usize, Vec<u8>, &BayesianNcsGame)> = Vec::new();
         for (i, game) in batch.games.iter().enumerate() {
             let key = Self::cache_key(game, &batch.config);
-            if let Some(body) = self
-                .cache
-                .get(&key)
-                .or_else(|| self.disk_lookup(&key, TraceCtx::NONE))
-            {
+            if let Some(body) = self.lookup(&key, TraceCtx::NONE) {
                 results[i] = Some(Ok(SolveOutcome {
                     body,
                     cache_hit: true,

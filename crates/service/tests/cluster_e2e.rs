@@ -123,14 +123,25 @@ fn one_trace_id_stitches_router_and_backend_span_trees() {
         matches[0].clone()
     };
 
-    // Router tree: `route` is the root (no inbound parent), with
-    // `ring_lookup` and the forwarding `upstream` hop nested under it.
+    // Router tree: `route` is the root (no inbound parent), with the
+    // reactor's `parse` and `write`, `ring_lookup` and the forwarding
+    // `upstream` hop nested under it.
     let route = span_of(&router_spans, Stage::Route);
     assert_eq!(route.parent, 0, "no X-Bi-Parent was sent");
-    let ring = span_of(&router_spans, Stage::RingLookup);
     let upstream = span_of(&router_spans, Stage::Upstream);
-    assert_eq!(ring.parent, route.span_id);
-    assert_eq!(upstream.parent, route.span_id);
+    for stage in [
+        Stage::Parse,
+        Stage::RingLookup,
+        Stage::Upstream,
+        Stage::Write,
+    ] {
+        assert_eq!(
+            span_of(&router_spans, stage).parent,
+            route.span_id,
+            "{} must nest under the router's route root",
+            stage.name()
+        );
+    }
 
     // Backend tree: its `request` root adopted the forwarded upstream
     // span as parent, and every serving stage nests under the root. A

@@ -424,6 +424,56 @@ fn debug_trace_adopts_the_injected_id_and_nests_stages_under_the_root() {
 }
 
 #[test]
+fn a_zero_trace_header_gets_a_fresh_trace() {
+    // Trace 0 means "untraced" to the recorder: a request carrying it
+    // must be traced under a freshly minted id, with its full tree.
+    let handle = start_server();
+    let body = solve_body(&matrix_game(63));
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    write_request_with(
+        &mut writer,
+        "POST",
+        "/solve",
+        &body,
+        false,
+        &[("X-Bi-Trace", "0".to_string())],
+    )
+    .expect("write");
+    assert_eq!(read_response(&mut reader).expect("read").status, 200);
+
+    let dump = call(handle.addr(), "GET", "/debug/trace", b"");
+    let doc = Json::parse(std::str::from_utf8(&dump.body).unwrap()).unwrap();
+    let spans: Vec<SpanEvent> = doc
+        .get("spans")
+        .and_then(Json::as_arr)
+        .expect("spans array")
+        .iter()
+        .filter_map(SpanEvent::from_json)
+        .collect();
+    assert!(
+        spans.iter().all(|span| span.trace_id != 0),
+        "no span may be recorded under trace 0"
+    );
+    // The server's only solve belongs to the request sent with trace 0.
+    let solve = spans
+        .iter()
+        .find(|span| span.stage == Stage::Solve)
+        .expect("the cold solve was traced");
+    for stage in [Stage::Request, Stage::Cache, Stage::Encode] {
+        assert!(
+            spans
+                .iter()
+                .any(|span| span.trace_id == solve.trace_id && span.stage == stage),
+            "the fresh trace is missing its {} span",
+            stage.name()
+        );
+    }
+    handle.stop();
+}
+
+#[test]
 fn metrics_stage_histograms_move_with_traffic() {
     let handle = start_server();
     let body = solve_body(&matrix_game(62));
