@@ -39,10 +39,8 @@ OPTIONS:
   --cache-capacity N    total solve-cache entries, 0 disables (default 4096)
   --cache-shards N      independently locked cache shards (default 16)
   --timeout-secs N      idle keep-alive timeout per connection (default 10)
-  --disk-cache PATH     append-only disk cache log; reboots replay it warm
-                        (default: memory-only)
-  --compact-ratio N     rewrite the disk log once it exceeds N× its live
-                        bytes; 0 disables compaction (default 2)
+  --disk-cache PATH     append-only disk cache log, one frame per key;
+                        reboots replay it warm (default: memory-only)
   --fault-plan SPEC     seeded deterministic fault injection, e.g.
                         `seed=42,rate=50000,kinds=refuse+err500,delay-ms=5`
                         (default: off; kinds also include disconnect,
@@ -74,9 +72,6 @@ fn parse_args() -> Result<ServerConfig, String> {
                 config.read_timeout = Duration::from_secs(parse_num(&flag, &value)? as u64);
             }
             "--disk-cache" => config.disk_path = Some(value.into()),
-            "--compact-ratio" => {
-                config.disk.compact_ratio = parse_num(&flag, &value)? as u32;
-            }
             "--fault-plan" => {
                 config.fault = Some(std::sync::Arc::new(FaultPlan::parse(&value)?));
             }
@@ -130,10 +125,6 @@ fn main() {
                         .as_deref()
                         .map_or("none".into(), |p| p.display().to_string()),
                 ),
-            ),
-            (
-                "compact_ratio",
-                Json::from_u64(u64::from(config.disk.compact_ratio)),
             ),
             (
                 "fault_plan",

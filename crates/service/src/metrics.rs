@@ -1,20 +1,18 @@
-//! Service counters and the latency histograms, surfaced as JSON by
-//! `GET /metrics`.
+//! Service counters and the per-stage latency histograms, surfaced as
+//! JSON by `GET /metrics`.
 //!
-//! The histogram types themselves now live in [`bi_obs::hist`] (the
-//! router shares them) and are re-exported here so existing callers
-//! keep compiling; this module owns the counter set and the
-//! `GET /metrics` document shape.
+//! The histogram types live in [`bi_obs::hist`] (the router shares
+//! them); this module owns the counter set and the `GET /metrics`
+//! document shape.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use bi_obs::StageTimings;
 use bi_util::Json;
 
 use crate::cache::CacheStats;
 use crate::persist::DiskTierStats;
-
-pub use bi_obs::{HistogramSnapshot, LatencyHistogram, StageTimings};
 
 /// Monotonic counters of the serving layer. All relaxed atomics — the
 /// numbers are observability, not synchronization.
@@ -68,15 +66,13 @@ pub struct ServiceMetrics {
     pub cfg_workers: AtomicU64,
     /// Configured connection cap (a gauge, set at start).
     pub cfg_max_connections: AtomicU64,
-    /// Engine solve latency, one sample per cold engine invocation (a
-    /// `POST /solve` cache miss or one `solve_many` batch of misses),
-    /// whether or not the solve succeeded — cache hits never touch it,
-    /// so this is the cold-path histogram.
-    pub solve_us: LatencyHistogram,
     /// Per-pipeline-stage latency histograms (parse, cache, solve,
     /// encode, write, disk_promote, …) — recorded on every request
     /// whether or not its spans are still in the flight recorder, and
-    /// surfaced under `"stages"`.
+    /// surfaced under `"stages"`. The `solve` stage takes one sample per
+    /// cold engine invocation (a `POST /solve` cache miss or one
+    /// `solve_many` batch of misses), whether or not the solve
+    /// succeeded: it is the cold-path histogram.
     pub stages: StageTimings,
     start: Instant,
 }
@@ -104,7 +100,6 @@ impl Default for ServiceMetrics {
             cfg_idle_timeout_ms: AtomicU64::new(0),
             cfg_workers: AtomicU64::new(0),
             cfg_max_connections: AtomicU64::new(0),
-            solve_us: LatencyHistogram::default(),
             stages: StageTimings::default(),
             start: Instant::now(),
         }
@@ -179,7 +174,6 @@ impl ServiceMetrics {
                     ("solves_in_flight".into(), count(&self.solves_in_flight)),
                 ]),
             ),
-            ("solve_us".into(), self.solve_us.to_json()),
             ("stages".into(), self.stages.to_json()),
             (
                 "cache".into(),
@@ -212,9 +206,7 @@ impl ServiceMetrics {
                         "dropped_appends".into(),
                         Json::from_u64(disk.dropped_appends),
                     ),
-                    ("compactions".into(), Json::from_u64(disk.compactions)),
                     ("log_bytes".into(), Json::from_u64(disk.log_bytes)),
-                    ("live_bytes".into(), Json::from_u64(disk.live_bytes)),
                     ("entries".into(), Json::num(disk.entries as f64)),
                 ]),
             ));
@@ -241,7 +233,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_percentiles() {
-        let h = LatencyHistogram::default();
+        let h = bi_obs::LatencyHistogram::default();
         assert_eq!(h.percentile_us(0.5), 0);
         // 90 fast samples in [64, 128) µs, 10 slow ones in [8192, 16384).
         for _ in 0..90 {
@@ -266,7 +258,7 @@ mod tests {
     #[test]
     fn metrics_document_includes_solve_histogram() {
         let m = ServiceMetrics::default();
-        m.solve_us.record(300);
+        m.stages.record(bi_obs::Stage::Solve, 300);
         let doc = m.to_json(
             CacheStats {
                 hits: 0,
@@ -278,7 +270,8 @@ mod tests {
             },
             None,
         );
-        let solve = doc.get("solve_us").unwrap();
+        assert!(doc.get("solve_us").is_none(), "one solve histogram");
+        let solve = doc.get("stages").unwrap().get("solve").unwrap();
         assert_eq!(solve.get("count").unwrap().as_u64(), Some(1));
         assert_eq!(solve.get("p50").unwrap().as_u64(), Some(511));
     }

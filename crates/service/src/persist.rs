@@ -22,10 +22,23 @@
 //! where the CRC-32 (IEEE, [`bi_util::crc32`]) covers `key ‖ val`. A
 //! crash mid-append leaves a torn tail: on boot the scan stops at the
 //! first incomplete or CRC-invalid frame, truncates the file back to the
-//! last whole record, and keeps serving — recovery is never fatal. A key
-//! appended twice keeps the last value (the scan overwrites the index
-//! entry), though in practice the content-addressed keying makes every
-//! re-append byte-identical.
+//! last whole record, and keeps serving — recovery is never fatal.
+//!
+//! # Write-once
+//!
+//! A key names one answer forever, so each key is written at most once:
+//! the writer thread drops an append whose key is already indexed. The
+//! writer is the only thread that inserts into the index, so its
+//! check-then-insert is exact without holding the index lock across the
+//! write, and two appends of one key queued back to back still yield one
+//! frame. A log written this way holds no dead records, never needs
+//! compacting, and satisfies `entries == recovered_records + appends`.
+//! The boot scan keeps the *first* frame of a key too, so a log from an
+//! older binary that re-appended keys boots on the same first-wins rule.
+//!
+//! Nothing ever rewrites or swaps the file: appends only grow it past
+//! every indexed offset, so a reader pairs an offset from the index with
+//! one positioned read (`pread`) and needs no file lock.
 //!
 //! # Examples
 //!
@@ -36,11 +49,13 @@
 //! # let _ = std::fs::remove_file(&path);
 //! let tier = DiskTier::open(&path, DiskTierConfig::default()).unwrap();
 //! tier.append(b"key", b"value");
+//! tier.append(b"key", b"a second value is never written");
 //! tier.sync();
 //! drop(tier);
 //! // A reboot rebuilds the index by scanning the log.
 //! let tier = DiskTier::open(&path, DiskTierConfig::default()).unwrap();
 //! assert_eq!(tier.get(b"key").as_deref(), Some(&b"value"[..]));
+//! assert_eq!(tier.stats().recovered_records, 1);
 //! # drop(tier);
 //! # std::fs::remove_file(&path).unwrap();
 //! ```
@@ -48,13 +63,14 @@
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use bi_util::{crc32, Crc32, FnvBuildHasher};
+use bi_util::{Crc32, FnvBuildHasher};
 
 /// Frame header: `key_len`, `val_len`, `crc32`.
 const HEADER_LEN: u64 = 12;
@@ -65,23 +81,13 @@ pub struct DiskTierConfig {
     /// Bound of the write-behind queue; when full, appends are dropped
     /// (and counted) instead of blocking the hot path.
     pub queue_capacity: usize,
-    /// Compaction trigger: rewrite the log once its on-disk size exceeds
-    /// this multiple of the live (last-version) bytes. `0` disables
-    /// compaction entirely.
-    pub compact_ratio: u32,
-    /// Logs smaller than this never compact — rewriting a few KiB to
-    /// reclaim half of it is churn, not savings.
-    pub compact_min_bytes: u64,
 }
 
 impl Default for DiskTierConfig {
-    /// A 4096-append queue, compacting past 2× live bytes on logs of at
-    /// least 64 KiB.
+    /// A 4096-append queue.
     fn default() -> Self {
         DiskTierConfig {
             queue_capacity: 4096,
-            compact_ratio: 2,
-            compact_min_bytes: 64 * 1024,
         }
     }
 }
@@ -97,17 +103,13 @@ pub struct DiskTierStats {
     pub hits: u64,
     /// `get` calls that found no entry.
     pub misses: u64,
-    /// Records durably appended since boot.
+    /// Frames written since boot. An append of a key already indexed
+    /// writes nothing and is not counted.
     pub appends: u64,
     /// Appends dropped because the write-behind queue was full.
     pub dropped_appends: u64,
-    /// Log rewrites completed since boot.
-    pub compactions: u64,
     /// Current on-disk log size in bytes.
     pub log_bytes: u64,
-    /// Bytes of the live (last-version) records, headers included —
-    /// what a compaction would shrink the log to.
-    pub live_bytes: u64,
     /// Distinct keys currently indexed.
     pub entries: usize,
 }
@@ -126,9 +128,7 @@ struct Counters {
     misses: AtomicU64,
     appends: AtomicU64,
     dropped_appends: AtomicU64,
-    compactions: AtomicU64,
     log_bytes: AtomicU64,
-    live_bytes: AtomicU64,
 }
 
 /// Key bytes → value location; rebuilt by the boot scan, extended by
@@ -147,13 +147,9 @@ enum WriteMsg {
 /// the last handle flushes and joins the writer thread.
 pub struct DiskTier {
     index: Arc<Mutex<Index>>,
-    /// Read handle. Lookups hold this lock across the index probe *and*
-    /// the value read, and compaction swaps the handle (plus the index
-    /// offsets) while holding the same lock — so a reader can never pair
-    /// a pre-compaction offset with the post-compaction file. Normal
-    /// appends only ever grow the file past every indexed offset, so
-    /// they need no such coordination.
-    reader: Arc<Mutex<File>>,
+    /// Read handle for positioned reads; never swapped, so it needs no
+    /// lock.
+    reader: File,
     tx: Option<SyncSender<WriteMsg>>,
     writer: Option<JoinHandle<()>>,
     counters: Arc<Counters>,
@@ -172,47 +168,30 @@ impl DiskTier {
     /// Propagates file-system failures (open, scan read, truncate).
     pub fn open(path: impl AsRef<Path>, config: DiskTierConfig) -> io::Result<DiskTier> {
         let path = path.as_ref().to_path_buf();
-        // A leftover `.compact` file is a compaction that died before its
-        // rename — the main log is still complete, so the half-written
-        // rewrite is garbage.
-        let _ = std::fs::remove_file(compact_path(&path));
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(&path)?;
-        let (index, end, recovered, file_len, live) = scan_log(&mut file)?;
+        let (index, end, recovered, file_len) = scan_log(&mut file)?;
         let truncated = file_len - end;
         if truncated > 0 {
             file.set_len(end)?;
         }
-        let append_file = OpenOptions::new().append(true).open(&path)?;
+        let out = BufWriter::new(OpenOptions::new().append(true).open(&path)?);
         let index = Arc::new(Mutex::new(index));
         let counters = Arc::new(Counters::default());
         counters.log_bytes.store(end, Ordering::Relaxed);
-        counters.live_bytes.store(live, Ordering::Relaxed);
-        let reader = Arc::new(Mutex::new(file));
         let (tx, rx) = sync_channel(config.queue_capacity.max(1));
         let writer = {
             let index = Arc::clone(&index);
             let counters = Arc::clone(&counters);
-            let reader = Arc::clone(&reader);
-            let path = path.clone();
-            std::thread::spawn(move || {
-                let mut state = WriterState {
-                    out: BufWriter::new(append_file),
-                    end,
-                    live,
-                    path,
-                    config,
-                };
-                writer_loop(&rx, &mut state, &index, &reader, &counters);
-            })
+            std::thread::spawn(move || writer_loop(&rx, out, end, &index, &counters))
         };
         Ok(DiskTier {
             index,
-            reader,
+            reader: file,
             tx: Some(tx),
             writer: Some(writer),
             counters,
@@ -233,37 +212,34 @@ impl DiskTier {
     /// appends still queued behind the write-behind channel).
     #[must_use]
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        // Lock order: reader, then index — the same order compaction
-        // uses to swap both, so an offset looked up here is always read
-        // against the file it indexes into.
-        let mut file = self.reader.lock().expect("disk reader poisoned");
-        let loc = {
-            let index = self.index.lock().expect("disk index poisoned");
-            index.get(key).copied()
+        // The writer indexes a frame only after writing it, so an offset
+        // found here is already readable.
+        let loc = self
+            .index
+            .lock()
+            .expect("disk index poisoned")
+            .get(key)
+            .copied();
+        let value = loc.and_then(|loc| {
+            let mut value = vec![0u8; loc.len as usize];
+            // An indexed record must be readable; treat I/O decay as a
+            // miss rather than serving partial bytes.
+            self.reader.read_exact_at(&mut value, loc.offset).ok()?;
+            Some(value)
+        });
+        let counter = if value.is_some() {
+            &self.counters.hits
+        } else {
+            &self.counters.misses
         };
-        let Some(loc) = loc else {
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        let mut value = vec![0u8; loc.len as usize];
-        if file
-            .seek(SeekFrom::Start(loc.offset))
-            .and_then(|_| file.read_exact(&mut value))
-            .is_err()
-        {
-            // An indexed record must be readable; treat I/O decay as
-            // a miss rather than serving partial bytes.
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        drop(file);
-        self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        Some(value)
+        counter.fetch_add(1, Ordering::Relaxed);
+        value
     }
 
     /// Queues `key → value` for appending. Never blocks: when the
     /// write-behind queue is full the append is dropped and counted —
-    /// the disk tier is an optimization, not a durability contract.
+    /// the disk tier is an optimization, not a durability contract. A
+    /// key already on disk keeps its first value.
     pub fn append(&self, key: &[u8], value: &[u8]) {
         self.append_shared(key, Arc::from(value));
     }
@@ -303,9 +279,7 @@ impl DiskTier {
             misses: self.counters.misses.load(Ordering::Relaxed),
             appends: self.counters.appends.load(Ordering::Relaxed),
             dropped_appends: self.counters.dropped_appends.load(Ordering::Relaxed),
-            compactions: self.counters.compactions.load(Ordering::Relaxed),
             log_bytes: self.counters.log_bytes.load(Ordering::Relaxed),
-            live_bytes: self.counters.live_bytes.load(Ordering::Relaxed),
             entries: self.index.lock().expect("disk index poisoned").len(),
         }
     }
@@ -320,18 +294,17 @@ impl Drop for DiskTier {
     }
 }
 
-/// Scans the log from the start, returning the rebuilt index, the byte
-/// offset of the last whole record's end, the record count, the file
-/// length, and the live bytes (last-version frames only). Stops (without
-/// error) at the first torn or CRC-invalid frame.
-fn scan_log(file: &mut File) -> io::Result<(Index, u64, u64, u64, u64)> {
+/// Scans the log from the start, returning the rebuilt index (first
+/// frame of each key), the byte offset of the last whole record's end,
+/// the record count, and the file length. Stops (without error) at the
+/// first torn or CRC-invalid frame.
+fn scan_log(file: &mut File) -> io::Result<(Index, u64, u64, u64)> {
     let file_len = file.seek(SeekFrom::End(0))?;
     file.seek(SeekFrom::Start(0))?;
     let mut reader = io::BufReader::new(&mut *file);
     let mut index = Index::with_hasher(FnvBuildHasher);
     let mut pos = 0u64;
     let mut recovered = 0u64;
-    let mut live = 0u64;
     loop {
         if file_len - pos < HEADER_LEN {
             break; // torn or empty header
@@ -359,74 +332,48 @@ fn scan_log(file: &mut File) -> io::Result<(Index, u64, u64, u64, u64)> {
         if acc.finish() != crc {
             break; // corrupt frame: treat as the new end of log
         }
-        let val_offset = pos + HEADER_LEN + key_len;
-        let replaced = index.insert(
-            Arc::from(key),
-            ValueLoc {
-                offset: val_offset,
-                len: u32::try_from(val_len).expect("val_len came from a u32"),
-            },
-        );
-        live += HEADER_LEN + payload;
-        if let Some(old) = replaced {
-            // The superseded frame had the same key, so its dead weight
-            // is the same header + key plus its own value length.
-            live -= HEADER_LEN + key_len + u64::from(old.len);
-        }
+        // First write wins, as in the writer.
+        index.entry(Arc::from(key)).or_insert(ValueLoc {
+            offset: pos + HEADER_LEN + key_len,
+            len: u32::try_from(val_len).expect("val_len came from a u32"),
+        });
         recovered += 1;
         pos += HEADER_LEN + payload;
     }
-    Ok((index, pos, recovered, file_len, live))
+    Ok((index, pos, recovered, file_len))
 }
 
-/// The writer thread's mutable view of the log: the append handle, the
-/// current end offset, and the live-byte estimate compaction triggers on.
-struct WriterState {
-    out: BufWriter<File>,
-    end: u64,
-    live: u64,
-    path: PathBuf,
-    config: DiskTierConfig,
-}
-
-/// The sibling path a compaction rewrites into before the atomic rename.
-#[must_use]
-pub fn compact_path(path: &Path) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(".compact");
-    PathBuf::from(name)
-}
-
-/// The write-behind thread: frames and appends records, indexing each
-/// one once it (and everything before it) is flushed, and compacting
-/// the log when dead re-append weight crosses the configured ratio.
+/// The write-behind thread: frames and appends each record whose key is
+/// not yet indexed, indexing it once it (and everything before it) is
+/// flushed. `end` is the log's current length.
 fn writer_loop(
     rx: &Receiver<WriteMsg>,
-    state: &mut WriterState,
+    mut out: BufWriter<File>,
+    mut end: u64,
     index: &Mutex<Index>,
-    reader: &Mutex<File>,
     counters: &Counters,
 ) {
     while let Ok(msg) = rx.recv() {
         match msg {
             WriteMsg::Append(key, value) => {
-                let key_len = u32::try_from(key.len()).unwrap_or(u32::MAX);
-                let val_len = u32::try_from(value.len()).unwrap_or(u32::MAX);
-                if key_len as usize != key.len() || val_len as usize != value.len() {
+                // Write-once. Only this thread inserts, so a key absent
+                // here stays absent until the insert below.
+                if index
+                    .lock()
+                    .expect("disk index poisoned")
+                    .contains_key(key.as_slice())
+                {
+                    continue;
+                }
+                let Some(header) = frame_header(&key, &value) else {
                     counters.dropped_appends.fetch_add(1, Ordering::Relaxed);
                     continue; // a >4 GiB frame cannot be framed; skip it
-                }
-                let mut acc = Crc32::new();
-                acc.update(&key);
-                acc.update(&value);
-                let write = state
-                    .out
-                    .write_all(&key_len.to_le_bytes())
-                    .and_then(|()| state.out.write_all(&val_len.to_le_bytes()))
-                    .and_then(|()| state.out.write_all(&acc.finish().to_le_bytes()))
-                    .and_then(|()| state.out.write_all(&key))
-                    .and_then(|()| state.out.write_all(&value))
-                    .and_then(|()| state.out.flush());
+                };
+                let write = out
+                    .write_all(&header)
+                    .and_then(|()| out.write_all(&key))
+                    .and_then(|()| out.write_all(&value))
+                    .and_then(|()| out.flush());
                 if write.is_err() {
                     // The log is now suspect past `end`; stop appending
                     // (boot-scan truncation repairs the tail) but keep
@@ -435,165 +382,54 @@ fn writer_loop(
                     counters.dropped_appends.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                let val_offset = state.end + HEADER_LEN + u64::from(key_len);
-                let frame = HEADER_LEN + u64::from(key_len) + u64::from(val_len);
-                let replaced = index.lock().expect("disk index poisoned").insert(
-                    Arc::from(key),
-                    ValueLoc {
-                        offset: val_offset,
-                        len: val_len,
-                    },
-                );
-                state.end += frame;
-                state.live += frame;
-                if let Some(old) = replaced {
-                    state.live -= HEADER_LEN + u64::from(key_len) + u64::from(old.len);
-                }
+                let loc = ValueLoc {
+                    offset: end + HEADER_LEN + key.len() as u64,
+                    len: value.len() as u32,
+                };
+                end = loc.offset + u64::from(loc.len);
+                index
+                    .lock()
+                    .expect("disk index poisoned")
+                    .insert(Arc::from(key), loc);
                 counters.appends.fetch_add(1, Ordering::Relaxed);
-                counters.log_bytes.store(state.end, Ordering::Relaxed);
-                counters.live_bytes.store(state.live, Ordering::Relaxed);
-                maybe_compact(state, index, reader, counters);
+                counters.log_bytes.store(end, Ordering::Relaxed);
             }
             WriteMsg::Barrier(ack) => {
-                let _ = state.out.flush();
+                let _ = out.flush();
                 let _ = ack.try_send(());
             }
         }
     }
-    let _ = state.out.flush();
+    let _ = out.flush();
 }
 
-/// Compacts when the log has outgrown the configured multiple of its
-/// live bytes. All fallible work — rewriting the live records into a
-/// sibling file, fsyncing it, opening the new read/append handles —
-/// happens *before* the commit point, a single atomic rename; a crash
-/// anywhere before it leaves the original log untouched (the leftover
-/// `.compact` file is removed on the next boot), and a crash after it
-/// leaves the fully-fsynced compacted log. Failures abort the attempt
-/// and keep serving from the old log.
-fn maybe_compact(
-    state: &mut WriterState,
-    index: &Mutex<Index>,
-    reader: &Mutex<File>,
-    counters: &Counters,
-) {
-    let ratio = u64::from(state.config.compact_ratio);
-    if ratio == 0 || state.end < state.config.compact_min_bytes {
-        return;
-    }
-    if state.end <= state.live.saturating_mul(ratio) {
-        return;
-    }
-    // Snapshot the live set. Only this thread mutates the index, so the
-    // snapshot cannot go stale before the swap below.
-    let entries: Vec<(Arc<[u8]>, ValueLoc)> = {
-        let index = index.lock().expect("disk index poisoned");
-        index.iter().map(|(k, &loc)| (Arc::clone(k), loc)).collect()
-    };
-    let tmp = compact_path(&state.path);
-    let rewritten = rewrite_live(&state.path, &tmp, &entries);
-    let Ok((new_index, new_end)) = rewritten else {
-        let _ = std::fs::remove_file(&tmp);
-        return;
-    };
-    // Open both successor handles on the sibling file *before* the
-    // rename — they stay valid across it (same inode), so once the
-    // rename lands nothing can fail.
-    let Ok(new_reader) = OpenOptions::new().read(true).open(&tmp) else {
-        let _ = std::fs::remove_file(&tmp);
-        return;
-    };
-    let Ok(new_append) = OpenOptions::new().append(true).open(&tmp) else {
-        let _ = std::fs::remove_file(&tmp);
-        return;
-    };
-    {
-        // Same lock order as `DiskTier::get`: reader, then index. While
-        // both are held, readers can neither look up an offset nor read
-        // a value, so the offsets and the file swap together.
-        let mut reader = reader.lock().expect("disk reader poisoned");
-        let mut index = index.lock().expect("disk index poisoned");
-        if std::fs::rename(&tmp, &state.path).is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            return;
-        }
-        *index = new_index;
-        *reader = new_reader;
-    }
-    state.out = BufWriter::new(new_append);
-    state.end = new_end;
-    state.live = new_end;
-    counters.compactions.fetch_add(1, Ordering::Relaxed);
-    counters.log_bytes.store(new_end, Ordering::Relaxed);
-    counters.live_bytes.store(new_end, Ordering::Relaxed);
-}
-
-/// Writes every live record of `src` into `dst` (fsynced), returning
-/// the rebuilt index and the new log size. Records are re-framed from
-/// the values read back off the old log, so the result is byte-identical
-/// to a log that only ever saw the last version of each key.
-fn rewrite_live(
-    src: &Path,
-    dst: &Path,
-    entries: &[(Arc<[u8]>, ValueLoc)],
-) -> io::Result<(Index, u64)> {
-    let mut from = OpenOptions::new().read(true).open(src)?;
-    let file = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(dst)?;
-    let mut out = BufWriter::new(file);
-    let mut new_index = Index::with_hasher(FnvBuildHasher);
-    let mut pos = 0u64;
-    for (key, loc) in entries {
-        let mut value = vec![0u8; loc.len as usize];
-        from.seek(SeekFrom::Start(loc.offset))?;
-        from.read_exact(&mut value)?;
-        let frame = frame_record(key, &value);
-        out.write_all(&frame)?;
-        new_index.insert(
-            Arc::clone(key),
-            ValueLoc {
-                offset: pos + HEADER_LEN + key.len() as u64,
-                len: loc.len,
-            },
-        );
-        pos += frame.len() as u64;
-    }
-    out.flush()?;
-    out.get_ref().sync_all()?;
-    Ok((new_index, pos))
+/// The header of a `key → value` frame, or `None` when either length
+/// does not fit its `u32` field.
+fn frame_header(key: &[u8], value: &[u8]) -> Option<[u8; HEADER_LEN as usize]> {
+    let key_len = u32::try_from(key.len()).ok()?;
+    let val_len = u32::try_from(value.len()).ok()?;
+    let mut acc = Crc32::new();
+    acc.update(key);
+    acc.update(value);
+    let mut header = [0u8; HEADER_LEN as usize];
+    header[0..4].copy_from_slice(&key_len.to_le_bytes());
+    header[4..8].copy_from_slice(&val_len.to_le_bytes());
+    header[8..12].copy_from_slice(&acc.finish().to_le_bytes());
+    Some(header)
 }
 
 /// A CRC-framed record as [`DiskTier`] writes it — exposed so tests can
 /// author and dissect log files byte-exactly.
 #[must_use]
 pub fn frame_record(key: &[u8], value: &[u8]) -> Vec<u8> {
-    let mut acc = Crc32::new();
-    acc.update(key);
-    acc.update(value);
-    let mut out = Vec::with_capacity(HEADER_LEN as usize + key.len() + value.len());
-    out.extend_from_slice(
-        &u32::try_from(key.len())
-            .expect("test keys fit u32")
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(
-        &u32::try_from(value.len())
-            .expect("test values fit u32")
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(&acc.finish().to_le_bytes());
-    out.extend_from_slice(key);
-    out.extend_from_slice(value);
-    debug_assert_eq!(crc32(&[key, value].concat()), acc.finish());
-    out
+    let header = frame_header(key, value).expect("test records fit u32 lengths");
+    [&header[..], key, value].concat()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU32;
 
     fn temp_log(tag: &str) -> PathBuf {
         static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -629,19 +465,28 @@ mod tests {
     }
 
     #[test]
-    fn rewritten_keys_keep_the_last_value() {
+    fn re_appended_keys_keep_the_first_value() {
         let path = temp_log("rewrite");
         {
             let tier = DiskTier::open(&path, DiskTierConfig::default()).unwrap();
-            tier.append(b"k", b"old");
-            tier.append(b"k", b"new");
+            tier.append(b"k", b"first");
+            tier.append(b"k", b"second");
             tier.sync();
-            assert_eq!(tier.get(b"k").as_deref(), Some(&b"new"[..]));
+            assert_eq!(tier.get(b"k").as_deref(), Some(&b"first"[..]));
+            assert_eq!(tier.stats().appends, 1, "the second append writes nothing");
         }
         let tier = DiskTier::open(&path, DiskTierConfig::default()).unwrap();
-        assert_eq!(tier.get(b"k").as_deref(), Some(&b"new"[..]));
-        assert_eq!(tier.stats().recovered_records, 2, "both frames are whole");
+        assert_eq!(tier.get(b"k").as_deref(), Some(&b"first"[..]));
+        assert_eq!(tier.stats().recovered_records, 1, "one frame on disk");
         assert_eq!(tier.stats().entries, 1, "one key");
+        tier.append(b"k", b"third");
+        tier.sync();
+        assert_eq!(tier.get(b"k").as_deref(), Some(&b"first"[..]));
+        assert_eq!(
+            tier.stats().appends,
+            0,
+            "a recovered key is never rewritten"
+        );
         drop(tier);
         std::fs::remove_file(&path).unwrap();
     }
@@ -698,115 +543,86 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// A config that compacts aggressively (no minimum size) so tests
-    /// can trigger rewrites with a handful of records.
-    fn eager_compaction() -> DiskTierConfig {
-        DiskTierConfig {
-            compact_min_bytes: 1,
-            ..DiskTierConfig::default()
-        }
-    }
-
     #[test]
-    fn re_appends_trigger_compaction_and_bound_the_log() {
-        let path = temp_log("compact");
-        let tier = DiskTier::open(&path, eager_compaction()).unwrap();
-        // 8 distinct keys, each overwritten 8 times: without compaction
-        // the log holds 64 frames for 8 live records.
-        for round in 0..8u8 {
-            for k in 0..8u8 {
-                tier.append(&[b'k', k], &[round; 100]);
+    fn re_appends_never_grow_the_log() {
+        let path = temp_log("write-once");
+        // 8 distinct keys, each appended in 8 versions: one frame per key.
+        let (keys, versions) = (8u8, 8u8);
+        let frame = |k: u8| frame_record(&[b'k', k], &[k; 100]).len() as u64;
+        {
+            let tier = DiskTier::open(&path, DiskTierConfig::default()).unwrap();
+            for round in 0..versions {
+                for k in 0..keys {
+                    tier.append(&[b'k', k], &[k + round * keys; 100]);
+                }
             }
+            tier.sync();
+            let stats = tier.stats();
+            assert_eq!(stats.appends, u64::from(keys));
+            assert_eq!(stats.entries, usize::from(keys));
+            assert_eq!(stats.log_bytes, (0..keys).map(frame).sum::<u64>());
+            assert_eq!(
+                std::fs::metadata(&path).unwrap().len(),
+                stats.log_bytes,
+                "the file holds exactly the counted frames"
+            );
         }
-        tier.sync();
+        let tier = DiskTier::open(&path, DiskTierConfig::default()).unwrap();
         let stats = tier.stats();
-        assert!(stats.compactions > 0, "overwrites must trigger a rewrite");
-        assert!(
-            stats.log_bytes <= 2 * stats.live_bytes,
-            "log ({}) must stay within 2x live bytes ({})",
-            stats.log_bytes,
-            stats.live_bytes
-        );
-        // Every key still answers its last value, through the swap.
-        for k in 0..8u8 {
-            assert_eq!(tier.get(&[b'k', k]).as_deref(), Some(&[7u8; 100][..]));
-        }
-        drop(tier);
-        // The compacted log replays clean: exactly the live records.
-        let tier = DiskTier::open(&path, eager_compaction()).unwrap();
-        assert_eq!(tier.stats().truncated_bytes, 0);
-        assert_eq!(tier.stats().entries, 8);
-        for k in 0..8u8 {
-            assert_eq!(tier.get(&[b'k', k]).as_deref(), Some(&[7u8; 100][..]));
+        assert_eq!(stats.recovered_records, u64::from(keys));
+        assert_eq!(stats.truncated_bytes, 0);
+        assert_eq!(stats.log_bytes, (0..keys).map(frame).sum::<u64>());
+        for k in 0..keys {
+            assert_eq!(tier.get(&[b'k', k]).as_deref(), Some(&[k; 100][..]));
         }
         drop(tier);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn appends_after_compaction_land_in_the_new_log() {
-        let path = temp_log("compact-append");
-        let tier = DiskTier::open(&path, eager_compaction()).unwrap();
-        for round in 0..4u8 {
-            tier.append(b"hot", &[round; 64]);
+    fn readers_see_byte_identical_values_while_the_writer_appends() {
+        let path = temp_log("concurrent");
+        let tier = DiskTier::open(&path, DiskTierConfig::default()).unwrap();
+        let value = |k: u32| -> Vec<u8> {
+            let len = 1 + (k as usize * 37) % 700;
+            (0..len).map(|i| (k as usize + i) as u8).collect()
+        };
+        let keys = 400u32;
+        // Every key below `synced` is durably appended and indexed.
+        let synced = AtomicU32::new(0);
+        std::thread::scope(|scope| {
+            for reader in 0..4u32 {
+                let (tier, value, synced) = (&tier, &value, &synced);
+                // Readers keep racing each other for a while after the
+                // last append, so concurrent reads are exercised even
+                // when the writer finishes first.
+                scope.spawn(move || {
+                    for pass in 0.. {
+                        let upto = synced.load(Ordering::Acquire);
+                        for k in (reader..keys).step_by(2) {
+                            match tier.get(&k.to_le_bytes()) {
+                                Some(got) => assert_eq!(got, value(k), "key {k} read torn"),
+                                None => assert!(k >= upto, "synced key {k} not found"),
+                            }
+                        }
+                        if upto == keys && pass >= 50 {
+                            break;
+                        }
+                    }
+                });
+            }
+            for k in 0..keys {
+                tier.append(&k.to_le_bytes(), &value(k));
+                if (k + 1) % 50 == 0 {
+                    tier.sync();
+                    synced.store(k + 1, Ordering::Release);
+                }
+            }
+        });
+        assert_eq!(tier.stats().appends, u64::from(keys));
+        for k in 0..keys {
+            assert_eq!(tier.get(&k.to_le_bytes()), Some(value(k)));
         }
-        tier.sync();
-        assert!(tier.stats().compactions > 0);
-        tier.append(b"fresh", b"post-compaction value");
-        tier.sync();
-        assert_eq!(
-            tier.get(b"fresh").as_deref(),
-            Some(&b"post-compaction value"[..])
-        );
-        drop(tier);
-        let tier = DiskTier::open(&path, DiskTierConfig::default()).unwrap();
-        assert_eq!(tier.get(b"hot").as_deref(), Some(&[3u8; 64][..]));
-        assert_eq!(
-            tier.get(b"fresh").as_deref(),
-            Some(&b"post-compaction value"[..])
-        );
-        drop(tier);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn a_stale_compact_sibling_is_discarded_on_boot() {
-        let path = temp_log("stale-sibling");
-        let mut log = Vec::new();
-        log.extend_from_slice(&frame_record(b"a", b"1"));
-        log.extend_from_slice(&frame_record(b"b", b"2"));
-        std::fs::write(&path, &log).unwrap();
-        // A compaction that crashed pre-rename: a half-written sibling.
-        std::fs::write(compact_path(&path), &frame_record(b"a", b"1")[..7]).unwrap();
-        let tier = DiskTier::open(&path, DiskTierConfig::default()).unwrap();
-        assert_eq!(tier.stats().recovered_records, 2);
-        assert_eq!(tier.get(b"a").as_deref(), Some(&b"1"[..]));
-        assert_eq!(tier.get(b"b").as_deref(), Some(&b"2"[..]));
-        assert!(
-            !compact_path(&path).exists(),
-            "the dead rewrite must be cleaned up"
-        );
-        drop(tier);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn live_bytes_track_the_last_version_of_each_key() {
-        let path = temp_log("live-bytes");
-        let tier = DiskTier::open(&path, DiskTierConfig::default()).unwrap();
-        tier.append(b"k", b"four");
-        tier.append(b"k", b"eight-by!");
-        tier.sync();
-        let stats = tier.stats();
-        let frame = |val: usize| HEADER_LEN + 1 + val as u64;
-        assert_eq!(stats.log_bytes, frame(4) + frame(9));
-        assert_eq!(stats.live_bytes, frame(9));
-        drop(tier);
-        // The boot scan recomputes the same accounting.
-        let tier = DiskTier::open(&path, DiskTierConfig::default()).unwrap();
-        let stats = tier.stats();
-        assert_eq!(stats.log_bytes, frame(4) + frame(9));
-        assert_eq!(stats.live_bytes, frame(9));
         drop(tier);
         std::fs::remove_file(&path).unwrap();
     }

@@ -112,8 +112,9 @@ pub struct ServerConfig {
     /// log is opened (and its torn tail repaired) at bind time; a
     /// restarted node replays its old key space warm.
     pub disk_path: Option<std::path::PathBuf>,
-    /// Disk-tier sizing: the write-behind queue bound and the log
-    /// compaction trigger (ignored when `disk_path` is `None`).
+    /// Disk-tier sizing: the write-behind queue bound (ignored when
+    /// `disk_path` is `None`). The log is write-once, so it never needs
+    /// compacting.
     pub disk: DiskTierConfig,
     /// Deterministic fault injection (`--fault-plan` on `bi-serve`).
     /// `None` serves faithfully; `Some` threads the seeded plan through

@@ -445,7 +445,7 @@ impl SolveService {
         raw: Option<&[u8]>,
         ctx: TraceCtx,
     ) -> Result<Arc<[u8]>, SolveError> {
-        let solver = Solver::from_config(request.config);
+        let solver = Self::solver(request.config);
         let t_solve = self.recorder.now_ns();
         let started = std::time::Instant::now();
         let result = match &request.game {
@@ -477,7 +477,7 @@ impl SolveService {
     /// call (games parallelize across the solver's threads), and returns
     /// per-game results aligned with the input order.
     pub fn solve_batch(&self, batch: &BatchRequest) -> Vec<Result<SolveOutcome, SolveError>> {
-        let solver = Solver::from_config(batch.config);
+        let solver = Self::solver(batch.config);
         let mut results: Vec<Option<Result<SolveOutcome, SolveError>>> =
             batch.games.iter().map(|_| None).collect();
         let mut matrix_misses: Vec<(usize, Vec<u8>, &BayesianGame)> = Vec::new();
@@ -520,12 +520,27 @@ impl SolveService {
             .collect()
     }
 
-    /// Feeds one engine invocation's wall-clock into the cold-path
-    /// histogram (`solve_us` in `GET /metrics`) and the `solve` stage
-    /// histogram.
+    /// The engine for a client's config, with `threads` clamped to the
+    /// host's cores (`0` still means one per core), so no request can
+    /// make one solve spawn more threads than the host has. Answers do
+    /// not change: sweeps are bit-identical across thread counts.
+    fn solver(config: SolverConfig) -> Solver {
+        // Probed once: on Linux the probe reads cgroup files, too slow
+        // for every cold solve.
+        static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+        let cores = *CORES.get_or_init(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        });
+        Solver::from_config(SolverConfig {
+            threads: config.threads.min(cores),
+            ..config
+        })
+    }
+
+    /// Feeds one engine invocation's wall-clock into the `solve` stage
+    /// histogram, the cold-path histogram of `GET /metrics`.
     fn record_solve_time(&self, started: std::time::Instant) {
         let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.metrics.solve_us.record(micros);
         self.metrics.stages.record(Stage::Solve, micros);
     }
 
@@ -693,6 +708,40 @@ mod tests {
         assert!(service.solve(&four).unwrap().cache_hit);
     }
 
+    #[test]
+    fn client_thread_counts_are_clamped_to_the_host() {
+        let cores = std::thread::available_parallelism().unwrap().get();
+        let greedy = SolverConfig {
+            threads: 1_000_000,
+            ..SolverConfig::default()
+        };
+        assert!(SolveService::solver(greedy).threads() <= cores);
+        let per_core = SolverConfig {
+            threads: 0,
+            ..SolverConfig::default()
+        };
+        assert_eq!(SolveService::solver(per_core).threads(), 0);
+        // The clamp changes no answer byte.
+        let game = matrix_game(14);
+        let one = SolveService::new(CacheConfig::default())
+            .solve(&SolveRequest {
+                game: game.clone(),
+                config: SolverConfig {
+                    threads: 1,
+                    ..SolverConfig::default()
+                },
+            })
+            .unwrap();
+        let many = SolveService::new(CacheConfig::default())
+            .solve(&SolveRequest {
+                game,
+                config: greedy,
+            })
+            .unwrap();
+        assert!(!one.cache_hit && !many.cache_hit);
+        assert_eq!(one.body, many.body);
+    }
+
     /// Three interchangeable binary agents: the sweep covers 8 profiles
     /// through 4 orbits.
     fn symmetric_game() -> GameSpec {
@@ -813,11 +862,12 @@ mod tests {
     fn cold_solves_feed_the_latency_histogram() {
         let service = SolveService::new(CacheConfig::default());
         let req = request(matrix_game(9));
+        let solves = || service.metrics().stages.get(Stage::Solve).count();
         service.solve(&req).unwrap();
-        assert_eq!(service.metrics().solve_us.count(), 1);
+        assert_eq!(solves(), 1);
         // A cache hit never touches the engine or the histogram.
         service.solve(&req).unwrap();
-        assert_eq!(service.metrics().solve_us.count(), 1);
+        assert_eq!(solves(), 1);
         // A batch with misses records one engine sample per representation
         // batch; a fully-cached batch records none.
         let batch = BatchRequest {
@@ -825,9 +875,9 @@ mod tests {
             config: req.config,
         };
         service.solve_batch(&batch);
-        assert_eq!(service.metrics().solve_us.count(), 3);
+        assert_eq!(solves(), 3);
         service.solve_batch(&batch);
-        assert_eq!(service.metrics().solve_us.count(), 3);
+        assert_eq!(solves(), 3);
         // Failed engine invocations count too (same population as the
         // batch path).
         let unsolvable = SolveRequest {
@@ -841,9 +891,9 @@ mod tests {
             },
         };
         assert!(service.solve(&unsolvable).is_err());
-        assert_eq!(service.metrics().solve_us.count(), 4);
+        assert_eq!(solves(), 4);
         let doc = service.metrics_json();
-        let solve = doc.get("solve_us").unwrap();
+        let solve = doc.get("stages").unwrap().get("solve").unwrap();
         assert_eq!(solve.get("count").unwrap().as_u64(), Some(4));
         assert!(solve.get("p99").unwrap().as_u64().is_some());
     }

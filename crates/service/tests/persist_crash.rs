@@ -8,11 +8,12 @@
 //! point inside the last frame it truncates the file there, boots a
 //! fresh [`DiskTier`] on it, and asserts every complete record is
 //! recovered byte-identical, the torn record is gone, and the log is
-//! usable for new appends afterwards.
+//! usable for new appends afterwards. A log written by an older binary,
+//! which could hold several frames of one key, boots first-wins.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bi_service::persist::{compact_path, frame_record, DiskTier, DiskTierConfig};
+use bi_service::persist::{frame_record, DiskTier, DiskTierConfig};
 
 /// A unique temp path per call so parallel tests never collide.
 fn temp_log(tag: &str) -> std::path::PathBuf {
@@ -82,161 +83,44 @@ fn every_torn_tail_offset_recovers_all_complete_records() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The newest version of each key — what compaction must preserve.
-type LiveSet = Vec<(Vec<u8>, Vec<u8>)>;
-
-/// A log whose history overwrote two of its three keys, plus the
-/// compacted image a finished rewrite would leave: the raw material for
-/// the compaction crash sweeps below.
-fn overwritten_log() -> (Vec<u8>, LiveSet, Vec<u8>) {
-    let history: Vec<(&[u8], Vec<u8>)> = vec![
-        (b"alpha", b"first alpha".to_vec()),
-        (b"beta", vec![0x5A; 48]),
-        (b"alpha", b"second alpha".to_vec()),
-        (b"gamma", b"only gamma".to_vec()),
-        (b"beta", b"final beta".to_vec()),
-        (b"alpha", b"final alpha, the longest of the three".to_vec()),
+#[test]
+fn a_legacy_log_with_duplicate_frames_boots_first_wins() {
+    // Older binaries re-appended keys, so their logs can hold several
+    // frames of one key. The boot scan keeps each key's first frame —
+    // the one the write-once writer would have kept — and new appends
+    // of those keys write nothing.
+    let history: Vec<(&[u8], &[u8])> = vec![
+        (b"alpha", b"first alpha"),
+        (b"beta", b"only beta"),
+        (b"alpha", b"second alpha, longer than the first"),
+        (b"gamma", b"first gamma"),
+        (b"alpha", b"third alpha"),
+        (b"gamma", b"second gamma"),
     ];
     let mut log = Vec::new();
     for (key, value) in &history {
         log.extend_from_slice(&frame_record(key, value));
     }
-    let live: Vec<(Vec<u8>, Vec<u8>)> = vec![
-        (
-            b"alpha".to_vec(),
-            b"final alpha, the longest of the three".to_vec(),
-        ),
-        (b"beta".to_vec(), b"final beta".to_vec()),
-        (b"gamma".to_vec(), b"only gamma".to_vec()),
-    ];
-    let mut compacted = Vec::new();
-    for (key, value) in &live {
-        compacted.extend_from_slice(&frame_record(key, value));
-    }
-    (log, live, compacted)
-}
+    let path = temp_log("legacy");
+    std::fs::write(&path, &log).expect("write legacy log");
 
-#[test]
-fn a_compaction_crash_at_every_tmp_offset_leaves_the_old_log_authoritative() {
-    let (log, live, compacted) = overwritten_log();
-    let path = temp_log("compact-crash");
-    let tmp = compact_path(&path);
-    // A compaction that dies before its rename leaves the main log
-    // complete and a partial `.compact` sibling — cut at every offset,
-    // including the full fsynced-but-unrenamed image.
-    for cut in 0..=compacted.len() {
-        std::fs::write(&path, &log).expect("write main log");
-        std::fs::write(&tmp, &compacted[..cut]).expect("write torn compact file");
-
-        let tier = DiskTier::open(&path, DiskTierConfig::default()).expect("boot after crash");
-        let stats = tier.stats();
-        assert_eq!(
-            stats.recovered_records, 6,
-            "cut at +{cut}: the whole pre-compaction history must be scanned"
-        );
-        assert_eq!(
-            stats.truncated_bytes, 0,
-            "cut at +{cut}: the old log is clean"
-        );
-        for (key, value) in &live {
-            assert_eq!(
-                tier.get(key).as_deref(),
-                Some(value.as_slice()),
-                "cut at +{cut}: the last version of every key must survive"
-            );
-        }
-        drop(tier);
-        assert!(
-            !tmp.exists(),
-            "cut at +{cut}: boot must discard the half-written rewrite"
-        );
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn a_compaction_that_reached_its_rename_boots_on_the_live_set() {
-    let (_, live, compacted) = overwritten_log();
-    // Past the commit point the compacted image *is* the main log and no
-    // sibling remains — exactly what the atomic rename leaves behind.
-    let path = temp_log("compact-done");
-    std::fs::write(&path, &compacted).expect("write compacted log");
-
-    let tier = DiskTier::open(&path, DiskTierConfig::default()).expect("boot on compacted log");
+    let tier = DiskTier::open(&path, DiskTierConfig::default()).expect("boot on legacy log");
     let stats = tier.stats();
-    assert_eq!(stats.recovered_records, live.len() as u64);
+    assert_eq!(stats.recovered_records, history.len() as u64);
     assert_eq!(stats.truncated_bytes, 0);
-    assert_eq!(
-        stats.log_bytes, stats.live_bytes,
-        "a freshly compacted log carries no dead weight"
-    );
-    for (key, value) in &live {
-        assert_eq!(tier.get(key).as_deref(), Some(value.as_slice()));
+    assert_eq!(stats.entries, 3);
+    assert_eq!(stats.log_bytes, log.len() as u64);
+    for (key, first) in [
+        (&b"alpha"[..], &b"first alpha"[..]),
+        (b"beta", b"only beta"),
+        (b"gamma", b"first gamma"),
+    ] {
+        assert_eq!(tier.get(key).as_deref(), Some(first), "first frame wins");
     }
-    drop(tier);
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn compaction_bounds_the_log_to_twice_its_live_bytes() {
-    let path = temp_log("compact-bound");
-    let config = DiskTierConfig {
-        compact_ratio: 2,
-        compact_min_bytes: 1024,
-        ..DiskTierConfig::default()
-    };
-    let keys = 32usize;
-    let versions = 40u32;
-    {
-        let tier = DiskTier::open(&path, config).expect("open");
-        // Overwrite a small key set many times: almost all appended
-        // bytes are dead weight, so the ratio trigger must fire.
-        for version in 0..versions {
-            for key in 0..keys {
-                let value = format!("key {key} at version {version}, padded {}", "x".repeat(64));
-                tier.append(format!("key-{key}").as_bytes(), value.as_bytes());
-            }
-            tier.sync();
-        }
-        let stats = tier.stats();
-        assert!(stats.compactions >= 1, "the rewrite trigger must fire");
-        assert!(
-            stats.log_bytes <= 2 * stats.live_bytes,
-            "log ({}) must stay within 2x live bytes ({})",
-            stats.log_bytes,
-            stats.live_bytes,
-        );
-        for key in 0..keys {
-            let expect = format!(
-                "key {key} at version {}, padded {}",
-                versions - 1,
-                "x".repeat(64)
-            );
-            assert_eq!(
-                tier.get(format!("key-{key}").as_bytes()).as_deref(),
-                Some(expect.as_bytes()),
-                "compaction must keep exactly the newest version"
-            );
-        }
-    }
-    // Reboot: the boot scan sees the compacted log plus whatever landed
-    // after the last rewrite, and still resolves every key to its
-    // newest version.
-    let tier = DiskTier::open(&path, config).expect("reboot");
-    let stats = tier.stats();
-    assert_eq!(stats.truncated_bytes, 0);
-    assert!(stats.log_bytes <= 2 * stats.live_bytes);
-    for key in 0..keys {
-        let expect = format!(
-            "key {key} at version {}, padded {}",
-            versions - 1,
-            "x".repeat(64)
-        );
-        assert_eq!(
-            tier.get(format!("key-{key}").as_bytes()).as_deref(),
-            Some(expect.as_bytes())
-        );
-    }
+    tier.append(b"alpha", b"a fourth alpha");
+    tier.sync();
+    assert_eq!(tier.stats().appends, 0, "an indexed key is never rewritten");
+    assert_eq!(tier.stats().log_bytes, log.len() as u64);
     drop(tier);
     std::fs::remove_file(&path).ok();
 }

@@ -512,3 +512,39 @@ fn metrics_stage_histograms_move_with_traffic() {
     assert!(count("route") == 0 && count("upstream") == 0);
     handle.stop();
 }
+
+#[test]
+fn a_solved_key_put_twice_is_written_to_disk_once() {
+    let path = std::env::temp_dir().join(format!("bi-e2e-write-once-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let handle = Server::bind(ServerConfig {
+        workers: 1,
+        disk_path: Some(path.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port")
+    .start()
+    .expect("start server");
+    let body = solve_body(&matrix_game(71));
+    let solved = call(handle.addr(), "POST", "/solve", &body);
+    assert_eq!(solved.status, 200);
+    assert_eq!(solved.header("x-cache"), Some("miss"));
+    // A router's write-through and read-repair can ship the same answer
+    // back to a node that already holds it.
+    let mut put = u32::try_from(body.len()).unwrap().to_le_bytes().to_vec();
+    put.extend_from_slice(&body);
+    put.extend_from_slice(&solved.body);
+    for _ in 0..2 {
+        assert_eq!(call(handle.addr(), "POST", "/cache_put", &put).status, 200);
+    }
+    handle.service().sync_disk();
+    let metrics = call(handle.addr(), "GET", "/metrics", b"");
+    let doc = Json::parse(std::str::from_utf8(&metrics.body).unwrap()).unwrap();
+    assert_eq!(doc.get("cache_puts").unwrap().as_u64(), Some(2));
+    let disk = doc.get("disk").expect("disk section");
+    assert_eq!(disk.get("appends").unwrap().as_u64(), Some(1));
+    assert_eq!(disk.get("entries").unwrap().as_usize(), Some(1));
+    assert!(disk.get("compactions").is_none() && disk.get("live_bytes").is_none());
+    handle.stop();
+    std::fs::remove_file(&path).unwrap();
+}
