@@ -7,8 +7,10 @@
 //! horizontal sharding trivially correct: route each request to the
 //! backend owning its key and that backend's cache concentrates exactly
 //! its arc of the key space. The ring is a classic consistent hash with
-//! virtual nodes over the same 64-bit FNV-1a space the cache indexes
-//! with ([`bi_util::fnv1a`]).
+//! virtual nodes over the 64-bit XXH64 space the caches index with
+//! ([`bi_util::xxh64`]); `/solve` and `/solve_batch` place a key through
+//! one helper, so a game sent alone and inside a batch meet the same
+//! backend.
 //!
 //! ```text
 //!   client ──► bi-router ──hash(cache_key)──► ring ──► backend k
@@ -88,7 +90,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bi_obs::{Stage, TraceCtx};
-use bi_util::{fnv1a, Decode, Encode, Json};
+use bi_util::{fnv1a, xxh64, Decode, Encode, Json};
 
 use crate::cache::{CacheConfig, ShardedLru};
 use crate::fault::mix;
@@ -213,7 +215,9 @@ pub struct RouterConfig {
     /// (`backends × pool_capacity`, at least one).
     pub pool_capacity: usize,
     /// Sizing of the body-bytes → routing-hash cache (skips re-decoding
-    /// hot canonical bodies).
+    /// hot canonical bodies). Every `/solve` body is looked up, so its
+    /// `misses` in `/metrics` also count non-canonical bodies, which are
+    /// never inserted.
     pub key_cache: CacheConfig,
     /// When set, any request whose end-to-end routing time reaches this
     /// many microseconds gets its span tree logged at `warn`.
@@ -561,23 +565,37 @@ impl RouterHandle {
     }
 }
 
-/// The routing hash of a `/solve` body: the FNV-1a of its canonical
-/// cache key. Canonical bodies consult (and warm) the body-bytes →
-/// hash cache so hot traffic skips the JSON decode entirely.
+/// Where a cache key sits on the ring. `/solve` and `/solve_batch`
+/// both place keys through here, so a game routes to the same backend
+/// whether it is sent alone or inside a batch.
+fn route_hash(key: &[u8]) -> u64 {
+    xxh64(key)
+}
+
+/// The routing hash of a `/solve` body: the [`route_hash`] of its
+/// canonical cache key, through the body-bytes → hash cache so hot
+/// traffic skips the JSON decode entirely.
+///
+/// The cache is looked up **first**, without checking the body. This is
+/// sound because this function is the cache's only inserter and inserts
+/// only bodies that pass [`bi_util::json::canon_check`], and a hit
+/// compares the full body bytes, so a hit is byte-identical to a body
+/// that once passed the check. The check runs only on a miss, to decide
+/// whether the body may be inserted.
 fn routing_hash(shared: &Shared, body: &[u8]) -> Result<u64, Response> {
-    let canonical = bi_util::json::canon_check(body);
-    if canonical {
-        if let Some(hash) = shared.key_cache.get(body) {
-            return Ok(hash);
-        }
+    if let Some(hash) = shared.key_cache.get(body) {
+        debug_assert!(
+            bi_util::json::canon_check(body),
+            "only canonical bodies enter the key cache"
+        );
+        return Ok(hash);
     }
     let text = std::str::from_utf8(body)
         .map_err(|_| Response::json(400, error_body("request body is not valid UTF-8")))?;
     let request = SolveRequest::decode_str(text)
         .map_err(|e| Response::json(400, error_body(&e.to_string())))?;
-    let key = SolveService::cache_key(&request.game, &request.config);
-    let hash = fnv1a(&key);
-    if canonical {
+    let hash = route_hash(&SolveService::cache_key(&request.game, &request.config));
+    if bi_util::json::canon_check(body) {
         shared.key_cache.insert(body, hash);
     }
     Ok(hash)
@@ -994,7 +1012,7 @@ fn handle_batch(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
     let mut unrouted: Vec<usize> = Vec::new();
     for (i, game) in batch.games.iter().enumerate() {
         let key = SolveService::cache_key(game, &batch.config);
-        match shared.ring.route(fnv1a(&key), |b| {
+        match shared.ring.route(route_hash(&key), |b| {
             shared.backends[b].alive.load(Ordering::Relaxed)
         }) {
             Some(idx) => groups[idx].push(i),
@@ -1243,7 +1261,7 @@ mod tests {
     /// The full assignment of `count` deterministic key hashes.
     fn assignment(ring: &HashRing, live: &[bool], count: u64) -> Vec<Option<usize>> {
         (0..count)
-            .map(|i| ring.route(fnv1a(format!("key-{i}").as_bytes()), |b| live[b]))
+            .map(|i| ring.route(route_hash(format!("key-{i}").as_bytes()), |b| live[b]))
             .collect()
     }
 
@@ -1306,24 +1324,26 @@ mod tests {
     fn route_replicas_yields_distinct_owners_led_by_the_primary() {
         let ring = HashRing::new(4, 64);
         for i in 0..500u64 {
-            let hash = fnv1a(format!("key-{i}").as_bytes());
+            let hash = route_hash(format!("key-{i}").as_bytes());
             let owners = ring.route_replicas(hash, 2, |_| true);
             assert_eq!(owners.len(), 2);
             assert_ne!(owners[0], owners[1]);
             assert_eq!(Some(owners[0]), ring.route(hash, |_| true));
         }
         // Asking for more replicas than backends yields every backend.
-        let mut all = ring.route_replicas(fnv1a(b"k"), 9, |_| true);
+        let mut all = ring.route_replicas(route_hash(b"k"), 9, |_| true);
         all.sort_unstable();
         assert_eq!(all, vec![0, 1, 2, 3]);
-        assert!(ring.route_replicas(fnv1a(b"k"), 0, |_| true).is_empty());
+        assert!(ring
+            .route_replicas(route_hash(b"k"), 0, |_| true)
+            .is_empty());
     }
 
     #[test]
     fn ejecting_a_backend_keeps_every_surviving_owner_in_place() {
         let ring = HashRing::new(4, 64);
         for i in 0..500u64 {
-            let hash = fnv1a(format!("key-{i}").as_bytes());
+            let hash = route_hash(format!("key-{i}").as_bytes());
             let before = ring.route_replicas(hash, 2, |_| true);
             let after = ring.route_replicas(hash, 2, |b| b != 1);
             // Surviving owners keep their relative order; the ejected
@@ -1339,7 +1359,7 @@ mod tests {
     fn single_backend_owns_everything() {
         let ring = HashRing::new(1, 8);
         for i in 0..100u64 {
-            assert_eq!(ring.route(fnv1a(&i.to_le_bytes()), |_| true), Some(0));
+            assert_eq!(ring.route(route_hash(&i.to_le_bytes()), |_| true), Some(0));
         }
     }
 }

@@ -33,7 +33,7 @@
 //!     └── SolveReport bytes ◄── completion queue ◄─────────────┘
 //! ```
 //!
-//! * [`cache`] — the content-addressed solve cache: 64-bit FNV-1a over
+//! * [`cache`] — the content-addressed solve cache: XXH64 over
 //!   canonical request bytes into a sharded, capacity-bounded, exact-LRU
 //!   store with hit/miss/eviction counters;
 //! * [`service`] — the transport-independent core: [`GameSpec`] (matrix
@@ -63,7 +63,7 @@
 //!   the hot path — a restarted node answers its old key space warm;
 //! * [`cluster`] — `bi-router`: a second dispatcher on the same reactor,
 //!   whose forwarder pool routes `/solve` bodies by canonical cache key
-//!   over a consistent-hash ring (virtual nodes over the same FNV-1a key
+//!   over a consistent-hash ring (virtual nodes over the same XXH64 key
 //!   space the cache uses) across N `bi-serve` backends over keep-alive
 //!   upstream pools, with `/healthz` probing, automatic eject/readmit,
 //!   replication, retries, and batch split/re-merge.

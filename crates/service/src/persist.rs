@@ -1,6 +1,6 @@
 //! The disk-backed second cache tier: an append-only log of canonical
-//! request bytes → response bytes, CRC-framed, with an in-memory FNV
-//! index rebuilt by scanning on boot.
+//! request bytes → response bytes, CRC-framed, with an in-memory index
+//! (hashed with [`bi_util::xxh64`]) rebuilt by scanning on boot.
 //!
 //! The paper's measures are pure functions of the canonical request
 //! bytes, so the cache key *is* the result identity — which makes a
@@ -70,7 +70,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use bi_util::{Crc32, FnvBuildHasher};
+use bi_util::{Crc32, Xxh64BuildHasher};
 
 /// Frame header: `key_len`, `val_len`, `crc32`.
 const HEADER_LEN: u64 = 12;
@@ -133,7 +133,7 @@ struct Counters {
 
 /// Key bytes → value location; rebuilt by the boot scan, extended by
 /// the writer thread as appends land.
-type Index = HashMap<Arc<[u8]>, ValueLoc, FnvBuildHasher>;
+type Index = HashMap<Arc<[u8]>, ValueLoc, Xxh64BuildHasher>;
 
 /// One message to the write-behind thread.
 enum WriteMsg {
@@ -302,7 +302,7 @@ fn scan_log(file: &mut File) -> io::Result<(Index, u64, u64, u64)> {
     let file_len = file.seek(SeekFrom::End(0))?;
     file.seek(SeekFrom::Start(0))?;
     let mut reader = io::BufReader::new(&mut *file);
-    let mut index = Index::with_hasher(FnvBuildHasher);
+    let mut index = Index::with_hasher(Xxh64BuildHasher);
     let mut pos = 0u64;
     let mut recovered = 0u64;
     loop {

@@ -211,6 +211,14 @@ pub enum FastOutcome {
 /// path: byte-identical body ⟹ identical parse ⟹ identical result, so
 /// exact-byte keying is correct regardless of how conservatively the
 /// canonicality check classifies a body.
+///
+/// The fast path looks the raw index up **before** checking anything.
+/// Every insert into it is gated by `canon_check` (a solved miss, a
+/// parsed hit warming the index, and `cache_put`), and a hit compares
+/// the full key bytes, so a hit is byte-identical to a body that once
+/// passed the check. Checking again would prove nothing new, so a hot
+/// body costs one hash and one comparison; `canon_check` runs only on a
+/// raw-index miss, to decide whether that body may be inserted.
 pub struct SolveService {
     cache: ShardedLru<Arc<[u8]>>,
     /// Exact request-body bytes → response bytes, canonical bodies only.
@@ -353,12 +361,13 @@ impl SolveService {
         })
     }
 
-    /// The transport fast path for one `POST /solve` body. Canonical
-    /// bodies are first looked up in the raw-byte index — a hit there is
-    /// served without building any JSON value tree. Otherwise the body is
-    /// decoded once, the primary cache consulted, and on a miss the
-    /// decoded request comes back as a [`PreparedSolve`] for the solver
-    /// pool; the transport never decodes twice.
+    /// The transport fast path for one `POST /solve` body. The body is
+    /// first looked up in the raw-byte index, before any canonicality
+    /// check (see [`SolveService`] for why that is sound) — a hit there
+    /// is served without building any JSON value tree. Otherwise the
+    /// body is decoded once, the primary cache consulted, and on a miss
+    /// the decoded request comes back as a [`PreparedSolve`] for the
+    /// solver pool; the transport never decodes twice.
     ///
     /// # Errors
     ///
@@ -369,25 +378,26 @@ impl SolveService {
         // `cache` stage of the request; the disk tier additionally
         // records a nested `disk_promote` on a second-tier hit.
         let t0 = self.recorder.now_ns();
-        let canonical = bi_util::json::canon_check(body);
-        if canonical {
-            if let Some(cached) = self.raw_index.get(body) {
-                self.metrics
-                    .zero_copy_hits
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.finish_stage(ctx, Stage::Cache, t0);
-                return Ok(FastOutcome::Hit(ServedResponse {
-                    body: cached,
-                    cache_hit: true,
-                    zero_copy: true,
-                }));
-            }
+        if let Some(cached) = self.raw_index.get(body) {
+            debug_assert!(
+                bi_util::json::canon_check(body),
+                "only canonical bodies enter the raw index"
+            );
+            self.metrics
+                .zero_copy_hits
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.finish_stage(ctx, Stage::Cache, t0);
+            return Ok(FastOutcome::Hit(ServedResponse {
+                body: cached,
+                cache_hit: true,
+                zero_copy: true,
+            }));
         }
         let text = std::str::from_utf8(body)
             .map_err(|_| CodecError::new("request body is not valid UTF-8"))?;
         let request = SolveRequest::decode_str(text)?;
         let key = Self::cache_key(&request.game, &request.config);
-        let raw = canonical.then(|| body.to_vec());
+        let raw = bi_util::json::canon_check(body).then(|| body.to_vec());
         if let Some(cached) = self.lookup(&key, ctx) {
             self.metrics
                 .parsed_hits

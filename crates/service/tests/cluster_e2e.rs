@@ -267,6 +267,39 @@ fn batches_split_per_backend_and_remerge_in_request_order() {
 }
 
 #[test]
+fn a_game_alone_and_inside_a_batch_route_to_the_same_backend() {
+    let (backends, router) = start_cluster(3, RouterConfig::default());
+    let games = mixed_workload(83, 9);
+    // The batch solves each game on the backend its batch route picks;
+    // nothing is replicated, so only that backend caches it.
+    let batch = BatchRequest {
+        games: games.clone(),
+        config: SolverConfig::default(),
+    }
+    .canonical_bytes();
+    assert_eq!(
+        call(router.addr(), "POST", "/solve_batch", &batch).status,
+        200
+    );
+    let mut owners = std::collections::BTreeSet::new();
+    for (i, game) in games.iter().enumerate() {
+        let alone = call(router.addr(), "POST", "/solve", &solve_body(game));
+        assert_eq!(alone.status, 200);
+        assert_eq!(
+            alone.header("x-cache"),
+            Some("hit"),
+            "game {i} sent alone must reach the backend its batch warmed"
+        );
+        owners.insert(alone.header("x-backend").expect("owner").to_string());
+    }
+    assert!(owners.len() > 1, "nine keys must spread: got {owners:?}");
+    router.stop();
+    for backend in backends {
+        backend.stop();
+    }
+}
+
+#[test]
 fn a_killed_backend_is_ejected_and_only_its_keys_move() {
     let (mut backends, router) = start_cluster(
         3,

@@ -6,14 +6,29 @@
 //! This is what makes the hot path safe: `canon_check` accuracy is an
 //! efficiency concern only, because the raw index is keyed by exact body
 //! bytes. These tests pin the end-to-end consequence.
+//!
+//! The raw index and the router's key cache are looked up before any
+//! canonicality check, which is sound only because nothing
+//! non-canonical is ever inserted into them. The last tests pin that
+//! invariant: non-canonical spellings sent through `/solve`, and as the
+//! request bytes of `/cache_put`, never become zero-copy or key-cache
+//! hits, while the canonical body still does.
+
+use std::io::BufReader;
+use std::net::TcpStream;
+use std::sync::atomic::Ordering;
+use std::time::Duration;
 
 use bi_core::solve::{Solver, SolverConfig};
-use bi_core::BayesianGame;
+use bi_core::{BayesianGame, MatrixFormGame};
 use bi_ncs::BayesianNcsGame;
 use bi_obs::TraceCtx;
 use bi_service::cache::CacheConfig;
+use bi_service::http::{read_response, write_request, ClientResponse};
 use bi_service::workload::mixed_workload;
-use bi_service::{FastOutcome, GameSpec, SolveRequest, SolveService};
+use bi_service::{
+    FastOutcome, GameSpec, Router, RouterConfig, Server, ServerConfig, SolveRequest, SolveService,
+};
 use bi_util::{Decode, Encode, Json};
 
 /// Every game the codec fixture corpus contains, decoded.
@@ -170,4 +185,154 @@ fn near_aliases_never_collide_in_the_raw_index() {
     assert!(served_bytes(&service, &body_four).1);
     // And what came back is a well-formed report document.
     assert!(Json::parse(std::str::from_utf8(&cold).unwrap()).is_ok());
+}
+
+/// A request whose canonical body contains the number `1.5`.
+fn one_and_a_half_request() -> SolveRequest {
+    let g = MatrixFormGame::from_fn(2, &[2, 2], |i, a| 1.5 * (1 + i + a[0] + 2 * a[1]) as f64);
+    SolveRequest {
+        game: GameSpec::Matrix(BayesianGame::new(vec![1, 1], vec![(vec![0, 0], 1.0, g)]).unwrap()),
+        config: SolverConfig::default(),
+    }
+}
+
+/// Spellings of `request` that decode to it but are not canonical:
+/// added whitespace, reordered keys, and `1.5` written `1.50`.
+fn non_canonical_spellings(request: &SolveRequest) -> Vec<Vec<u8>> {
+    let body = request.canonical_bytes();
+    let text = std::str::from_utf8(&body).unwrap();
+    assert!(text.contains("1.5,"), "{text}");
+    let spellings = vec![
+        text.replacen(':', ": ", 1).into_bytes(),
+        format!("{text}\t").into_bytes(),
+        // Insertion order puts `game` before `config`.
+        request.encode().to_string().into_bytes(),
+        text.replacen("1.5,", "1.50,", 1).into_bytes(),
+    ];
+    for spelling in &spellings {
+        assert!(!bi_util::json::canon_check(spelling));
+        let decoded = SolveRequest::decode_str(std::str::from_utf8(spelling).unwrap()).unwrap();
+        assert_eq!(
+            decoded.canonical_bytes(),
+            body,
+            "a spelling of the same request"
+        );
+    }
+    spellings
+}
+
+fn zero_copy_hits(service: &SolveService) -> u64 {
+    service.metrics().zero_copy_hits.load(Ordering::Relaxed)
+}
+
+#[test]
+fn non_canonical_solve_bodies_never_enter_the_raw_index() {
+    let service = SolveService::new(CacheConfig::default());
+    let request = one_and_a_half_request();
+    let body = request.canonical_bytes();
+    let (cold, _) = served_bytes(&service, &body);
+    for spelling in non_canonical_spellings(&request) {
+        // Each spelling is a parsed hit, the second time as the first:
+        // serving it did not insert it.
+        for _ in 0..2 {
+            let (served, zero_copy) = served_bytes(&service, &spelling);
+            assert!(!zero_copy, "{}", String::from_utf8_lossy(&spelling));
+            assert_eq!(served, cold);
+        }
+    }
+    assert_eq!(zero_copy_hits(&service), 0);
+    assert!(
+        served_bytes(&service, &body).1,
+        "the canonical body still hits"
+    );
+    assert_eq!(zero_copy_hits(&service), 1);
+}
+
+#[test]
+fn non_canonical_cache_put_requests_never_enter_the_raw_index() {
+    let request = one_and_a_half_request();
+    let body = request.canonical_bytes();
+    let (answer, _) = served_bytes(&SolveService::new(CacheConfig::default()), &body);
+    let replica = SolveService::new(CacheConfig::default());
+    for spelling in non_canonical_spellings(&request) {
+        replica.cache_put(&spelling, &answer).unwrap();
+        for _ in 0..2 {
+            let (served, zero_copy) = served_bytes(&replica, &spelling);
+            assert!(!zero_copy, "{}", String::from_utf8_lossy(&spelling));
+            assert_eq!(served, answer);
+        }
+    }
+    // The canonical body was never put, so it first takes the parse
+    // path (warming the raw index), then rides it.
+    assert!(!served_bytes(&replica, &body).1);
+    assert!(served_bytes(&replica, &body).1);
+    assert_eq!(replica.metrics().solves_computed.load(Ordering::Relaxed), 0);
+    // A canonical `cache_put` warms the raw index directly.
+    let warmed = SolveService::new(CacheConfig::default());
+    warmed.cache_put(&body, &answer).unwrap();
+    assert_eq!(served_bytes(&warmed, &body), (answer, true));
+}
+
+/// One request over a fresh connection. The read timeout turns a
+/// server thread that died mid-request into a failure, not a hang.
+fn call(addr: std::net::SocketAddr, body: &[u8]) -> ClientResponse {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    write_request(&mut writer, "POST", "/solve", body, false).expect("write request");
+    read_response(&mut reader).expect("read response")
+}
+
+#[test]
+fn non_canonical_bodies_never_enter_the_router_key_cache() {
+    let backend = Server::bind(ServerConfig {
+        workers: 1,
+        read_timeout: Duration::from_secs(5),
+        ..ServerConfig::default()
+    })
+    .expect("bind backend")
+    .start()
+    .expect("start backend");
+    let router = Router::bind(RouterConfig {
+        backends: vec![backend.addr().to_string()],
+        ..RouterConfig::default()
+    })
+    .expect("bind router")
+    .start()
+    .expect("start router");
+    let key_cache = |field: &str| {
+        router
+            .metrics_json()
+            .get("key_cache")
+            .and_then(|k| k.get(field))
+            .and_then(Json::as_u64)
+            .unwrap()
+    };
+    let request = one_and_a_half_request();
+    let body = request.canonical_bytes();
+    let cold = call(router.addr(), &body);
+    assert_eq!(cold.status, 200);
+    assert_eq!((key_cache("hits"), key_cache("entries")), (0, 1));
+    let spellings = non_canonical_spellings(&request);
+    for spelling in &spellings {
+        for _ in 0..2 {
+            let served = call(router.addr(), spelling);
+            assert_eq!(served.status, 200);
+            assert_eq!(served.body, cold.body);
+        }
+    }
+    // Every spelling missed the key cache both times and left no entry;
+    // the backend answered each from its parse path.
+    assert_eq!((key_cache("hits"), key_cache("entries")), (0, 1));
+    assert_eq!(key_cache("misses"), 1 + 2 * spellings.len() as u64);
+    assert_eq!(zero_copy_hits(&backend.service()), 0);
+    // The canonical body still hits both tables.
+    assert_eq!(call(router.addr(), &body).body, cold.body);
+    assert_eq!(key_cache("hits"), 1);
+    assert_eq!(zero_copy_hits(&backend.service()), 1);
+    router.stop();
+    backend.stop();
 }

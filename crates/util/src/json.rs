@@ -750,8 +750,8 @@ pub trait Encode {
     fn encode(&self) -> Json;
 
     /// The canonical wire bytes of `self` — deterministic, suitable for
-    /// content addressing ([`crate::fnv1a`] of these bytes is the cache
-    /// key of the solve service).
+    /// content addressing (these bytes are the cache key of the solve
+    /// service, hashed with [`crate::xxh64`]).
     fn canonical_bytes(&self) -> Vec<u8> {
         self.encode().canonical_bytes()
     }

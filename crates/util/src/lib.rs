@@ -7,8 +7,8 @@
 //! log–log growth fitting ([`stats`]), seeded RNG construction
 //! ([`rng::seeded`]), plain-text table rendering for the experiment
 //! harnesses ([`table::TextTable`]), the canonical JSON wire codec of the
-//! solve service ([`json`]), the FNV-1a content-address hash
-//! ([`hash`]), and the CRC-32 frame checksum of the disk cache tier
+//! solve service ([`json`]), the XXH64 content hash and the FNV-1a
+//! checksum ([`hash`]), and the CRC-32 frame checksum of the disk cache tier
 //! ([`crc`]).
 //!
 //! # Examples
@@ -36,6 +36,6 @@ pub mod table;
 pub use crc::{crc32, Crc32};
 pub use float::{approx_eq, approx_le, TotalF64, EPS};
 pub use harmonic::harmonic;
-pub use hash::{fnv1a, FnvBuildHasher};
+pub use hash::{fnv1a, xxh64, Xxh64BuildHasher};
 pub use json::{CodecError, Decode, Encode, Json};
 pub use stats::{linear_fit, log_log_slope, Summary};
