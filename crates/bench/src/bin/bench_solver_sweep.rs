@@ -36,12 +36,12 @@ use std::io::Write;
 use std::process::exit;
 use std::time::Instant;
 
-use bi_bench::Unreduced;
+use bi_bench::{baseline_sweep, Unreduced};
 use bi_constructions::gworst::{GWorstGame, GWorstVariant};
 use bi_constructions::universal::random_bayesian_ncs;
 use bi_core::compiled::CompiledSpace;
 use bi_core::game::MatrixFormGame;
-use bi_core::model::{BayesianModel, Profile};
+use bi_core::model::BayesianModel;
 use bi_core::random_games::random_bayesian_potential_game;
 use bi_core::solve::{Backend, SolveReport, Solver};
 use bi_core::{BayesianGame, Measures, Symmetry};
@@ -129,66 +129,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(parsed)
-}
-
-/// Extrema of one baseline sweep (mirrors the solver's internal stats).
-struct BaselineStats {
-    opt_p: f64,
-    best_eq_p: f64,
-    worst_eq_p: f64,
-    evaluated: u128,
-}
-
-/// The pre-compiled exhaustive sweep, verbatim: nested-profile odometer
-/// with one action clone per tick, `social_cost` and `is_equilibrium`
-/// recomputed from scratch on every profile.
-fn baseline_sweep<M: BayesianModel>(model: &M) -> BaselineStats {
-    let mut slots = Vec::new();
-    let mut sets: Vec<Vec<M::Action>> = Vec::new();
-    for i in 0..model.num_agents() {
-        for tau in 0..model.type_count(i) {
-            slots.push((i, tau));
-            sets.push(model.candidate_actions(i, tau).expect("enumerable"));
-        }
-    }
-    let sizes: Vec<usize> = sets.iter().map(Vec::len).collect();
-    let size: u128 = sizes.iter().map(|&s| s as u128).product();
-    let mut profile: Profile<M> = (0..model.num_agents()).map(|_| Vec::new()).collect();
-    for (&(i, _), set) in slots.iter().zip(&sets) {
-        profile[i].push(set[0].clone());
-    }
-    let mut digits = vec![0usize; sizes.len()];
-    let mut stats = BaselineStats {
-        opt_p: f64::INFINITY,
-        best_eq_p: f64::INFINITY,
-        worst_eq_p: f64::NEG_INFINITY,
-        evaluated: 0,
-    };
-    loop {
-        let k = model.social_cost(&profile);
-        stats.evaluated += 1;
-        stats.opt_p = stats.opt_p.min(k);
-        if model.is_equilibrium(&profile) {
-            stats.best_eq_p = stats.best_eq_p.min(k);
-            stats.worst_eq_p = stats.worst_eq_p.max(k);
-        }
-        if stats.evaluated == size {
-            return stats;
-        }
-        let mut j = digits.len();
-        loop {
-            assert!(j > 0, "odometer overflow");
-            j -= 1;
-            let (i, tau) = slots[j];
-            digits[j] += 1;
-            if digits[j] < sizes[j] {
-                profile[i][tau] = sets[j][digits[j]].clone();
-                break;
-            }
-            digits[j] = 0;
-            profile[i][tau] = sets[j][0].clone();
-        }
-    }
 }
 
 /// Wall-clock of the best of `repeats` runs of `f` (min filters scheduler

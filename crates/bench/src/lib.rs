@@ -6,8 +6,10 @@
 //! the series of `(size, value)` points so callers can print or fit them.
 //! `EXPERIMENTS.md` records the outputs against the paper's bounds.
 
+mod baseline;
 mod unreduced;
 
+pub use baseline::{baseline_sweep, BaselineStats};
 pub use unreduced::Unreduced;
 
 use bi_constructions::affine_game::AffinePlaneGame;

@@ -1,31 +1,35 @@
-//! [`Unreduced`]: a model wrapper that hides agent symmetry and the
-//! state split from the solver.
+//! [`Unreduced`]: a model wrapper that hides agent symmetry, the state
+//! split and agent elimination from the solver.
 
-use bi_core::compiled::{CompiledSpace, Lowered};
+use bi_core::compiled::{CompiledSpace, EvalKernel, Lowered};
 use bi_core::model::{BayesianModel, Profile};
 use bi_core::solve::SolveError;
 
-/// A model wrapper that hides agent symmetry and the state split from the
-/// solver, so the exhaustive sweep visits every profile of the whole
-/// space.
+/// A model wrapper that hides agent symmetry, the state split and agent
+/// elimination from the solver, so the exhaustive sweep's odometer
+/// visits every profile of the whole space.
 ///
 /// The solver reduces every exhaustive sweep by the interchangeable
-/// agents [`BayesianModel::agents_interchangeable`] reports, and splits
-/// it into one sweep per support state when
-/// [`BayesianModel::state_types`] shows that no `(agent, type)` slot is
-/// in two states. Wrapping a model in [`Unreduced`] forwards every hook
-/// to it, its compiled kernels included, except those two, which stay at
-/// the trait's defaults (`false` and `None`). `complete_info` keeps its
+/// agents [`BayesianModel::agents_interchangeable`] reports, splits it
+/// into one sweep per support state when [`BayesianModel::state_types`]
+/// shows that no `(agent, type)` slot is in two states, and otherwise
+/// eliminates one agent when the model's kernels answer slot scans
+/// ([`Lowered::scans_slots`]). Wrapping a model in [`Unreduced`]
+/// forwards every hook to it, its compiled kernels included, except
+/// those three: the first two stay at the trait's defaults (`false` and
+/// `None`), and the lowering hands out the model's own kernels from a
+/// factory that does not offer slot scans. `complete_info` keeps its
 /// default too, which runs the solver on the wrapper. Solving the
 /// wrapper is therefore the full, unreduced sweep of the same model: the
-/// oracle the parity suites compare reduced and split solves against,
-/// and the "full" side of `bench_solver_sweep --orbits`.
+/// oracle the parity suites compare reduced, split and eliminating
+/// solves against, and the "full" side of `bench_solver_sweep --orbits`.
 ///
 /// # Examples
 ///
 /// ```
 /// use bi_bench::Unreduced;
 /// use bi_core::game::MatrixFormGame;
+/// use bi_core::random_games::random_bayesian_potential_game;
 /// use bi_core::solve::{SolveError, Solver};
 /// use bi_core::BayesianGame;
 ///
@@ -49,6 +53,14 @@ use bi_core::solve::SolveError;
 /// let whole = Solver::builder().max_profiles(8).build().solve(&Unreduced(game.clone()));
 /// assert!(matches!(whole, Err(SolveError::BudgetExceeded { required: 16, .. })));
 /// assert_eq!(split, Solver::default().solve(&Unreduced(game)).unwrap());
+///
+/// // Two agents of 3^2 = 9 strategies each: the solve scans the last
+/// // agent's actions for each of the other's 9 strategies; the wrapper's
+/// // odometer visits all 81 profiles. The reports are the same bytes.
+/// let (game, _) = random_bayesian_potential_game(&[2, 2], &[3, 3], 4, 7);
+/// let eliminated = Solver::default().solve(&game).unwrap();
+/// assert_eq!(eliminated.profiles_evaluated, 81);
+/// assert_eq!(eliminated, Solver::default().solve(&Unreduced(game)).unwrap());
 /// ```
 #[derive(Clone, Debug)]
 pub struct Unreduced<M>(pub M);
@@ -140,7 +152,23 @@ impl<M: BayesianModel> BayesianModel for Unreduced<M> {
         self.0.strategy_space_size()
     }
 
+    /// The model's own kernels, behind a factory that does not offer
+    /// slot scans, so the sweep eliminates no agent.
     fn lower<'a>(&'a self, space: &'a CompiledSpace<M::Action>) -> Box<dyn Lowered + 'a> {
-        self.0.lower(space)
+        Box::new(FullSweep(self.0.lower(space)))
+    }
+}
+
+/// A [`Lowered`] that forwards its kernels and sweep tables and leaves
+/// [`Lowered::scans_slots`] at its default `false`.
+struct FullSweep<'a>(Box<dyn Lowered + 'a>);
+
+impl Lowered for FullSweep<'_> {
+    fn kernel(&self) -> Box<dyn EvalKernel + '_> {
+        self.0.kernel()
+    }
+
+    fn prepare_sweep(&self) {
+        self.0.prepare_sweep();
     }
 }

@@ -718,6 +718,16 @@ struct MatrixState<'a> {
     offset_terms: Vec<(usize, usize)>,
 }
 
+impl MatrixState<'_> {
+    /// `prob · K_t` at joint index `offset`, from the per-agent tables:
+    /// the agent terms accumulate in agent order, then scale by `prob`
+    /// (the operand the premultiplied sweep tables hold, when built).
+    fn term(&self, offset: usize) -> f64 {
+        let k: f64 = self.agent_tables.iter().map(|table| table[offset]).sum();
+        self.prob * k
+    }
+}
+
 impl<'a> MatrixLowered<'a> {
     fn new(game: &'a BayesianGame, space: &'a CompiledSpace<usize>) -> Self {
         // Slot index of (agent, tau): slots are agent-major.
@@ -786,6 +796,10 @@ impl Lowered for MatrixLowered<'_> {
         })
     }
 
+    fn scans_slots(&self) -> bool {
+        true
+    }
+
     fn prepare_sweep(&self) {
         let prod = self.states.first().map_or(0, |st| {
             st.agent_tables.first().map_or(0, |table| table.len())
@@ -806,11 +820,13 @@ impl Lowered for MatrixLowered<'_> {
                     // premultiplied by the state's probability (the legacy
                     // outer product) — bit-identical to the on-the-fly path
                     // in `MatrixKernel::social_cost`: per entry the agent
-                    // terms accumulate from 0.0 in agent order, then scale
-                    // by `prob`. Structured as contiguous per-agent passes
-                    // so each inner loop is a unit-stride `acc[i] += t[i]`
-                    // the compiler auto-vectorizes.
-                    let mut acc = vec![0.0f64; prod];
+                    // terms accumulate in agent order from `-0.0`, where
+                    // `f64`'s `Sum` starts (so all-`-0.0` costs stay
+                    // `-0.0`), then scale by `prob`. Structured as
+                    // contiguous per-agent passes so each inner loop is a
+                    // unit-stride `acc[i] += t[i]` the compiler
+                    // auto-vectorizes.
+                    let mut acc = vec![-0.0f64; prod];
                     for table in &st.agent_tables {
                         for (v, &t) in acc.iter_mut().zip(*table) {
                             *v += t;
@@ -898,13 +914,18 @@ impl MatrixKernel<'_> {
         if let Some(stable) = self.verdicts[at] {
             return stable;
         }
-        let played = self.interim[at];
-        let stable = self.interim[range]
-            .iter()
-            .all(|&dev| dev >= played || bi_util::approx_le(played, dev));
+        let stable = stable_against(&self.interim[range], self.interim[at]);
         self.verdicts[at] = Some(stable);
         stable
     }
+}
+
+/// The `slot_is_stable` verdict of a candidate of interim cost `played`
+/// against the slot's all-candidates interim vector.
+fn stable_against(interim: &[f64], played: f64) -> bool {
+    interim
+        .iter()
+        .all(|&dev| dev >= played || bi_util::approx_le(played, dev))
 }
 
 impl EvalKernel for MatrixKernel<'_> {
@@ -947,10 +968,7 @@ impl EvalKernel for MatrixKernel<'_> {
             self.offsets
                 .iter()
                 .zip(&self.lowered.states)
-                .map(|(&offset, state)| {
-                    let k: f64 = state.agent_tables.iter().map(|table| table[offset]).sum();
-                    state.prob * k
-                })
+                .map(|(&offset, state)| state.term(offset))
                 .sum()
         }
     }
@@ -986,6 +1004,55 @@ impl EvalKernel for MatrixKernel<'_> {
         } else {
             SlotStep::Stable
         }
+    }
+
+    fn scan_slot(&mut self, slot: usize, stable: &mut [bool], group: &mut [f64]) -> f64 {
+        // The verdicts read the memoized interim vector and are memoized
+        // in turn, so the equilibrium checks that follow a scan hit them.
+        // A candidate the vector's least entry refutes is unstable
+        // whatever the other deviations; only the rest need the full
+        // verdict. (If every entry is NaN, `least` is `∞` and refutes
+        // nothing.)
+        let range = self.refresh(slot);
+        let interim = &self.interim[range.clone()];
+        let least = interim.iter().fold(f64::INFINITY, |least, &c| least.min(c));
+        for (a, (stable, verdict)) in stable
+            .iter_mut()
+            .zip(&mut self.verdicts[range.clone()])
+            .enumerate()
+        {
+            let played = interim[a];
+            *stable = *verdict.get_or_insert_with(|| {
+                stable_against(&[least], played) && stable_against(interim, played)
+            });
+        }
+        // One strided pass per state, like `refresh`, over the operands
+        // `social_cost` folds: the same table reads at the offsets the
+        // slot's candidates would give.
+        let lowered = self.lowered;
+        let social = lowered.social.get();
+        let played = self.digits[slot] as usize;
+        group.fill(0.0);
+        let mut bound = 0.0;
+        for &(s, stride) in &lowered.slot_states[slot] {
+            let base = self.offsets[s] - played * stride;
+            let mut largest = 0.0f64;
+            for (a, sum) in group.iter_mut().enumerate() {
+                let offset = base + a * stride;
+                let term = match social {
+                    Some(social) => social[s][offset],
+                    None => lowered.states[s].term(offset),
+                };
+                *sum += term;
+                largest = largest.max(if term.is_finite() {
+                    term.abs()
+                } else {
+                    f64::INFINITY
+                });
+            }
+            bound += largest;
+        }
+        bound
     }
 }
 

@@ -264,6 +264,14 @@ pub trait Lowered: Sync {
     /// wasted on a dynamics run that evaluates a handful). The default
     /// does nothing.
     fn prepare_sweep(&self) {}
+
+    /// Whether this factory's kernels answer
+    /// [`EvalKernel::scan_slot`], which lets the exhaustive sweep
+    /// eliminate one agent ([`crate::solve`]). The default is `false`:
+    /// the sweep then visits every profile.
+    fn scans_slots(&self) -> bool {
+        false
+    }
 }
 
 /// Order-independent equilibrium check over per-slot stability tests,
@@ -326,6 +334,29 @@ pub trait EvalKernel {
     /// like [`BayesianModel::slot_improvement`]), mapped to a candidate
     /// digit.
     fn slot_improvement(&mut self, slot: usize) -> SlotStep;
+
+    /// Scans every candidate of `slot` under the current digits of the
+    /// other slots, whatever `slot`'s own digit is:
+    ///
+    /// * `stable[a]` — whether playing candidate `a` is interim-stable,
+    ///   the verdict [`is_equilibrium`](Self::is_equilibrium) gives that
+    ///   slot when its digit is `a`;
+    /// * `group[a]` — the `p(t)·K_t` terms of the slot's support states
+    ///   (the states in which its agent has its type) when it plays `a`,
+    ///   each the exact operand of [`social_cost`](Self::social_cost)'s
+    ///   fold, summed in state order from `0.0`.
+    ///
+    /// Returns the sum over those states of the largest `|p(t)·K_t|`
+    /// over the candidates, `+∞` if any term is not finite.
+    ///
+    /// # Panics
+    ///
+    /// The default panics: the solver calls this only on kernels whose
+    /// factory reports [`Lowered::scans_slots`].
+    fn scan_slot(&mut self, slot: usize, stable: &mut [bool], group: &mut [f64]) -> f64 {
+        let _ = (slot, stable, group);
+        unreachable!("scan_slot on a kernel whose factory does not scan slots")
+    }
 }
 
 /// The fallback [`Lowered`]: no compiled tables, kernels route every query

@@ -40,6 +40,25 @@
 //! sweeps, and `profiles_evaluated` is still the whole space. A model
 //! in which any slot is shared by two states is swept whole.
 //!
+//! When orbit detection finds no interchangeable agents and the model's
+//! kernel scans slots ([`Lowered::scans_slots`]; the matrix kernel
+//! does), the sweep **eliminates one agent** `n`, the one with the most
+//! strategies (the last of them on a tie), if it has at least 8. Agent
+//! `n`'s interim cost at type `τ` depends only on the others' profile
+//! `s₋ₙ` and its own action at `τ`, so the odometer enumerates `s₋ₙ`
+//! only and scans `n`'s actions once per type
+//! ([`EvalKernel::scan_slot`]): `Π_τ |A_τ|` profile steps become
+//! `Σ_τ |A_τ|` action scans. The equilibria over `s₋ₙ` are `s₋ₙ` times
+//! the product of the stable sets, and each is costed with the original
+//! state-order fold, so `best-eqP` and `worst-eqP` are exact. `optP`
+//! rests on a certificate: regrouping the fold by `n`'s types changes
+//! its rounding by at most a bound `e` (`γ_m·Σ|p(t)·K_t|`), so every
+//! action whose group sum is within `2e` of its type's least is kept,
+//! and the minimum of the original fold over the kept product is the
+//! fold's minimum bit for bit (derivation on `Elimination`). Infinite
+//! or NaN terms keep every action. The budget still gates the whole
+//! domain and `profiles_evaluated` is still the whole space.
+//!
 //! Every backend evaluates profiles through the **compiled evaluation
 //! layer** ([`crate::compiled`]): the solver lowers the model once into a
 //! flat `u32`-indexed candidate arena plus a per-representation
@@ -670,19 +689,62 @@ impl Solver {
     /// long-lived kernel per block they steal. Per-block results are
     /// merged in block-index order after the join, so the result is
     /// bit-for-bit independent of which worker claimed what.
+    ///
+    /// When [`Elimination::plan`] finds an agent to eliminate, the indices
+    /// are the other agents' profiles instead. If that agent's slots are
+    /// not the last ones, the elimination meets the profiles in another
+    /// order than the odometer, and a zero extremum's sign depends on
+    /// which zero came first (`f64::min` may return either of `±0`), so
+    /// such a sweep is redone in full.
     fn sweep<A: Clone + PartialEq + Sync>(
         &self,
         space: &CompiledSpace<A>,
         domain: &Domain,
         lowered: &dyn Lowered,
     ) -> SweepStats {
-        let (symmetry, size) = (domain.symmetry.as_ref(), domain.size);
         lowered.prepare_sweep();
+        let full = |kernel: &mut dyn EvalKernel, digits: &mut [u32], start, count| {
+            sweep_block(
+                space,
+                domain.symmetry.as_ref(),
+                kernel,
+                digits,
+                start,
+                count,
+            )
+        };
+        let Some(plan) = Elimination::plan(space, domain, lowered) else {
+            return self.schedule(space.num_slots(), domain.size, lowered, full);
+        };
+        let stats = self.schedule(
+            space.num_slots(),
+            plan.size,
+            lowered,
+            |kernel, digits, start, count| plan.sweep_block(space, kernel, digits, start, count),
+        );
+        let zero = [stats.opt_p, stats.best_eq_p, stats.worst_eq_p].contains(&0.0);
+        if zero && !plan.in_order {
+            return self.schedule(space.num_slots(), domain.size, lowered, full);
+        }
+        stats
+    }
+
+    /// Runs `block` over the index range `[0, size)` on kernels of
+    /// `lowered`, each with a digit buffer of `num_slots` digits:
+    /// sequentially below [`PARALLEL_SWEEP_MIN_PROFILES`] or on one
+    /// worker, on the work-stealing pool otherwise.
+    fn schedule(
+        &self,
+        num_slots: usize,
+        size: u128,
+        lowered: &dyn Lowered,
+        block: impl Fn(&mut dyn EvalKernel, &mut [u32], u128, u128) -> SweepStats + Sync,
+    ) -> SweepStats {
         let workers = effective_threads(self.threads, size);
         if workers <= 1 || size < PARALLEL_SWEEP_MIN_PROFILES {
             let mut kernel = lowered.kernel();
-            let mut digits = vec![0u32; space.num_slots()];
-            return sweep_block(space, symmetry, kernel.as_mut(), &mut digits, 0, size);
+            let mut digits = vec![0u32; num_slots];
+            return block(kernel.as_mut(), &mut digits, 0, size);
         }
         // Block sizing: enough blocks that an unlucky worker (stalled on
         // a slow block or a busy core) never strands more than ~1/32 of
@@ -695,12 +757,12 @@ impl Solver {
             u64::try_from(size.div_ceil(block_len)).expect("block count bounded by workers * 32");
         let next_block = std::sync::atomic::AtomicU64::new(0);
         std::thread::scope(|scope| {
-            let next_block = &next_block;
+            let (next_block, block) = (&next_block, &block);
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(move || {
                         let mut kernel = lowered.kernel();
-                        let mut digits = vec![0u32; space.num_slots()];
+                        let mut digits = vec![0u32; num_slots];
                         let mut claimed: Vec<(u64, SweepStats)> = Vec::new();
                         loop {
                             let b = next_block.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -709,14 +771,7 @@ impl Solver {
                             }
                             let start = u128::from(b) * block_len;
                             let count = block_len.min(size - start);
-                            let stats = sweep_block(
-                                space,
-                                symmetry,
-                                kernel.as_mut(),
-                                &mut digits,
-                                start,
-                                count,
-                            );
+                            let stats = block(kernel.as_mut(), &mut digits, start, count);
                             claimed.push((b, stats));
                         }
                         claimed
@@ -854,6 +909,8 @@ struct Domain {
     symmetry: Option<Symmetry>,
     /// Indices in the domain: the orbit count or the space size.
     size: u128,
+    /// The model's support states: the terms of the social-cost fold.
+    terms: usize,
 }
 
 impl Domain {
@@ -866,7 +923,286 @@ impl Domain {
             None => space.space_size()?,
             Some(sym) => sym.orbit_count()?,
         };
-        Ok(Domain { symmetry, size })
+        Ok(Domain {
+            symmetry,
+            size,
+            terms: model.state_count(),
+        })
+    }
+}
+
+/// Largest rounding-gap base [`Elimination`] certifies: below it no
+/// partial sum of the social-cost fold or of a group vector can
+/// overflow, and neither can the gap tests.
+const MAX_GAP_BASE: f64 = f64::MAX / 4.0;
+
+/// How one exhaustive sweep eliminates an agent `n` (see the module
+/// docs): the odometer enumerates the other agents' profiles `s₋ₙ`
+/// only, and each `s₋ₙ` scans agent `n`'s actions once per type
+/// ([`EvalKernel::scan_slot`]).
+///
+/// # The certificate for `optP`
+///
+/// With `s₋ₙ` fixed, state `t`'s term `c_t = p(t)·K_t` depends only on
+/// agent `n`'s action `a_τ` at its type `τ = t_n` in `t`. In exact
+/// arithmetic `K(s) = Σ_t c_t(a_{t_n}) = Σ_τ G*_τ(a_τ)`, where
+/// `G*_τ(a) = Σ_{t : t_n = τ} c_t(a)`, so changing `a_τ` alone moves
+/// `K` by exactly the change of `G*_τ`. The kernel computes `K(s)` as a
+/// left fold over `m` states and `G_τ` as a left fold over `τ`'s states,
+/// each of the same operands, so with `u = 2⁻⁵³` and
+/// `γ_k = k·u/(1 − k·u)` the standard bound on recursive summation gives
+///
+/// * `|fl K(s) − K*(s)| ≤ γ_{m−1}·Σ_t |c_t(a_{t_n})| ≤ γ_{m−1}·T`,
+/// * `|G_τ(a) − G*_τ(a)| ≤ γ_{m−1}·T`,
+///
+/// where `T = Σ_t max_a |c_t(a)|` is what the scans return, summed over
+/// `n`'s types. (Additions never underflow; `MAX_GAP_BASE` rules out
+/// overflow.) So `e = 2·γ_{m−1}·T` bounds the gap between the group sums
+/// and the fold on every profile of this `s₋ₙ`. The code takes
+/// `e = fl(T·2·m·ε)` (`ε = 2u`) plus one ulp: at least twice that, and
+/// rounded up.
+///
+/// Let `b` minimize `G_τ`, and let `x` have `G_τ(x) − G_τ(b) > 2e`. For
+/// any profile `s` playing `x` at `τ`, the profile `s'` playing `b`
+/// there instead has `K*(s) − K*(s') = G*_τ(x) − G*_τ(b) > 2e − 2γT ≥
+/// 2γT`, so `fl K(s) ≥ K*(s) − γT > K*(s') + γT ≥ fl K(s')`: no profile
+/// playing `x` attains the fold's minimum. Keeping, per type, every
+/// action within `2e` of the minimum of `G_τ` therefore keeps every
+/// minimizer of the fold, which the sweep then evaluates with the fold
+/// itself. Generically each type keeps one action. If `e` is not
+/// finite (an `∞` or NaN term) every action is kept, which is the full
+/// inner sweep.
+///
+/// # Equilibria
+///
+/// Agent `n`'s slot verdicts depend on `s₋ₙ` only, so the equilibria
+/// over this `s₋ₙ` are `s₋ₙ × Π_τ stable_τ`. The sweep visits the
+/// product of the kept and the stable actions in odometer order and
+/// checks the other agents' slots only where all of `n`'s are stable;
+/// every visited profile's cost is the fold itself, so `best-eqP` and
+/// `worst-eqP` are exact by construction.
+struct Elimination {
+    /// Agent `n`'s slots.
+    inner: std::ops::Range<usize>,
+    num_slots: usize,
+    /// Start of each inner slot's candidates in the scan buffers (one
+    /// extra terminal entry).
+    base: Vec<usize>,
+    /// Outer profiles `s₋ₙ`.
+    size: u128,
+    /// Whether `inner` holds the last slots, so that the visited
+    /// profiles keep the odometer's relative order.
+    in_order: bool,
+    /// `2·m·ε`: the rounding gap per unit of `T`, before rounding up.
+    gap_factor: f64,
+}
+
+/// Fewest strategies of an agent worth eliminating. Each outer profile
+/// scans the agent's actions once per type and sets up the scan's
+/// buffers once per sweep; below this the plain inner loop over the
+/// agent's strategies is cheaper (on single-type two-agent matrix
+/// games, 3 to 6 actions run slower eliminated and 8 or more faster).
+const MIN_ELIMINATED_STRATEGIES: u128 = 8;
+
+impl Elimination {
+    /// The plan of a sweep over `domain`, when one applies: the domain is
+    /// the flat space (orbit reduction found nothing), `lowered` scans
+    /// slots, and some agent has at least [`MIN_ELIMINATED_STRATEGIES`]
+    /// strategies. The agent with the most strategies is eliminated; on
+    /// a tie, the last of them.
+    fn plan<A: Clone + PartialEq>(
+        space: &CompiledSpace<A>,
+        domain: &Domain,
+        lowered: &dyn Lowered,
+    ) -> Option<Elimination> {
+        if domain.symmetry.is_some() || !lowered.scans_slots() {
+            return None;
+        }
+        let num_slots = space.num_slots();
+        let mut best = (0u128, 0..0);
+        let mut start = 0;
+        while start < num_slots {
+            let agent = space.slot(start).0;
+            let mut end = start;
+            let mut strategies = 1u128;
+            while end < num_slots && space.slot(end).0 == agent {
+                strategies *= u128::from(space.slot_size(end));
+                end += 1;
+            }
+            if strategies >= best.0 {
+                best = (strategies, start..end);
+            }
+            start = end;
+        }
+        let (strategies, inner) = best;
+        if strategies < MIN_ELIMINATED_STRATEGIES {
+            return None;
+        }
+        let mut base = vec![0];
+        for j in inner.clone() {
+            base.push(base[base.len() - 1] + space.slot_size(j) as usize);
+        }
+        Some(Elimination {
+            num_slots,
+            base,
+            size: domain.size / strategies,
+            in_order: inner.end == num_slots,
+            gap_factor: 2.0 * domain.terms as f64 * f64::EPSILON,
+            inner,
+        })
+    }
+
+    /// The outer odometer's slots: every slot but agent `n`'s, in slot
+    /// order.
+    fn outer(&self) -> impl DoubleEndedIterator<Item = usize> {
+        (0..self.inner.start).chain(self.inner.end..self.num_slots)
+    }
+
+    /// Sweeps the outer profiles `[start, start + count)`, odometer
+    /// order with the last outer slot fastest, through one kernel seeded
+    /// at the first of them.
+    fn sweep_block<A: Clone + PartialEq>(
+        &self,
+        space: &CompiledSpace<A>,
+        kernel: &mut dyn EvalKernel,
+        digits: &mut [u32],
+        start: u128,
+        count: u128,
+    ) -> SweepStats {
+        let mut stats = SweepStats::new();
+        if count == 0 {
+            return stats;
+        }
+        let mut idx = start;
+        for j in self.outer().rev() {
+            let base = u128::from(space.slot_size(j));
+            digits[j] = (idx % base) as u32;
+            idx /= base;
+        }
+        digits[self.inner.clone()].fill(0);
+        kernel.seed(digits);
+        let candidates = self.base[self.inner.len()];
+        let mut scan = Scan {
+            stable: vec![false; candidates],
+            group: vec![0.0; candidates],
+            visit: vec![0; candidates],
+            cursor: vec![(0, 0); self.inner.len()],
+        };
+        let mut done = 0u128;
+        loop {
+            self.scan(space, kernel, &mut scan);
+            // The product of the visit lists, last inner slot fastest.
+            let Scan {
+                stable,
+                visit,
+                cursor,
+                ..
+            } = &mut scan;
+            for (k, (pos, _)) in cursor.iter_mut().enumerate() {
+                *pos = self.base[k];
+                set_digit(kernel, digits, self.inner.start + k, visit[*pos]);
+            }
+            loop {
+                let all_stable = (0..cursor.len())
+                    .all(|k| stable[self.base[k] + digits[self.inner.start + k] as usize]);
+                stats.observe(kernel.social_cost(), all_stable && kernel.is_equilibrium());
+                let Some(k) = (0..cursor.len())
+                    .rev()
+                    .find(|&k| cursor[k].0 + 1 < cursor[k].1)
+                else {
+                    break;
+                };
+                cursor[k].0 += 1;
+                set_digit(kernel, digits, self.inner.start + k, visit[cursor[k].0]);
+                for k in k + 1..cursor.len() {
+                    cursor[k].0 = self.base[k];
+                    set_digit(kernel, digits, self.inner.start + k, visit[self.base[k]]);
+                }
+            }
+            done += 1;
+            if done == count {
+                return stats;
+            }
+            for j in self.outer().rev() {
+                let old = digits[j];
+                if old + 1 < space.slot_size(j) {
+                    digits[j] = old + 1;
+                    kernel.advance(j, old, old + 1);
+                    break;
+                }
+                digits[j] = 0;
+                if old != 0 {
+                    kernel.advance(j, old, 0);
+                }
+            }
+        }
+    }
+
+    /// Scans agent `n`'s slots under the current `s₋ₙ` and fills each
+    /// slot's visit list: its stable actions and the actions the
+    /// certificate keeps, in digit order. A zero-weight slot is in no
+    /// state, so it changes no cost and no verdict: it stays at digit 0.
+    fn scan<A: Clone + PartialEq>(
+        &self,
+        space: &CompiledSpace<A>,
+        kernel: &mut dyn EvalKernel,
+        scan: &mut Scan,
+    ) {
+        let mut gap_base = 0.0;
+        for (k, j) in self.inner.clone().enumerate() {
+            let span = self.base[k]..self.base[k + 1];
+            if space.weight(j) == 0.0 {
+                scan.stable[span].fill(true);
+                continue;
+            }
+            gap_base += kernel.scan_slot(j, &mut scan.stable[span.clone()], &mut scan.group[span]);
+        }
+        let gap = if gap_base <= MAX_GAP_BASE {
+            f64::from_bits((gap_base * self.gap_factor).to_bits() + 1)
+        } else {
+            f64::INFINITY
+        };
+        for (k, j) in self.inner.clone().enumerate() {
+            let span = self.base[k]..self.base[k + 1];
+            let mut end = span.start;
+            if space.weight(j) == 0.0 {
+                scan.visit[end] = 0;
+                end += 1;
+            } else {
+                let (stable, group) = (&scan.stable[span.clone()], &scan.group[span.clone()]);
+                let least = group.iter().fold(f64::INFINITY, |least, &g| least.min(g));
+                for a in 0..span.len() {
+                    // A finite gap means every term is finite. Dropping
+                    // needs `g − least > 2e` in floating point, which
+                    // implies it exactly (rounding is monotone and `2e`
+                    // is exact), so no action within `2e` is dropped.
+                    if stable[a] || gap.is_infinite() || group[a] - least <= 2.0 * gap {
+                        scan.visit[end] = a as u32;
+                        end += 1;
+                    }
+                }
+            }
+            scan.cursor[k] = (span.start, end);
+        }
+    }
+}
+
+/// Per-block buffers of [`Elimination::sweep_block`], each inner slot's
+/// candidates at [`Elimination::base`].
+struct Scan {
+    stable: Vec<bool>,
+    group: Vec<f64>,
+    /// Per inner slot, the digits to visit, from its base up.
+    visit: Vec<u32>,
+    /// Per inner slot, the visit position and the end of its list.
+    cursor: Vec<(usize, usize)>,
+}
+
+/// Moves slot `j`'s digit to `new`, telling the kernel if it changed.
+fn set_digit(kernel: &mut dyn EvalKernel, digits: &mut [u32], j: usize, new: u32) {
+    let old = std::mem::replace(&mut digits[j], new);
+    if old != new {
+        kernel.advance(j, old, new);
     }
 }
 
@@ -1215,6 +1551,52 @@ mod tests {
                 .unwrap();
             assert_eq!(report, baseline, "threads {threads}");
         }
+    }
+
+    /// The agent [`Elimination::plan`] picks for `game`, if any.
+    fn eliminated_agent(game: &BayesianGame) -> Option<usize> {
+        let space = CompiledSpace::compile(game).unwrap();
+        let domain = Domain::detect(game, &space).unwrap();
+        let lowered = game.lower(&space);
+        let plan = Elimination::plan(&space, &domain, lowered.as_ref())?;
+        assert_eq!(plan.size * strategies(&space, &plan.inner), domain.size);
+        Some(space.slot(plan.inner.start).0)
+    }
+
+    fn strategies(space: &CompiledSpace<usize>, slots: &std::ops::Range<usize>) -> u128 {
+        slots
+            .clone()
+            .map(|j| u128::from(space.slot_size(j)))
+            .product()
+    }
+
+    #[test]
+    fn elimination_picks_the_agent_with_the_most_strategies() {
+        // Agent 0 has 3^2 = 9 strategies, agent 1 has 8: agent 0 goes,
+        // though it is not last.
+        let (game, _) = random_bayesian_potential_game(&[2, 1], &[3, 8], 2, 5);
+        assert_eq!(eliminated_agent(&game), Some(0));
+        // A tie goes to the last agent.
+        let (game, _) = random_bayesian_potential_game(&[2, 2], &[3, 3], 4, 5);
+        assert_eq!(eliminated_agent(&game), Some(1));
+        // Under the floor, and with interchangeable agents, the sweep
+        // enumerates every profile (or orbit).
+        let (game, _) = random_bayesian_potential_game(&[1, 1], &[4, 4], 1, 5);
+        assert_eq!(eliminated_agent(&game), None);
+        assert_eq!(eliminated_agent(&symmetric_congestion_game(2, 9)), None);
+    }
+
+    #[test]
+    fn eliminated_sweep_is_deterministic_across_thread_counts() {
+        // Three agents of 144 strategies: 20,736 outer profiles, past
+        // PARALLEL_SWEEP_MIN_PROFILES, so multi-thread solves steal
+        // blocks of outer profiles.
+        let (game, _) = random_bayesian_potential_game(&[2, 2, 2], &[12, 12, 12], 5, 3);
+        assert_eq!(eliminated_agent(&game), Some(2));
+        let baseline = Solver::builder().threads(1).build().solve(&game).unwrap();
+        let report = Solver::builder().threads(4).build().solve(&game).unwrap();
+        assert_eq!(report, baseline);
+        assert_eq!(report.profiles_evaluated, 144u128.pow(3));
     }
 
     #[test]

@@ -96,7 +96,9 @@ use crate::cache::{CacheConfig, ShardedLru};
 use crate::fault::mix;
 use crate::http::{ClientResponse, HttpClient, Response};
 use crate::server::{serve, Dispatcher, Engine, Reply, Request, ServerConfig};
-use crate::service::{error_body, BatchRequest, FastOutcome, SolveRequest, SolveService};
+use crate::service::{
+    chain_failure, error_body, BatchRequest, FastOutcome, SolveRequest, SolveService,
+};
 
 /// What the router does with a request when every backend is dead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -980,7 +982,7 @@ fn fallback_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
                 Ok(FastOutcome::Hit(served)) => served,
                 Ok(FastOutcome::Miss(prepared)) => match shared.local.complete_solve(*prepared) {
                     Ok(served) => served,
-                    Err(e) => return Response::json(422, error_body(&e.to_string())),
+                    Err(e) => return Response::json(e.status(), error_body(&e.to_string())),
                 },
                 Err(e) => return Response::json(400, error_body(&e.to_string())),
             };
@@ -1060,7 +1062,9 @@ fn handle_batch(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
         unrouted.extend_from_slice(group);
     }
     if !unrouted.is_empty() {
-        fallback_batch(shared, &batch, &unrouted, &mut merged);
+        if let Err(response) = fallback_batch(shared, &batch, &unrouted, &mut merged) {
+            return response;
+        }
     }
     let reports: Vec<Json> = merged
         .into_iter()
@@ -1082,13 +1086,14 @@ fn split_reports(body: &[u8], expected: usize) -> Option<Vec<Json>> {
 }
 
 /// Answers the still-unanswered games of a batch locally (or with
-/// per-game errors under [`FallbackMode::Unavailable`]).
+/// per-game errors under [`FallbackMode::Unavailable`]). A local answer
+/// that breaks the measure chain fails the whole batch with a `500`.
 fn fallback_batch(
     shared: &Shared,
     batch: &BatchRequest,
     pending: &[usize],
     merged: &mut [Option<Json>],
-) {
+) -> Result<(), Response> {
     match shared.config.fallback {
         FallbackMode::Unavailable => {
             shared.metrics.fallback_503.fetch_add(1, Ordering::Relaxed);
@@ -1109,6 +1114,9 @@ fn fallback_batch(
                 config: batch.config,
             };
             let results = shared.local.solve_batch(&sub);
+            if let Some(e) = chain_failure(&results) {
+                return Err(Response::json(e.status(), error_body(&e.to_string())));
+            }
             for (&orig, result) in pending.iter().zip(results) {
                 merged[orig] = Some(match result {
                     Ok(outcome) => {
@@ -1124,6 +1132,7 @@ fn fallback_batch(
             }
         }
     }
+    Ok(())
 }
 
 /// Probes every backend's `/healthz` on the configured interval.

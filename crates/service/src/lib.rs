@@ -124,6 +124,6 @@ pub use metrics::ServiceMetrics;
 pub use persist::{DiskTier, DiskTierConfig, DiskTierStats};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use service::{
-    BatchRequest, FastOutcome, GameSpec, PreparedSolve, ServedResponse, SolveOutcome, SolveRequest,
-    SolveService,
+    BatchRequest, FastOutcome, GameSpec, PreparedSolve, ServeError, ServedResponse, SolveOutcome,
+    SolveRequest, SolveService,
 };

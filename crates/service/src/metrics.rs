@@ -27,6 +27,13 @@ pub struct ServiceMetrics {
     /// Individual games solved by the engine (cache misses, including
     /// every game of a batch that missed).
     pub solves_computed: AtomicU64,
+    /// Computed reports that broke Observation 2.2's chain
+    /// (`optC ≤ optP ≤ best-eqP ≤ worst-eqP`): answered `500` and never
+    /// cached. Nonzero means the engine is wrong.
+    pub chain_violations: AtomicU64,
+    /// Dispatches and pool jobs that panicked: each was answered `500`
+    /// and the server kept serving.
+    pub handler_panics: AtomicU64,
     /// Responses installed via `POST /cache_put` — replication
     /// write-throughs and read-repairs shipped by a router peer; each is
     /// a solve this node never had to run.
@@ -84,6 +91,8 @@ impl Default for ServiceMetrics {
             solve_requests: AtomicU64::new(0),
             batch_requests: AtomicU64::new(0),
             solves_computed: AtomicU64::new(0),
+            chain_violations: AtomicU64::new(0),
+            handler_panics: AtomicU64::new(0),
             cache_puts: AtomicU64::new(0),
             responses_2xx: AtomicU64::new(0),
             responses_4xx: AtomicU64::new(0),
@@ -149,6 +158,8 @@ impl ServiceMetrics {
             ("solve_requests".into(), count(&self.solve_requests)),
             ("batch_requests".into(), count(&self.batch_requests)),
             ("solves_computed".into(), count(&self.solves_computed)),
+            ("chain_violations".into(), count(&self.chain_violations)),
+            ("handler_panics".into(), count(&self.handler_panics)),
             ("cache_puts".into(), count(&self.cache_puts)),
             ("responses_2xx".into(), count(&self.responses_2xx)),
             ("responses_4xx".into(), count(&self.responses_4xx)),

@@ -86,7 +86,9 @@ use crate::reactor::{
     listener_fd, raw_fd, PollFd, Poller, WakePair, Waker, POLLERR, POLLHUP, POLLIN, POLLNVAL,
     POLLOUT,
 };
-use crate::service::{error_body, BatchRequest, FastOutcome, PreparedSolve, SolveService};
+use crate::service::{
+    chain_failure, error_body, BatchRequest, FastOutcome, PreparedSolve, SolveService,
+};
 
 /// Server sizing and addressing.
 #[derive(Clone, Debug)]
@@ -361,7 +363,7 @@ pub(crate) fn serve<D: Dispatcher>(
         let completions = Arc::clone(&completions);
         let mut waker = wake.waker()?;
         worker_handles.push(std::thread::spawn(move || {
-            pool_loop(&pool, &*dispatcher, &completions, &mut waker);
+            abort_on_panic(|| pool_loop(&pool, &*dispatcher, &completions, &mut waker));
         }));
     }
     let mut reactor = Reactor {
@@ -381,7 +383,7 @@ pub(crate) fn serve<D: Dispatcher>(
         read_timeout: config.read_timeout,
         max_connections,
     };
-    let reactor_handle = std::thread::spawn(move || reactor.run());
+    let reactor_handle = std::thread::spawn(move || abort_on_panic(|| reactor.run()));
     Ok(Engine {
         addr,
         shutdown,
@@ -390,6 +392,36 @@ pub(crate) fn serve<D: Dispatcher>(
         workers: worker_handles,
         waker: stop_waker,
     })
+}
+
+/// Runs an engine thread's loop. Each dispatch and each job runs under
+/// [`handle_panics`]; a panic anywhere else leaves the engine unable to
+/// answer, so it aborts the process: the listener closes and a router
+/// ejects the node, where a dead reactor behind a live listener would
+/// leave every client waiting.
+fn abort_on_panic(body: impl FnOnce()) {
+    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).is_err() {
+        std::process::abort();
+    }
+}
+
+/// Runs one dispatch or job; a panic in it is counted and becomes
+/// `None`, which the caller answers with [`panic_body`] as a `500`. The
+/// panic message goes to stderr through the panic hook.
+fn handle_panics<T>(service: &SolveService, body: impl FnOnce() -> T) -> Option<T> {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+    if outcome.is_err() {
+        service
+            .metrics()
+            .handler_panics
+            .fetch_add(1, Ordering::Relaxed);
+    }
+    outcome.ok()
+}
+
+/// The body of a `500` that answers a panicked handler.
+fn panic_body() -> Vec<u8> {
+    error_body("internal error: the request handler panicked")
 }
 
 /// A job on its way to the pool, tagged with the connection it answers.
@@ -493,7 +525,8 @@ fn pool_loop<D: Dispatcher>(
     waker: &mut Waker,
 ) {
     while let Some(task) = pool.take() {
-        let response = dispatcher.run(task.job);
+        let response = handle_panics(dispatcher.service(), || dispatcher.run(task.job))
+            .unwrap_or_else(|| Response::json(500, panic_body()));
         dispatcher
             .service()
             .metrics()
@@ -966,9 +999,16 @@ impl<D: Dispatcher> Io<D> {
                     parent: root_span,
                 },
             };
-            let job = self
-                .dispatcher
-                .dispatch(&request, &mut Reply { conn, service });
+            let job = handle_panics(service, || {
+                self.dispatcher
+                    .dispatch(&request, &mut Reply { conn, service })
+            })
+            .unwrap_or_else(|| {
+                // Drop whatever the handler staged before it panicked.
+                conn.out.clear();
+                stage_bytes(conn, service, 500, &panic_body(), &[]);
+                None
+            });
             conn.buf = buf;
             conn.buf.drain(..total);
             if let Some(job) = job {
@@ -1186,9 +1226,10 @@ impl Dispatcher for Node {
                 Ok(served) => {
                     Response::json(200, served.body.to_vec()).with_header("X-Cache", "miss")
                 }
-                // The request was well-formed; the game is unsolvable as
-                // asked (budget, no equilibrium, …) — a semantic 422.
-                Err(e) => Response::json(422, error_body(&e.to_string())),
+                // The request was well-formed: the game is unsolvable as
+                // asked (budget, no equilibrium, …), a semantic 422; or
+                // the engine's answer is wrong, a 500.
+                Err(e) => Response::json(e.status(), error_body(&e.to_string())),
             },
             NodeJob::Batch(body, ctx) => {
                 let t0 = service.recorder().now_ns();
@@ -1277,6 +1318,9 @@ fn handle_batch(service: &SolveService, body: &[u8]) -> Response {
         Err(response) => return response,
     };
     let results = service.solve_batch(&batch);
+    if let Some(e) = chain_failure(&results) {
+        return Response::json(e.status(), error_body(&e.to_string()));
+    }
     let (mut hits, mut misses) = (0u64, 0u64);
     // The per-game bodies are already canonical JSON bytes; splice them
     // instead of re-parsing.
@@ -1346,6 +1390,64 @@ mod tests {
         // Queued jobs still run after close; then workers are told to exit.
         assert_eq!(pool.take().map(|t| t.job), Some(2));
         assert!(pool.take().is_none());
+    }
+
+    /// A dispatcher that panics inline on `/boom`, after staging an
+    /// answer, and in the pool on `/boom-job`; anything else is `200`.
+    struct Panicky {
+        service: SolveService,
+    }
+
+    impl Dispatcher for Panicky {
+        type Job = ();
+        const ROOT: Stage = Stage::Request;
+        const NAME: &'static str = "panicky";
+
+        fn service(&self) -> &SolveService {
+            &self.service
+        }
+
+        fn dispatch(&self, request: &Request<'_>, reply: &mut Reply<'_>) -> Option<()> {
+            match request.path {
+                b"/boom-job" => return Some(()),
+                b"/boom" => {
+                    reply.send(200, b"{}", &[]);
+                    panic!("dispatch panics on purpose");
+                }
+                _ => reply.send(200, b"{}", &[]),
+            }
+            None
+        }
+
+        fn run(&self, (): ()) -> Response {
+            panic!("job panics on purpose");
+        }
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_the_server_keeps_serving() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let dispatcher = Arc::new(Panicky {
+            service: SolveService::new(CacheConfig::default()),
+        });
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let engine = serve(listener, Arc::clone(&dispatcher), &config).unwrap();
+        let mut client = crate::http::HttpClient::connect(&engine.addr().to_string()).unwrap();
+        // A hang fails the test instead of stalling it.
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        for (path, status) in [("/boom", 500), ("/boom-job", 500), ("/ok", 200)] {
+            let response = client.request("GET", path, b"").expect(path);
+            assert_eq!(response.status, status, "{path}");
+        }
+        let metrics = &dispatcher.service.metrics();
+        assert_eq!(metrics.handler_panics.load(Ordering::Relaxed), 2);
+        assert_eq!(metrics.responses_5xx.load(Ordering::Relaxed), 2);
+        engine.stop();
     }
 
     #[test]

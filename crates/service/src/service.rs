@@ -23,6 +23,7 @@
 
 use std::sync::Arc;
 
+use bi_core::measures::ChainViolation;
 use bi_core::solve::{SolveError, SolveReport, Solver, SolverConfig};
 use bi_core::BayesianGame;
 use bi_ncs::BayesianNcsGame;
@@ -33,6 +34,62 @@ use bi_util::{CodecError, Decode, Encode, Json};
 use crate::cache::{CacheConfig, CacheStats, ShardedLru};
 use crate::metrics::ServiceMetrics;
 use crate::persist::{DiskTier, DiskTierStats};
+
+/// Why a solve produced no answer to serve.
+#[derive(Debug)]
+pub enum ServeError {
+    /// The engine could not solve the game as asked (budget, no
+    /// equilibrium, …): a semantic `422`.
+    Solve(SolveError),
+    /// The engine's report breaks Observation 2.2's chain, so it is
+    /// wrong: a `500`, and never cached.
+    Chain(ChainViolation),
+}
+
+impl ServeError {
+    /// The HTTP status that answers this error.
+    #[must_use]
+    pub fn status(&self) -> u16 {
+        match self {
+            ServeError::Solve(_) => 422,
+            ServeError::Chain(_) => 500,
+        }
+    }
+}
+
+impl From<SolveError> for ServeError {
+    fn from(e: SolveError) -> Self {
+        ServeError::Solve(e)
+    }
+}
+
+impl std::fmt::Display for ServeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServeError::Solve(e) => e.fmt(f),
+            ServeError::Chain(e) => write!(f, "internal error: the solver's report failed {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ServeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ServeError::Solve(e) => Some(e),
+            ServeError::Chain(e) => Some(e),
+        }
+    }
+}
+
+/// The first wrong answer among a batch's results, if any: a batch that
+/// holds one is answered `500` as a whole.
+#[must_use]
+pub fn chain_failure<T>(results: &[Result<T, ServeError>]) -> Option<&ServeError> {
+    results.iter().find_map(|r| match r {
+        Err(e @ ServeError::Chain(_)) => Some(e),
+        _ => None,
+    })
+}
 
 /// A solvable game in either representation the solver serves.
 #[derive(Clone, Debug)]
@@ -346,8 +403,9 @@ impl SolveService {
     ///
     /// # Errors
     ///
-    /// Returns the engine's [`SolveError`] (never cached).
-    pub fn solve(&self, request: &SolveRequest) -> Result<SolveOutcome, SolveError> {
+    /// Returns the engine's [`SolveError`], or a report that breaks the
+    /// measure chain (neither is cached).
+    pub fn solve(&self, request: &SolveRequest) -> Result<SolveOutcome, ServeError> {
         let key = Self::cache_key(&request.game, &request.config);
         if let Some(body) = self.lookup(&key, TraceCtx::NONE) {
             return Ok(SolveOutcome {
@@ -428,8 +486,9 @@ impl SolveService {
     ///
     /// # Errors
     ///
-    /// Returns the engine's [`SolveError`] (never cached).
-    pub fn complete_solve(&self, prepared: PreparedSolve) -> Result<ServedResponse, SolveError> {
+    /// Returns the engine's [`SolveError`], or a report that breaks the
+    /// measure chain (neither is cached).
+    pub fn complete_solve(&self, prepared: PreparedSolve) -> Result<ServedResponse, ServeError> {
         let PreparedSolve {
             request,
             key,
@@ -447,14 +506,15 @@ impl SolveService {
     /// cold-path histogram, and as a `solve` span when traced), then
     /// encodes and caches the report under `key` — and under the raw
     /// request bytes when they were canonical. The encode + insert is the
-    /// miss's `encode` stage.
+    /// miss's `encode` stage. A report that fails [`Self::check_chain`]
+    /// is never cached.
     fn compute(
         &self,
         request: &SolveRequest,
         key: Vec<u8>,
         raw: Option<&[u8]>,
         ctx: TraceCtx,
-    ) -> Result<Arc<[u8]>, SolveError> {
+    ) -> Result<Arc<[u8]>, ServeError> {
         let solver = Self::solver(request.config);
         let t_solve = self.recorder.now_ns();
         let started = std::time::Instant::now();
@@ -473,6 +533,7 @@ impl SolveService {
         }
         let report = result?;
         self.record_computed();
+        self.check_chain(&report)?;
         let t_encode = self.recorder.now_ns();
         let body = self.insert_report(key, &report);
         if let Some(raw) = raw {
@@ -486,9 +547,9 @@ impl SolveService {
     /// misses of each representation through one [`Solver::solve_many`]
     /// call (games parallelize across the solver's threads), and returns
     /// per-game results aligned with the input order.
-    pub fn solve_batch(&self, batch: &BatchRequest) -> Vec<Result<SolveOutcome, SolveError>> {
+    pub fn solve_batch(&self, batch: &BatchRequest) -> Vec<Result<SolveOutcome, ServeError>> {
         let solver = Self::solver(batch.config);
-        let mut results: Vec<Option<Result<SolveOutcome, SolveError>>> =
+        let mut results: Vec<Option<Result<SolveOutcome, ServeError>>> =
             batch.games.iter().map(|_| None).collect();
         let mut matrix_misses: Vec<(usize, Vec<u8>, &BayesianGame)> = Vec::new();
         let mut ncs_misses: Vec<(usize, Vec<u8>, &BayesianNcsGame)> = Vec::new();
@@ -561,13 +622,27 @@ impl SolveService {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
+    /// Checks a computed report against Observation 2.2 before it is
+    /// cached or served, counting violations.
+    fn check_chain(&self, report: &SolveReport) -> Result<(), ServeError> {
+        report.measures.verify_chain().map_err(|violation| {
+            self.metrics
+                .chain_violations
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            ServeError::Chain(violation)
+        })
+    }
+
+    /// Caches and answers one computed game of a batch, unless it failed
+    /// or fails [`Self::check_chain`].
     fn finish_miss(
         &self,
         key: Vec<u8>,
         result: Result<SolveReport, SolveError>,
-    ) -> Result<SolveOutcome, SolveError> {
+    ) -> Result<SolveOutcome, ServeError> {
         let report = result?;
         self.record_computed();
+        self.check_chain(&report)?;
         Ok(SolveOutcome {
             body: self.insert_report(key, &report),
             cache_hit: false,
@@ -677,6 +752,39 @@ mod tests {
                 "service bytes must be identical to the in-process report"
             );
         }
+    }
+
+    #[test]
+    fn a_report_that_breaks_the_chain_is_answered_500_and_never_cached() {
+        let path = std::env::temp_dir().join(format!("bi-chain-gate-{}.log", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let disk = DiskTier::open(&path, crate::persist::DiskTierConfig::default()).unwrap();
+        let service = SolveService::with_disk(CacheConfig::default(), Some(disk));
+        let req = request(matrix_game(4));
+        let GameSpec::Matrix(game) = &req.game else {
+            unreachable!()
+        };
+        let sound = Solver::default().solve(game).unwrap();
+        let mut broken = sound;
+        // optP above best-eqP: no exact solve reports that.
+        broken.measures.opt_p = broken.measures.best_eq_p + 1.0;
+        let key = SolveService::cache_key(&req.game, &req.config);
+        let err = service.finish_miss(key.clone(), Ok(broken)).unwrap_err();
+        assert!(matches!(err, ServeError::Chain(_)), "{err}");
+        assert_eq!(err.status(), 500);
+        assert!(chain_failure(&[Ok(()), Err(err)]).is_some());
+        service.sync_disk();
+        assert_eq!(service.cache_stats().insertions, 0);
+        assert_eq!(service.disk_stats().unwrap().appends, 0);
+        assert!(service.lookup(&key, TraceCtx::NONE).is_none());
+        let metrics = service.metrics_json();
+        assert_eq!(metrics.get("chain_violations").unwrap().as_u64(), Some(1));
+        // The sound report of the same game is cached and served.
+        let served = service.finish_miss(key.clone(), Ok(sound)).unwrap();
+        assert_eq!(served.body.as_ref(), sound.canonical_bytes().as_slice());
+        assert!(service.lookup(&key, TraceCtx::NONE).is_some());
+        drop(service);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -857,7 +965,7 @@ mod tests {
         };
         assert!(matches!(
             service.solve(&req),
-            Err(SolveError::BudgetExceeded { .. })
+            Err(ServeError::Solve(SolveError::BudgetExceeded { .. }))
         ));
         assert_eq!(service.cache_stats().insertions, 0);
         // Batch errors stay per-game.
@@ -865,7 +973,10 @@ mod tests {
             games: vec![req.game.clone()],
             config: req.config,
         });
-        assert!(matches!(results[0], Err(SolveError::BudgetExceeded { .. })));
+        assert!(matches!(
+            results[0],
+            Err(ServeError::Solve(SolveError::BudgetExceeded { .. }))
+        ));
     }
 
     #[test]

@@ -49,9 +49,19 @@ fn start_cluster(n: usize, config: RouterConfig) -> (Vec<ServerHandle>, RouterHa
     (backends, handle)
 }
 
+/// Connects with a 10 s read timeout, so a server that stops answering
+/// fails the test instead of hanging it.
+fn connect(addr: std::net::SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    stream
+}
+
 /// One request over a fresh connection.
 fn call(addr: std::net::SocketAddr, method: &str, path: &str, body: &[u8]) -> ClientResponse {
-    let stream = TcpStream::connect(addr).expect("connect");
+    let stream = connect(addr);
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
     write_request(&mut writer, method, path, body, false).expect("write request");
@@ -68,7 +78,7 @@ fn solve_body(game: &GameSpec) -> Vec<u8> {
 
 /// One `/solve` over a fresh connection carrying an `X-Bi-Trace` id.
 fn call_traced(addr: std::net::SocketAddr, body: &[u8], trace_id: u64) -> ClientResponse {
-    let stream = TcpStream::connect(addr).expect("connect");
+    let stream = connect(addr);
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
     write_request_with(

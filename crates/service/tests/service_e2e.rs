@@ -32,9 +32,19 @@ fn start_server() -> ServerHandle {
     server.start().expect("start server")
 }
 
+/// Connects with a 10 s read timeout, so a server that stops answering
+/// fails the test instead of hanging it.
+fn connect(addr: std::net::SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    stream
+}
+
 /// One request over a fresh connection.
 fn call(addr: std::net::SocketAddr, method: &str, path: &str, body: &[u8]) -> ClientResponse {
-    let stream = TcpStream::connect(addr).expect("connect");
+    let stream = connect(addr);
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
     write_request(&mut writer, method, path, body, false).expect("write request");
@@ -211,12 +221,14 @@ fn malformed_and_unsolvable_requests_map_to_4xx() {
     handle.stop();
 }
 
-/// A cold solve heavy enough (~100k strategy profiles) that a burst of
-/// them keeps a single solver busy for many milliseconds even in release
-/// builds — the window the backpressure tests rely on.
+/// A cold solve heavy enough that a burst of them keeps a single solver
+/// busy for many milliseconds even in release builds — the window the
+/// backpressure tests rely on. Three agents with 125 strategies each: the
+/// sweep eliminates one agent and still visits 15,625 outer profiles
+/// (~13 ms in release on a 2-vCPU host).
 fn heavy_body(seed: u64) -> Vec<u8> {
     let (game, _) =
-        bi_core::random_games::random_bayesian_potential_game(&[2, 2], &[18, 18], 3, seed);
+        bi_core::random_games::random_bayesian_potential_game(&[3; 3], &[5; 3], 12, seed);
     solve_body(&GameSpec::Matrix(game))
 }
 
@@ -236,12 +248,13 @@ fn overflowing_the_solver_queue_answers_429() {
     let handle = server.start().expect("start");
     let addr = handle.addr();
     const BURST: u64 = 6;
+    let bodies: Vec<Vec<u8>> = (0..BURST).map(heavy_body).collect();
     let mut conns = Vec::new();
-    for seed in 0..BURST {
-        let stream = TcpStream::connect(addr).expect("connect");
+    for body in &bodies {
+        let stream = connect(addr);
         let reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut writer = stream;
-        write_request(&mut writer, "POST", "/solve", &heavy_body(seed), false).expect("write");
+        write_request(&mut writer, "POST", "/solve", body, false).expect("write");
         conns.push((reader, writer));
     }
     let (mut solved, mut rejected) = (0u64, 0u64);
@@ -292,7 +305,7 @@ fn cache_hits_are_served_while_the_solver_pool_is_busy() {
     let light = solve_body(&matrix_game(61));
     assert_eq!(call(addr, "POST", "/solve", &light).status, 200); // warm
                                                                   // Occupy the solver with a heavy cold request (response not read yet).
-    let heavy_stream = TcpStream::connect(addr).expect("connect");
+    let heavy_stream = connect(addr);
     let mut heavy_reader = BufReader::new(heavy_stream.try_clone().expect("clone"));
     let mut heavy_writer = heavy_stream;
     let started = Instant::now();
@@ -326,7 +339,7 @@ fn connections_beyond_the_cap_answer_503() {
     // each is registered, not just sitting in the accept backlog).
     let mut held = Vec::new();
     for _ in 0..2 {
-        let stream = TcpStream::connect(addr).expect("connect");
+        let stream = connect(addr);
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut writer = stream;
         write_request(&mut writer, "GET", "/healthz", b"", true).expect("write");
@@ -349,7 +362,7 @@ fn connections_beyond_the_cap_answer_503() {
 #[test]
 fn keep_alive_serves_many_requests_on_one_connection() {
     let handle = start_server();
-    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let stream = connect(handle.addr());
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
     let body = solve_body(&matrix_game(51));
@@ -369,7 +382,7 @@ fn debug_trace_adopts_the_injected_id_and_nests_stages_under_the_root() {
     let handle = start_server();
     let body = solve_body(&matrix_game(61));
     let trace_id = 0xabad_1dea_c0ff_ee00u64;
-    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let stream = connect(handle.addr());
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
     write_request_with(
@@ -429,7 +442,7 @@ fn a_zero_trace_header_gets_a_fresh_trace() {
     // must be traced under a freshly minted id, with its full tree.
     let handle = start_server();
     let body = solve_body(&matrix_game(63));
-    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let stream = connect(handle.addr());
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
     write_request_with(
