@@ -6,7 +6,7 @@
 //! A request now crosses a router, a consistent-hash ring, a backend
 //! reactor, an LRU + disk cache, and a solver pool. This crate is how we
 //! see *where time goes per request and per stage*, correlated across
-//! hops, without perturbing the ~53 µs zero-copy hot path:
+//! hops, without perturbing the zero-copy hot path:
 //!
 //! * [`span`] — a lock-free flight recorder of [`SpanEvent`]s: fixed
 //!   capacity, overwrite-oldest, relaxed atomics, **zero allocation on

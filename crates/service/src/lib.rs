@@ -78,9 +78,11 @@
 //!
 //! The three binaries are thin wrappers: `bi-serve` runs [`Server`];
 //! `bi-router` runs [`Router`] in front of N of them; `bi-loadgen`
-//! replays seeded random-game workloads against a running server (or a
-//! `--targets` list, or a router) and writes `BENCH_service.json`
-//! (throughput, latency percentiles, cache-hit rate, per-status errors).
+//! replays seeded random-game workloads against a running server or
+//! router, checks every answer byte for byte against an in-process
+//! solve, and exits non-zero on a failed request or a missed hit-rate
+//! or latency bound — the load gate of CI. It writes no report; the
+//! speed record is perfbench's.
 //!
 //! [`Solver::solve_many`]: bi_core::solve::Solver::solve_many
 //!

@@ -557,6 +557,10 @@ struct Conn {
     /// The staged response (head + body), written from `out_pos`.
     out: Vec<u8>,
     out_pos: usize,
+    /// The status of the staged response, counted (and reset to 0) just
+    /// before its first flush: an answer replaced before it is sent — a
+    /// panicking handler's — is never counted.
+    status: u16,
     /// A job for this connection is in the pool; parsing is paused.
     in_flight: bool,
     /// Keep-alive of the request currently being answered.
@@ -751,6 +755,7 @@ impl<D: Dispatcher> Reactor<D> {
                 buf: Vec::new(),
                 out: Vec::new(),
                 out_pos: 0,
+                status: 0,
                 in_flight: false,
                 req_keep_alive: true,
                 close_after_write: false,
@@ -881,6 +886,12 @@ impl<D: Dispatcher> Io<D> {
                     return Ok(ConnAction::Remove);
                 }
                 return Ok(ConnAction::Keep);
+            }
+            if conn.status != 0 {
+                self.dispatcher
+                    .service()
+                    .metrics()
+                    .record_status(std::mem::take(&mut conn.status));
             }
             if !flush_out(conn, self.fault.as_deref())? {
                 return Ok(ConnAction::Keep); // socket full; wait for POLLOUT
@@ -1086,7 +1097,8 @@ fn flush_out(conn: &mut Conn, fault: Option<&FaultPlan>) -> io::Result<bool> {
 }
 
 /// Stages a response into the connection's reusable output buffer and
-/// records its status (the one place statuses are counted).
+/// notes its status, which [`Io::pump`] counts once the response is
+/// final, before its first write.
 fn stage_bytes(
     conn: &mut Conn,
     service: &SolveService,
@@ -1094,7 +1106,7 @@ fn stage_bytes(
     body: &[u8],
     extra: &[(&str, &str)],
 ) {
-    service.metrics().record_status(status);
+    conn.status = status;
     let keep = conn.req_keep_alive && !conn.close_after_write;
     write_head_into(
         &mut conn.out,
@@ -1435,11 +1447,7 @@ mod tests {
             ..ServerConfig::default()
         };
         let engine = serve(listener, Arc::clone(&dispatcher), &config).unwrap();
-        let mut client = crate::http::HttpClient::connect(&engine.addr().to_string()).unwrap();
-        // A hang fails the test instead of stalling it.
-        client
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
+        let mut client = client_of(&engine);
         for (path, status) in [("/boom", 500), ("/boom-job", 500), ("/ok", 200)] {
             let response = client.request("GET", path, b"").expect(path);
             assert_eq!(response.status, status, "{path}");
@@ -1447,6 +1455,146 @@ mod tests {
         let metrics = &dispatcher.service.metrics();
         assert_eq!(metrics.handler_panics.load(Ordering::Relaxed), 2);
         assert_eq!(metrics.responses_5xx.load(Ordering::Relaxed), 2);
+        // The 200 that `/boom` staged before panicking was never sent.
+        assert_eq!(metrics.responses_2xx.load(Ordering::Relaxed), 1);
+        engine.stop();
+    }
+
+    /// A dispatcher whose `/job` requests go to the pool, where each job
+    /// reports that it started and then blocks until the test releases
+    /// it; anything else is answered `200` inline. Backpressure tests
+    /// built on it do not depend on how fast anything solves.
+    struct Gated {
+        service: SolveService,
+        started: std::sync::mpsc::Sender<()>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl Dispatcher for Gated {
+        type Job = ();
+        const ROOT: Stage = Stage::Request;
+        const NAME: &'static str = "gated";
+
+        fn service(&self) -> &SolveService {
+            &self.service
+        }
+
+        fn dispatch(&self, request: &Request<'_>, reply: &mut Reply<'_>) -> Option<()> {
+            if request.path == b"/job" {
+                return Some(());
+            }
+            reply.send(200, b"{}", &[]);
+            None
+        }
+
+        fn run(&self, (): ()) -> Response {
+            self.started.send(()).expect("the test is listening");
+            self.release
+                .lock()
+                .expect("release lock")
+                .recv()
+                .expect("the test releases every job");
+            Response::json(200, b"{}".to_vec())
+        }
+    }
+
+    /// A one-worker engine over [`Gated`] with a `queue_capacity` queue;
+    /// returns it with the job-started receiver and the release sender.
+    fn gated_engine(
+        queue_capacity: usize,
+    ) -> (
+        Engine<()>,
+        Arc<Gated>,
+        std::sync::mpsc::Receiver<()>,
+        std::sync::mpsc::Sender<()>,
+    ) {
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        let dispatcher = Arc::new(Gated {
+            service: SolveService::new(CacheConfig::default()),
+            started: started_tx,
+            release: Mutex::new(release_rx),
+        });
+        let config = ServerConfig {
+            workers: 1,
+            queue_capacity,
+            ..ServerConfig::default()
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let engine = serve(listener, Arc::clone(&dispatcher), &config).unwrap();
+        (engine, dispatcher, started_rx, release_tx)
+    }
+
+    /// A keep-alive client with a read timeout, so a hang fails the test
+    /// instead of stalling it.
+    fn client_of(engine: &Engine<()>) -> crate::http::HttpClient {
+        let client = crate::http::HttpClient::connect(&engine.addr().to_string()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        client
+    }
+
+    /// Sends `GET /job` on a fresh connection without waiting for the
+    /// answer; the returned reader reads it later.
+    fn send_job(engine: &Engine<()>) -> io::BufReader<TcpStream> {
+        let mut stream = TcpStream::connect(engine.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        crate::http::write_request(&mut stream, "GET", "/job", b"", false).unwrap();
+        io::BufReader::new(stream)
+    }
+
+    #[test]
+    fn a_full_queue_answers_429_with_retry_after() {
+        let (engine, dispatcher, started, release) = gated_engine(1);
+        let metrics = dispatcher.service.metrics();
+        // The only worker takes the first job and blocks in it.
+        let mut running = send_job(&engine);
+        started
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the worker starts the first job");
+        // The second job fills the one-deep queue.
+        let mut queued = send_job(&engine);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while metrics.solves_in_flight.load(Ordering::Relaxed) < 2 {
+            assert!(Instant::now() < deadline, "the second job was never queued");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // A third has nowhere to go.
+        let refused = client_of(&engine).request("GET", "/job", b"").unwrap();
+        assert_eq!(refused.status, 429);
+        assert_eq!(refused.header("retry-after"), Some("1"));
+        assert_eq!(metrics.backpressure_429.load(Ordering::Relaxed), 1);
+        // The accepted jobs still finish.
+        release.send(()).unwrap();
+        release.send(()).unwrap();
+        for reader in [&mut running, &mut queued] {
+            assert_eq!(crate::http::read_response(reader).unwrap().status, 200);
+        }
+        assert_eq!(metrics.responses_4xx.load(Ordering::Relaxed), 1);
+        engine.stop();
+    }
+
+    #[test]
+    fn inline_answers_are_served_while_the_only_worker_is_blocked() {
+        let (engine, dispatcher, started, release) = gated_engine(16);
+        let mut running = send_job(&engine);
+        started
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the worker starts the job");
+        // The job cannot finish before it is released, so this answer
+        // came from the reactor while the worker was busy.
+        let inline = client_of(&engine).request("GET", "/ok", b"").unwrap();
+        assert_eq!(inline.status, 200);
+        let metrics = dispatcher.service.metrics();
+        assert_eq!(metrics.solves_in_flight.load(Ordering::Relaxed), 1);
+        release.send(()).unwrap();
+        assert_eq!(
+            crate::http::read_response(&mut running).unwrap().status,
+            200
+        );
         engine.stop();
     }
 

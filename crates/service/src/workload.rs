@@ -6,8 +6,8 @@
 //! spaces than the unit-test games so a cold solve meaningfully
 //! outweighs HTTP overhead) and Bayesian NCS games (parallel-route
 //! graphs with randomized costs and an independent travel prior).
-//! Replaying the same seed reproduces the same request bytes, which is
-//! what makes `BENCH_service.json` runs comparable across PRs.
+//! Replaying the same seed reproduces the same request bytes, so a
+//! `bi-loadgen` run replays exactly across commits.
 
 use bi_core::random_games::random_bayesian_potential_game;
 use bi_graph::{Direction, Graph};

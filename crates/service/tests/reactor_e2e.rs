@@ -11,13 +11,15 @@
 
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
-use bi_core::solve::SolverConfig;
+use bi_core::solve::{Solver, SolverConfig};
 use bi_service::http::{read_response, write_request, ClientResponse};
-use bi_service::workload::matrix_game;
+use bi_service::workload::{light_workload, matrix_game};
 use bi_service::{
-    Router, RouterConfig, RouterHandle, Server, ServerConfig, ServerHandle, SolveRequest,
+    FaultPlan, GameSpec, Router, RouterConfig, RouterHandle, Server, ServerConfig, ServerHandle,
+    SolveRequest,
 };
 use bi_util::{Encode, Json};
 
@@ -169,6 +171,56 @@ fn pipelined_requests_are_answered_in_order() {
         assert!(is_healthy(&third));
         stack.stop();
     }
+}
+
+#[test]
+fn short_reads_and_writes_still_deliver_exact_answers() {
+    // Half of the node's read and write passes are cut to one byte, so
+    // every request and every answer crosses the socket in pieces.
+    let plan = FaultPlan::parse("seed=5,rate=500000,kinds=short-read+short-write").expect("plan");
+    let handle = Server::bind(ServerConfig {
+        workers: 2,
+        queue_capacity: 16,
+        read_timeout: Duration::from_secs(5),
+        fault: Some(Arc::new(plan)),
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port")
+    .start()
+    .expect("start server");
+    let (mut reader, mut writer) = connect(handle.addr());
+    reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    for game in light_workload(5, 4) {
+        let expected = match &game {
+            GameSpec::Matrix(g) => Solver::default().solve(g).unwrap(),
+            GameSpec::Ncs(g) => Solver::default().solve(g).unwrap(),
+        }
+        .canonical_bytes();
+        let body = SolveRequest {
+            game,
+            config: SolverConfig::default(),
+        }
+        .canonical_bytes();
+        write_request(&mut writer, "POST", "/solve", &body, true).expect("write");
+        let response = read_response(&mut reader).expect("read");
+        assert_eq!(response.status, 200);
+        assert_eq!(response.body, expected);
+    }
+    write_request(&mut writer, "GET", "/metrics", b"", true).expect("write");
+    let metrics = read_response(&mut reader).expect("read");
+    let doc = Json::parse(std::str::from_utf8(&metrics.body).expect("UTF-8")).expect("JSON");
+    let injected = doc
+        .get("faults")
+        .and_then(|faults| faults.get("injected_total"))
+        .and_then(Json::as_u64);
+    assert!(
+        injected.is_some_and(|n| n > 0),
+        "no short read or write was injected: {injected:?}"
+    );
+    handle.stop();
 }
 
 #[test]

@@ -25,7 +25,8 @@
 //!   canonical JSON wire codec ([`util::json`] + per-crate
 //!   `Encode`/`Decode` impls), a content-addressed sharded LRU solve
 //!   cache, the `bi-serve` HTTP server (worker pool, bounded queue,
-//!   `503` backpressure) and the `bi-loadgen` benchmark driver;
+//!   `503` backpressure) and the `bi-loadgen` load generator, which checks
+//!   every answer against an in-process solve;
 //! * [`constructions`] — every explicit construction from the paper
 //!   (affine-plane game, `G_k`, `G_worst`, diamond game, FRT strategies);
 //! * [`graph`], [`geometry`], [`metric`], [`online`], [`zerosum`],
