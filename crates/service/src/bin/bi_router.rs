@@ -5,7 +5,9 @@
 //! game lands on exactly one backend's cache. Dead backends are
 //! ejected by a health prober (and by forwarding failures) and their
 //! arc of the key space fails over clockwise; the rest of the ring is
-//! untouched.
+//! untouched. A batch is routed game by game, each game exactly as if
+//! it were sent alone: retried, failed over, written through to its
+//! replicas and read-repaired.
 //!
 //! ```text
 //! bi-router --addr 127.0.0.1:0 \

@@ -8,9 +8,9 @@
 //! backend owning its key and that backend's cache concentrates exactly
 //! its arc of the key space. The ring is a classic consistent hash with
 //! virtual nodes over the 64-bit XXH64 space the caches index with
-//! ([`bi_util::xxh64`]); `/solve` and `/solve_batch` place a key through
-//! one helper, so a game sent alone and inside a batch meet the same
-//! backend.
+//! ([`bi_util::xxh64`]). A `/solve_batch` is a list of routed solves:
+//! each game goes through the same routing step as a `/solve` body, so a
+//! game sent alone and inside a batch meet the same backend.
 //!
 //! ```text
 //!   client ──► bi-router ──hash(cache_key)──► ring ──► backend k
@@ -47,8 +47,10 @@
 //! count against the same consecutive-failure threshold, so a backend
 //! that dies mid-burst is ejected by the traffic itself rather than
 //! waiting for the next probe cycle. Upstream connections are pooled and
-//! kept alive per backend. `/solve_batch` bodies are split by each
-//! game's key, forwarded as sub-batches, and re-merged in request order.
+//! kept alive per backend. A `/solve_batch` is decoded once and each of
+//! its games is routed as its canonical `/solve` body, with the retries,
+//! failover, write-through and read-repair below; the answers are
+//! spliced in request order, exactly as a node splices its own.
 //!
 //! **Replication** (`--replication R`): each key's *intended owners* are
 //! its first R distinct ring successors, liveness-blind
@@ -62,7 +64,8 @@
 //! of the canonical request bytes, which is what makes shipping them
 //! byte-for-byte between replicas correct.
 //!
-//! **Retries**: every `/solve` gets a deadline budget. Transport
+//! **Retries**: every `/solve` gets a deadline budget (a batch gets one
+//! for all its games). Transport
 //! failures fail over to the next live replica immediately (and feed
 //! ejection); retryable statuses (`429`, `5xx`) are retried across
 //! replicas and rounds with capped, deterministically jittered
@@ -90,14 +93,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bi_obs::{Stage, TraceCtx};
-use bi_util::{fnv1a, xxh64, Decode, Encode, Json};
+use bi_util::{fnv1a, xxh64, Encode, Json};
 
 use crate::cache::{CacheConfig, ShardedLru};
 use crate::fault::mix;
 use crate::http::{ClientResponse, HttpClient, Response};
-use crate::server::{serve, Dispatcher, Engine, Reply, Request, ServerConfig};
+use crate::server::{parse_body, serve, Dispatcher, Engine, Reply, Request, ServerConfig};
 use crate::service::{
-    chain_failure, error_body, BatchRequest, FastOutcome, SolveRequest, SolveService,
+    error_body, reports_body, BatchRequest, FastOutcome, SolveRequest, SolveService,
 };
 
 /// What the router does with a request when every backend is dead.
@@ -229,9 +232,9 @@ pub struct RouterConfig {
     /// `R` each solved result is written through to all `R` owners, so
     /// killing any single backend loses no cached work.
     pub replication: usize,
-    /// Total deadline budget per `/solve`: retries and backoff sleeps
-    /// stop once it is spent and the request falls back per
-    /// [`FallbackMode`].
+    /// Total deadline budget per `/solve`, and per `/solve_batch` for all
+    /// its games: retries and backoff sleeps stop once it is spent and
+    /// each game still unanswered falls back per [`FallbackMode`].
     pub request_deadline: Duration,
     /// First-round retry backoff (doubled per round, deterministically
     /// jittered, capped by `retry_max_backoff`).
@@ -567,9 +570,9 @@ impl RouterHandle {
     }
 }
 
-/// Where a cache key sits on the ring. `/solve` and `/solve_batch`
-/// both place keys through here, so a game routes to the same backend
-/// whether it is sent alone or inside a batch.
+/// Where a cache key sits on the ring. A `/solve` body and each game of
+/// a `/solve_batch` are placed through here, so a game routes to the
+/// same backend whether it is sent alone or inside a batch.
 fn route_hash(key: &[u8]) -> u64 {
     xxh64(key)
 }
@@ -592,10 +595,7 @@ fn routing_hash(shared: &Shared, body: &[u8]) -> Result<u64, Response> {
         );
         return Ok(hash);
     }
-    let text = std::str::from_utf8(body)
-        .map_err(|_| Response::json(400, error_body("request body is not valid UTF-8")))?;
-    let request = SolveRequest::decode_str(text)
-        .map_err(|e| Response::json(400, error_body(&e.to_string())))?;
+    let request: SolveRequest = parse_body(body)?;
     let hash = route_hash(&SolveService::cache_key(&request.game, &request.config));
     if bi_util::json::canon_check(body) {
         shared.key_cache.insert(body, hash);
@@ -715,13 +715,9 @@ fn retry_backoff(config: &RouterConfig, hash: u64, round: u32) -> Duration {
     Duration::from_millis(exp / 2 + fnv1a(&seed) % (exp / 2 + 1))
 }
 
-/// Routes one `/solve` body under a deadline budget: forward to the
-/// key's backend, failing over clockwise on transport errors (each
-/// feeds the ejection counter), retrying retryable statuses across
-/// replicas and rounds with capped jittered backoff (honoring upstream
-/// `Retry-After`), then falling back per [`FallbackMode`]. A served
-/// `200` schedules write-through/read-repair to the key's other
-/// intended owners.
+/// Routes one `/solve` body: the routing-hash lookup (its
+/// `ring_lookup` stage), then [`route_solve`] under the request's
+/// deadline budget.
 fn handle_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
     shared
         .local
@@ -734,13 +730,30 @@ fn handle_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
         Err(response) => return response,
     };
     shared.local.finish_stage(ctx, Stage::RingLookup, t_lookup);
+    let deadline = Instant::now() + shared.config.request_deadline;
+    route_solve(shared, hash, body, ctx, deadline)
+}
+
+/// Routes one `/solve` body whose key hashes to `hash`, until
+/// `deadline`: forward to the key's backend, failing over clockwise on
+/// transport errors (each feeds the ejection counter), retrying
+/// retryable statuses across replicas and rounds with capped jittered
+/// backoff (honoring upstream `Retry-After`), then falling back per
+/// [`FallbackMode`]. A served `200` schedules write-through/read-repair
+/// to the key's other intended owners.
+fn route_solve(
+    shared: &Shared,
+    hash: u64,
+    body: &[u8],
+    ctx: TraceCtx,
+    deadline: Instant,
+) -> Response {
     // The key's intended owners, liveness-blind: where its value should
     // live. The serve walk below skips dead backends; `schedule_repairs`
     // reconciles the difference after a successful serve.
     let owners = shared
         .ring
         .route_replicas(hash, shared.config.replication.max(1), |_| true);
-    let deadline = Instant::now() + shared.config.request_deadline;
     let mut retry_hint: Option<Duration> = None;
     for round in 0..shared.config.max_retry_rounds.max(1) {
         let mut tried = vec![false; shared.backends.len()];
@@ -993,146 +1006,44 @@ fn fallback_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
     }
 }
 
-/// Splits a `/solve_batch` by each game's cache key, forwards the
-/// sub-batches, and re-merges the reports in request order. A sub-batch
-/// whose backend fails (transport or non-200) falls back whole.
+/// Routes a `/solve_batch` as one [`route_solve`] per game, in request
+/// order and under one deadline for the whole request: each game goes
+/// as its canonical `/solve` body, so it meets the owner, the retries,
+/// the failover, the write-through and the read-repair of the same game
+/// sent alone. The answers are spliced as a node splices them; a game
+/// answered `500` answers the whole batch, as on a node.
 fn handle_batch(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
     shared
         .local
         .metrics()
         .batch_requests
         .fetch_add(1, Ordering::Relaxed);
-    let text = match std::str::from_utf8(body) {
-        Ok(text) => text,
-        Err(_) => return Response::json(400, error_body("request body is not valid UTF-8")),
-    };
-    let batch = match BatchRequest::decode_str(text) {
+    let batch: BatchRequest = match parse_body(body) {
         Ok(batch) => batch,
-        Err(e) => return Response::json(400, error_body(&e.to_string())),
+        Err(response) => return response,
     };
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shared.backends.len()];
-    let mut unrouted: Vec<usize> = Vec::new();
-    for (i, game) in batch.games.iter().enumerate() {
-        let key = SolveService::cache_key(game, &batch.config);
-        match shared.ring.route(route_hash(&key), |b| {
-            shared.backends[b].alive.load(Ordering::Relaxed)
-        }) {
-            Some(idx) => groups[idx].push(i),
-            None => unrouted.push(i),
-        }
-    }
-    let mut merged: Vec<Option<Json>> = batch.games.iter().map(|_| None).collect();
-    for (idx, group) in groups.iter().enumerate() {
-        if group.is_empty() {
-            continue;
-        }
-        let sub = BatchRequest {
-            games: group.iter().map(|&i| batch.games[i].clone()).collect(),
+    let deadline = Instant::now() + shared.config.request_deadline;
+    let mut answers = Vec::with_capacity(batch.games.len());
+    for game in batch.games {
+        let hash = route_hash(&SolveService::cache_key(&game, &batch.config));
+        let request = SolveRequest {
+            game,
             config: batch.config,
         };
-        let sub_body = sub.encode().canonical_bytes();
-        let backend = &shared.backends[idx];
-        // One `upstream` span per sub-batch hop, same as `/solve`.
-        match forward_traced(shared, idx, "/solve_batch", &sub_body, ctx) {
-            Ok(upstream) if upstream.status == 200 => {
-                backend.record_success();
-                backend.forwarded.fetch_add(1, Ordering::Relaxed);
-                match split_reports(&upstream.body, group.len()) {
-                    Some(reports) => {
-                        for (&orig, report) in group.iter().zip(reports) {
-                            merged[orig] = Some(report);
-                        }
-                        continue;
-                    }
-                    None => {
-                        backend.upstream_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            Ok(_) => {
-                // The backend answered but refused (429/5xx): not a
-                // liveness failure, but the games still need answers.
-                backend.upstream_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                backend.upstream_errors.fetch_add(1, Ordering::Relaxed);
-                backend.record_failure(shared.config.fail_threshold);
-            }
+        let answer = route_solve(shared, hash, &request.canonical_bytes(), ctx, deadline);
+        if answer.status == 500 {
+            return answer;
         }
-        unrouted.extend_from_slice(group);
+        answers.push(answer);
     }
-    if !unrouted.is_empty() {
-        if let Err(response) = fallback_batch(shared, &batch, &unrouted, &mut merged) {
-            return response;
+    let entries = answers.iter().map(|answer| {
+        if answer.status == 200 {
+            Ok(&answer.body[..])
+        } else {
+            Err(&answer.body[..])
         }
-    }
-    let reports: Vec<Json> = merged
-        .into_iter()
-        .map(|r| r.expect("every game is routed, merged, or fallen back"))
-        .collect();
-    Response::json(
-        200,
-        Json::Obj(vec![("reports".into(), Json::Arr(reports))]).canonical_bytes(),
-    )
-}
-
-/// Parses an upstream `/solve_batch` body into its per-game report
-/// values; `None` when the shape (or count) is wrong.
-fn split_reports(body: &[u8], expected: usize) -> Option<Vec<Json>> {
-    let text = std::str::from_utf8(body).ok()?;
-    let doc = Json::parse(text).ok()?;
-    let reports = doc.get("reports")?.as_arr()?;
-    (reports.len() == expected).then(|| reports.to_vec())
-}
-
-/// Answers the still-unanswered games of a batch locally (or with
-/// per-game errors under [`FallbackMode::Unavailable`]). A local answer
-/// that breaks the measure chain fails the whole batch with a `500`.
-fn fallback_batch(
-    shared: &Shared,
-    batch: &BatchRequest,
-    pending: &[usize],
-    merged: &mut [Option<Json>],
-) -> Result<(), Response> {
-    match shared.config.fallback {
-        FallbackMode::Unavailable => {
-            shared.metrics.fallback_503.fetch_add(1, Ordering::Relaxed);
-            for &i in pending {
-                merged[i] = Some(Json::Obj(vec![(
-                    "error".into(),
-                    Json::str("no live backend"),
-                )]));
-            }
-        }
-        FallbackMode::Local => {
-            shared
-                .metrics
-                .fallback_local
-                .fetch_add(1, Ordering::Relaxed);
-            let sub = BatchRequest {
-                games: pending.iter().map(|&i| batch.games[i].clone()).collect(),
-                config: batch.config,
-            };
-            let results = shared.local.solve_batch(&sub);
-            if let Some(e) = chain_failure(&results) {
-                return Err(Response::json(e.status(), error_body(&e.to_string())));
-            }
-            for (&orig, result) in pending.iter().zip(results) {
-                merged[orig] = Some(match result {
-                    Ok(outcome) => {
-                        let text =
-                            std::str::from_utf8(&outcome.body).expect("canonical JSON is UTF-8");
-                        Json::Obj(vec![(
-                            "report".into(),
-                            Json::parse(text).expect("cached bodies are valid JSON"),
-                        )])
-                    }
-                    Err(e) => Json::Obj(vec![("error".into(), Json::str(e.to_string()))]),
-                });
-            }
-        }
-    }
-    Ok(())
+    });
+    Response::json(200, reports_body(entries))
 }
 
 /// Probes every backend's `/healthz` on the configured interval.

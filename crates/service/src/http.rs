@@ -327,8 +327,11 @@ fn reason_phrase(status: u16) -> &'static str {
         422 => "Unprocessable Entity",
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
+        500 => "Internal Server Error",
         501 => "Not Implemented",
+        502 => "Bad Gateway",
         503 => "Service Unavailable",
+        504 => "Gateway Timeout",
         _ => "Response",
     }
 }
@@ -618,6 +621,15 @@ mod tests {
         assert_eq!(resp.header("x-cache"), Some("hit"));
         assert_eq!(resp.header("content-type"), Some("application/json"));
         assert_eq!(resp.header("connection"), Some("keep-alive"));
+        // A 500 (a chain violation, a handler panic, an injected fault)
+        // carries its own reason phrase.
+        let mut wire = Vec::new();
+        write_head_into(&mut wire, 500, "application/json", 2, false, &[]);
+        wire.extend_from_slice(b"{}");
+        assert!(wire.starts_with(b"HTTP/1.1 500 Internal Server Error\r\n"));
+        let resp = read_response(&mut BufReader::new(&wire[..])).unwrap();
+        assert_eq!(resp.status, 500);
+        assert_eq!(resp.body, b"{}");
     }
 
     #[test]

@@ -66,7 +66,9 @@
 //!   over a consistent-hash ring (virtual nodes over the same XXH64 key
 //!   space the cache uses) across N `bi-serve` backends over keep-alive
 //!   upstream pools, with `/healthz` probing, automatic eject/readmit,
-//!   replication, retries, and batch split/re-merge.
+//!   replication and retries. A `/solve_batch` is routed game by game,
+//!   each game retried, failed over, written through and read-repaired
+//!   exactly as a `/solve`, and the answers spliced in request order.
 //!
 //! Every request is traced end to end through the `bi_obs` flight
 //! recorder: the reactor adopts an `X-Bi-Trace` id or mints one, stage
@@ -126,6 +128,6 @@ pub use metrics::ServiceMetrics;
 pub use persist::{DiskTier, DiskTierConfig, DiskTierStats};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use service::{
-    BatchRequest, FastOutcome, GameSpec, PreparedSolve, ServeError, ServedResponse, SolveOutcome,
-    SolveRequest, SolveService,
+    BatchRequest, FastOutcome, GameSpec, PreparedSolve, ServeError, ServedResponse, SolveRequest,
+    SolveService,
 };

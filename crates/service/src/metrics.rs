@@ -62,7 +62,7 @@ pub struct ServiceMetrics {
     /// non-canonical, or first sighting of these exact bytes).
     pub parsed_hits: AtomicU64,
     /// Solve jobs currently inside the solver pool (a gauge) — together
-    /// with `cfg_queue_capacity`, a router can read how close a backend
+    /// with `cfg_queue_capacity`, it shows an operator how close a node
     /// is to shedding load.
     pub solves_in_flight: AtomicU64,
     /// Configured pending-solve queue bound (a gauge, set at start).
@@ -127,8 +127,8 @@ impl ServiceMetrics {
     }
 
     /// Sets the start-time configuration gauges the document reports
-    /// under `config` (the router reads them to complete its
-    /// backpressure view of each backend).
+    /// under `config`, so a scrape shows the limits the counters are
+    /// measured against.
     pub fn set_config_gauges(
         &self,
         queue_capacity: usize,
@@ -143,10 +143,27 @@ impl ServiceMetrics {
         store(&self.cfg_max_connections, max_connections as u64);
     }
 
-    /// The `GET /metrics` document: service counters, the cache
-    /// snapshot, and (when the node has one) the disk tier's.
+    /// The `GET /metrics` document: service counters, the primary
+    /// cache's snapshot (`cache`), the raw-byte index's (`raw_index`,
+    /// where every zero-copy hit is counted), and (when the node has
+    /// one) the disk tier's.
     #[must_use]
-    pub fn to_json(&self, cache: CacheStats, disk: Option<DiskTierStats>) -> Json {
+    pub fn to_json(
+        &self,
+        cache: CacheStats,
+        raw_index: CacheStats,
+        disk: Option<DiskTierStats>,
+    ) -> Json {
+        let cache_json = |stats: CacheStats| {
+            Json::Obj(vec![
+                ("hits".into(), Json::from_u64(stats.hits)),
+                ("misses".into(), Json::from_u64(stats.misses)),
+                ("insertions".into(), Json::from_u64(stats.insertions)),
+                ("evictions".into(), Json::from_u64(stats.evictions)),
+                ("entries".into(), Json::num(stats.entries as f64)),
+                ("capacity".into(), Json::num(stats.capacity as f64)),
+            ])
+        };
         let count = |c: &AtomicU64| Json::from_u64(c.load(Ordering::Relaxed));
         let mut doc = vec![
             (
@@ -186,17 +203,8 @@ impl ServiceMetrics {
                 ]),
             ),
             ("stages".into(), self.stages.to_json()),
-            (
-                "cache".into(),
-                Json::Obj(vec![
-                    ("hits".into(), Json::from_u64(cache.hits)),
-                    ("misses".into(), Json::from_u64(cache.misses)),
-                    ("insertions".into(), Json::from_u64(cache.insertions)),
-                    ("evictions".into(), Json::from_u64(cache.evictions)),
-                    ("entries".into(), Json::num(cache.entries as f64)),
-                    ("capacity".into(), Json::num(cache.capacity as f64)),
-                ]),
-            ),
+            ("cache".into(), cache_json(cache)),
+            ("raw_index".into(), cache_json(raw_index)),
         ];
         if let Some(disk) = disk {
             doc.push((
@@ -279,6 +287,7 @@ mod tests {
                 entries: 0,
                 capacity: 64,
             },
+            CacheStats::default(),
             None,
         );
         assert!(doc.get("solve_us").is_none(), "one solve histogram");
@@ -293,7 +302,7 @@ mod tests {
         let m = ServiceMetrics::default();
         m.stages.record(Stage::Parse, 2);
         m.stages.record(Stage::Write, 5);
-        let doc = m.to_json(CacheStats::default(), None);
+        let doc = m.to_json(CacheStats::default(), CacheStats::default(), None);
         let stages = doc.get("stages").unwrap();
         for stage in Stage::ALL {
             assert!(
@@ -314,7 +323,7 @@ mod tests {
         m.zero_copy_hits.fetch_add(7, Ordering::Relaxed);
         m.open_connections.fetch_add(3, Ordering::Relaxed);
         m.backpressure_429.fetch_add(1, Ordering::Relaxed);
-        let doc = m.to_json(CacheStats::default(), None);
+        let doc = m.to_json(CacheStats::default(), CacheStats::default(), None);
         let reactor = doc.get("reactor").unwrap();
         assert_eq!(reactor.get("zero_copy_hits").unwrap().as_u64(), Some(7));
         assert_eq!(reactor.get("parsed_hits").unwrap().as_u64(), Some(0));
@@ -336,6 +345,7 @@ mod tests {
                 entries: 1,
                 capacity: 64,
             },
+            CacheStats::default(),
             None,
         );
         assert_eq!(doc.get("requests_total").unwrap().as_u64(), Some(3));

@@ -25,7 +25,8 @@
 //! `bi-serve`'s node (below: cache hits, probes and metrics inline;
 //! misses and batches to the solver pool) and `bi-router`'s
 //! ([`crate::cluster`]: probes and metrics inline; every `/solve` and
-//! `/solve_batch` to a pool of forwarders). Either way, the connection
+//! `/solve_batch` to a pool of forwarders, which route a batch game by
+//! game, each game exactly as a `/solve`). Either way, the connection
 //! cap, the idle sweep, in-order pipelining, the `413`/`431` limits,
 //! `429` backpressure and trace roots are this module's.
 //!
@@ -87,7 +88,7 @@ use crate::reactor::{
     POLLOUT,
 };
 use crate::service::{
-    chain_failure, error_body, BatchRequest, FastOutcome, PreparedSolve, SolveService,
+    chain_failure, error_body, reports_body, BatchRequest, FastOutcome, PreparedSolve, SolveService,
 };
 
 /// Server sizing and addressing.
@@ -1318,9 +1319,10 @@ fn handle_cache_put(service: &SolveService, body: &[u8]) -> (u16, Vec<u8>) {
     }
 }
 
-fn parse_body<T: bi_util::Decode>(body: &[u8]) -> Result<T, Response> {
+/// Decodes a JSON request body, or the `400` that answers it.
+pub(crate) fn parse_body<T: bi_util::Decode>(body: &[u8]) -> Result<T, Response> {
     let text = std::str::from_utf8(body)
-        .map_err(|_| Response::json(400, error_body("body must be UTF-8 JSON")))?;
+        .map_err(|_| Response::json(400, error_body("request body is not valid UTF-8")))?;
     T::decode_str(text).map_err(|e| Response::json(400, error_body(&e.to_string())))
 }
 
@@ -1333,35 +1335,20 @@ fn handle_batch(service: &SolveService, body: &[u8]) -> Response {
     if let Some(e) = chain_failure(&results) {
         return Response::json(e.status(), error_body(&e.to_string()));
     }
-    let (mut hits, mut misses) = (0u64, 0u64);
-    // The per-game bodies are already canonical JSON bytes; splice them
-    // instead of re-parsing.
-    let mut out = String::from(r#"{"reports":["#);
-    for (i, result) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match result {
-            Ok(outcome) => {
-                if outcome.cache_hit {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
-                out.push_str(r#"{"report":"#);
-                out.push_str(std::str::from_utf8(&outcome.body).expect("canonical JSON is UTF-8"));
-                out.push('}');
-            }
-            Err(e) => {
-                out.push_str(
-                    std::str::from_utf8(&error_body(&e.to_string()))
-                        .expect("canonical JSON is UTF-8"),
-                );
-            }
-        }
-    }
-    out.push_str("]}");
-    Response::json(200, out.into_bytes())
+    let count = |hit: bool| {
+        results
+            .iter()
+            .filter(|r| r.as_ref().is_ok_and(|served| served.cache_hit == hit))
+            .count()
+    };
+    let (hits, misses) = (count(true), count(false));
+    let entries = results.iter().map(|result| {
+        result
+            .as_ref()
+            .map(|served| &served.body[..])
+            .map_err(|e| error_body(&e.to_string()))
+    });
+    Response::json(200, reports_body(entries))
         .with_header("X-Cache-Hits", hits.to_string())
         .with_header("X-Cache-Misses", misses.to_string())
 }

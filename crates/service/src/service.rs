@@ -192,17 +192,8 @@ impl Decode for BatchRequest {
     }
 }
 
-/// The result of routing one solve through the cache.
-#[derive(Clone, Debug)]
-pub struct SolveOutcome {
-    /// The canonical [`SolveReport`] JSON bytes (shared with the cache).
-    pub body: Arc<[u8]>,
-    /// Whether the cache answered (no engine work happened).
-    pub cache_hit: bool,
-}
-
-/// A `POST /solve` answer the service produced without blocking the
-/// transport: either a cache hit served inline or a completed solve.
+/// One served answer: a cache hit or a completed solve, for a
+/// `POST /solve` body or one game of a batch.
 #[derive(Clone, Debug)]
 pub struct ServedResponse {
     /// The canonical [`SolveReport`] JSON bytes (shared with the cache).
@@ -211,7 +202,8 @@ pub struct ServedResponse {
     pub cache_hit: bool,
     /// Whether the answer came straight off the raw-byte index: the
     /// request body was already canonical and byte-identical to a prior
-    /// one, so no JSON value tree was built at any point.
+    /// one, so no JSON value tree was built at any point. Always `false`
+    /// on the batch path, which decodes the whole batch.
     pub zero_copy: bool,
 }
 
@@ -372,7 +364,8 @@ impl SolveService {
         &self.metrics
     }
 
-    /// The cache effectiveness snapshot.
+    /// The primary (content-addressed) cache's effectiveness snapshot;
+    /// hits served off the raw-byte index are not in it.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
@@ -381,7 +374,11 @@ impl SolveService {
     /// The `GET /metrics` document.
     #[must_use]
     pub fn metrics_json(&self) -> Json {
-        self.metrics.to_json(self.cache.stats(), self.disk_stats())
+        self.metrics.to_json(
+            self.cache.stats(),
+            self.raw_index.stats(),
+            self.disk_stats(),
+        )
     }
 
     /// The content address of a request: canonical bytes of
@@ -405,18 +402,16 @@ impl SolveService {
     ///
     /// Returns the engine's [`SolveError`], or a report that breaks the
     /// measure chain (neither is cached).
-    pub fn solve(&self, request: &SolveRequest) -> Result<SolveOutcome, ServeError> {
+    pub fn solve(&self, request: &SolveRequest) -> Result<ServedResponse, ServeError> {
         let key = Self::cache_key(&request.game, &request.config);
         if let Some(body) = self.lookup(&key, TraceCtx::NONE) {
-            return Ok(SolveOutcome {
+            return Ok(ServedResponse {
                 body,
                 cache_hit: true,
+                zero_copy: false,
             });
         }
-        Ok(SolveOutcome {
-            body: self.compute(request, key, None, TraceCtx::NONE)?,
-            cache_hit: false,
-        })
+        self.compute(request, key, None, TraceCtx::NONE)
     }
 
     /// The transport fast path for one `POST /solve` body. The body is
@@ -495,26 +490,19 @@ impl SolveService {
             raw,
             ctx,
         } = prepared;
-        Ok(ServedResponse {
-            body: self.compute(&request, key, raw.as_deref(), ctx)?,
-            cache_hit: false,
-            zero_copy: false,
-        })
+        self.compute(&request, key, raw.as_deref(), ctx)
     }
 
-    /// The one compute step of a miss: runs the engine (timed into the
-    /// cold-path histogram, and as a `solve` span when traced), then
-    /// encodes and caches the report under `key` — and under the raw
-    /// request bytes when they were canonical. The encode + insert is the
-    /// miss's `encode` stage. A report that fails [`Self::check_chain`]
-    /// is never cached.
+    /// The compute step of a single miss: runs the engine (timed into
+    /// the cold-path histogram, and as a `solve` span when traced), then
+    /// [`Self::finish_miss`].
     fn compute(
         &self,
         request: &SolveRequest,
         key: Vec<u8>,
         raw: Option<&[u8]>,
         ctx: TraceCtx,
-    ) -> Result<Arc<[u8]>, ServeError> {
+    ) -> Result<ServedResponse, ServeError> {
         let solver = Self::solver(request.config);
         let t_solve = self.recorder.now_ns();
         let started = std::time::Instant::now();
@@ -531,34 +519,26 @@ impl SolveService {
             self.recorder
                 .record(ctx.trace_id, ctx.parent, Stage::Solve, t_solve, t1);
         }
-        let report = result?;
-        self.record_computed();
-        self.check_chain(&report)?;
-        let t_encode = self.recorder.now_ns();
-        let body = self.insert_report(key, &report);
-        if let Some(raw) = raw {
-            self.raw_index.insert(raw, Arc::clone(&body));
-        }
-        self.finish_stage(ctx, Stage::Encode, t_encode);
-        Ok(body)
+        self.finish_miss(key, raw, result, ctx)
     }
 
     /// Solves a batch: answers cached games immediately, routes the
     /// misses of each representation through one [`Solver::solve_many`]
     /// call (games parallelize across the solver's threads), and returns
     /// per-game results aligned with the input order.
-    pub fn solve_batch(&self, batch: &BatchRequest) -> Vec<Result<SolveOutcome, ServeError>> {
+    pub fn solve_batch(&self, batch: &BatchRequest) -> Vec<Result<ServedResponse, ServeError>> {
         let solver = Self::solver(batch.config);
-        let mut results: Vec<Option<Result<SolveOutcome, ServeError>>> =
+        let mut results: Vec<Option<Result<ServedResponse, ServeError>>> =
             batch.games.iter().map(|_| None).collect();
         let mut matrix_misses: Vec<(usize, Vec<u8>, &BayesianGame)> = Vec::new();
         let mut ncs_misses: Vec<(usize, Vec<u8>, &BayesianNcsGame)> = Vec::new();
         for (i, game) in batch.games.iter().enumerate() {
             let key = Self::cache_key(game, &batch.config);
             if let Some(body) = self.lookup(&key, TraceCtx::NONE) {
-                results[i] = Some(Ok(SolveOutcome {
+                results[i] = Some(Ok(ServedResponse {
                     body,
                     cache_hit: true,
+                    zero_copy: false,
                 }));
             } else {
                 match game {
@@ -573,7 +553,7 @@ impl SolveService {
             let matrix_results = solver.solve_many(&matrix_refs);
             self.record_solve_time(started);
             for ((i, key, _), result) in matrix_misses.into_iter().zip(matrix_results) {
-                results[i] = Some(self.finish_miss(key, result));
+                results[i] = Some(self.finish_miss(key, None, result, TraceCtx::NONE));
             }
         }
         let ncs_refs: Vec<&BayesianNcsGame> = ncs_misses.iter().map(|(_, _, g)| *g).collect();
@@ -582,7 +562,7 @@ impl SolveService {
             let ncs_results = solver.solve_many(&ncs_refs);
             self.record_solve_time(started);
             for ((i, key, _), result) in ncs_misses.into_iter().zip(ncs_results) {
-                results[i] = Some(self.finish_miss(key, result));
+                results[i] = Some(self.finish_miss(key, None, result, TraceCtx::NONE));
             }
         }
         results
@@ -615,37 +595,42 @@ impl SolveService {
         self.metrics.stages.record(Stage::Solve, micros);
     }
 
-    /// Bumps the per-solve counter for a freshly computed report.
-    fn record_computed(&self) {
-        self.metrics
-            .solves_computed
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Checks a computed report against Observation 2.2 before it is
-    /// cached or served, counting violations.
-    fn check_chain(&self, report: &SolveReport) -> Result<(), ServeError> {
-        report.measures.verify_chain().map_err(|violation| {
-            self.metrics
-                .chain_violations
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            ServeError::Chain(violation)
-        })
-    }
-
-    /// Caches and answers one computed game of a batch, unless it failed
-    /// or fails [`Self::check_chain`].
+    /// The one tail of every miss, single or batched: counts the
+    /// computed report, checks it against Observation 2.2 (a report that
+    /// breaks the chain is counted, answered `500` and never cached),
+    /// then encodes it and stores it under `key` in the LRU and the disk
+    /// tier, and under the raw request bytes when they were canonical.
+    /// The encode and the stores are the miss's `encode` stage.
     fn finish_miss(
         &self,
         key: Vec<u8>,
+        raw: Option<&[u8]>,
         result: Result<SolveReport, SolveError>,
-    ) -> Result<SolveOutcome, ServeError> {
+        ctx: TraceCtx,
+    ) -> Result<ServedResponse, ServeError> {
+        use std::sync::atomic::Ordering::Relaxed;
         let report = result?;
-        self.record_computed();
-        self.check_chain(&report)?;
-        Ok(SolveOutcome {
-            body: self.insert_report(key, &report),
+        self.metrics.solves_computed.fetch_add(1, Relaxed);
+        if let Err(violation) = report.measures.verify_chain() {
+            self.metrics.chain_violations.fetch_add(1, Relaxed);
+            return Err(ServeError::Chain(violation));
+        }
+        let t_encode = self.recorder.now_ns();
+        let body: Arc<[u8]> = Arc::from(report.canonical_bytes());
+        self.cache.insert(&key, Arc::clone(&body));
+        if let Some(disk) = &self.disk {
+            // Write-behind: the append is queued, never blocking a
+            // solver or transport thread.
+            disk.append_shared(&key, Arc::clone(&body));
+        }
+        if let Some(raw) = raw {
+            self.raw_index.insert(raw, Arc::clone(&body));
+        }
+        self.finish_stage(ctx, Stage::Encode, t_encode);
+        Ok(ServedResponse {
+            body,
             cache_hit: false,
+            zero_copy: false,
         })
     }
 
@@ -681,17 +666,6 @@ impl SolveService {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(())
     }
-
-    fn insert_report(&self, key: Vec<u8>, report: &SolveReport) -> Arc<[u8]> {
-        let body: Arc<[u8]> = Arc::from(report.canonical_bytes());
-        self.cache.insert(&key, Arc::clone(&body));
-        if let Some(disk) = &self.disk {
-            // Write-behind: the append is queued, never blocking a
-            // solver or transport thread.
-            disk.append_shared(&key, Arc::clone(&body));
-        }
-        body
-    }
 }
 
 /// A JSON error body: `{"error": "..."}`.
@@ -700,6 +674,31 @@ pub fn error_body(msg: &str) -> Vec<u8> {
     Json::Obj(vec![("error".into(), Json::str(msg))])
         .canonical_string()
         .into_bytes()
+}
+
+/// A `POST /solve_batch` answer spliced from per-game answers in request
+/// order: a report `Ok(bytes)` enters as `{"report":bytes}` and an error
+/// body `Err(bytes)` enters verbatim. Every part is already canonical
+/// JSON, so nothing is parsed or re-encoded.
+pub(crate) fn reports_body<R: AsRef<[u8]>, E: AsRef<[u8]>>(
+    entries: impl IntoIterator<Item = Result<R, E>>,
+) -> Vec<u8> {
+    let mut out = br#"{"reports":["#.to_vec();
+    for (i, entry) in entries.into_iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        match entry {
+            Ok(report) => {
+                out.extend_from_slice(br#"{"report":"#);
+                out.extend_from_slice(report.as_ref());
+                out.push(b'}');
+            }
+            Err(error) => out.extend_from_slice(error.as_ref()),
+        }
+    }
+    out.extend_from_slice(b"]}");
+    out
 }
 
 #[cfg(test)]
@@ -769,7 +768,9 @@ mod tests {
         // optP above best-eqP: no exact solve reports that.
         broken.measures.opt_p = broken.measures.best_eq_p + 1.0;
         let key = SolveService::cache_key(&req.game, &req.config);
-        let err = service.finish_miss(key.clone(), Ok(broken)).unwrap_err();
+        let err = service
+            .finish_miss(key.clone(), None, Ok(broken), TraceCtx::NONE)
+            .unwrap_err();
         assert!(matches!(err, ServeError::Chain(_)), "{err}");
         assert_eq!(err.status(), 500);
         assert!(chain_failure(&[Ok(()), Err(err)]).is_some());
@@ -780,7 +781,9 @@ mod tests {
         let metrics = service.metrics_json();
         assert_eq!(metrics.get("chain_violations").unwrap().as_u64(), Some(1));
         // The sound report of the same game is cached and served.
-        let served = service.finish_miss(key.clone(), Ok(sound)).unwrap();
+        let served = service
+            .finish_miss(key.clone(), None, Ok(sound), TraceCtx::NONE)
+            .unwrap();
         assert_eq!(served.body.as_ref(), sound.canonical_bytes().as_slice());
         assert!(service.lookup(&key, TraceCtx::NONE).is_some());
         drop(service);

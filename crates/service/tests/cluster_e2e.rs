@@ -4,24 +4,27 @@
 //! These pin the bi-cluster acceptance behaviors: routing is
 //! deterministic (same body → same backend, visible in `X-Backend`),
 //! responses through the router are byte-identical to direct solves,
-//! batches split per backend and re-merge in request order, a killed
-//! backend is ejected by its own failing traffic and its keys fail
-//! over without a 5xx, a disk-backed server reboots warm — the
-//! whole pool replayed as byte-identical cache hits — and one injected
-//! `X-Bi-Trace` id stitches router and backend `/debug/trace` dumps
-//! into a single parent/child span tree.
+//! a routed batch answers byte for byte as one node does and its games
+//! are failed over and written through exactly as `/solve` bodies, a
+//! killed backend is ejected by its own failing traffic and its keys
+//! fail over without a 5xx, every answer through seeded faulty
+//! replicas equals the in-process report, a disk-backed server reboots
+//! warm — the whole pool replayed as byte-identical cache hits — and
+//! one injected `X-Bi-Trace` id stitches router and backend
+//! `/debug/trace` dumps into a single parent/child span tree.
 
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bi_core::solve::{Solver, SolverConfig};
 use bi_service::http::{read_response, write_request, write_request_with, ClientResponse};
 use bi_service::workload::{light_workload, mixed_workload};
 use bi_service::{
-    BatchRequest, GameSpec, Router, RouterConfig, RouterHandle, Server, ServerConfig, ServerHandle,
-    SolveRequest, SpanEvent, Stage,
+    BatchRequest, FallbackMode, FaultPlan, GameSpec, Router, RouterConfig, RouterHandle, Server,
+    ServerConfig, ServerHandle, SolveRequest, SpanEvent, Stage,
 };
 use bi_util::{Encode, Json};
 
@@ -303,6 +306,187 @@ fn a_game_alone_and_inside_a_batch_route_to_the_same_backend() {
         owners.insert(alone.header("x-backend").expect("owner").to_string());
     }
     assert!(owners.len() > 1, "nine keys must spread: got {owners:?}");
+    router.stop();
+    for backend in backends {
+        backend.stop();
+    }
+}
+
+/// The in-process answer to `game`: the canonical report bytes of the
+/// default solver, the oracle every routed answer must equal.
+fn oracle_bytes(game: &GameSpec) -> Vec<u8> {
+    let solver = Solver::from_config(SolverConfig::default());
+    match game {
+        GameSpec::Matrix(g) => solver.solve(g).unwrap().canonical_bytes(),
+        GameSpec::Ncs(g) => solver.solve(g).unwrap().canonical_bytes(),
+    }
+}
+
+/// The `/solve_batch` body a faithful server answers for reports with
+/// these bytes: `{"reports":[{"report":…},…]}`, in request order.
+fn spliced_reports(reports: &[Vec<u8>]) -> String {
+    let entries: Vec<String> = reports
+        .iter()
+        .map(|report| format!(r#"{{"report":{}}}"#, std::str::from_utf8(report).unwrap()))
+        .collect();
+    format!(r#"{{"reports":[{}]}}"#, entries.join(","))
+}
+
+fn batch_body(games: &[GameSpec]) -> Vec<u8> {
+    BatchRequest {
+        games: games.to_vec(),
+        config: SolverConfig::default(),
+    }
+    .canonical_bytes()
+}
+
+#[test]
+fn a_routed_batch_writes_every_fresh_game_through_to_its_replica() {
+    let (backends, router) = start_cluster(
+        3,
+        RouterConfig {
+            replication: 2,
+            ..RouterConfig::default()
+        },
+    );
+    let games = light_workload(141, 6);
+    let routed = call(router.addr(), "POST", "/solve_batch", &batch_body(&games));
+    assert_eq!(routed.status, 200);
+    let replication = |key: &str| -> u64 {
+        router
+            .metrics_json()
+            .get("replication")
+            .and_then(|section| section.get(key).and_then(|v| v.as_u64()))
+            .unwrap_or(0)
+    };
+    // Each fresh game is a miss on its primary, so its report is written
+    // through to its second owner exactly once, as a `/solve` would be.
+    assert!(
+        poll_until(Duration::from_secs(10), || {
+            replication("writes") >= games.len() as u64 && replication("repair_queue_depth") == 0
+        }),
+        "a routed batch must write every fresh game through: writes {}, queue {}",
+        replication("writes"),
+        replication("repair_queue_depth"),
+    );
+    assert_eq!(replication("writes"), games.len() as u64);
+    router.stop();
+    for backend in backends {
+        backend.stop();
+    }
+}
+
+#[test]
+fn a_routed_batch_fails_over_a_stopped_backend_before_it_is_ejected() {
+    // The router never ejects on its own within the test (a huge failure
+    // threshold, no second probe) and never solves locally: every answer
+    // must come from a live backend found by the failover walk.
+    let (mut backends, router) = start_cluster(
+        3,
+        RouterConfig {
+            fallback: FallbackMode::Unavailable,
+            fail_threshold: 1_000,
+            probe_interval: Duration::from_secs(60),
+            ..RouterConfig::default()
+        },
+    );
+    let games = mixed_workload(151, 6);
+    // Stop the backend that owns the first game.
+    let first = call(router.addr(), "POST", "/solve", &solve_body(&games[0]));
+    assert_eq!(first.status, 200);
+    let victim = first.header("x-backend").expect("owner").to_string();
+    let index = backends
+        .iter()
+        .position(|b| b.addr().to_string() == victim)
+        .expect("victim is a cluster backend");
+    backends.remove(index).stop();
+
+    let routed = call(router.addr(), "POST", "/solve_batch", &batch_body(&games));
+    assert_eq!(routed.status, 200);
+    let oracle: Vec<Vec<u8>> = games.iter().map(oracle_bytes).collect();
+    assert_eq!(
+        String::from_utf8_lossy(&routed.body),
+        spliced_reports(&oracle),
+        "every game must be answered with its report, none with an error"
+    );
+    let metrics = router.metrics_json();
+    let victim_row = metrics
+        .get("backends")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .find(|row| row.get("addr").and_then(|v| v.as_str()) == Some(victim.as_str()))
+        .expect("victim row")
+        .clone();
+    assert_eq!(victim_row.get("alive"), Some(&Json::Bool(true)));
+    assert!(victim_row.get("upstream_errors").and_then(|v| v.as_u64()) > Some(0));
+    let unavailable = metrics
+        .get("fallback")
+        .and_then(|f| f.get("unavailable_503"));
+    assert_eq!(unavailable.and_then(|v| v.as_u64()), Some(0));
+    router.stop();
+    for backend in backends {
+        backend.stop();
+    }
+}
+
+#[test]
+fn answers_through_faulty_replicas_equal_the_in_process_reports() {
+    // chaos-smoke's plan: refused accepts, dropped connections, injected
+    // 500s and 2 ms stalls, on 2% of each node's seam decisions.
+    let plans: Vec<Arc<FaultPlan>> = (1..=3)
+        .map(|i| {
+            let spec =
+                format!("seed=4{i},rate=20000,kinds=refuse+disconnect+err500+delay,delay-ms=2");
+            Arc::new(FaultPlan::parse(&spec).expect("fault plan"))
+        })
+        .collect();
+    let backends: Vec<ServerHandle> = plans
+        .iter()
+        .map(|plan| {
+            Server::bind(ServerConfig {
+                workers: 1,
+                queue_capacity: 64,
+                read_timeout: Duration::from_secs(5),
+                fault: Some(Arc::clone(plan)),
+                ..ServerConfig::default()
+            })
+            .expect("bind faulty backend")
+            .start()
+            .expect("start faulty backend")
+        })
+        .collect();
+    let router = Router::bind(RouterConfig {
+        backends: backends.iter().map(|b| b.addr().to_string()).collect(),
+        replication: 2,
+        fallback: FallbackMode::Unavailable,
+        ..RouterConfig::default()
+    })
+    .expect("bind router")
+    .start()
+    .expect("start router");
+
+    let games = mixed_workload(161, 48);
+    let oracle: Vec<Vec<u8>> = games.iter().map(oracle_bytes).collect();
+    for (i, (game, expected)) in games.iter().zip(&oracle).enumerate() {
+        let response = call(router.addr(), "POST", "/solve", &solve_body(game));
+        assert_eq!(
+            response.status,
+            200,
+            "game {i}: {}",
+            String::from_utf8_lossy(&response.body)
+        );
+        assert_eq!(&response.body, expected, "game {i}: wrong answer");
+    }
+    let batch = call(router.addr(), "POST", "/solve_batch", &batch_body(&games));
+    assert_eq!(batch.status, 200);
+    assert_eq!(
+        String::from_utf8_lossy(&batch.body),
+        spliced_reports(&oracle),
+        "wrong batch answer"
+    );
+    let injected: u64 = plans.iter().map(|plan| plan.injected_total()).sum();
+    assert!(injected > 0, "no fault was injected, so nothing was tested");
     router.stop();
     for backend in backends {
         backend.stop();

@@ -124,10 +124,15 @@ fn resubmission_is_a_cache_hit_visible_in_metrics() {
     let doc = Json::parse(std::str::from_utf8(&metrics.body).unwrap()).unwrap();
     // The resubmitted body is canonical and byte-identical, so the warm
     // request is answered off the raw-byte index: it never touches the
-    // primary cache, whose stats show only the cold miss.
+    // primary cache, whose stats show only the cold miss. The hit is
+    // counted where it was served: in the raw index's own section.
     let cache = doc.get("cache").expect("cache section");
     assert_eq!(cache.get("hits").unwrap().as_u64(), Some(0));
     assert_eq!(cache.get("misses").unwrap().as_u64(), Some(1));
+    let raw_index = doc.get("raw_index").expect("raw_index section");
+    assert_eq!(raw_index.get("hits").unwrap().as_u64(), Some(1));
+    assert_eq!(raw_index.get("misses").unwrap().as_u64(), Some(1));
+    assert_eq!(raw_index.get("insertions").unwrap().as_u64(), Some(1));
     let reactor = doc.get("reactor").expect("reactor section");
     assert_eq!(reactor.get("zero_copy_hits").unwrap().as_u64(), Some(1));
     assert_eq!(reactor.get("parsed_hits").unwrap().as_u64(), Some(0));
