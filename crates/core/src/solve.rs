@@ -539,75 +539,6 @@ impl Solver {
         Ok(ci)
     }
 
-    /// Solves a batch of games of one representation, distributing the
-    /// **games** across the configured worker threads (each individual
-    /// game is then solved single-threaded — one level of parallelism,
-    /// no oversubscription). This is the shared entry point of batch
-    /// serving (`POST /solve_batch` in `bi-service`) and the CLI drivers.
-    ///
-    /// Results are identical to calling [`Solver::solve`] on each game in
-    /// order: per-game solving is deterministic, and each result lands at
-    /// its game's index.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use bi_core::random_games::random_bayesian_potential_game;
-    /// use bi_core::solve::Solver;
-    ///
-    /// let (g0, _) = random_bayesian_potential_game(&[2, 2], &[2, 2], 2, 1);
-    /// let (g1, _) = random_bayesian_potential_game(&[2, 2], &[2, 2], 2, 2);
-    /// let solver = Solver::builder().threads(2).build();
-    /// let reports = solver.solve_many(&[&g0, &g1]);
-    /// assert_eq!(reports.len(), 2);
-    /// assert_eq!(
-    ///     reports[0].as_ref().unwrap().measures,
-    ///     solver.solve(&g0).unwrap().measures
-    /// );
-    /// ```
-    pub fn solve_many<M: BayesianModel>(
-        &self,
-        models: &[&M],
-    ) -> Vec<Result<SolveReport, SolveError>> {
-        // Fast path: 0 or 1 games never pay for the pool — no
-        // `available_parallelism` probe, no per-slot mutexes, no scoped
-        // threads (batch endpoints routinely submit single-game batches).
-        if models.len() <= 1 {
-            return models.iter().map(|m| self.solve(*m)).collect();
-        }
-        let workers = effective_threads(self.threads, models.len() as u128);
-        if workers <= 1 {
-            return models.iter().map(|m| self.solve(*m)).collect();
-        }
-        // Games go wide, so each solve runs inline — same scoped-thread
-        // plumbing as the exhaustive sweep, one level up.
-        let per_game = Solver {
-            threads: 1,
-            ..*self
-        };
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let results: Vec<std::sync::Mutex<Option<Result<SolveReport, SolveError>>>> =
-            models.iter().map(|_| std::sync::Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(model) = models.get(i) else { break };
-                    *results[i].lock().expect("result slot poisoned") =
-                        Some(per_game.solve(*model));
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every index was claimed by a worker")
-            })
-            .collect()
-    }
-
     /// The exhaustive sweep of both measure sides, gated at
     /// `max_profiles` evaluations before any sweeping. The returned
     /// `evaluated` count is the full space size, whatever was swept.
@@ -1668,38 +1599,6 @@ mod tests {
         assert_eq!(report.sample_cap, None);
         let exhaustive = Solver::default().solve(&game).unwrap();
         assert_eq!(exhaustive.sample_cap, None);
-    }
-
-    #[test]
-    fn solve_many_matches_sequential_solves() {
-        let games: Vec<_> = (0..6)
-            .map(|seed| random_bayesian_potential_game(&[2, 2], &[2, 2], 3, seed).0)
-            .collect();
-        let refs: Vec<&BayesianGame> = games.iter().collect();
-        for threads in [1, 4] {
-            let solver = Solver::builder().threads(threads).build();
-            let batch = solver.solve_many(&refs);
-            assert_eq!(batch.len(), games.len());
-            for (game, result) in games.iter().zip(&batch) {
-                let single = solver.solve(game).unwrap();
-                let report = result.as_ref().unwrap();
-                assert_eq!(report.measures, single.measures, "threads {threads}");
-                assert_eq!(report.profiles_evaluated, single.profiles_evaluated);
-            }
-        }
-    }
-
-    #[test]
-    fn solve_many_preserves_per_game_errors() {
-        let solvable = coordination_game();
-        let solver = Solver::builder().max_profiles(4).threads(2).build();
-        let batch = solver.solve_many(&[&solvable, &solvable]);
-        for result in batch {
-            assert!(matches!(
-                result,
-                Err(SolveError::BudgetExceeded { required: 8, .. })
-            ));
-        }
     }
 
     #[test]

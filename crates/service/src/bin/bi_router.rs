@@ -7,12 +7,14 @@
 //! arc of the key space fails over clockwise; the rest of the ring is
 //! untouched. A batch is routed game by game, each game exactly as if
 //! it were sent alone: retried, failed over, written through to its
-//! replicas and read-repaired.
+//! replicas and read-repaired. The router never solves: once retries
+//! run out it returns the last backend answer (a `429` stays a `429`),
+//! and a request that finds no live backend is answered `503`.
 //!
 //! ```text
 //! bi-router --addr 127.0.0.1:0 \
 //!           --backends 127.0.0.1:4101,127.0.0.1:4102,127.0.0.1:4103 \
-//!           --vnodes 64 --fallback local
+//!           --vnodes 64
 //! ```
 //!
 //! Endpoints: `POST /solve`, `POST /solve_batch`, `GET /metrics`
@@ -27,7 +29,7 @@ use std::process::exit;
 use std::time::Duration;
 
 use bi_obs::log as olog;
-use bi_service::{FallbackMode, Router, RouterConfig};
+use bi_service::{Router, RouterConfig};
 use bi_util::Json;
 
 const USAGE: &str = "\
@@ -39,8 +41,6 @@ OPTIONS:
   --addr HOST:PORT      bind address (default 127.0.0.1:0 = ephemeral port)
   --backends LIST       comma-separated bi-serve addresses (required)
   --vnodes N            virtual nodes per backend on the ring (default 64)
-  --fallback MODE       `local` solves on the router when no backend is
-                        live, `503` refuses instead (default local)
   --probe-ms N          health-probe sweep interval in ms (default 500)
   --fail-threshold N    consecutive failures before eject (default 2)
   --replication N       replica owners per key: solved results are written
@@ -82,13 +82,6 @@ fn parse_args() -> Result<RouterConfig, String> {
                     .collect();
             }
             "--vnodes" => config.vnodes = parse_num(&flag, &value)?,
-            "--fallback" => {
-                config.fallback = match value.as_str() {
-                    "local" => FallbackMode::Local,
-                    "503" => FallbackMode::Unavailable,
-                    other => return Err(format!("--fallback takes local|503, got `{other}`")),
-                };
-            }
             "--probe-ms" => {
                 config.probe_interval = Duration::from_millis(parse_num(&flag, &value)? as u64);
             }
@@ -143,7 +136,6 @@ fn main() {
         &[
             ("backends", Json::str(config.backends.join(","))),
             ("vnodes", Json::from_u64(config.vnodes as u64)),
-            ("fallback", Json::str(format!("{:?}", config.fallback))),
             (
                 "probe_ms",
                 Json::from_u64(config.probe_interval.as_millis() as u64),

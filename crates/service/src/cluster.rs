@@ -19,7 +19,7 @@
 //!                 │                  clockwise successor walk
 //!                 │ every backend dead
 //!                 ▼
-//!        fallback: local solve │ 503
+//!        503 {"error":"no live backend"}
 //! ```
 //!
 //! **Routing is deterministic**: the ring is built once from the
@@ -39,9 +39,10 @@
 //! pool_capacity`). The forwarders block on upstream I/O, retries and
 //! backoff; the reactor never does. A full forward queue is answered
 //! `429` + `Retry-After`, exactly as a node sheds load. Connection and
-//! status counters and stage histograms live in the embedded fallback
-//! engine's [`crate::metrics::ServiceMetrics`]; the router adds only
-//! its own fallback, retry and replication counters.
+//! status counters and stage histograms live in the router's own
+//! [`ServiceMetrics`], the struct a node reports; the router adds only
+//! its `503`, retry and replication counters. The router never solves:
+//! every answer it returns came from a node.
 //!
 //! Health is probed (`GET /healthz`) on an interval; forwarding failures
 //! count against the same consecutive-failure threshold, so a backend
@@ -69,8 +70,11 @@
 //! failures fail over to the next live replica immediately (and feed
 //! ejection); retryable statuses (`429`, `5xx`) are retried across
 //! replicas and rounds with capped, deterministically jittered
-//! exponential backoff, honoring an upstream `Retry-After`. An exhausted
-//! budget falls back per [`FallbackMode`], exactly like a dead cluster.
+//! exponential backoff, honoring an upstream `Retry-After`. When the
+//! rounds or the budget run out, the last upstream answer is returned as
+//! it came (status, body, `X-Backend`, `Retry-After`), so a node's `429`
+//! stays a `429`. Only a request that finds no live backend at all is
+//! answered `503 {"error":"no live backend"}` with `X-Backend: none`.
 //!
 //! **Tracing**: the reactor gives every downstream request a 64-bit
 //! trace id — adopted from an `X-Bi-Trace` header when present, minted
@@ -78,10 +82,9 @@
 //! forwarders record `ring_lookup` and one `upstream` span per forward
 //! attempt, and forward the trace id plus the upstream span id
 //! (`X-Bi-Trace` / `X-Bi-Parent`) so the backend's own spans nest under
-//! this hop. Everything lands in the fallback engine's [`Recorder`], so
-//! routing spans and fallback solves share one `GET /debug/trace` dump.
+//! this hop. Everything lands in the router's own [`Recorder`], which
+//! `GET /debug/trace` dumps.
 //!
-//! [`Recorder`]: bi_obs::Recorder
 //! [`Dispatcher`]: crate::server
 
 use std::collections::{HashSet, VecDeque};
@@ -92,24 +95,23 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bi_obs::{Stage, TraceCtx};
+use bi_obs::{Recorder, Stage, TraceCtx};
 use bi_util::{fnv1a, xxh64, Encode, Json};
 
 use crate::cache::{CacheConfig, ShardedLru};
 use crate::fault::mix;
 use crate::http::{ClientResponse, HttpClient, Response};
+use crate::metrics::ServiceMetrics;
 use crate::server::{parse_body, serve, Dispatcher, Engine, Reply, Request, ServerConfig};
-use crate::service::{
-    error_body, reports_body, BatchRequest, FastOutcome, SolveRequest, SolveService,
-};
+use crate::service::{error_body, reports_body, BatchRequest, SolveRequest, SolveService};
 
-/// What the router does with a request when every backend is dead.
+/// What the router answers when no live backend is left. It has one
+/// value, because the router never solves; the type and
+/// [`RouterConfig::fallback`] remain only because the benchmark crate
+/// (`perfbench`) still names them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FallbackMode {
-    /// Solve locally on the router (it embeds a full [`SolveService`]) —
-    /// degraded latency, no availability loss.
-    Local,
-    /// Answer `503 Service Unavailable` — the router never computes.
+    /// Answer `503 {"error":"no live backend"}` with `X-Backend: none`.
     Unavailable,
 }
 
@@ -203,7 +205,7 @@ pub struct RouterConfig {
     pub backends: Vec<String>,
     /// Virtual points per backend.
     pub vnodes: usize,
-    /// What to do when every backend is dead.
+    /// What to answer when no backend is live (always `503`).
     pub fallback: FallbackMode,
     /// How often the prober sweeps `/healthz` across backends.
     pub probe_interval: Duration,
@@ -233,8 +235,9 @@ pub struct RouterConfig {
     /// killing any single backend loses no cached work.
     pub replication: usize,
     /// Total deadline budget per `/solve`, and per `/solve_batch` for all
-    /// its games: retries and backoff sleeps stop once it is spent and
-    /// each game still unanswered falls back per [`FallbackMode`].
+    /// its games: retries and backoff sleeps stop once it is spent, and
+    /// each game still unanswered gets its last upstream answer (`503`
+    /// when no live backend answered it).
     pub request_deadline: Duration,
     /// First-round retry backoff (doubled per round, deterministically
     /// jittered, capped by `retry_max_backoff`).
@@ -251,14 +254,14 @@ pub struct RouterConfig {
 }
 
 impl Default for RouterConfig {
-    /// Ephemeral port, no backends, 64 vnodes, local fallback, 500 ms
-    /// probes, 2-failure ejection, 8-connection pools.
+    /// Ephemeral port, no backends, 64 vnodes, 500 ms probes, 2-failure
+    /// ejection, 8-connection pools.
     fn default() -> Self {
         RouterConfig {
             addr: "127.0.0.1:0".into(),
             backends: Vec::new(),
             vnodes: 64,
-            fallback: FallbackMode::Local,
+            fallback: FallbackMode::Unavailable,
             probe_interval: Duration::from_millis(500),
             fail_threshold: 2,
             read_timeout: Duration::from_secs(10),
@@ -333,10 +336,10 @@ impl Backend {
 
 /// The router-only counters of `GET /metrics`; request, connection and
 /// status counts and the stage histograms are the reactor's, kept in
-/// the fallback engine's `ServiceMetrics`.
+/// the router's `ServiceMetrics`.
 #[derive(Default)]
 struct RouterMetrics {
-    fallback_local: AtomicU64,
+    /// Requests that found no live backend, answered `503`.
     fallback_503: AtomicU64,
     /// Forward attempts that failed at the transport (connect/read) —
     /// these feed ejection and fail over to the next replica.
@@ -394,10 +397,11 @@ struct Shared {
     metrics: RouterMetrics,
     /// Exact canonical body bytes → routing hash (skips re-decode).
     key_cache: ShardedLru<u64>,
-    /// The local-solve fallback engine. Its metrics and flight recorder
-    /// are the router's: the reactor counts requests and statuses there,
-    /// and every routing span lands in its recorder.
-    local: SolveService,
+    /// The reactor's request, connection and status counters and the
+    /// stage histograms.
+    served: ServiceMetrics,
+    /// Every routing span (`GET /debug/trace` dumps it).
+    recorder: Recorder,
     /// Pending replica deliveries, drained by the repair worker.
     repair: Mutex<RepairQueue>,
     /// Router start time — the epoch of `last_probe_ms`.
@@ -418,8 +422,12 @@ impl Dispatcher for Shared {
     const ROOT: Stage = Stage::Route;
     const NAME: &'static str = "bi-router";
 
-    fn service(&self) -> &SolveService {
-        &self.local
+    fn metrics(&self) -> &ServiceMetrics {
+        &self.served
+    }
+
+    fn recorder(&self) -> &Recorder {
+        &self.recorder
     }
 
     fn dispatch(&self, request: &Request<'_>, reply: &mut Reply<'_>) -> Option<Forward> {
@@ -435,7 +443,7 @@ impl Dispatcher for Shared {
                 reply.send(200, metrics_json(self).to_string().as_bytes(), &[])
             }
             (b"GET", b"/debug/trace") => {
-                reply.send(200, self.local.trace_json().to_string().as_bytes(), &[]);
+                reply.send(200, self.recorder.to_json().to_string().as_bytes(), &[]);
             }
             (_, b"/solve" | b"/solve_batch" | b"/healthz" | b"/metrics" | b"/debug/trace") => {
                 reply.send(405, &error_body("method not allowed"), &[]);
@@ -475,7 +483,8 @@ impl Router {
             backends,
             metrics: RouterMetrics::default(),
             key_cache,
-            local: SolveService::new(config.key_cache),
+            served: ServiceMetrics::default(),
+            recorder: Recorder::default(),
             repair: Mutex::new(RepairQueue::default()),
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
@@ -670,7 +679,7 @@ fn forward_traced(
     body: &[u8],
     ctx: TraceCtx,
 ) -> io::Result<ClientResponse> {
-    let recorder = shared.local.recorder();
+    let recorder = &shared.recorder;
     let span = recorder.next_span_id();
     let headers = if ctx.active() {
         vec![
@@ -684,8 +693,7 @@ fn forward_traced(
     let outcome = forward(shared, idx, path, body, &headers);
     let t1 = recorder.now_ns();
     shared
-        .local
-        .metrics()
+        .served
         .stages
         .record(Stage::Upstream, t1.saturating_sub(t0) / 1_000);
     if ctx.active() {
@@ -719,17 +727,15 @@ fn retry_backoff(config: &RouterConfig, hash: u64, round: u32) -> Duration {
 /// `ring_lookup` stage), then [`route_solve`] under the request's
 /// deadline budget.
 fn handle_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
-    shared
-        .local
-        .metrics()
-        .solve_requests
-        .fetch_add(1, Ordering::Relaxed);
-    let t_lookup = shared.local.recorder().now_ns();
+    shared.served.solve_requests.fetch_add(1, Ordering::Relaxed);
+    let t_lookup = shared.recorder.now_ns();
     let hash = match routing_hash(shared, body) {
         Ok(hash) => hash,
         Err(response) => return response,
     };
-    shared.local.finish_stage(ctx, Stage::RingLookup, t_lookup);
+    shared
+        .served
+        .finish_stage(&shared.recorder, ctx, Stage::RingLookup, t_lookup);
     let deadline = Instant::now() + shared.config.request_deadline;
     route_solve(shared, hash, body, ctx, deadline)
 }
@@ -738,9 +744,11 @@ fn handle_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
 /// `deadline`: forward to the key's backend, failing over clockwise on
 /// transport errors (each feeds the ejection counter), retrying
 /// retryable statuses across replicas and rounds with capped jittered
-/// backoff (honoring upstream `Retry-After`), then falling back per
-/// [`FallbackMode`]. A served `200` schedules write-through/read-repair
-/// to the key's other intended owners.
+/// backoff (honoring upstream `Retry-After`). A served `200` schedules
+/// write-through/read-repair to the key's other intended owners. When
+/// the rounds or the budget run out, the last upstream answer is
+/// returned as it came; a request that no live backend answered gets
+/// `503`.
 fn route_solve(
     shared: &Shared,
     hash: u64,
@@ -755,6 +763,7 @@ fn route_solve(
         .ring
         .route_replicas(hash, shared.config.replication.max(1), |_| true);
     let mut retry_hint: Option<Duration> = None;
+    let mut last: Option<Response> = None;
     for round in 0..shared.config.max_retry_rounds.max(1) {
         let mut tried = vec![false; shared.backends.len()];
         let mut attempted = false;
@@ -779,28 +788,16 @@ fn route_solve(
                         .and_then(|v| v.parse::<u64>().ok())
                         .map(Duration::from_secs)
                         .or(retry_hint);
+                    last = Some(relay(backend, upstream));
                 }
                 Ok(upstream) => {
                     backend.record_success();
                     backend.forwarded.fetch_add(1, Ordering::Relaxed);
-                    let cache = upstream.header("x-cache").map(str::to_string);
                     if upstream.status == 200 {
-                        schedule_repairs(
-                            shared,
-                            &owners,
-                            Some(idx),
-                            hash,
-                            body,
-                            &upstream.body,
-                            cache.as_deref() == Some("miss"),
-                        );
+                        let miss = upstream.header("x-cache") == Some("miss");
+                        schedule_repairs(shared, &owners, idx, hash, body, &upstream.body, miss);
                     }
-                    let mut response = Response::json(upstream.status, upstream.body)
-                        .with_header("X-Backend", backend.addr.clone());
-                    if let Some(cache) = cache {
-                        response = response.with_header("X-Cache", cache);
-                    }
-                    return response;
+                    return relay(backend, upstream);
                 }
                 Err(_) => {
                     shared
@@ -824,12 +821,28 @@ fn route_solve(
             .unwrap_or_else(|| retry_backoff(&shared.config, hash, round));
         std::thread::sleep(wait.min(remaining));
     }
-    let response = fallback_solve(shared, body, ctx);
-    if response.status == 200 {
-        // A local fallback solve is still a solved result: bring the
-        // (currently dead or overloaded) owners a copy for when they
-        // return.
-        schedule_repairs(shared, &owners, None, hash, body, &response.body, true);
+    last.unwrap_or_else(|| {
+        shared.metrics.fallback_503.fetch_add(1, Ordering::Relaxed);
+        Response::json(503, error_body("no live backend")).with_header("X-Backend", "none")
+    })
+}
+
+/// An upstream answer as the router returns it: the status and body as
+/// they came, the answering backend in `X-Backend`, and the upstream's
+/// `X-Cache` and `Retry-After` when it sent them.
+fn relay(backend: &Backend, upstream: ClientResponse) -> Response {
+    let ClientResponse {
+        status,
+        headers,
+        body,
+    } = upstream;
+    let mut response = Response::json(status, body).with_header("X-Backend", backend.addr.clone());
+    for (name, value) in headers {
+        match name.as_str() {
+            "x-cache" => response = response.with_header("X-Cache", value),
+            "retry-after" => response = response.with_header("Retry-After", value),
+            _ => {}
+        }
     }
     response
 }
@@ -844,7 +857,7 @@ fn route_solve(
 fn schedule_repairs(
     shared: &Shared,
     owners: &[usize],
-    served_by: Option<usize>,
+    served_by: usize,
     hash: u64,
     request: &[u8],
     response: &[u8],
@@ -854,7 +867,7 @@ fn schedule_repairs(
         return;
     };
     for &owner in owners {
-        if Some(owner) == served_by {
+        if owner == served_by {
             continue;
         }
         let owner_alive = shared.backends[owner].alive.load(Ordering::Relaxed);
@@ -977,35 +990,6 @@ fn release(shared: &Shared, idx: usize, client: HttpClient) {
     }
 }
 
-/// Answers a `/solve` when no live backend is left. The local engine
-/// shares the router's recorder, so its `cache`/`solve`/`encode` spans
-/// land in the same trace as the routing stages.
-fn fallback_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
-    match shared.config.fallback {
-        FallbackMode::Unavailable => {
-            shared.metrics.fallback_503.fetch_add(1, Ordering::Relaxed);
-            Response::json(503, error_body("no live backend")).with_header("X-Backend", "none")
-        }
-        FallbackMode::Local => {
-            shared
-                .metrics
-                .fallback_local
-                .fetch_add(1, Ordering::Relaxed);
-            let served = match shared.local.try_serve_fast(body, ctx) {
-                Ok(FastOutcome::Hit(served)) => served,
-                Ok(FastOutcome::Miss(prepared)) => match shared.local.complete_solve(*prepared) {
-                    Ok(served) => served,
-                    Err(e) => return Response::json(e.status(), error_body(&e.to_string())),
-                },
-                Err(e) => return Response::json(400, error_body(&e.to_string())),
-            };
-            Response::json(200, served.body.to_vec())
-                .with_header("X-Cache", if served.cache_hit { "hit" } else { "miss" })
-                .with_header("X-Backend", "local")
-        }
-    }
-}
-
 /// Routes a `/solve_batch` as one [`route_solve`] per game, in request
 /// order and under one deadline for the whole request: each game goes
 /// as its canonical `/solve` body, so it meets the owner, the retries,
@@ -1013,11 +997,7 @@ fn fallback_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
 /// sent alone. The answers are spliced as a node splices them; a game
 /// answered `500` answers the whole batch, as on a node.
 fn handle_batch(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
-    shared
-        .local
-        .metrics()
-        .batch_requests
-        .fetch_add(1, Ordering::Relaxed);
+    shared.served.batch_requests.fetch_add(1, Ordering::Relaxed);
     let batch: BatchRequest = match parse_body(body) {
         Ok(batch) => batch,
         Err(response) => return response,
@@ -1089,7 +1069,7 @@ fn probe(backend: &Backend, timeout: Duration) -> bool {
 /// The router's `GET /metrics` document, per-backend array included.
 fn metrics_json(shared: &Shared) -> Json {
     let load = |a: &AtomicU64| Json::from_u64(a.load(Ordering::Relaxed));
-    let served = shared.local.metrics();
+    let served = &shared.served;
     let key_cache = shared.key_cache.stats();
     let backends: Vec<Json> = shared
         .backends
@@ -1125,10 +1105,10 @@ fn metrics_json(shared: &Shared) -> Json {
         ),
         (
             "fallback".into(),
-            Json::Obj(vec![
-                ("local_solves".into(), load(&shared.metrics.fallback_local)),
-                ("unavailable_503".into(), load(&shared.metrics.fallback_503)),
-            ]),
+            Json::Obj(vec![(
+                "unavailable_503".into(),
+                load(&shared.metrics.fallback_503),
+            )]),
         ),
         (
             "retries".into(),

@@ -13,9 +13,9 @@
 //!   client ──► bi-router ──(consistent-hash ring over canonical key)──►
 //!               reactor +                    bi-serve node 1..N, each:
 //!               forwarder pool
-//!                  │ all dead → fallback
+//!                  │ no live backend
 //!                  ▼
-//!             local solve / 503
+//!                 503
 //!
 //!                    reactor thread (poll-based, nonblocking)
 //!   client ──► read ──► canon_check ──► raw-byte index ──► hit: bytes out
@@ -39,8 +39,9 @@
 //! * [`service`] — the transport-independent core: [`GameSpec`] (matrix
 //!   or NCS games), [`SolveRequest`]/[`BatchRequest`] wire types, and
 //!   [`SolveService`] routing every solve through the cache (with the
-//!   raw-byte zero-copy index in front) and [`Solver::solve_many`] for
-//!   batches;
+//!   raw-byte zero-copy index in front); its `compute` is the only
+//!   place anything is solved, one game at a time, and a batch is a
+//!   list of such solves in request order;
 //! * [`http`] — a minimal HTTP/1.1 layer over `std::io`: the
 //!   allocation-free incremental head parser the reactor feeds, the one
 //!   response head writer, and the blocking client;
@@ -69,6 +70,8 @@
 //!   replication and retries. A `/solve_batch` is routed game by game,
 //!   each game retried, failed over, written through and read-repaired
 //!   exactly as a `/solve`, and the answers spliced in request order.
+//!   The router never solves: it returns a node's answer, or `503`
+//!   when no backend is live.
 //!
 //! Every request is traced end to end through the `bi_obs` flight
 //! recorder: the reactor adopts an `X-Bi-Trace` id or mints one, stage
@@ -85,8 +88,6 @@
 //! solve, and exits non-zero on a failed request or a missed hit-rate
 //! or latency bound — the load gate of CI. It writes no report; the
 //! speed record is perfbench's.
-//!
-//! [`Solver::solve_many`]: bi_core::solve::Solver::solve_many
 //!
 //! # Examples
 //!

@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use bi_obs::StageTimings;
+use bi_obs::{Recorder, Stage, StageTimings, TraceCtx};
 use bi_util::Json;
 
 use crate::cache::CacheStats;
@@ -77,9 +77,9 @@ pub struct ServiceMetrics {
     /// encode, write, disk_promote, …) — recorded on every request
     /// whether or not its spans are still in the flight recorder, and
     /// surfaced under `"stages"`. The `solve` stage takes one sample per
-    /// cold engine invocation (a `POST /solve` cache miss or one
-    /// `solve_many` batch of misses), whether or not the solve
-    /// succeeded: it is the cold-path histogram.
+    /// cold engine invocation (a `POST /solve` cache miss or one game of
+    /// a batch that missed), whether or not the solve succeeded: it is
+    /// the cold-path histogram.
     pub stages: StageTimings,
     start: Instant,
 }
@@ -124,6 +124,17 @@ impl ServiceMetrics {
             _ => &self.responses_5xx,
         };
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Closes one pipeline stage begun at `t0` on `recorder`'s clock:
+    /// feeds the per-stage histogram always, and records a span when the
+    /// request is traced.
+    pub fn finish_stage(&self, recorder: &Recorder, ctx: TraceCtx, stage: Stage, t0: u64) {
+        let t1 = recorder.now_ns();
+        self.stages.record(stage, t1.saturating_sub(t0) / 1_000);
+        if ctx.active() {
+            recorder.record(ctx.trace_id, ctx.parent, stage, t0, t1);
+        }
     }
 
     /// Sets the start-time configuration gauges the document reports

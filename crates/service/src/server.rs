@@ -51,7 +51,7 @@
 //! | Endpoint            | Behavior                                        |
 //! |---------------------|-------------------------------------------------|
 //! | `POST /solve`       | one game through cache + [`Solver`]; `X-Cache: hit\|miss` |
-//! | `POST /solve_batch` | many games, one config; misses go through `solve_many` |
+//! | `POST /solve_batch` | many games, one config; each game served as a `/solve` |
 //! | `POST /cache_put`   | install a peer's solved response (replication)  |
 //! | `GET /metrics`      | service counters + reactor counters + cache stats |
 //! | `GET /healthz`      | liveness probe                                  |
@@ -76,12 +76,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-use bi_obs::{Stage, TraceCtx};
+use bi_obs::{Recorder, Stage, TraceCtx};
 use bi_util::Json;
 
 use crate::cache::CacheConfig;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::http::{parse_head, write_head_into, Response};
+use crate::metrics::ServiceMetrics;
 use crate::persist::DiskTierConfig;
 use crate::reactor::{
     listener_fd, raw_fd, PollFd, Poller, WakePair, Waker, POLLERR, POLLHUP, POLLIN, POLLNVAL,
@@ -269,9 +270,10 @@ pub(crate) trait Dispatcher: Send + Sync + 'static {
     const ROOT: Stage;
     /// The component name on the slow-request log line.
     const NAME: &'static str;
-    /// The service whose counters, stage histograms and flight recorder
-    /// the reactor records into.
-    fn service(&self) -> &SolveService;
+    /// The counters and stage histograms the reactor records into.
+    fn metrics(&self) -> &ServiceMetrics;
+    /// The flight recorder the reactor's spans land in.
+    fn recorder(&self) -> &Recorder;
     /// Handles one request on the reactor thread: stages an answer
     /// through `reply` and returns `None`, or returns a job for the pool
     /// (and stages nothing).
@@ -285,13 +287,13 @@ pub(crate) trait Dispatcher: Send + Sync + 'static {
 /// connection's reusable output buffer, with no intermediate copy.
 pub(crate) struct Reply<'a> {
     conn: &'a mut Conn,
-    service: &'a SolveService,
+    recorder: &'a Recorder,
 }
 
 impl Reply<'_> {
     /// Stages `status` + `body` (+ `extra` headers) as the answer.
     pub(crate) fn send(&mut self, status: u16, body: &[u8], extra: &[(&str, &str)]) {
-        stage_bytes(self.conn, self.service, status, body, extra);
+        stage_bytes(self.conn, self.recorder, status, body, extra);
     }
 }
 
@@ -346,7 +348,7 @@ pub(crate) fn serve<D: Dispatcher>(
     let workers = config.workers.max(1);
     let queue_capacity = config.queue_capacity.max(1);
     let max_connections = config.max_connections.max(1);
-    dispatcher.service().metrics().set_config_gauges(
+    dispatcher.metrics().set_config_gauges(
         queue_capacity,
         u64::try_from(config.read_timeout.as_millis()).unwrap_or(u64::MAX),
         workers,
@@ -409,13 +411,10 @@ fn abort_on_panic(body: impl FnOnce()) {
 /// Runs one dispatch or job; a panic in it is counted and becomes
 /// `None`, which the caller answers with [`panic_body`] as a `500`. The
 /// panic message goes to stderr through the panic hook.
-fn handle_panics<T>(service: &SolveService, body: impl FnOnce() -> T) -> Option<T> {
+fn handle_panics<T>(metrics: &ServiceMetrics, body: impl FnOnce() -> T) -> Option<T> {
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
     if outcome.is_err() {
-        service
-            .metrics()
-            .handler_panics
-            .fetch_add(1, Ordering::Relaxed);
+        metrics.handler_panics.fetch_add(1, Ordering::Relaxed);
     }
     outcome.ok()
 }
@@ -526,10 +525,9 @@ fn pool_loop<D: Dispatcher>(
     waker: &mut Waker,
 ) {
     while let Some(task) = pool.take() {
-        let response = handle_panics(dispatcher.service(), || dispatcher.run(task.job))
+        let response = handle_panics(dispatcher.metrics(), || dispatcher.run(task.job))
             .unwrap_or_else(|| Response::json(500, panic_body()));
         dispatcher
-            .service()
             .metrics()
             .solves_in_flight
             .fetch_sub(1, Ordering::Relaxed);
@@ -638,8 +636,8 @@ struct Io<D: Dispatcher> {
 }
 
 impl<D: Dispatcher> Reactor<D> {
-    fn service(&self) -> &SolveService {
-        self.io.dispatcher.service()
+    fn metrics(&self) -> &ServiceMetrics {
+        self.io.dispatcher.metrics()
     }
 
     fn run(&mut self) {
@@ -673,8 +671,7 @@ impl<D: Dispatcher> Reactor<D> {
                 Err(_) => continue,
             };
             if ready > 0 {
-                self.service()
-                    .metrics()
+                self.metrics()
                     .reactor_wakeups
                     .fetch_add(1, Ordering::Relaxed);
             }
@@ -733,7 +730,7 @@ impl<D: Dispatcher> Reactor<D> {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
             };
-            let metrics = self.io.dispatcher.service().metrics();
+            let metrics = self.io.dispatcher.metrics();
             metrics.connections_total.fetch_add(1, Ordering::Relaxed);
             // The accept seam: a refused connection is dropped before a
             // byte is exchanged, as if the listener's backlog reset it.
@@ -745,7 +742,7 @@ impl<D: Dispatcher> Reactor<D> {
             }
             let open = self.slots.iter().filter(|s| s.conn.is_some()).count();
             if open >= self.max_connections {
-                reject_busy(stream, self.io.dispatcher.service());
+                reject_busy(stream, metrics);
                 continue;
             }
             if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
@@ -799,8 +796,8 @@ impl<D: Dispatcher> Reactor<D> {
                     .iter()
                     .map(|(k, v)| (*k, v.as_str()))
                     .collect();
-                let service = self.io.dispatcher.service();
-                stage_bytes(conn, service, response.status, &response.body, &extra);
+                let recorder = self.io.dispatcher.recorder();
+                stage_bytes(conn, recorder, response.status, &response.body, &extra);
                 self.io
                     .pump(conn, idx, completion.generation)
                     .unwrap_or(ConnAction::Remove)
@@ -829,8 +826,7 @@ impl<D: Dispatcher> Reactor<D> {
         if self.slots[idx].conn.take().is_some() {
             self.slots[idx].generation += 1;
             self.free.push(idx);
-            self.service()
-                .metrics()
+            self.metrics()
                 .open_connections
                 .fetch_sub(1, Ordering::Relaxed);
         }
@@ -890,7 +886,6 @@ impl<D: Dispatcher> Io<D> {
             }
             if conn.status != 0 {
                 self.dispatcher
-                    .service()
                     .metrics()
                     .record_status(std::mem::take(&mut conn.status));
             }
@@ -915,8 +910,7 @@ impl<D: Dispatcher> Io<D> {
         let Some(trace) = conn.trace.take() else {
             return;
         };
-        let service = self.dispatcher.service();
-        let recorder = service.recorder();
+        let recorder = self.dispatcher.recorder();
         let now = recorder.now_ns();
         let staged = if trace.staged_ns == 0 {
             now
@@ -932,7 +926,7 @@ impl<D: Dispatcher> Io<D> {
             trace.req_start_ns,
             now,
         );
-        let stages = &service.metrics().stages;
+        let stages = &self.dispatcher.metrics().stages;
         stages.record(Stage::Write, now.saturating_sub(staged) / 1_000);
         let total_us = now.saturating_sub(trace.req_start_ns) / 1_000;
         stages.record(D::ROOT, total_us);
@@ -959,8 +953,8 @@ impl<D: Dispatcher> Io<D> {
     /// no staged response and no job in flight (one response at a time
     /// keeps pipelined answers in order).
     fn process_buffered(&self, conn: &mut Conn, slot: usize, generation: u64) {
-        let service = self.dispatcher.service();
-        let recorder = service.recorder();
+        let metrics = self.dispatcher.metrics();
+        let recorder = self.dispatcher.recorder();
         while conn.out.is_empty() && !conn.in_flight {
             let t_parse = recorder.now_ns();
             let head = match parse_head(&conn.buf) {
@@ -969,7 +963,7 @@ impl<D: Dispatcher> Io<D> {
                 Err(e) => {
                     // Protocol errors poison framing: answer and close.
                     conn.close_after_write = true;
-                    stage_bytes(conn, service, e.status, &error_body(&e.msg), &[]);
+                    stage_bytes(conn, recorder, e.status, &error_body(&e.msg), &[]);
                     return;
                 }
             };
@@ -977,7 +971,6 @@ impl<D: Dispatcher> Io<D> {
             if conn.buf.len() < total {
                 return; // body still in flight
             }
-            let metrics = service.metrics();
             metrics.requests_total.fetch_add(1, Ordering::Relaxed);
             conn.req_keep_alive = head.keep_alive;
             // Adopt the peer's trace id (a router hop) or mint one; the
@@ -1011,14 +1004,14 @@ impl<D: Dispatcher> Io<D> {
                     parent: root_span,
                 },
             };
-            let job = handle_panics(service, || {
+            let job = handle_panics(metrics, || {
                 self.dispatcher
-                    .dispatch(&request, &mut Reply { conn, service })
+                    .dispatch(&request, &mut Reply { conn, recorder })
             })
             .unwrap_or_else(|| {
                 // Drop whatever the handler staged before it panicked.
                 conn.out.clear();
-                stage_bytes(conn, service, 500, &panic_body(), &[]);
+                stage_bytes(conn, recorder, 500, &panic_body(), &[]);
                 None
             });
             conn.buf = buf;
@@ -1039,21 +1032,15 @@ impl<D: Dispatcher> Io<D> {
     /// Hands a job to the pool, answering `429` + `Retry-After` when the
     /// bounded queue is full — backpressure, not failure.
     fn submit(&self, conn: &mut Conn, task: Task<D::Job>) {
-        let service = self.dispatcher.service();
+        let metrics = self.dispatcher.metrics();
         if self.pool.submit(task).is_ok() {
             conn.in_flight = true;
-            service
-                .metrics()
-                .solves_in_flight
-                .fetch_add(1, Ordering::Relaxed);
+            metrics.solves_in_flight.fetch_add(1, Ordering::Relaxed);
         } else {
-            service
-                .metrics()
-                .backpressure_429
-                .fetch_add(1, Ordering::Relaxed);
+            metrics.backpressure_429.fetch_add(1, Ordering::Relaxed);
             stage_bytes(
                 conn,
-                service,
+                self.dispatcher.recorder(),
                 429,
                 &error_body("work queue is full, retry shortly"),
                 &[("Retry-After", "1")],
@@ -1102,7 +1089,7 @@ fn flush_out(conn: &mut Conn, fault: Option<&FaultPlan>) -> io::Result<bool> {
 /// final, before its first write.
 fn stage_bytes(
     conn: &mut Conn,
-    service: &SolveService,
+    recorder: &Recorder,
     status: u16,
     body: &[u8],
     extra: &[(&str, &str)],
@@ -1121,7 +1108,7 @@ fn stage_bytes(
     conn.out_pos = 0;
     if let Some(trace) = &mut conn.trace {
         if trace.staged_ns == 0 {
-            trace.staged_ns = service.recorder().now_ns();
+            trace.staged_ns = recorder.now_ns();
         }
     }
     if !keep {
@@ -1133,12 +1120,9 @@ fn stage_bytes(
 /// rejection path must stay cheap and never block on a worker. The
 /// freshly accepted socket is still in blocking mode; the response is a
 /// handful of bytes, so the write cannot stall meaningfully.
-fn reject_busy(mut stream: TcpStream, service: &SolveService) {
-    service
-        .metrics()
-        .rejected_busy
-        .fetch_add(1, Ordering::Relaxed);
-    service.metrics().record_status(503);
+fn reject_busy(mut stream: TcpStream, metrics: &ServiceMetrics) {
+    metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
+    metrics.record_status(503);
     let body = error_body("connection limit reached, retry later");
     let mut out = Vec::with_capacity(128 + body.len());
     write_head_into(&mut out, 503, "application/json", body.len(), false, &[]);
@@ -1171,8 +1155,12 @@ impl Dispatcher for Node {
     const ROOT: Stage = Stage::Request;
     const NAME: &'static str = "bi-serve";
 
-    fn service(&self) -> &SolveService {
-        &self.service
+    fn metrics(&self) -> &ServiceMetrics {
+        self.service.metrics()
+    }
+
+    fn recorder(&self) -> &Recorder {
+        self.service.recorder()
     }
 
     fn dispatch(&self, request: &Request<'_>, reply: &mut Reply<'_>) -> Option<NodeJob> {
@@ -1180,8 +1168,11 @@ impl Dispatcher for Node {
         let metrics = service.metrics();
         let target = classify(request.method, request.path);
         // The dispatch seam: serving endpoints can answer an injected
-        // 500 — the request was understood, the work was "lost". Probes
-        // and metrics stay faithful so chaos runs remain observable.
+        // 500 — the request was understood, the work was "lost". This
+        // seam spares probes and metrics, but the accept, read and write
+        // seams hit every connection: under a plan with those kinds a
+        // `/healthz` probe or a `/metrics` scrape can be refused or
+        // dropped too.
         if matches!(target, Target::Solve | Target::Batch | Target::CachePut) {
             if let Some(plan) = &self.fault {
                 if plan.next() == Some(FaultKind::Err500) {
@@ -1393,8 +1384,10 @@ mod tests {
 
     /// A dispatcher that panics inline on `/boom`, after staging an
     /// answer, and in the pool on `/boom-job`; anything else is `200`.
+    #[derive(Default)]
     struct Panicky {
-        service: SolveService,
+        metrics: ServiceMetrics,
+        recorder: Recorder,
     }
 
     impl Dispatcher for Panicky {
@@ -1402,8 +1395,12 @@ mod tests {
         const ROOT: Stage = Stage::Request;
         const NAME: &'static str = "panicky";
 
-        fn service(&self) -> &SolveService {
-            &self.service
+        fn metrics(&self) -> &ServiceMetrics {
+            &self.metrics
+        }
+
+        fn recorder(&self) -> &Recorder {
+            &self.recorder
         }
 
         fn dispatch(&self, request: &Request<'_>, reply: &mut Reply<'_>) -> Option<()> {
@@ -1426,9 +1423,7 @@ mod tests {
     #[test]
     fn a_panicking_handler_answers_500_and_the_server_keeps_serving() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let dispatcher = Arc::new(Panicky {
-            service: SolveService::new(CacheConfig::default()),
-        });
+        let dispatcher = Arc::new(Panicky::default());
         let config = ServerConfig {
             workers: 1,
             ..ServerConfig::default()
@@ -1439,7 +1434,7 @@ mod tests {
             let response = client.request("GET", path, b"").expect(path);
             assert_eq!(response.status, status, "{path}");
         }
-        let metrics = &dispatcher.service.metrics();
+        let metrics = &dispatcher.metrics;
         assert_eq!(metrics.handler_panics.load(Ordering::Relaxed), 2);
         assert_eq!(metrics.responses_5xx.load(Ordering::Relaxed), 2);
         // The 200 that `/boom` staged before panicking was never sent.
@@ -1452,7 +1447,8 @@ mod tests {
     /// it; anything else is answered `200` inline. Backpressure tests
     /// built on it do not depend on how fast anything solves.
     struct Gated {
-        service: SolveService,
+        metrics: ServiceMetrics,
+        recorder: Recorder,
         started: std::sync::mpsc::Sender<()>,
         release: Mutex<std::sync::mpsc::Receiver<()>>,
     }
@@ -1462,8 +1458,12 @@ mod tests {
         const ROOT: Stage = Stage::Request;
         const NAME: &'static str = "gated";
 
-        fn service(&self) -> &SolveService {
-            &self.service
+        fn metrics(&self) -> &ServiceMetrics {
+            &self.metrics
+        }
+
+        fn recorder(&self) -> &Recorder {
+            &self.recorder
         }
 
         fn dispatch(&self, request: &Request<'_>, reply: &mut Reply<'_>) -> Option<()> {
@@ -1498,7 +1498,8 @@ mod tests {
         let (started_tx, started_rx) = std::sync::mpsc::channel();
         let (release_tx, release_rx) = std::sync::mpsc::channel();
         let dispatcher = Arc::new(Gated {
-            service: SolveService::new(CacheConfig::default()),
+            metrics: ServiceMetrics::default(),
+            recorder: Recorder::default(),
             started: started_tx,
             release: Mutex::new(release_rx),
         });
@@ -1536,7 +1537,7 @@ mod tests {
     #[test]
     fn a_full_queue_answers_429_with_retry_after() {
         let (engine, dispatcher, started, release) = gated_engine(1);
-        let metrics = dispatcher.service.metrics();
+        let metrics = &dispatcher.metrics;
         // The only worker takes the first job and blocks in it.
         let mut running = send_job(&engine);
         started
@@ -1575,7 +1576,7 @@ mod tests {
         // came from the reactor while the worker was busy.
         let inline = client_of(&engine).request("GET", "/ok", b"").unwrap();
         assert_eq!(inline.status, 200);
-        let metrics = dispatcher.service.metrics();
+        let metrics = &dispatcher.metrics;
         assert_eq!(metrics.solves_in_flight.load(Ordering::Relaxed), 1);
         release.send(()).unwrap();
         assert_eq!(

@@ -11,10 +11,10 @@
 //!   [`Solver::solve`] result.
 //! * `POST /solve_batch` — `{"games": [GameSpec, …], "config": …}`: one
 //!   shared config, many games (e.g. a family of priors over one
-//!   underlying graph). Uncached games go through
-//!   [`Solver::solve_many`], so the batch parallelizes across games; the
-//!   response is `{"reports": [{"report": …} | {"error": …}, …]}`,
-//!   aligned by index.
+//!   underlying graph). Each game is served as a `/solve` would be,
+//!   cache lookup then one [`Solver::solve`] on a miss, in request
+//!   order; the response is `{"reports": [{"report": …} | {"error": …},
+//!   …]}`, aligned by index.
 //!
 //! The cache key is the canonical bytes of `{game, backend, budget}` —
 //! the thread count is deliberately **excluded**: sweeps are bit-for-bit
@@ -278,8 +278,7 @@ pub struct SolveService {
     disk: Option<DiskTier>,
     metrics: ServiceMetrics,
     /// The span flight recorder every stage of this node records into
-    /// (`GET /debug/trace` dumps it). On a router this is the fallback
-    /// service's, and the routing spans land in it too: one dump.
+    /// (`GET /debug/trace` dumps it).
     recorder: Arc<Recorder>,
 }
 
@@ -333,17 +332,9 @@ impl SolveService {
         Some(body)
     }
 
-    /// Closes one pipeline stage: feeds the per-stage histogram always,
-    /// and records a span when the request is traced.
+    /// [`ServiceMetrics::finish_stage`] on this node's recorder.
     pub(crate) fn finish_stage(&self, ctx: TraceCtx, stage: Stage, t0: u64) {
-        let t1 = self.recorder.now_ns();
-        self.metrics
-            .stages
-            .record(stage, t1.saturating_sub(t0) / 1_000);
-        if ctx.active() {
-            self.recorder
-                .record(ctx.trace_id, ctx.parent, stage, t0, t1);
-        }
+        self.metrics.finish_stage(&self.recorder, ctx, stage, t0);
     }
 
     /// The span flight recorder this node records into.
@@ -403,7 +394,24 @@ impl SolveService {
     /// Returns the engine's [`SolveError`], or a report that breaks the
     /// measure chain (neither is cached).
     pub fn solve(&self, request: &SolveRequest) -> Result<ServedResponse, ServeError> {
-        let key = Self::cache_key(&request.game, &request.config);
+        self.serve(&request.game, request.config)
+    }
+
+    /// Solves a batch: each game goes through [`SolveService::solve`]'s
+    /// lookup and compute, in request order, so a game repeated within
+    /// the batch is solved once. The results align with the input order.
+    pub fn solve_batch(&self, batch: &BatchRequest) -> Vec<Result<ServedResponse, ServeError>> {
+        batch
+            .games
+            .iter()
+            .map(|game| self.serve(game, batch.config))
+            .collect()
+    }
+
+    /// One game through the cache: the LRU and disk lookup, then
+    /// [`Self::compute`] on a miss.
+    fn serve(&self, game: &GameSpec, config: SolverConfig) -> Result<ServedResponse, ServeError> {
+        let key = Self::cache_key(game, &config);
         if let Some(body) = self.lookup(&key, TraceCtx::NONE) {
             return Ok(ServedResponse {
                 body,
@@ -411,7 +419,7 @@ impl SolveService {
                 zero_copy: false,
             });
         }
-        self.compute(request, key, None, TraceCtx::NONE)
+        self.compute(game, config, key, None, TraceCtx::NONE)
     }
 
     /// The transport fast path for one `POST /solve` body. The body is
@@ -490,85 +498,31 @@ impl SolveService {
             raw,
             ctx,
         } = prepared;
-        self.compute(&request, key, raw.as_deref(), ctx)
+        self.compute(&request.game, request.config, key, raw.as_deref(), ctx)
     }
 
-    /// The compute step of a single miss: runs the engine (timed into
-    /// the cold-path histogram, and as a `solve` span when traced), then
+    /// The one solve path, behind every miss of a `/solve` body and of
+    /// each batch game: runs the engine (timed into the cold-path
+    /// histogram, and as a `solve` span when traced), then
     /// [`Self::finish_miss`].
     fn compute(
         &self,
-        request: &SolveRequest,
+        game: &GameSpec,
+        config: SolverConfig,
         key: Vec<u8>,
         raw: Option<&[u8]>,
         ctx: TraceCtx,
     ) -> Result<ServedResponse, ServeError> {
-        let solver = Self::solver(request.config);
+        let solver = Self::solver(config);
         let t_solve = self.recorder.now_ns();
-        let started = std::time::Instant::now();
-        let result = match &request.game {
+        let result = match game {
             GameSpec::Matrix(g) => solver.solve(g),
             GameSpec::Ncs(g) => solver.solve(g),
         };
-        // Recorded before the `?` so failed invocations count too, same
-        // as the batch path: the histogram tracks engine invocations, not
-        // successes.
-        self.record_solve_time(started);
-        if ctx.active() {
-            let t1 = self.recorder.now_ns();
-            self.recorder
-                .record(ctx.trace_id, ctx.parent, Stage::Solve, t_solve, t1);
-        }
+        // Recorded before the `?` so failed invocations count too: the
+        // histogram tracks engine invocations, not successes.
+        self.finish_stage(ctx, Stage::Solve, t_solve);
         self.finish_miss(key, raw, result, ctx)
-    }
-
-    /// Solves a batch: answers cached games immediately, routes the
-    /// misses of each representation through one [`Solver::solve_many`]
-    /// call (games parallelize across the solver's threads), and returns
-    /// per-game results aligned with the input order.
-    pub fn solve_batch(&self, batch: &BatchRequest) -> Vec<Result<ServedResponse, ServeError>> {
-        let solver = Self::solver(batch.config);
-        let mut results: Vec<Option<Result<ServedResponse, ServeError>>> =
-            batch.games.iter().map(|_| None).collect();
-        let mut matrix_misses: Vec<(usize, Vec<u8>, &BayesianGame)> = Vec::new();
-        let mut ncs_misses: Vec<(usize, Vec<u8>, &BayesianNcsGame)> = Vec::new();
-        for (i, game) in batch.games.iter().enumerate() {
-            let key = Self::cache_key(game, &batch.config);
-            if let Some(body) = self.lookup(&key, TraceCtx::NONE) {
-                results[i] = Some(Ok(ServedResponse {
-                    body,
-                    cache_hit: true,
-                    zero_copy: false,
-                }));
-            } else {
-                match game {
-                    GameSpec::Matrix(g) => matrix_misses.push((i, key, g)),
-                    GameSpec::Ncs(g) => ncs_misses.push((i, key, g)),
-                }
-            }
-        }
-        let matrix_refs: Vec<&BayesianGame> = matrix_misses.iter().map(|(_, _, g)| *g).collect();
-        if !matrix_refs.is_empty() {
-            let started = std::time::Instant::now();
-            let matrix_results = solver.solve_many(&matrix_refs);
-            self.record_solve_time(started);
-            for ((i, key, _), result) in matrix_misses.into_iter().zip(matrix_results) {
-                results[i] = Some(self.finish_miss(key, None, result, TraceCtx::NONE));
-            }
-        }
-        let ncs_refs: Vec<&BayesianNcsGame> = ncs_misses.iter().map(|(_, _, g)| *g).collect();
-        if !ncs_refs.is_empty() {
-            let started = std::time::Instant::now();
-            let ncs_results = solver.solve_many(&ncs_refs);
-            self.record_solve_time(started);
-            for ((i, key, _), result) in ncs_misses.into_iter().zip(ncs_results) {
-                results[i] = Some(self.finish_miss(key, None, result, TraceCtx::NONE));
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every game is either a hit or a routed miss"))
-            .collect()
     }
 
     /// The engine for a client's config, with `threads` clamped to the
@@ -586,13 +540,6 @@ impl SolveService {
             threads: config.threads.min(cores),
             ..config
         })
-    }
-
-    /// Feeds one engine invocation's wall-clock into the `solve` stage
-    /// histogram, the cold-path histogram of `GET /metrics`.
-    fn record_solve_time(&self, started: std::time::Instant) {
-        let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.metrics.stages.record(Stage::Solve, micros);
     }
 
     /// The one tail of every miss, single or batched: counts the
@@ -992,18 +939,23 @@ mod tests {
         // A cache hit never touches the engine or the histogram.
         service.solve(&req).unwrap();
         assert_eq!(solves(), 1);
-        // A batch with misses records one engine sample per representation
-        // batch; a fully-cached batch records none.
+        // A batch records one engine sample per game that missed, two
+        // matrix games and one NCS game here; a fully-cached batch
+        // records none.
         let batch = BatchRequest {
-            games: vec![req.game.clone(), matrix_game(10), ncs_game()],
+            games: vec![
+                req.game.clone(),
+                matrix_game(10),
+                matrix_game(15),
+                ncs_game(),
+            ],
             config: req.config,
         };
         service.solve_batch(&batch);
-        assert_eq!(solves(), 3);
+        assert_eq!(solves(), 4);
         service.solve_batch(&batch);
-        assert_eq!(solves(), 3);
-        // Failed engine invocations count too (same population as the
-        // batch path).
+        assert_eq!(solves(), 4);
+        // Failed engine invocations count too.
         let unsolvable = SolveRequest {
             game: matrix_game(11),
             config: SolverConfig {
@@ -1015,10 +967,10 @@ mod tests {
             },
         };
         assert!(service.solve(&unsolvable).is_err());
-        assert_eq!(solves(), 4);
+        assert_eq!(solves(), 5);
         let doc = service.metrics_json();
         let solve = doc.get("stages").unwrap().get("solve").unwrap();
-        assert_eq!(solve.get("count").unwrap().as_u64(), Some(4));
+        assert_eq!(solve.get("count").unwrap().as_u64(), Some(5));
         assert!(solve.get("p99").unwrap().as_u64().is_some());
     }
 

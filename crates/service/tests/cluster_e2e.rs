@@ -8,7 +8,9 @@
 //! are failed over and written through exactly as `/solve` bodies, a
 //! killed backend is ejected by its own failing traffic and its keys
 //! fail over without a 5xx, every answer through seeded faulty
-//! replicas equals the in-process report, a disk-backed server reboots
+//! replicas equals the in-process report, the router never solves (an
+//! overloaded node's `429` reaches the client as a `429`, and a dead
+//! cluster answers `503`), a disk-backed server reboots
 //! warm — the whole pool replayed as byte-identical cache hits — and
 //! one injected `X-Bi-Trace` id stitches router and backend
 //! `/debug/trace` dumps into a single parent/child span tree.
@@ -23,8 +25,8 @@ use bi_core::solve::{Solver, SolverConfig};
 use bi_service::http::{read_response, write_request, write_request_with, ClientResponse};
 use bi_service::workload::{light_workload, mixed_workload};
 use bi_service::{
-    BatchRequest, FallbackMode, FaultPlan, GameSpec, Router, RouterConfig, RouterHandle, Server,
-    ServerConfig, ServerHandle, SolveRequest, SpanEvent, Stage,
+    BatchRequest, FaultPlan, GameSpec, Router, RouterConfig, RouterHandle, Server, ServerConfig,
+    ServerHandle, SolveRequest, SpanEvent, Stage,
 };
 use bi_util::{Encode, Json};
 
@@ -379,12 +381,11 @@ fn a_routed_batch_writes_every_fresh_game_through_to_its_replica() {
 #[test]
 fn a_routed_batch_fails_over_a_stopped_backend_before_it_is_ejected() {
     // The router never ejects on its own within the test (a huge failure
-    // threshold, no second probe) and never solves locally: every answer
-    // must come from a live backend found by the failover walk.
+    // threshold, no second probe), so every answer must come from a live
+    // backend found by the failover walk.
     let (mut backends, router) = start_cluster(
         3,
         RouterConfig {
-            fallback: FallbackMode::Unavailable,
             fail_threshold: 1_000,
             probe_interval: Duration::from_secs(60),
             ..RouterConfig::default()
@@ -420,10 +421,7 @@ fn a_routed_batch_fails_over_a_stopped_backend_before_it_is_ejected() {
         .clone();
     assert_eq!(victim_row.get("alive"), Some(&Json::Bool(true)));
     assert!(victim_row.get("upstream_errors").and_then(|v| v.as_u64()) > Some(0));
-    let unavailable = metrics
-        .get("fallback")
-        .and_then(|f| f.get("unavailable_503"));
-    assert_eq!(unavailable.and_then(|v| v.as_u64()), Some(0));
+    assert_eq!(unavailable_503(&router), Some(0));
     router.stop();
     for backend in backends {
         backend.stop();
@@ -459,7 +457,6 @@ fn answers_through_faulty_replicas_equal_the_in_process_reports() {
     let router = Router::bind(RouterConfig {
         backends: backends.iter().map(|b| b.addr().to_string()).collect(),
         replication: 2,
-        fallback: FallbackMode::Unavailable,
         ..RouterConfig::default()
     })
     .expect("bind router")
@@ -491,6 +488,103 @@ fn answers_through_faulty_replicas_equal_the_in_process_reports() {
     for backend in backends {
         backend.stop();
     }
+}
+
+/// A cold solve that keeps a one-worker node busy for many milliseconds:
+/// three agents with 125 strategies each.
+fn heavy_body(seed: u64) -> Vec<u8> {
+    let (game, _) =
+        bi_core::random_games::random_bayesian_potential_game(&[3; 3], &[5; 3], 12, seed);
+    solve_body(&GameSpec::Matrix(game))
+}
+
+/// The router's `fallback.unavailable_503` counter.
+fn unavailable_503(router: &RouterHandle) -> Option<u64> {
+    router
+        .metrics_json()
+        .get("fallback")
+        .and_then(|f| f.get("unavailable_503"))
+        .and_then(Json::as_u64)
+}
+
+#[test]
+fn an_overloaded_node_answers_through_the_router_and_the_router_never_solves() {
+    // One node with one solver and a one-deep queue, behind a router
+    // that tries each request once: a burst of distinct heavy solves
+    // overflows the node, and every 429 it sheds must reach the client
+    // as the node's own answer.
+    let node = Server::bind(ServerConfig {
+        workers: 1,
+        queue_capacity: 1,
+        read_timeout: Duration::from_secs(30),
+        ..ServerConfig::default()
+    })
+    .expect("bind node")
+    .start()
+    .expect("start node");
+    let router = Router::bind(RouterConfig {
+        backends: vec![node.addr().to_string()],
+        max_retry_rounds: 1,
+        ..RouterConfig::default()
+    })
+    .expect("bind router")
+    .start()
+    .expect("start router");
+    let node_addr = node.addr().to_string();
+    // Every request is written before any answer is read.
+    let mut conns = Vec::new();
+    for seed in 0..12 {
+        let stream = connect(router.addr());
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut writer = stream;
+        write_request(&mut writer, "POST", "/solve", &heavy_body(seed), false).expect("write");
+        conns.push((reader, writer));
+    }
+    let mut shed = 0;
+    for (i, (reader, _writer)) in conns.iter_mut().enumerate() {
+        let response = read_response(reader).expect("read response");
+        assert_eq!(
+            response.header("x-backend"),
+            Some(node_addr.as_str()),
+            "request {i}: every answer must be the node's"
+        );
+        match response.status {
+            200 => {}
+            429 => {
+                assert!(response.header("retry-after").is_some(), "request {i}");
+                shed += 1;
+            }
+            status => panic!("request {i}: unexpected status {status}"),
+        }
+    }
+    assert!(shed > 0, "the burst never overflowed the node's queue");
+    let metrics = router.metrics_json();
+    assert_eq!(unavailable_503(&router), Some(0));
+    assert!(
+        metrics
+            .get("fallback")
+            .and_then(|f| f.get("local_solves"))
+            .is_none(),
+        "the router has no local solves to count"
+    );
+    router.stop();
+    node.stop();
+}
+
+#[test]
+fn a_dead_cluster_answers_503_from_no_backend() {
+    let (backends, router) = start_cluster(2, RouterConfig::default());
+    let body = solve_body(&light_workload(171, 1)[0]);
+    for backend in backends {
+        backend.stop();
+    }
+    assert_eq!(unavailable_503(&router), Some(0));
+    let response = call(router.addr(), "POST", "/solve", &body);
+    assert_eq!(response.status, 503);
+    assert_eq!(response.header("x-backend"), Some("none"));
+    assert_eq!(response.body, br#"{"error":"no live backend"}"#);
+    assert_eq!(unavailable_503(&router), Some(1));
+    router.stop();
 }
 
 #[test]

@@ -224,6 +224,41 @@ fn short_reads_and_writes_still_deliver_exact_answers() {
 }
 
 #[test]
+fn injected_500s_spare_probes_and_metrics() {
+    // Every seam decision is an `err500`. Only the dispatch seam acts on
+    // it, and only for serving endpoints: the accept, read and write
+    // seams have nothing to inject, so `/healthz` and `/metrics` are
+    // answered faithfully while every `/solve` is a 500.
+    let plan = FaultPlan::parse("seed=9,kinds=err500,rate=1000000").expect("plan");
+    let handle = Server::bind(ServerConfig {
+        workers: 1,
+        queue_capacity: 16,
+        read_timeout: Duration::from_secs(5),
+        fault: Some(Arc::new(plan)),
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port")
+    .start()
+    .expect("start server");
+    let (mut reader, mut writer) = connect(handle.addr());
+    reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    writer.write_all(&solve_wire(74)).expect("write");
+    let solve = read_response(&mut reader).expect("read");
+    assert_eq!(solve.status, 500);
+    write_request(&mut writer, "GET", "/healthz", b"", true).expect("write");
+    assert!(is_healthy(&read_response(&mut reader).expect("read")));
+    write_request(&mut writer, "GET", "/metrics", b"", true).expect("write");
+    let metrics = read_response(&mut reader).expect("read");
+    assert_eq!(metrics.status, 200);
+    let doc = Json::parse(std::str::from_utf8(&metrics.body).expect("UTF-8")).expect("JSON");
+    assert_eq!(doc.get("solves_computed").and_then(Json::as_u64), Some(0));
+    handle.stop();
+}
+
+#[test]
 fn disconnecting_mid_solve_does_not_poison_the_server() {
     let handle = start_server();
     // Fire a cold solve and hang up before the response exists; the

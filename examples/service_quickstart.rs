@@ -63,8 +63,8 @@ fn main() {
     );
 
     // 3. Batch solving: one config, many games (here: a family of
-    //    priors over one graph) — uncached members go through
-    //    Solver::solve_many in parallel.
+    //    priors over one graph) — each uncached member is solved as a
+    //    single `solve` would solve it, one after another.
     let family: Vec<GameSpec> = [0.25, 0.5, 0.75]
         .iter()
         .map(|&p| {
