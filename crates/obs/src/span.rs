@@ -62,11 +62,14 @@ pub enum Stage {
     Encode = 8,
     /// Writing the staged response to the socket (staged → flushed).
     Write = 9,
+    /// Decoding a canonical request on the solver pool, on a true miss
+    /// (the reactor looked it up by its span key without decoding it).
+    Decode = 10,
 }
 
 impl Stage {
     /// Every stage, in discriminant order.
-    pub const ALL: [Stage; 10] = [
+    pub const ALL: [Stage; 11] = [
         Stage::Request,
         Stage::Route,
         Stage::Parse,
@@ -77,6 +80,7 @@ impl Stage {
         Stage::Solve,
         Stage::Encode,
         Stage::Write,
+        Stage::Decode,
     ];
 
     /// Number of stages (the length of [`Stage::ALL`]).
@@ -97,6 +101,7 @@ impl Stage {
             Stage::Solve => "solve",
             Stage::Encode => "encode",
             Stage::Write => "write",
+            Stage::Decode => "decode",
         }
     }
 

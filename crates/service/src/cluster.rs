@@ -6,11 +6,14 @@
 //! ([`SolveService::cache_key`]) *is* the result identity — which makes
 //! horizontal sharding trivially correct: route each request to the
 //! backend owning its key and that backend's cache concentrates exactly
-//! its arc of the key space. The ring is a classic consistent hash with
-//! virtual nodes over the 64-bit XXH64 space the caches index with
-//! ([`bi_util::xxh64`]). A `/solve_batch` is a list of routed solves:
-//! each game goes through the same routing step as a `/solve` body, so a
-//! game sent alone and inside a batch meet the same backend.
+//! its arc of the key space. The router never decodes a canonical
+//! `/solve` body: it hashes the key the body's own bytes spell
+//! ([`SolveService::span_key`]), the same key its node looks up. The
+//! ring is a classic consistent hash with virtual nodes over the 64-bit
+//! XXH64 space the caches index with ([`bi_util::xxh64`]). A
+//! `/solve_batch` is a list of routed solves: each game goes through the
+//! same routing step as a `/solve` body, so a game sent alone and inside
+//! a batch meet the same backend.
 //!
 //! ```text
 //!   client ──► bi-router ──hash(cache_key)──► ring ──► backend k
@@ -48,17 +51,20 @@
 //! count against the same consecutive-failure threshold, so a backend
 //! that dies mid-burst is ejected by the traffic itself rather than
 //! waiting for the next probe cycle. Upstream connections are pooled and
-//! kept alive per backend. A `/solve_batch` is decoded once and each of
-//! its games is routed as its canonical `/solve` body, with the retries,
-//! failover, write-through and read-repair below; the answers are
-//! spliced in request order, exactly as a node splices its own.
+//! kept alive per backend. A `/solve_batch` is decoded once, to reject an
+//! invalid game, and each of its games is routed as its canonical
+//! `/solve` body, copied with its key from the batch's canonical bytes,
+//! with the retries, failover, write-through and read-repair below; the
+//! answers are spliced in request order, exactly as a node splices its
+//! own.
 //!
 //! **Replication** (`--replication R`): each key's *intended owners* are
 //! its first R distinct ring successors, liveness-blind
 //! ([`HashRing::route_replicas`]). Serving still walks the live ring —
 //! when the primary is dead the next live replica answers from its own
-//! copy — and a background worker brings the owners back in sync over
-//! `POST /cache_put`: freshly solved misses are **written through** to
+//! copy — and a background worker, woken as each delivery is queued,
+//! brings the owners back in sync over `POST /cache_put`: freshly
+//! solved misses are **written through** to
 //! the other live owners, and owners that were dead at serve time get a
 //! **read-repair** queued until they return, so a restarted backend is
 //! repopulated without re-solving anything. Responses are pure functions
@@ -91,7 +97,7 @@ use std::collections::{HashSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -103,7 +109,9 @@ use crate::fault::mix;
 use crate::http::{ClientResponse, HttpClient, Response};
 use crate::metrics::ServiceMetrics;
 use crate::server::{parse_body, serve, Dispatcher, Engine, Reply, Request, ServerConfig};
-use crate::service::{error_body, reports_body, BatchRequest, SolveRequest, SolveService};
+use crate::service::{
+    batch_solves, error_body, reports_body, BatchRequest, SolveRequest, SolveService,
+};
 
 /// What the router answers when no live backend is left. It has one
 /// value, because the router never solves; the type and
@@ -404,6 +412,10 @@ struct Shared {
     recorder: Recorder,
     /// Pending replica deliveries, drained by the repair worker.
     repair: Mutex<RepairQueue>,
+    /// Wakes the repair worker when a delivery is queued (and on stop),
+    /// so a write-through leaves right behind its answer instead of in a
+    /// burst after a polling sleep.
+    repair_queued: Condvar,
     /// Router start time — the epoch of `last_probe_ms`.
     started: Instant,
     /// Stops the prober and the repair worker.
@@ -486,6 +498,7 @@ impl Router {
             served: ServiceMetrics::default(),
             recorder: Recorder::default(),
             repair: Mutex::new(RepairQueue::default()),
+            repair_queued: Condvar::new(),
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
             config,
@@ -574,6 +587,7 @@ impl RouterHandle {
     pub fn stop(self) {
         self.engine.stop();
         self.shared.shutdown.store(true, Ordering::Relaxed);
+        self.shared.repair_queued.notify_all();
         let _ = self.prober.join();
         let _ = self.repairer.join();
     }
@@ -587,29 +601,35 @@ fn route_hash(key: &[u8]) -> u64 {
 }
 
 /// The routing hash of a `/solve` body: the [`route_hash`] of its
-/// canonical cache key, through the body-bytes → hash cache so hot
-/// traffic skips the JSON decode entirely.
+/// content address, through the body-bytes → hash cache so hot traffic
+/// skips even the key scan. On a key-cache miss a canonical body is
+/// keyed by [`SolveService::span_key`], with no decode; any other body
+/// is decoded (a `400` when it does not decode) and keyed by
+/// [`SolveService::cache_key`]. A canonical body that does not decode
+/// is routed like any other and answered `400` by its node. The second
+/// value says whether the body may enter the key cache once answered
+/// `200`: [`handle_solve`] inserts it then, so a body that never
+/// decodes never takes a key-cache entry.
 ///
 /// The cache is looked up **first**, without checking the body. This is
-/// sound because this function is the cache's only inserter and inserts
-/// only bodies that pass [`bi_util::json::canon_check`], and a hit
-/// compares the full body bytes, so a hit is byte-identical to a body
-/// that once passed the check. The check runs only on a miss, to decide
-/// whether the body may be inserted.
-fn routing_hash(shared: &Shared, body: &[u8]) -> Result<u64, Response> {
+/// sound because only bodies `span_key` keys (they pass
+/// [`bi_util::json::canon_check`]) are ever inserted, and a hit compares
+/// the full body bytes, so a hit is byte-identical to a body that once
+/// passed the check.
+fn routing_hash(shared: &Shared, body: &[u8]) -> Result<(u64, bool), Response> {
     if let Some(hash) = shared.key_cache.get(body) {
         debug_assert!(
             bi_util::json::canon_check(body),
             "only canonical bodies enter the key cache"
         );
-        return Ok(hash);
+        return Ok((hash, false));
+    }
+    if let Some(key) = SolveService::span_key(body) {
+        return Ok((route_hash(&key), true));
     }
     let request: SolveRequest = parse_body(body)?;
-    let hash = route_hash(&SolveService::cache_key(&request.game, &request.config));
-    if bi_util::json::canon_check(body) {
-        shared.key_cache.insert(body, hash);
-    }
-    Ok(hash)
+    let key = SolveService::cache_key(&request.game, &request.config);
+    Ok((route_hash(&key), false))
 }
 
 /// The router's aggregated `GET /healthz`: overall status plus one row
@@ -729,15 +749,19 @@ fn retry_backoff(config: &RouterConfig, hash: u64, round: u32) -> Duration {
 fn handle_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
     shared.served.solve_requests.fetch_add(1, Ordering::Relaxed);
     let t_lookup = shared.recorder.now_ns();
-    let hash = match routing_hash(shared, body) {
-        Ok(hash) => hash,
+    let (hash, cacheable) = match routing_hash(shared, body) {
+        Ok(routed) => routed,
         Err(response) => return response,
     };
     shared
         .served
         .finish_stage(&shared.recorder, ctx, Stage::RingLookup, t_lookup);
     let deadline = Instant::now() + shared.config.request_deadline;
-    route_solve(shared, hash, body, ctx, deadline)
+    let answer = route_solve(shared, hash, body, ctx, deadline);
+    if cacheable && answer.status == 200 {
+        shared.key_cache.insert(body, hash);
+    }
+    answer
 }
 
 /// Routes one `/solve` body whose key hashes to `hash`, until
@@ -894,6 +918,8 @@ fn schedule_repairs(
             repair: !owner_alive,
             attempts: 0,
         });
+        drop(queue);
+        shared.repair_queued.notify_one();
     }
 }
 
@@ -903,14 +929,20 @@ fn schedule_repairs(
 /// a live target keeps refusing.
 fn repair_loop(shared: &Shared) {
     while !shared.shutdown.load(Ordering::Relaxed) {
-        let job = shared
-            .repair
-            .lock()
-            .expect("repair queue poisoned")
-            .jobs
-            .pop_front();
+        let job = {
+            let mut queue = shared.repair.lock().expect("repair queue poisoned");
+            if queue.jobs.is_empty() {
+                // `schedule_repairs` and `stop` notify; the timeout only
+                // bounds a wake-up lost to a racing stop.
+                queue = shared
+                    .repair_queued
+                    .wait_timeout(queue, Duration::from_millis(100))
+                    .expect("repair queue poisoned")
+                    .0;
+            }
+            queue.jobs.pop_front()
+        };
         let Some(mut job) = job else {
-            std::thread::sleep(Duration::from_millis(10));
             continue;
         };
         if !shared.backends[job.backend].alive.load(Ordering::Relaxed) {
@@ -996,21 +1028,27 @@ fn release(shared: &Shared, idx: usize, client: HttpClient) {
 /// the failover, the write-through and the read-repair of the same game
 /// sent alone. The answers are spliced as a node splices them; a game
 /// answered `500` answers the whole batch, as on a node.
+///
+/// The batch is decoded once, so one invalid game answers the whole
+/// batch `400`. Each game's key and `/solve` body are then copied from
+/// the canonical batch bytes ([`batch_solves`]): the body as sent when
+/// it is canonical, else the decoded batch encoded once.
 fn handle_batch(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
     shared.served.batch_requests.fetch_add(1, Ordering::Relaxed);
     let batch: BatchRequest = match parse_body(body) {
         Ok(batch) => batch,
         Err(response) => return response,
     };
+    let Some(solves) = batch_solves(body).or_else(|| batch_solves(&batch.canonical_bytes())) else {
+        return Response::json(
+            500,
+            error_body("internal error: the batch's canonical bytes did not split into games"),
+        );
+    };
     let deadline = Instant::now() + shared.config.request_deadline;
-    let mut answers = Vec::with_capacity(batch.games.len());
-    for game in batch.games {
-        let hash = route_hash(&SolveService::cache_key(&game, &batch.config));
-        let request = SolveRequest {
-            game,
-            config: batch.config,
-        };
-        let answer = route_solve(shared, hash, &request.canonical_bytes(), ctx, deadline);
+    let mut answers = Vec::with_capacity(solves.len());
+    for (key, solve_body) in solves {
+        let answer = route_solve(shared, route_hash(&key), &solve_body, ctx, deadline);
         if answer.status == 500 {
             return answer;
         }

@@ -18,19 +18,19 @@
 //!                 503
 //!
 //!                    reactor thread (poll-based, nonblocking)
-//!   client ──► read ──► canon_check ──► raw-byte index ──► hit: bytes out
-//!     ▲                    │ non-canonical  │ miss              (zero parse)
-//!     │                    ▼                ▼
-//!     │               decode once ──► sharded LRU cache ──► hit: bytes out
-//!     │                                     │ miss
-//!     │                                     ▼
-//!     │                            disk tier (append-only log)
-//!     │                              │ hit: promote to LRU
-//!     │                              │ miss
-//!     │                              bounded try_send ──► solver pool
-//!     │                                 │ full                 │
-//!     └── 429 + Retry-After ◄───────────┘      wake pipe +     │
-//!     └── SolveReport bytes ◄── completion queue ◄─────────────┘
+//!   client ──► read ──► raw-byte index ──► hit: bytes out (zero parse)
+//!     ▲                    │ miss
+//!     │                    ▼
+//!     │      canonical: span key ─┬─► sharded LRU cache ──► hit: bytes out
+//!     │      otherwise: decode ───┘     │ miss
+//!     │                                 ▼
+//!     │                        disk tier (append-only log)
+//!     │                          │ hit: promote to LRU
+//!     │                          │ miss
+//!     │                          bounded try_send ──► solver pool:
+//!     │                             │ full          decode once, solve
+//!     └── 429 + Retry-After ◄───────┘      wake pipe +     │
+//!     └── SolveReport bytes ◄── completion queue ◄─────────┘
 //! ```
 //!
 //! * [`cache`] — the content-addressed solve cache: XXH64 over

@@ -58,8 +58,9 @@ pub struct ServiceMetrics {
     /// `POST /solve` cache hits served straight off the raw-byte index —
     /// no JSON value tree was built.
     pub zero_copy_hits: AtomicU64,
-    /// `POST /solve` cache hits that went through the decode path (body
-    /// non-canonical, or first sighting of these exact bytes).
+    /// `POST /solve` cache hits not served off the raw-byte index: the
+    /// body was keyed by its spans (first sighting of these exact
+    /// canonical bytes) or, non-canonical, decoded.
     pub parsed_hits: AtomicU64,
     /// Solve jobs currently inside the solver pool (a gauge) — together
     /// with `cfg_queue_capacity`, it shows an operator how close a node

@@ -35,7 +35,10 @@
 //! go through [`SolveService::try_serve_fast`], so a byte-identical
 //! canonical body is served straight off the raw-byte index without
 //! building a JSON value tree at all — a hit never queues behind a cold
-//! solve.
+//! solve. Any other canonical body is looked up by the key its bytes
+//! spell ([`SolveService::span_key`]), also without a decode: the
+//! reactor decodes only non-canonical bodies, and a canonical one is
+//! decoded on the solver pool, on a true miss.
 //!
 //! Backpressure is explicit at two levels: the job queue is bounded and
 //! its overflow is answered `429 Too Many Requests` + `Retry-After`
@@ -1141,7 +1144,8 @@ struct Node {
 
 /// One unit of work for the solver pool.
 enum NodeJob {
-    /// A decoded `POST /solve` miss.
+    /// A keyed `POST /solve` miss (a canonical body is decoded on the
+    /// worker).
     Solve(Box<PreparedSolve>),
     /// A `POST /solve_batch` body (parsed on the worker: batches are
     /// bulk work by definition, so their decode cost stays off the
@@ -1230,9 +1234,9 @@ impl Dispatcher for Node {
                 Ok(served) => {
                     Response::json(200, served.body.to_vec()).with_header("X-Cache", "miss")
                 }
-                // The request was well-formed: the game is unsolvable as
-                // asked (budget, no equilibrium, …), a semantic 422; or
-                // the engine's answer is wrong, a 500.
+                // A canonical body that does not decode, a 400; a game
+                // unsolvable as asked (budget, no equilibrium, …), a
+                // semantic 422; or a wrong engine answer, a 500.
                 Err(e) => Response::json(e.status(), error_body(&e.to_string())),
             },
             NodeJob::Batch(body, ctx) => {

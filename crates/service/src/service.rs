@@ -20,6 +20,13 @@
 //! the thread count is deliberately **excluded**: sweeps are bit-for-bit
 //! identical across thread counts, so results are shareable across
 //! differently-threaded clients.
+//!
+//! A canonical request body already holds those three values, canonically
+//! spelled, so its key is read off its bytes ([`SolveService::span_key`]):
+//! one scan, no value tree, no re-encode. Only a true miss decodes the
+//! body, on the solver pool. A non-canonical body is decoded to find its
+//! key ([`SolveService::cache_key`]); both reach the same key for one
+//! request.
 
 use std::sync::Arc;
 
@@ -28,7 +35,7 @@ use bi_core::solve::{SolveError, SolveReport, Solver, SolverConfig};
 use bi_core::BayesianGame;
 use bi_ncs::BayesianNcsGame;
 use bi_obs::{Recorder, Stage, TraceCtx};
-use bi_util::json::field;
+use bi_util::json::{canon_elements, canon_members, field};
 use bi_util::{CodecError, Decode, Encode, Json};
 
 use crate::cache::{CacheConfig, CacheStats, ShardedLru};
@@ -44,6 +51,10 @@ pub enum ServeError {
     /// The engine's report breaks Observation 2.2's chain, so it is
     /// wrong: a `500`, and never cached.
     Chain(ChainViolation),
+    /// A canonical body keyed by its spans failed to decode on the
+    /// solver pool: a `400`, with the text the reactor's decode would
+    /// have answered.
+    Decode(CodecError),
 }
 
 impl ServeError {
@@ -53,6 +64,7 @@ impl ServeError {
         match self {
             ServeError::Solve(_) => 422,
             ServeError::Chain(_) => 500,
+            ServeError::Decode(_) => 400,
         }
     }
 }
@@ -68,6 +80,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Solve(e) => e.fmt(f),
             ServeError::Chain(e) => write!(f, "internal error: the solver's report failed {e}"),
+            ServeError::Decode(e) => e.fmt(f),
         }
     }
 }
@@ -77,6 +90,7 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Solve(e) => Some(e),
             ServeError::Chain(e) => Some(e),
+            ServeError::Decode(e) => Some(e),
         }
     }
 }
@@ -207,29 +221,33 @@ pub struct ServedResponse {
     pub zero_copy: bool,
 }
 
-/// A decoded cache miss, ready to cross into the solver pool. Produced by
+/// A keyed cache miss, ready to cross into the solver pool. Produced by
 /// [`SolveService::try_serve_fast`], consumed by
-/// [`SolveService::complete_solve`] — the decode work happens exactly
-/// once, on the transport thread, and only the solve itself moves.
+/// [`SolveService::complete_solve`]. A canonical body crosses as its raw
+/// bytes and is decoded once, on the solver thread; a non-canonical one
+/// was decoded on the transport thread to find its key, and crosses
+/// decoded. Either way the body is decoded exactly once.
 #[derive(Debug)]
 pub struct PreparedSolve {
-    request: SolveRequest,
+    body: MissBody,
     key: Vec<u8>,
-    /// The raw body bytes when they were canonical — inserted into the
-    /// raw index on success so the next byte-identical body is zero-copy.
-    raw: Option<Vec<u8>>,
     /// The trace context this miss was prepared under; the solver thread
-    /// records its `solve`/`encode` spans into the same trace.
+    /// records its `decode`/`solve`/`encode` spans into the same trace.
     ctx: TraceCtx,
 }
 
-impl PreparedSolve {
-    /// The decoded request (for transports that need to inspect it).
-    #[must_use]
-    pub fn request(&self) -> &SolveRequest {
-        &self.request
-    }
+/// What a [`PreparedSolve`] carries of its request.
+#[derive(Debug)]
+enum MissBody {
+    /// A canonical body, keyed by its spans and not yet decoded. Its
+    /// bytes enter the raw index on success, so the next byte-identical
+    /// body is zero-copy.
+    Canonical(Vec<u8>),
+    /// A non-canonical body, decoded to find its key.
+    Decoded(Box<SolveRequest>),
+}
 
+impl PreparedSolve {
     /// The trace context the miss carries into the solver pool.
     #[must_use]
     pub fn ctx(&self) -> TraceCtx {
@@ -253,21 +271,22 @@ pub enum FastOutcome {
 /// worker threads.
 ///
 /// Two caches back the service. The primary cache is keyed by the
-/// content address ([`SolveService::cache_key`]) and is what `solve` /
-/// `solve_batch` consult. The **raw index** maps exact request-body
-/// bytes (only bodies [`bi_util::json::canon_check`] accepts) to the
-/// same shared response `Arc`s, giving the transport a zero-parse hit
-/// path: byte-identical body ⟹ identical parse ⟹ identical result, so
+/// content address ([`SolveService::cache_key`], or for a canonical
+/// body the same bytes read off it by [`SolveService::span_key`]) and is
+/// what `solve` / `solve_batch` consult. The **raw index** maps exact
+/// request-body bytes (only bodies `span_key` keys) to the same shared
+/// response `Arc`s, giving the transport a zero-parse hit path:
+/// byte-identical body ⟹ identical parse ⟹ identical result, so
 /// exact-byte keying is correct regardless of how conservatively the
 /// canonicality check classifies a body.
 ///
 /// The fast path looks the raw index up **before** checking anything.
-/// Every insert into it is gated by `canon_check` (a solved miss, a
-/// parsed hit warming the index, and `cache_put`), and a hit compares
-/// the full key bytes, so a hit is byte-identical to a body that once
-/// passed the check. Checking again would prove nothing new, so a hot
-/// body costs one hash and one comparison; `canon_check` runs only on a
-/// raw-index miss, to decide whether that body may be inserted.
+/// Every insert into it is gated by `span_key`, which runs
+/// [`bi_util::json::canon_check`]'s scan (a solved miss, a span-keyed
+/// hit warming the index, and `cache_put`), and a hit compares the full
+/// key bytes, so a hit is byte-identical to a body that once passed the
+/// check. Checking again would prove nothing new, so a hot body costs
+/// one hash and one comparison; the scan runs only on a raw-index miss.
 pub struct SolveService {
     cache: ShardedLru<Arc<[u8]>>,
     /// Exact request-body bytes → response bytes, canonical bodies only.
@@ -385,6 +404,32 @@ impl SolveService {
         .canonical_bytes()
     }
 
+    /// The content address of a canonical `POST /solve` body, read off
+    /// its bytes: the spans of `game`, `config.backend` and
+    /// `config.budget` copied into `{"backend":…,"budget":…,"game":…}`,
+    /// from one [`bi_util::json::canon_members`] pass and no decode. For
+    /// every body the encoders produce it equals [`Self::cache_key`] of
+    /// the decoded request, byte for byte.
+    ///
+    /// `None` sends the body down the decode path: it is not canonical,
+    /// not UTF-8, has no `game`, or carries a `config` that is not an
+    /// object with `backend`, `budget` and a canonical non-negative
+    /// integer `threads` (so a key read here never answers a body the
+    /// decoder rejects for its config). An absent or `null` config is
+    /// the default one; other members, such as a legacy
+    /// `config.symmetry`, are ignored, as the decoder ignores them.
+    ///
+    /// A body whose spans are not the encoders' own spelling (say, a
+    /// number with more digits than the shortest round trip) gets a key
+    /// of its own. The key's bytes still fix the decoded game, backend
+    /// and budget, so it can only ever answer the same report.
+    #[must_use]
+    pub fn span_key(body: &[u8]) -> Option<Vec<u8>> {
+        let [config, game] = canon_members(body, [b"config", b"game"])?;
+        let key = ConfigSpans::of(config)?.key(game?);
+        std::str::from_utf8(body).is_ok().then_some(key)
+    }
+
     /// Solves one request through the cache. On a miss the report is
     /// computed by [`Solver::solve`], encoded canonically, and inserted;
     /// on a hit the engine is never invoked.
@@ -425,19 +470,23 @@ impl SolveService {
     /// The transport fast path for one `POST /solve` body. The body is
     /// first looked up in the raw-byte index, before any canonicality
     /// check (see [`SolveService`] for why that is sound) — a hit there
-    /// is served without building any JSON value tree. Otherwise the
-    /// body is decoded once, the primary cache consulted, and on a miss
-    /// the decoded request comes back as a [`PreparedSolve`] for the
-    /// solver pool; the transport never decodes twice.
+    /// is served without building any JSON value tree. Otherwise a
+    /// canonical body is keyed by [`Self::span_key`], with no decode; a
+    /// non-canonical one is decoded and keyed by [`Self::cache_key`].
+    /// The LRU and the disk tier are consulted by that key, and a miss
+    /// comes back as a [`PreparedSolve`] for the solver pool, which
+    /// decodes a canonical body there, once.
     ///
     /// # Errors
     ///
-    /// Returns the [`CodecError`] when the body is not valid UTF-8 or
-    /// fails to decode as a solve request.
+    /// Returns the [`CodecError`] when a body with no span key is not
+    /// valid UTF-8 or fails to decode as a solve request. A canonical
+    /// body that fails to decode fails in [`Self::complete_solve`].
     pub fn try_serve_fast(&self, body: &[u8], ctx: TraceCtx) -> Result<FastOutcome, CodecError> {
-        // The whole lookup — raw index, decode, LRU, disk probe — is the
-        // `cache` stage of the request; the disk tier additionally
-        // records a nested `disk_promote` on a second-tier hit.
+        // The whole lookup — raw index, span scan or decode, LRU, disk
+        // probe — is the `cache` stage of the request; the disk tier
+        // additionally records a nested `disk_promote` on a second-tier
+        // hit.
         let t0 = self.recorder.now_ns();
         if let Some(cached) = self.raw_index.get(body) {
             debug_assert!(
@@ -454,19 +503,24 @@ impl SolveService {
                 zero_copy: true,
             }));
         }
-        let text = std::str::from_utf8(body)
-            .map_err(|_| CodecError::new("request body is not valid UTF-8"))?;
-        let request = SolveRequest::decode_str(text)?;
-        let key = Self::cache_key(&request.game, &request.config);
-        let raw = bi_util::json::canon_check(body).then(|| body.to_vec());
+        let (key, decoded) = match Self::span_key(body) {
+            Some(key) => (key, None),
+            None => {
+                let request = decode_request(body)?;
+                (
+                    Self::cache_key(&request.game, &request.config),
+                    Some(request),
+                )
+            }
+        };
         if let Some(cached) = self.lookup(&key, ctx) {
             self.metrics
                 .parsed_hits
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             // Warm the raw index so the next byte-identical body skips
-            // the parse entirely.
-            if let Some(raw) = &raw {
-                self.raw_index.insert(raw, Arc::clone(&cached));
+            // the scan entirely.
+            if decoded.is_none() {
+                self.raw_index.insert(body, Arc::clone(&cached));
             }
             self.finish_stage(ctx, Stage::Cache, t0);
             return Ok(FastOutcome::Hit(ServedResponse {
@@ -476,29 +530,40 @@ impl SolveService {
             }));
         }
         self.finish_stage(ctx, Stage::Cache, t0);
+        let body = match decoded {
+            Some(request) => MissBody::Decoded(Box::new(request)),
+            None => MissBody::Canonical(body.to_vec()),
+        };
         Ok(FastOutcome::Miss(Box::new(PreparedSolve {
-            request,
+            body,
             key,
-            raw,
             ctx,
         })))
     }
 
-    /// Finishes a [`PreparedSolve`] on a solver thread: runs the engine,
-    /// populates both caches, and returns the response bytes.
+    /// Finishes a [`PreparedSolve`] on a solver thread: decodes a
+    /// canonical body (the `decode` stage), runs the engine, populates
+    /// both caches, and returns the response bytes.
     ///
     /// # Errors
     ///
-    /// Returns the engine's [`SolveError`], or a report that breaks the
-    /// measure chain (neither is cached).
+    /// Returns the decode error of a canonical body that is not a valid
+    /// solve request, the engine's [`SolveError`], or a report that
+    /// breaks the measure chain (none of them is cached).
     pub fn complete_solve(&self, prepared: PreparedSolve) -> Result<ServedResponse, ServeError> {
-        let PreparedSolve {
-            request,
-            key,
-            raw,
-            ctx,
-        } = prepared;
-        self.compute(&request.game, request.config, key, raw.as_deref(), ctx)
+        let PreparedSolve { body, key, ctx } = prepared;
+        match body {
+            MissBody::Decoded(request) => {
+                self.compute(&request.game, request.config, key, None, ctx)
+            }
+            MissBody::Canonical(raw) => {
+                let t_decode = self.recorder.now_ns();
+                let decoded = decode_request(&raw);
+                self.finish_stage(ctx, Stage::Decode, t_decode);
+                let request = decoded.map_err(ServeError::Decode)?;
+                self.compute(&request.game, request.config, key, Some(&raw), ctx)
+            }
+        }
     }
 
     /// The one solve path, behind every miss of a `/solve` body and of
@@ -584,9 +649,10 @@ impl SolveService {
     /// Installs a peer-shipped response without solving — the handler
     /// behind `POST /cache_put`, which a router uses for replication
     /// write-through and read-repair. The embedded solve request is
-    /// decoded only to recompute the content address; the response
-    /// bytes are stored verbatim, so a repaired node serves
-    /// byte-identical answers to the node that solved them.
+    /// decoded only to validate it; it is keyed as `/solve` keys it, by
+    /// [`Self::span_key`] when canonical. The response bytes are stored
+    /// verbatim, so a repaired node serves byte-identical answers to the
+    /// node that solved them.
     ///
     /// # Errors
     ///
@@ -597,10 +663,12 @@ impl SolveService {
         let text = std::str::from_utf8(request_body)
             .map_err(|_| CodecError::new("cache_put request bytes are not valid UTF-8"))?;
         let request = SolveRequest::decode_str(text)?;
-        let key = Self::cache_key(&request.game, &request.config);
+        let span_key = Self::span_key(request_body);
+        let canonical = span_key.is_some();
+        let key = span_key.unwrap_or_else(|| Self::cache_key(&request.game, &request.config));
         let body: Arc<[u8]> = Arc::from(response_body.to_vec());
         self.cache.insert(&key, Arc::clone(&body));
-        if bi_util::json::canon_check(request_body) {
+        if canonical {
             // Canonical request bytes warm the zero-copy index too, so a
             // repaired node's next hit skips the parse entirely.
             self.raw_index.insert(request_body, Arc::clone(&body));
@@ -613,6 +681,123 @@ impl SolveService {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(())
     }
+}
+
+/// Decodes a `POST /solve` body, failing as the reactor always has.
+fn decode_request(body: &[u8]) -> Result<SolveRequest, CodecError> {
+    let text = std::str::from_utf8(body)
+        .map_err(|_| CodecError::new("request body is not valid UTF-8"))?;
+    SolveRequest::decode_str(text)
+}
+
+/// The canonical bytes of the default config and of its `backend` and
+/// `budget`: what a request without a `config` is keyed and sent with.
+struct DefaultConfig {
+    config: Vec<u8>,
+    backend: Vec<u8>,
+    budget: Vec<u8>,
+}
+
+fn default_config() -> &'static DefaultConfig {
+    static DEFAULT: std::sync::OnceLock<DefaultConfig> = std::sync::OnceLock::new();
+    DEFAULT.get_or_init(|| {
+        let config = SolverConfig::default();
+        DefaultConfig {
+            config: config.canonical_bytes(),
+            backend: config.backend.canonical_bytes(),
+            budget: config.budget.canonical_bytes(),
+        }
+    })
+}
+
+/// The `config` of a canonical request, as the byte spans its key and
+/// its `/solve` body are copied from.
+#[derive(Clone, Copy)]
+struct ConfigSpans<'a> {
+    config: &'a [u8],
+    backend: &'a [u8],
+    budget: &'a [u8],
+}
+
+impl<'a> ConfigSpans<'a> {
+    /// The spans of a canonical request's `config` member (absent or
+    /// `null`: the default config), or `None` when the decoder might
+    /// reject it: not an object, a member missing, or `threads` not a
+    /// canonical integer in `[0, 2^53]`.
+    fn of(config: Option<&'a [u8]>) -> Option<Self> {
+        let config = match config {
+            None | Some(b"null") => {
+                let d = default_config();
+                return Some(ConfigSpans {
+                    config: &d.config,
+                    backend: &d.backend,
+                    budget: &d.budget,
+                });
+            }
+            Some(config) => config,
+        };
+        let [backend, budget, threads] =
+            canon_members(config, [b"backend", b"budget", b"threads"])?;
+        let threads = threads?;
+        // The decoder reads `threads` as an `f64` that must be a whole
+        // number in [0, 2^53]: take plain digits (no sign, no point; the
+        // scan already ruled out leading zeros) that parse within it.
+        let whole = !threads.is_empty() && threads.iter().all(u8::is_ascii_digit);
+        let fits = std::str::from_utf8(threads)
+            .ok()
+            .and_then(|t| t.parse::<f64>().ok())
+            .is_some_and(|t| t <= 9_007_199_254_740_992.0);
+        (whole && fits).then_some(ConfigSpans {
+            config,
+            backend: backend?,
+            budget: budget?,
+        })
+    }
+
+    /// The content address of `game` under this config: the bytes
+    /// [`SolveService::cache_key`] writes, for encoder-made spans.
+    fn key(&self, game: &[u8]) -> Vec<u8> {
+        let mut key = Vec::with_capacity(32 + self.backend.len() + self.budget.len() + game.len());
+        key.extend_from_slice(br#"{"backend":"#);
+        key.extend_from_slice(self.backend);
+        key.extend_from_slice(br#","budget":"#);
+        key.extend_from_slice(self.budget);
+        key.extend_from_slice(br#","game":"#);
+        key.extend_from_slice(game);
+        key.push(b'}');
+        key
+    }
+
+    /// The canonical `/solve` body of `game` under this config: the
+    /// bytes [`SolveRequest::canonical_bytes`] writes, for encoder-made
+    /// spans.
+    fn solve_body(&self, game: &[u8]) -> Vec<u8> {
+        let mut body = Vec::with_capacity(20 + self.config.len() + game.len());
+        body.extend_from_slice(br#"{"config":"#);
+        body.extend_from_slice(self.config);
+        body.extend_from_slice(br#","game":"#);
+        body.extend_from_slice(game);
+        body.push(b'}');
+        body
+    }
+}
+
+/// One game of a canonical `POST /solve_batch` body as a `/solve`:
+/// `(key, body)`, its [`SolveService::span_key`] and its canonical
+/// `/solve` body, both copied from the batch's bytes in request order.
+/// `None` when the batch is not canonical or its `config` is one
+/// [`SolveService::span_key`] would not key. The caller has decoded the
+/// batch, so every game is known valid.
+pub(crate) fn batch_solves(batch: &[u8]) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
+    let [config, games] = canon_members(batch, [b"config", b"games"])?;
+    let config = ConfigSpans::of(config)?;
+    let games = canon_elements(games?)?;
+    Some(
+        games
+            .into_iter()
+            .map(|game| (config.key(game), config.solve_body(game)))
+            .collect(),
+    )
 }
 
 /// A JSON error body: `{"error": "..."}`.
@@ -1083,11 +1268,154 @@ mod tests {
         assert!(service
             .try_serve_fast(&[0xff, 0xfe], TraceCtx::NONE)
             .is_err());
-        let err = service
-            .try_serve_fast(br#"{"game":{"kind":"cubic"}}"#, TraceCtx::NONE)
-            .unwrap_err();
+        // A canonical body is keyed by its spans, not decoded, so its
+        // decode fails on the solver pool, as a 400 with the reactor's
+        // text.
+        let body = br#"{"game":{"kind":"cubic"}}"#;
+        let FastOutcome::Miss(prepared) = service.try_serve_fast(body, TraceCtx::NONE).unwrap()
+        else {
+            panic!("a canonical body of an unseen key is a miss");
+        };
+        let err = service.complete_solve(*prepared).unwrap_err();
+        assert_eq!(err.status(), 400);
+        assert_eq!(
+            err.to_string(),
+            SolveRequest::decode_str(std::str::from_utf8(body).unwrap())
+                .unwrap_err()
+                .to_string()
+        );
         assert!(err.to_string().contains("unknown game kind"));
         assert_eq!(service.cache_stats().insertions, 0);
+        assert_eq!(service.metrics().stages.get(Stage::Solve).count(), 0);
+    }
+
+    #[test]
+    fn batch_solves_copy_each_games_key_and_solve_body_from_the_batch_bytes() {
+        let sampled = SolverConfig {
+            backend: Backend::MonteCarloSampling {
+                samples: 16,
+                seed: 3,
+            },
+            threads: 2,
+            ..SolverConfig::default()
+        };
+        for config in [SolverConfig::default(), sampled] {
+            let batch = BatchRequest {
+                games: vec![matrix_game(30), ncs_game(), matrix_game(31)],
+                config,
+            };
+            let solves = batch_solves(&batch.canonical_bytes()).unwrap();
+            assert_eq!(solves.len(), 3);
+            for (game, (key, body)) in batch.games.iter().zip(&solves) {
+                assert_eq!(key, &SolveService::cache_key(game, &config));
+                let request = SolveRequest {
+                    game: game.clone(),
+                    config,
+                };
+                assert_eq!(body, &request.canonical_bytes());
+                assert_eq!(SolveService::span_key(body).as_ref(), Some(key));
+            }
+        }
+        // A batch without a config is sent with the default one.
+        let game = matrix_game(32);
+        let bare = Json::Obj(vec![("games".into(), Json::Arr(vec![game.encode()]))]);
+        let solves = batch_solves(&bare.canonical_bytes()).unwrap();
+        assert_eq!(solves[0].1, request(game).canonical_bytes());
+        // Non-canonical batch bytes are not split.
+        let mut spaced = b" ".to_vec();
+        spaced.extend_from_slice(&bare.canonical_bytes());
+        assert!(batch_solves(&spaced).is_none());
+    }
+
+    #[test]
+    fn span_keys_read_configs_as_the_decoder_does() {
+        let game = matrix_game(33);
+        let key = SolveService::cache_key(&game, &SolverConfig::default());
+        let with_config = |config: &str| {
+            format!(
+                r#"{{"config":{config},"game":{}}}"#,
+                game.encode().canonical_string()
+            )
+            .into_bytes()
+        };
+        let default = SolverConfig::default().encode().canonical_string();
+        let legacy = default.replacen(r#","threads":"#, r#","symmetry":"auto","threads":"#, 1);
+        for keyed in [default.as_str(), "null", &legacy] {
+            assert_eq!(
+                SolveService::span_key(&with_config(keyed)),
+                Some(key.clone()),
+                "{keyed}"
+            );
+        }
+        let bare = format!(r#"{{"game":{}}}"#, game.encode().canonical_string());
+        assert_eq!(SolveService::span_key(bare.as_bytes()), Some(key));
+        // Configs the decoder might reject go down the decode path.
+        let threads = format!(r#""threads":{}"#, SolverConfig::default().threads);
+        for unkeyed in [
+            default.replacen(&threads, r#""threads":"1""#, 1),
+            default.replacen(&threads, r#""threads":-0"#, 1),
+            default.replacen(&threads, r#""threads":0.5"#, 1),
+            default.replacen(&threads, r#""threads":90071992547409930"#, 1),
+            default.replacen(&format!(",{threads}"), "", 1),
+            "3".to_string(),
+        ] {
+            assert!(unkeyed != default, "the edit must apply");
+            assert_eq!(
+                SolveService::span_key(&with_config(&unkeyed)),
+                None,
+                "{unkeyed}"
+            );
+        }
+        // A canonical body with a non-UTF-8 byte inside a string passes
+        // the scan, but is not keyed.
+        let mut bad = with_config(&legacy);
+        let at = bad.windows(4).position(|w| w == b"auto").unwrap();
+        bad[at] = 0xff;
+        assert!(bi_util::json::canon_check(&bad));
+        assert_eq!(SolveService::span_key(&bad), None);
+    }
+
+    #[test]
+    fn a_disk_log_keyed_by_cache_key_answers_span_keyed_bodies_warm() {
+        let path = std::env::temp_dir().join(format!("bi-span-log-{}.log", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let reqs = [request(matrix_game(34)), request(ncs_game())];
+        let reports: Vec<Vec<u8>> = {
+            // A log written as earlier nodes wrote it: keyed by
+            // `cache_key` of the decoded request.
+            let disk = DiskTier::open(&path, crate::persist::DiskTierConfig::default()).unwrap();
+            let reports = reqs
+                .iter()
+                .map(|r| SolveService::new(CacheConfig::default()).solve(r).unwrap())
+                .map(|served| served.body.to_vec())
+                .collect::<Vec<_>>();
+            for (r, report) in reqs.iter().zip(&reports) {
+                disk.append(&SolveService::cache_key(&r.game, &r.config), report);
+            }
+            disk.sync();
+            reports
+        };
+        let disk = DiskTier::open(&path, crate::persist::DiskTierConfig::default()).unwrap();
+        let service = SolveService::with_disk(CacheConfig::default(), Some(disk));
+        for (r, report) in reqs.iter().zip(&reports) {
+            match service
+                .try_serve_fast(&r.canonical_bytes(), TraceCtx::NONE)
+                .unwrap()
+            {
+                FastOutcome::Hit(served) => assert_eq!(served.body.as_ref(), report.as_slice()),
+                other => panic!("expected a disk hit, got {other:?}"),
+            }
+        }
+        assert_eq!(service.disk_stats().unwrap().hits, 2);
+        assert_eq!(
+            service
+                .metrics()
+                .solves_computed
+                .load(std::sync::atomic::Ordering::Relaxed),
+            0
+        );
+        drop(service);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

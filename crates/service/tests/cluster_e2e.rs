@@ -879,3 +879,179 @@ fn a_disk_backed_server_reboots_warm_and_byte_identical() {
     handle.stop();
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn a_respelled_batch_routes_as_its_canonical_batch() {
+    let (backends, router) = start_cluster(3, RouterConfig::default());
+    let games = light_workload(87, 6);
+    let body = batch_body(&games);
+    // Leading whitespace makes the batch non-canonical: the router
+    // encodes the decoded batch once and routes its games from those
+    // bytes.
+    let mut spaced = b" ".to_vec();
+    spaced.extend_from_slice(&body);
+    let routed = call(router.addr(), "POST", "/solve_batch", &spaced);
+    assert_eq!(routed.status, 200);
+    let standalone = start_backend();
+    let direct = call(standalone.addr(), "POST", "/solve_batch", &body);
+    assert_eq!(routed.body, direct.body);
+    // Each game went to the owner of its canonical `/solve` body.
+    for (i, game) in games.iter().enumerate() {
+        let alone = call(router.addr(), "POST", "/solve", &solve_body(game));
+        assert_eq!(alone.header("x-cache"), Some("hit"), "game {i}");
+    }
+    standalone.stop();
+    router.stop();
+    for backend in backends {
+        backend.stop();
+    }
+}
+
+/// A tiny seeded generator for the churn test's choices.
+struct Picks(u64);
+
+impl Picks {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((self.0 >> 33) % n as u64) as usize
+    }
+}
+
+/// The `cluster-churn` shape, counted exactly: a replication-2 router
+/// over two disk-backed nodes whose LRUs (and raw indexes) hold 32
+/// entries in one shard. Every round of 8 sends 2 fresh keys, 1 old key
+/// (older than 64 inserts, so evicted from both LRUs) and 5 recent keys
+/// (among the 8 latest fresh keys). Waiting for each fresh key's
+/// write-through before the next request takes the replica's
+/// asynchronous insert out of the count, so the nodes' cold solves,
+/// disk hits and zero-copy hits must equal the mix exactly.
+#[test]
+fn churn_through_a_replicated_pair_counts_the_mix_exactly() {
+    const WARM: usize = 64;
+    const RECENT: usize = 8;
+    const ROUNDS: usize = 50;
+    let lru = bi_service::CacheConfig {
+        capacity: 32,
+        shards: 1,
+    };
+    let logs = [temp_log("churn0"), temp_log("churn1")];
+    let nodes: Vec<ServerHandle> = logs
+        .iter()
+        .map(|log| {
+            Server::bind(ServerConfig {
+                workers: 1,
+                read_timeout: Duration::from_secs(5),
+                cache: lru,
+                disk_path: Some(log.clone()),
+                ..ServerConfig::default()
+            })
+            .expect("bind node")
+            .start()
+            .expect("start node")
+        })
+        .collect();
+    let router = Router::bind(RouterConfig {
+        backends: nodes.iter().map(|n| n.addr().to_string()).collect(),
+        replication: 2,
+        key_cache: lru,
+        ..RouterConfig::default()
+    })
+    .expect("bind router")
+    .start()
+    .expect("start router");
+    let bodies: Vec<Vec<u8>> = light_workload(151, WARM + 2 * ROUNDS)
+        .iter()
+        .map(solve_body)
+        .collect();
+    let distinct: std::collections::HashSet<&Vec<u8>> = bodies.iter().collect();
+    assert_eq!(distinct.len(), bodies.len(), "every key must be fresh once");
+    let writes = || {
+        router
+            .metrics_json()
+            .get("replication")
+            .and_then(|r| r.get("writes"))
+            .and_then(Json::as_u64)
+            .unwrap_or(0)
+    };
+    let mut answers: Vec<Vec<u8>> = Vec::new();
+    let send_fresh = |answers: &mut Vec<Vec<u8>>| {
+        let j = answers.len();
+        let answer = call(router.addr(), "POST", "/solve", &bodies[j]);
+        assert_eq!(
+            (answer.status, answer.header("x-cache")),
+            (200, Some("miss")),
+            "key {j}"
+        );
+        answers.push(answer.body);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while writes() < answers.len() as u64 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "key {j} was never written through"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    for _ in 0..WARM {
+        send_fresh(&mut answers);
+    }
+    for node in &nodes {
+        node.service().sync_disk();
+    }
+    let counts = || {
+        nodes.iter().fold([0u64; 3], |mut sum, node| {
+            let service = node.service();
+            let m = service.metrics();
+            sum[0] += m.solves_computed.load(Ordering::Relaxed);
+            sum[1] += service.disk_stats().unwrap().hits;
+            sum[2] += m.zero_copy_hits.load(Ordering::Relaxed);
+            sum
+        })
+    };
+    let before = counts();
+    let mut picks = Picks(151);
+    let mut sent = [0u64; 3];
+    for round in 0..ROUNDS {
+        let base = answers.len();
+        // 0 = fresh, 1 = old, 2 = recent, in a seeded order.
+        let mut plan = [0, 0, 1, 2, 2, 2, 2, 2];
+        for i in (1..plan.len()).rev() {
+            plan.swap(i, picks.below(i + 1));
+        }
+        for kind in plan {
+            sent[kind] += 1;
+            if kind == 0 {
+                send_fresh(&mut answers);
+                continue;
+            }
+            let j = if kind == 1 {
+                round
+            } else {
+                base - RECENT + picks.below(RECENT)
+            };
+            let answer = call(router.addr(), "POST", "/solve", &bodies[j]);
+            assert_eq!(
+                (answer.status, answer.header("x-cache")),
+                (200, Some("hit")),
+                "round {round}: key {j}"
+            );
+            assert_eq!(answer.body, answers[j], "round {round}: key {j}");
+        }
+    }
+    let after = counts();
+    let delta = [0, 1, 2].map(|i| after[i] - before[i]);
+    assert_eq!(
+        delta, sent,
+        "cold solves, disk hits and zero-copy hits must equal the fresh/old/recent mix"
+    );
+    router.stop();
+    for node in nodes {
+        node.stop();
+    }
+    for log in logs {
+        std::fs::remove_file(log).ok();
+    }
+}

@@ -28,6 +28,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Maximum nesting depth the parser accepts (arrays + objects).
 const MAX_DEPTH: usize = 128;
@@ -555,6 +556,51 @@ pub fn canon_check(bytes: &[u8]) -> bool {
     s.value(0) && s.pos == bytes.len()
 }
 
+/// [`canon_check`] for a document that must be an object, returning the
+/// raw bytes of the members named in `keys` (`None` for an absent one)
+/// from the same single pass. A member's bytes are its value exactly as
+/// spelled, and so canonical themselves.
+///
+/// Returns `None` when `bytes` fail the check or are not an object.
+///
+/// ```
+/// use bi_util::json::canon_members;
+///
+/// let body = br#"{"config":null,"game":{"kind":"ncs"}}"#;
+/// let [game, extra] = canon_members(body, [b"game", b"extra"]).unwrap();
+/// assert_eq!(game, Some(&br#"{"kind":"ncs"}"#[..]));
+/// assert_eq!(extra, None);
+/// assert!(canon_members(br#"{"b":1,"a":2}"#, [b"a"]).is_none());
+/// ```
+#[must_use]
+pub fn canon_members<'a, const N: usize>(
+    bytes: &'a [u8],
+    keys: [&[u8]; N],
+) -> Option<[Option<&'a [u8]>; N]> {
+    let mut found = [None; N];
+    let mut s = CanonScanner { bytes, pos: 0 };
+    let ok = s.peek() == Some(b'{')
+        && s.object(0, |key, value| {
+            let key = &bytes[key];
+            if let Some(i) = keys.iter().position(|k| *k == key) {
+                found[i] = Some(&bytes[value]);
+            }
+        });
+    (ok && s.pos == bytes.len()).then_some(found)
+}
+
+/// [`canon_check`] for a document that must be an array, returning the
+/// raw bytes of each element, in order, from the same single pass.
+///
+/// Returns `None` when `bytes` fail the check or are not an array.
+#[must_use]
+pub fn canon_elements(bytes: &[u8]) -> Option<Vec<&[u8]>> {
+    let mut elements = Vec::new();
+    let mut s = CanonScanner { bytes, pos: 0 };
+    let ok = s.peek() == Some(b'[') && s.array(0, |element| elements.push(&bytes[element]));
+    (ok && s.pos == bytes.len()).then_some(elements)
+}
+
 /// The `canon_check` cursor: a no-alloc recursive-descent validator over
 /// raw bytes.
 struct CanonScanner<'a> {
@@ -586,23 +632,26 @@ impl CanonScanner<'_> {
             Some(b'f') => self.eat(b"false"),
             Some(b'I') => self.eat(b"Infinity"),
             Some(b'"') => self.string().is_some(),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth, |_| {}),
+            Some(b'{') => self.object(depth, |_, _| {}),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => false,
         }
     }
 
-    fn array(&mut self, depth: usize) -> bool {
+    /// An array, reporting each element's byte range to `on_element`.
+    fn array(&mut self, depth: usize, mut on_element: impl FnMut(Range<usize>)) -> bool {
         self.pos += 1; // `[`
         if self.peek() == Some(b']') {
             self.pos += 1;
             return true;
         }
         loop {
+            let start = self.pos;
             if !self.value(depth + 1) {
                 return false;
             }
+            on_element(start..self.pos);
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
@@ -614,7 +663,13 @@ impl CanonScanner<'_> {
         }
     }
 
-    fn object(&mut self, depth: usize) -> bool {
+    /// An object, reporting each member's key and value byte ranges
+    /// (the key without its quotes) to `on_member`.
+    fn object(
+        &mut self,
+        depth: usize,
+        mut on_member: impl FnMut(Range<usize>, Range<usize>),
+    ) -> bool {
         self.pos += 1; // `{`
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -649,9 +704,11 @@ impl CanonScanner<'_> {
                 return false;
             }
             self.pos += 1;
+            let value = self.pos;
             if !self.value(depth + 1) {
                 return false;
             }
+            on_member(start..end, value..self.pos);
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
@@ -1109,6 +1166,33 @@ mod tests {
         assert!(!canon_check(deep.as_bytes()));
         let ok = "[".repeat(64) + &"]".repeat(64);
         assert!(canon_check(ok.as_bytes()));
+    }
+
+    #[test]
+    fn canon_members_and_elements_return_the_spans_of_one_pass() {
+        let doc = br#"{"a":[1,{"x":null}],"b":"s\n","c":-0.5}"#;
+        let [c, a, z] = canon_members(doc, [b"c", b"a", b"z"]).unwrap();
+        assert_eq!(c, Some(&b"-0.5"[..]));
+        assert_eq!(a, Some(&br#"[1,{"x":null}]"#[..]));
+        assert_eq!(z, None);
+        // Only top-level members are reported.
+        assert_eq!(canon_members(doc, [b"x"]).unwrap(), [None]);
+        let elements = canon_elements(a.unwrap()).unwrap();
+        assert_eq!(elements, [&b"1"[..], &br#"{"x":null}"#[..]]);
+        assert_eq!(canon_elements(b"[]").unwrap(), Vec::<&[u8]>::new());
+        // Each accepts exactly what `canon_check` accepts, of its shape.
+        for bad in [
+            &b" {}"[..],
+            b"{} ",
+            br#"{"b":1,"a":2}"#,
+            br#"{"a":1.0}"#,
+            b"[]",
+        ] {
+            assert!(canon_members(bad, [b"a"]).is_none(), "{bad:?}");
+        }
+        for bad in [&b"[1, 2]"[..], b"[1][2]", b"{}", b"[01]"] {
+            assert!(canon_elements(bad).is_none(), "{bad:?}");
+        }
     }
 
     #[test]
