@@ -13,19 +13,19 @@
 //! Beyond the per-representation suites, the bench covers the two sweep
 //! optimizations of the solver engine:
 //!
-//! * **thread scaling** (`--threads 1,2,4`): the compiled exhaustive
-//!   sweep is timed at each requested worker count on a large suite that
-//!   crosses the work-stealing threshold, with bit-for-bit agreement
-//!   asserted at every count; `--check-scaling` turns a 4t-slower-than-1t
-//!   result into a nonzero exit (only on hosts with ≥ 4 cores — the
-//!   report records `host_parallelism` so consumers can tell);
-//! * **symmetry-orbit reduction** (`--orbits`): construction families
-//!   with interchangeable agents (`G_worst`) and fully symmetric matrix
-//!   games are solved as they are (the solver sweeps one profile per
-//!   orbit) and through [`Unreduced`] (every profile), reporting the
-//!   profile-evaluation reduction factor and the speedup;
-//!   `--check-orbits` turns a suite that was not reduced, or whose
-//!   measures differ from the unreduced solve's, into a nonzero exit.
+//! * **thread scaling**: the compiled exhaustive sweep is timed at 1, 2
+//!   and 4 workers on a large suite that crosses the work-stealing
+//!   threshold, with bit-for-bit agreement asserted at every count; a
+//!   4-thread sweep slower than the 1-thread one exits nonzero (only on
+//!   hosts with ≥ 4 cores — the report records `host_parallelism` so
+//!   consumers can tell);
+//! * **symmetry-orbit reduction**: construction families with
+//!   interchangeable agents (`G_worst`) and fully symmetric matrix games
+//!   are solved as they are (the solver sweeps one profile per orbit) and
+//!   through [`Unreduced`] (every profile), reporting the
+//!   profile-evaluation reduction factor and the speedup; a suite that
+//!   was not reduced, or whose measures differ from the unreduced
+//!   solve's, exits nonzero.
 //!
 //! `--quick` shrinks instances and repeats for CI smoke runs; the
 //! committed `BENCH_solver.json` comes from a full run, and a quick run
@@ -53,42 +53,32 @@ bench_solver_sweep — solver sweep throughput vs the pre-compiled baseline
 
 USAGE: bench_solver_sweep [OPTIONS]
 
+Times the compiled sweep at 1, 2 and 4 threads (instance seed 11) and
+the symmetry-orbit suites. Exits 1 if an orbit suite was not reduced or
+its measures differ from the unreduced solve's, or if the large suite's
+4-thread sweep is slower than 1-thread on a host with >= 4 cores.
+
 OPTIONS:
   --quick           small instances / fewer repeats (CI smoke mode)
-  --seed N          instance seed (default 11)
   --out FILE        report path (default BENCH_solver.json)
-  --threads LIST    comma-separated thread counts for the compiled sweep
-                    (default 1,4)
-  --orbits          also bench symmetry-orbit reduction suites
-  --check-orbits    exit nonzero if an orbit suite was not reduced (no
-                    fewer orbits than profiles, or a solve capped at the
-                    orbit count fails) or its measures differ from the
-                    unreduced solve's (implies --orbits)
-  --check-scaling   exit nonzero if the large suite's 4-thread sweep is
-                    slower than 1-thread (only enforced when the host has
-                    >= 4 cores and 1 and 4 are both in --threads)
   --help            print this help
 ";
 
+/// The instance seed of the random suites and the sampling backends.
+const SEED: u64 = 11;
+
+/// The worker counts the compiled sweep is timed at.
+const THREADS: [usize; 3] = [1, 2, 4];
+
 struct Args {
     quick: bool,
-    seed: u64,
     out: String,
-    threads: Vec<usize>,
-    orbits: bool,
-    check_orbits: bool,
-    check_scaling: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut parsed = Args {
         quick: false,
-        seed: 11,
         out: "BENCH_solver.json".into(),
-        threads: vec![1, 4],
-        orbits: false,
-        check_orbits: false,
-        check_scaling: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -98,33 +88,7 @@ fn parse_args() -> Result<Args, String> {
                 exit(0);
             }
             "--quick" => parsed.quick = true,
-            "--seed" => {
-                let value = args.next().ok_or("--seed needs a value")?;
-                parsed.seed = value.parse().map_err(|_| format!("bad seed `{value}`"))?;
-            }
             "--out" => parsed.out = args.next().ok_or("--out needs a value")?,
-            "--threads" => {
-                let value = args.next().ok_or("--threads needs a value")?;
-                parsed.threads = value
-                    .split(',')
-                    .map(|t| {
-                        t.trim()
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&t| t >= 1)
-                            .ok_or_else(|| format!("bad thread count `{t}`"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if parsed.threads.is_empty() {
-                    return Err("--threads needs at least one count".into());
-                }
-            }
-            "--orbits" => parsed.orbits = true,
-            "--check-orbits" => {
-                parsed.orbits = true;
-                parsed.check_orbits = true;
-            }
-            "--check-scaling" => parsed.check_scaling = true,
             other => return Err(format!("unknown flag {other} (see --help)")),
         }
     }
@@ -173,16 +137,11 @@ impl Row {
     }
 }
 
-/// Benches one model: baseline sweep, compiled sweeps at every requested
-/// thread count, and the two sampling backends. Asserts bit-for-bit
+/// Benches one model: baseline sweep, compiled sweeps at every count of
+/// [`THREADS`], and the two sampling backends. Asserts bit-for-bit
 /// agreement between the baseline and every compiled exhaustive sweep
 /// (the work-stealing scheduler is deterministic by construction).
-fn bench_model<M: BayesianModel>(
-    model: &M,
-    seed: u64,
-    repeats: u32,
-    threads: &[usize],
-) -> (Vec<Row>, f64) {
+fn bench_model<M: BayesianModel>(model: &M, repeats: u32) -> (Vec<Row>, f64) {
     let (base, base_secs) = time_best(repeats, || baseline_sweep(model));
     let row = |backend: &str, report: &SolveReport, seconds: f64| Row {
         backend: backend.into(),
@@ -194,7 +153,7 @@ fn bench_model<M: BayesianModel>(
         profiles: base.evaluated,
         seconds: base_secs,
     }];
-    for &t in threads {
+    for t in THREADS {
         let solver = Solver::builder().threads(t).build();
         let (report, secs) = time_best(repeats, || solver.solve(model).expect("solvable"));
         assert_eq!(
@@ -214,11 +173,17 @@ fn bench_model<M: BayesianModel>(
         rows.push(row(&format!("compiled-exhaustive/{t}t"), &report, secs));
     }
     let brd = Solver::builder()
-        .backend(Backend::BestResponseDynamics { restarts: 32, seed })
+        .backend(Backend::BestResponseDynamics {
+            restarts: 32,
+            seed: SEED,
+        })
         .build();
     let (brd_report, brd_secs) = time_best(repeats, || brd.solve(model).expect("solvable"));
     let mc = Solver::builder()
-        .backend(Backend::MonteCarloSampling { samples: 256, seed })
+        .backend(Backend::MonteCarloSampling {
+            samples: 256,
+            seed: SEED,
+        })
         .build();
     let (mc_report, mc_secs) = time_best(repeats, || mc.solve(model).expect("solvable"));
     rows.push(row(
@@ -258,7 +223,7 @@ fn symmetric_matrix_game(k: usize) -> BayesianGame {
     BayesianGame::new(vec![1; k], vec![(vec![0; k], 1.0, matrix)]).expect("valid game")
 }
 
-/// One orbit suite's outcome: its JSON row, plus what `--check-orbits`
+/// One orbit suite's outcome: its JSON row, plus what the orbit check
 /// judges.
 struct OrbitRow {
     json: Json,
@@ -392,25 +357,24 @@ fn main() {
         (vec![2usize, 2, 2], vec![4usize, 4, 4], 4usize)
     };
     let (matrix_game, _) =
-        random_bayesian_potential_game(&matrix_types, &matrix_actions, matrix_support, args.seed);
+        random_bayesian_potential_game(&matrix_types, &matrix_actions, matrix_support, SEED);
     let matrix_desc = format!(
         "random potential game, types {matrix_types:?}, actions {matrix_actions:?}, support {matrix_support}"
     );
     eprintln!("bench_solver_sweep: matrix — {matrix_desc}");
-    let (matrix_rows, matrix_speedup) =
-        bench_model(&matrix_game, args.seed, repeats, &args.threads);
+    let (matrix_rows, matrix_speedup) = bench_model(&matrix_game, repeats);
     print_rows(&matrix_rows);
 
     // NCS form: a random directed network, 2 agents × 2 types.
     let (ncs_nodes, ncs_p) = if args.quick { (5, 0.35) } else { (6, 0.4) };
-    let ncs_game = random_bayesian_ncs(Direction::Directed, ncs_nodes, ncs_p, 2, 2, args.seed)
+    let ncs_game = random_bayesian_ncs(Direction::Directed, ncs_nodes, ncs_p, 2, 2, SEED)
         .expect("connected generator");
     let ncs_desc = format!(
         "random Bayesian NCS, {ncs_nodes} nodes, edge prob {ncs_p}, 2 agents x 2 types, space {}",
         ncs_game.strategy_space_size().expect("sized")
     );
     eprintln!("bench_solver_sweep: ncs — {ncs_desc}");
-    let (ncs_rows, ncs_speedup) = bench_model(&ncs_game, args.seed, repeats, &args.threads);
+    let (ncs_rows, ncs_speedup) = bench_model(&ncs_game, repeats);
     print_rows(&ncs_rows);
 
     // The large suite: 4^7 = 16384 profiles, at the work-stealing
@@ -418,7 +382,7 @@ fn main() {
     let large_game = large_scaling_game();
     let large_desc = "asymmetric exact-potential matrix game, 7 agents x 4 actions, 16384 profiles";
     eprintln!("bench_solver_sweep: matrix-large — {large_desc}");
-    let (large_rows, large_speedup) = bench_model(&large_game, args.seed, repeats, &args.threads);
+    let (large_rows, large_speedup) = bench_model(&large_game, repeats);
     print_rows(&large_rows);
 
     let suites = vec![
@@ -427,40 +391,31 @@ fn main() {
         suite_json("matrix-large", large_desc, &large_rows, large_speedup),
     ];
 
-    let orbit_suites = if args.orbits {
-        eprintln!("bench_solver_sweep: symmetry-orbit reduction");
-        let k = if args.quick { 8 } else { 12 };
-        let gworst_invk = GWorstGame::new(k, GWorstVariant::InvK).expect("valid k");
-        let gworst_half = GWorstGame::new(k, GWorstVariant::Half).expect("valid k");
-        let sym_k = if args.quick { 10 } else { 14 };
-        let symmetric = symmetric_matrix_game(sym_k);
-        vec![
-            bench_orbit(gworst_invk.game(), &format!("gworst-invk/k={k}"), repeats),
-            bench_orbit(gworst_half.game(), &format!("gworst-half/k={k}"), repeats),
-            bench_orbit(&symmetric, &format!("symmetric-matrix/k={sym_k}"), repeats),
-        ]
-    } else {
-        Vec::new()
-    };
+    eprintln!("bench_solver_sweep: symmetry-orbit reduction");
+    let k = if args.quick { 8 } else { 12 };
+    let gworst_invk = GWorstGame::new(k, GWorstVariant::InvK).expect("valid k");
+    let gworst_half = GWorstGame::new(k, GWorstVariant::Half).expect("valid k");
+    let sym_k = if args.quick { 10 } else { 14 };
+    let symmetric = symmetric_matrix_game(sym_k);
+    let orbit_suites = [
+        bench_orbit(gworst_invk.game(), &format!("gworst-invk/k={k}"), repeats),
+        bench_orbit(gworst_half.game(), &format!("gworst-half/k={k}"), repeats),
+        bench_orbit(&symmetric, &format!("symmetric-matrix/k={sym_k}"), repeats),
+    ];
 
     let report = Json::Obj(vec![
         (
             "mode".into(),
             Json::str(if args.quick { "quick" } else { "full" }),
         ),
-        ("seed".into(), Json::from_u64(args.seed)),
+        ("seed".into(), Json::from_u64(SEED)),
         (
             "host_parallelism".into(),
             Json::from_u64(host_parallelism as u64),
         ),
         (
             "thread_counts".into(),
-            Json::Arr(
-                args.threads
-                    .iter()
-                    .map(|&t| Json::from_u64(t as u64))
-                    .collect(),
-            ),
+            Json::Arr(THREADS.iter().map(|&t| Json::from_u64(t as u64)).collect()),
         ),
         ("suites".into(), Json::Arr(suites)),
         (
@@ -483,60 +438,50 @@ fn main() {
         args.out
     );
 
-    // A measure mismatch is a correctness failure, checked or not.
-    let mut orbit_failures: Vec<String> = orbit_suites
+    let orbit_failures: Vec<String> = orbit_suites
         .iter()
-        .filter(|row| !row.measures_agree)
-        .map(|row| format!("{}: measures differ from the unreduced solve", row.family))
+        .flat_map(|row| {
+            [
+                (!row.measures_agree).then_some("measures differ from the unreduced solve"),
+                (!row.reduced).then_some("the solve was not orbit-reduced"),
+            ]
+            .into_iter()
+            .flatten()
+            .map(move |failure| format!("{}: {failure}", row.family))
+        })
         .collect();
-    if args.check_orbits {
-        orbit_failures.extend(
-            orbit_suites
-                .iter()
-                .filter(|row| !row.reduced)
-                .map(|row| format!("{}: the solve was not orbit-reduced", row.family)),
-        );
-    }
     if !orbit_failures.is_empty() {
         for failure in &orbit_failures {
             eprintln!("bench_solver_sweep: ORBIT CHECK FAILED — {failure}");
         }
         exit(1);
     }
-    if args.check_orbits {
-        eprintln!(
-            "bench_solver_sweep: orbit check passed ({} suites reduced, measures bit-identical)",
-            orbit_suites.len()
-        );
-    }
+    eprintln!(
+        "bench_solver_sweep: orbit check passed ({} suites reduced, measures bit-identical)",
+        orbit_suites.len()
+    );
 
-    if args.check_scaling {
-        let pps = |rows: &[Row], name: &str| {
-            rows.iter()
-                .find(|r| r.backend == name)
-                .map(Row::profiles_per_sec)
-        };
-        match (
-            pps(&large_rows, "compiled-exhaustive/1t"),
-            pps(&large_rows, "compiled-exhaustive/4t"),
-        ) {
-            (Some(one), Some(four)) if host_parallelism >= 4 => {
-                if four < one {
-                    eprintln!(
-                        "bench_solver_sweep: SCALING REGRESSION — large suite 4t \
-                         ({four:.0} profiles/s) is slower than 1t ({one:.0} profiles/s) \
-                         on a {host_parallelism}-core host"
-                    );
-                    exit(1);
-                }
-                eprintln!(
-                    "bench_solver_sweep: scaling check passed (4t {four:.0} >= 1t {one:.0} profiles/s)"
-                );
-            }
-            _ => eprintln!(
-                "bench_solver_sweep: scaling check skipped \
-                 (host_parallelism={host_parallelism}, needs >= 4 cores and threads 1 and 4)"
-            ),
-        }
+    if host_parallelism < 4 {
+        eprintln!(
+            "bench_solver_sweep: scaling check skipped \
+             (host_parallelism={host_parallelism}, needs >= 4 cores)"
+        );
+        return;
     }
+    let pps = |name: &str| {
+        large_rows
+            .iter()
+            .find(|r| r.backend == name)
+            .map_or(0.0, Row::profiles_per_sec)
+    };
+    let (one, four) = (pps("compiled-exhaustive/1t"), pps("compiled-exhaustive/4t"));
+    if four < one {
+        eprintln!(
+            "bench_solver_sweep: SCALING REGRESSION — large suite 4t \
+             ({four:.0} profiles/s) is slower than 1t ({one:.0} profiles/s) \
+             on a {host_parallelism}-core host"
+        );
+        exit(1);
+    }
+    eprintln!("bench_solver_sweep: scaling check passed (4t {four:.0} >= 1t {one:.0} profiles/s)");
 }

@@ -22,7 +22,8 @@ use bi_core::solve::SolveError;
 /// default too, which runs the solver on the wrapper. Solving the
 /// wrapper is therefore the full, unreduced sweep of the same model: the
 /// oracle the parity suites compare reduced, split and eliminating
-/// solves against, and the "full" side of `bench_solver_sweep --orbits`.
+/// solves against, and the "full" side of `bench_solver_sweep`'s orbit
+/// suites.
 ///
 /// # Examples
 ///

@@ -92,7 +92,8 @@ use crate::reactor::{
     POLLOUT,
 };
 use crate::service::{
-    chain_failure, error_body, reports_body, BatchRequest, FastOutcome, PreparedSolve, SolveService,
+    chain_failure, decode_body, error_body, reports_body, BatchRequest, FastOutcome, PreparedSolve,
+    SolveService,
 };
 
 /// Server sizing and addressing.
@@ -1316,9 +1317,7 @@ fn handle_cache_put(service: &SolveService, body: &[u8]) -> (u16, Vec<u8>) {
 
 /// Decodes a JSON request body, or the `400` that answers it.
 pub(crate) fn parse_body<T: bi_util::Decode>(body: &[u8]) -> Result<T, Response> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| Response::json(400, error_body("request body is not valid UTF-8")))?;
-    T::decode_str(text).map_err(|e| Response::json(400, error_body(&e.to_string())))
+    decode_body(body).map_err(|e| Response::json(400, error_body(&e.to_string())))
 }
 
 fn handle_batch(service: &SolveService, body: &[u8]) -> Response {

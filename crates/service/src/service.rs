@@ -506,7 +506,7 @@ impl SolveService {
         let (key, decoded) = match Self::span_key(body) {
             Some(key) => (key, None),
             None => {
-                let request = decode_request(body)?;
+                let request = decode_body::<SolveRequest>(body)?;
                 (
                     Self::cache_key(&request.game, &request.config),
                     Some(request),
@@ -558,7 +558,7 @@ impl SolveService {
             }
             MissBody::Canonical(raw) => {
                 let t_decode = self.recorder.now_ns();
-                let decoded = decode_request(&raw);
+                let decoded = decode_body::<SolveRequest>(&raw);
                 self.finish_stage(ctx, Stage::Decode, t_decode);
                 let request = decoded.map_err(ServeError::Decode)?;
                 self.compute(&request.game, request.config, key, Some(&raw), ctx)
@@ -683,11 +683,12 @@ impl SolveService {
     }
 }
 
-/// Decodes a `POST /solve` body, failing as the reactor always has.
-fn decode_request(body: &[u8]) -> Result<SolveRequest, CodecError> {
+/// Decodes a request body, on a node and on the router alike, so one
+/// bad body is answered with one `decode error: …` text at every hop.
+pub(crate) fn decode_body<T: Decode>(body: &[u8]) -> Result<T, CodecError> {
     let text = std::str::from_utf8(body)
         .map_err(|_| CodecError::new("request body is not valid UTF-8"))?;
-    SolveRequest::decode_str(text)
+    T::decode_str(text)
 }
 
 /// The canonical bytes of the default config and of its `backend` and

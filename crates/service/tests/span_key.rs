@@ -233,13 +233,13 @@ fn call(addr: std::net::SocketAddr, path: &str, body: &[u8]) -> ClientResponse {
     read_response(&mut reader).expect("read response")
 }
 
-/// Canonical bodies the decoder rejects, each with the `400` bodies a
-/// node's decode and a router's answer it with (they differ only for
-/// non-UTF-8 bytes): an unknown game kind, a string-valued `threads`,
-/// and a non-UTF-8 byte inside a legacy `config.symmetry` string. The
+/// Canonical bodies the decoder rejects, each with the `400` body that
+/// a node and a router both answer it with: an unknown game kind, a
+/// string-valued `threads`, and a non-UTF-8 byte inside a legacy
+/// `config.symmetry` string. The
 /// last two carry the game of `valid`, whose key is cached, so a span
 /// lookup that ignored them would answer `200`.
-fn invalid_canonical_bodies(valid: &SolveRequest) -> Vec<(Vec<u8>, String, String)> {
+fn invalid_canonical_bodies(valid: &SolveRequest) -> Vec<(Vec<u8>, String)> {
     let game = valid.game.encode().canonical_string();
     let config = valid.config.encode().canonical_string();
     let threads = format!(r#""threads":{}"#, valid.config.threads);
@@ -257,21 +257,12 @@ fn invalid_canonical_bodies(valid: &SolveRequest) -> Vec<(Vec<u8>, String, Strin
         .into_iter()
         .map(|body| {
             assert!(bi_util::json::canon_check(&body));
-            let (node, router) = match std::str::from_utf8(&body) {
-                Ok(text) => {
-                    let error = SolveRequest::decode_str(text).unwrap_err().to_string();
-                    (error.clone(), error)
-                }
-                Err(_) => {
-                    let error = "request body is not valid UTF-8";
-                    (format!("decode error: {error}"), error.to_string())
-                }
+            let error = match std::str::from_utf8(&body) {
+                Ok(text) => SolveRequest::decode_str(text).unwrap_err().to_string(),
+                Err(_) => "decode error: request body is not valid UTF-8".to_string(),
             };
-            let answer = |error: String| {
-                let body = Json::Obj(vec![("error".into(), Json::str(error))]).canonical_bytes();
-                String::from_utf8(body).unwrap()
-            };
-            (body, answer(node), answer(router))
+            let answer = Json::Obj(vec![("error".into(), Json::str(error))]).canonical_bytes();
+            (body, String::from_utf8(answer).unwrap())
         })
         .collect()
 }
@@ -332,12 +323,12 @@ fn canonical_bodies_that_do_not_decode_answer_400_and_are_never_cached() {
             .as_u64()
     };
     assert_eq!(key_cache(), Some(0));
-    for (body, error, routed_error) in invalid_canonical_bodies(&valid) {
+    for (body, error) in invalid_canonical_bodies(&valid) {
         for _ in 0..2 {
-            for (addr, error) in [(node.addr(), &error), (router.addr(), &routed_error)] {
+            for addr in [node.addr(), router.addr()] {
                 let answer = call(addr, "/solve", &body);
                 assert_eq!(answer.status, 400, "{error}");
-                assert_eq!(&String::from_utf8(answer.body).unwrap(), error);
+                assert_eq!(String::from_utf8(answer.body).unwrap(), error);
             }
         }
         assert_eq!(counts(), before, "{error}: nothing may be solved or cached");

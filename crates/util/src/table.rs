@@ -1,8 +1,8 @@
 //! Plain-text table rendering for experiment harnesses.
 //!
-//! The `table1` binary and the Criterion benches print measured analogues of
-//! the paper's Table 1; [`TextTable`] renders aligned ASCII tables without
-//! pulling in a formatting dependency.
+//! The `table1` binary prints measured analogues of the paper's Table 1;
+//! [`TextTable`] renders aligned ASCII tables without pulling in a
+//! formatting dependency.
 
 use std::fmt;
 

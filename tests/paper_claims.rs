@@ -12,6 +12,29 @@ use bayesian_ignorance::graph::Direction;
 use bayesian_ignorance::util::harmonic;
 
 #[test]
+fn observation_2_1_potential_minimizers_are_bayesian_equilibria() {
+    use bayesian_ignorance::core::potential::{self, verify_exact_potential};
+    use bayesian_ignorance::core::random_games::random_bayesian_potential_game;
+    for seed in 0..10 {
+        let (game, potentials) = random_bayesian_potential_game(&[2, 2], &[2, 2], 3, seed);
+        for (idx, phi) in potentials.iter().enumerate() {
+            let (_, _, state_game) = game.state(idx);
+            verify_exact_potential(state_game, phi)
+                .unwrap_or_else(|e| panic!("seed {seed} state {idx}: {e}"));
+        }
+        let (minimizer, _) = potential::potential_minimizer(&game, &potentials).unwrap();
+        assert!(
+            game.is_bayesian_equilibrium(&minimizer),
+            "seed {seed}: the expected-potential minimizer must be a Bayesian equilibrium"
+        );
+        game.measures()
+            .unwrap()
+            .verify_chain()
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    }
+}
+
+#[test]
 fn observation_2_2_chain_on_many_random_games() {
     for seed in 0..12 {
         for direction in [Direction::Directed, Direction::Undirected] {
@@ -110,19 +133,23 @@ fn lemmas_3_6_and_3_7_gworst_both_directions() {
 
 #[test]
 fn lemma_3_8_best_eq_p_within_harmonic_of_opt_p() {
-    for seed in 0..6 {
-        let game = random_bayesian_ncs(Direction::Undirected, 4, 0.4, 3, 2, 50 + seed).unwrap();
-        let m = game.measures().unwrap();
-        let bound = harmonic(game.num_agents()) * m.opt_p;
-        assert!(
-            m.best_eq_p <= bound + 1e-9,
-            "seed {seed}: {} vs {bound}",
-            m.best_eq_p
-        );
-        // And the constructive route: the potential minimizer certifies it.
-        let (minimizer, pb) = potential_minimizer(&game).unwrap();
-        assert!(game.is_bayesian_equilibrium(&minimizer));
-        assert!(pb.holds());
+    // (vertices, edge probability, agents, seeds)
+    let inputs = [(4, 0.4, 3, 50..56), (5, 0.3, 2, 0..10)];
+    for (n, p, agents, seeds) in inputs {
+        for seed in seeds {
+            let game = random_bayesian_ncs(Direction::Undirected, n, p, agents, 2, seed).unwrap();
+            let m = game.measures().unwrap();
+            let bound = harmonic(game.num_agents()) * m.opt_p;
+            assert!(
+                m.best_eq_p <= bound + 1e-9,
+                "n {n} seed {seed}: {} vs {bound}",
+                m.best_eq_p
+            );
+            // And the constructive route: the potential minimizer certifies it.
+            let (minimizer, pb) = potential_minimizer(&game).unwrap();
+            assert!(game.is_bayesian_equilibrium(&minimizer));
+            assert!(pb.holds(), "n {n} seed {seed}: {pb:?}");
+        }
     }
 }
 

@@ -22,7 +22,8 @@ use bayesian_ignorance::constructions::gworst::{GWorstGame, GWorstVariant};
 use bayesian_ignorance::core::random_games::random_bayesian_potential_game;
 use bayesian_ignorance::core::solve::{Backend, PARALLEL_SWEEP_MIN_PROFILES};
 use bayesian_ignorance::core::{
-    BayesianGame, BayesianModel, CompiledSpace, MatrixFormGame, SolveReport, Solver, Symmetry,
+    BayesianGame, BayesianModel, CompiledSpace, MatrixFormGame, SolveError, SolveReport, Solver,
+    Symmetry,
 };
 use bayesian_ignorance::util::Encode;
 use bi_bench::Unreduced;
@@ -77,6 +78,14 @@ fn assert_orbit_equivalence<M: BayesianModel + Clone>(model: &M) -> Symmetry {
     } else {
         assert!(orbits < full.profiles_evaluated);
         assert!(symmetry.group_order_saturating() >= 2);
+        // `Budget::max_profiles` gates the orbits actually swept: a cap
+        // of exactly `orbits` admits the solve, one less refuses it.
+        let capped = |cap: u128| Solver::builder().max_profiles(cap).build().solve(model);
+        assert_eq!(canonical(&capped(orbits).unwrap()), canonical(&reduced));
+        match capped(orbits - 1) {
+            Err(SolveError::BudgetExceeded { required, .. }) => assert_eq!(required, orbits),
+            other => panic!("a cap below the orbit count must refuse the solve: {other:?}"),
+        }
     }
     symmetry
 }
