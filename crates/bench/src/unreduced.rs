@@ -19,11 +19,12 @@ use bi_core::solve::SolveError;
 /// those three: the first two stay at the trait's defaults (`false` and
 /// `None`), and the lowering hands out the model's own kernels from a
 /// factory that does not offer slot scans. `complete_info` keeps its
-/// default too, which runs the solver on the wrapper. Solving the
-/// wrapper is therefore the full, unreduced sweep of the same model: the
-/// oracle the parity suites compare reduced, split and eliminating
-/// solves against, and the "full" side of `bench_solver_sweep`'s orbit
-/// suites.
+/// default too, which runs the solver on the wrapper; with no state
+/// types named, each state game is compiled on its own rather than cut
+/// from the model's compiled space. Solving the wrapper is therefore the
+/// full, unreduced sweep of the same model: the oracle the parity suites
+/// compare reduced, split and eliminating solves against, and the "full"
+/// side of `bench_solver_sweep`'s orbit suites.
 ///
 /// # Examples
 ///

@@ -28,6 +28,8 @@
 //! methods — and doubles as the fallback for models without a compiled
 //! kernel (or whose tables would exceed memory budgets).
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -41,16 +43,19 @@ use crate::solve::SolveError;
 /// Built once per solve by [`CompiledSpace::compile`]; shared (immutably)
 /// by all sweep workers. The space is keyed by the action type `A`, not
 /// the model, so models over the same actions (a model and a wrapper
-/// around it) share one compiled space and one lowering.
+/// around it) share one compiled space and one lowering. The state games
+/// of a solve take their spaces from it ([`CompiledSpace::state_space`])
+/// instead of enumerating their candidates again.
 pub struct CompiledSpace<A> {
     /// `(agent, tau)` per slot, agent-major (the order every sweep and
     /// dynamics pass uses).
     slots: Vec<(usize, usize)>,
-    /// All candidate actions, slot-major.
-    arena: Vec<A>,
-    /// Start of each slot's candidates in `arena` (one extra terminal
-    /// entry, so slot `j` spans `offsets[j]..offsets[j + 1]`).
-    offsets: Vec<usize>,
+    /// All candidate actions, slot-major; a state space shares its
+    /// parent's.
+    arena: Arc<[A]>,
+    /// Start of each slot's candidates in `arena`: slot `j` spans
+    /// `starts[j]..starts[j] + sizes[j]`.
+    starts: Vec<usize>,
     /// Candidates per slot.
     sizes: Vec<u32>,
     /// Prior type weight per slot (`0.0` = pinned slot, skipped by
@@ -72,7 +77,7 @@ impl<A: Clone + PartialEq> CompiledSpace<A> {
     pub fn compile<M: BayesianModel<Action = A>>(model: &M) -> Result<Self, SolveError> {
         let mut slots = Vec::new();
         let mut arena = Vec::new();
-        let mut offsets = vec![0usize];
+        let mut starts = Vec::new();
         let mut sizes = Vec::new();
         let mut weights = Vec::new();
         for i in 0..model.num_agents() {
@@ -81,20 +86,60 @@ impl<A: Clone + PartialEq> CompiledSpace<A> {
                 debug_assert!(!actions.is_empty(), "empty candidate set at ({i}, {tau})");
                 let size = u32::try_from(actions.len()).map_err(|_| SolveError::SpaceTooLarge)?;
                 slots.push((i, tau));
+                starts.push(arena.len());
                 sizes.push(size);
                 weights.push(model.type_weight(i, tau));
                 arena.extend(actions);
-                offsets.push(arena.len());
             }
         }
         Ok(CompiledSpace {
             slots,
-            arena,
-            offsets,
+            arena: arena.into(),
+            starts,
             sizes,
             weights,
             num_agents: model.num_agents(),
         })
+    }
+
+    /// The space of a state game of the model this space was compiled
+    /// from: `state` is that model's [`BayesianModel::state_model`] of a
+    /// support state whose type tuple is `types`
+    /// ([`BayesianModel::state_types`]). Slot `(i, 0)` is this space's
+    /// slot `(i, types[i])`, its candidates shared rather than
+    /// enumerated again, weighted by `state.type_weight(i, 0)`.
+    ///
+    /// Under the contract of [`BayesianModel::state_model`] the result
+    /// equals `CompiledSpace::compile(state)`: the same slots, sizes,
+    /// weights and candidates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `types` does not name one slot of this space per agent.
+    #[must_use]
+    pub fn state_space<M: BayesianModel<Action = A>>(&self, types: &[usize], state: &M) -> Self {
+        assert_eq!(types.len(), self.num_agents, "one type per agent");
+        let mut slots = Vec::with_capacity(types.len());
+        let mut starts = Vec::with_capacity(types.len());
+        let mut sizes = Vec::with_capacity(types.len());
+        let mut weights = Vec::with_capacity(types.len());
+        for (i, &tau) in types.iter().enumerate() {
+            // Slots are agent-major with types ascending from 0.
+            let j = self.slots.partition_point(|&(agent, _)| agent < i) + tau;
+            assert_eq!(self.slots.get(j), Some(&(i, tau)), "no slot for a type");
+            slots.push((i, 0));
+            starts.push(self.starts[j]);
+            sizes.push(self.sizes[j]);
+            weights.push(state.type_weight(i, 0));
+        }
+        CompiledSpace {
+            slots,
+            arena: Arc::clone(&self.arena),
+            starts,
+            sizes,
+            weights,
+            num_agents: self.num_agents,
+        }
     }
 
     /// Number of `(agent, type)` slots.
@@ -146,7 +191,7 @@ impl<A: Clone + PartialEq> CompiledSpace<A> {
     /// Panics if `j` or `digit` is out of range.
     #[must_use]
     pub fn action(&self, j: usize, digit: u32) -> &A {
-        &self.arena[self.offsets[j] + digit as usize]
+        &self.arena[self.starts[j] + digit as usize]
     }
 
     /// All candidates of slot `j`, in digit order.
@@ -156,7 +201,8 @@ impl<A: Clone + PartialEq> CompiledSpace<A> {
     /// Panics if `j` is out of range.
     #[must_use]
     pub fn slot_actions(&self, j: usize) -> &[A] {
-        &self.arena[self.offsets[j]..self.offsets[j + 1]]
+        let start = self.starts[j];
+        &self.arena[start..start + self.sizes[j] as usize]
     }
 
     /// The digit of `action` within slot `j`, if it is a candidate.

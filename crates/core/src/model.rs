@@ -124,7 +124,13 @@ pub trait BayesianModel: Sync {
     /// The type index of each agent in support state `idx`, when the
     /// model can name it. The exhaustive sweep uses it to split a model
     /// whose states share no `(agent, type)` slot into one sub-sweep per
-    /// state ([`crate::solve`]). The default `None` means never split.
+    /// state ([`crate::solve`]), and every state game's compiled space is
+    /// cut from the model's by it ([`CompiledSpace::state_space`]). The
+    /// default `None` means never split, and compile each state game on
+    /// its own.
+    ///
+    /// A model that names state types must keep the contract of
+    /// [`state_model`](Self::state_model).
     fn state_types(&self, idx: usize) -> Option<&[usize]> {
         let _ = idx;
         None
@@ -138,6 +144,17 @@ pub trait BayesianModel: Sync {
     /// sweep asks for `p(t)`, so that every cost term of the state game
     /// is bit for bit the `p(t)·C` term the whole model computes for
     /// that state. That is why `prob` is not renormalized to `1.0`.
+    ///
+    /// # Contract
+    ///
+    /// When [`state_types`](Self::state_types) names state `idx`'s type
+    /// tuple `types`, slot `(i, 0)` of `state_model(idx, prob)` has
+    /// exactly the candidates of this model's slot `(i, types[i])`, in
+    /// the same order, for every agent `i` and every `prob`. The solver
+    /// relies on it: it cuts the state game's compiled space from this
+    /// model's ([`CompiledSpace::state_space`]) instead of enumerating
+    /// the candidates again. The weights are the state model's own
+    /// ([`type_weight`](Self::type_weight)`(i, 0)`).
     fn state_model(&self, idx: usize, prob: f64) -> Self
     where
         Self: Sized;

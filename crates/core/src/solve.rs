@@ -40,6 +40,15 @@
 //! sweeps, and `profiles_evaluated` is still the whole space. A model
 //! in which any slot is shared by two states is swept whole.
 //!
+//! A solve compiles its model once. Every state game it sweeps, at
+//! `p(t)` in the split and at `1.0` on the complete-information side
+//! ([`Solver::complete_info`]), takes its compiled space from that one
+//! ([`CompiledSpace::state_space`]): `G_t` is the model cut to one type
+//! per agent, so its slot `(i, 0)` is the model's slot `(i, t_i)`, and
+//! the candidates are shared, not enumerated again. Only a model that
+//! names no state types ([`BayesianModel::state_types`]) has its state
+//! games compiled on their own.
+//!
 //! When orbit detection finds no interchangeable agents and the model's
 //! kernel scans slots ([`Lowered::scans_slots`]; the matrix kernel
 //! does), the sweep **eliminates one agent** `n`, the one with the most
@@ -487,7 +496,7 @@ impl Solver {
         if !stats.found_equilibrium {
             return Err(SolveError::NoEquilibrium);
         }
-        let ci = self.complete_info(model)?;
+        let ci = self.complete_info_in(model, &space)?;
         Ok(SolveReport {
             measures: Measures {
                 opt_p: stats.opt_p,
@@ -510,11 +519,25 @@ impl Solver {
     /// are weighted by `p(t)` in state order. Whatever the backend or
     /// [`Budget`], a state is gated at [`MAX_ENUMERATION`] profiles.
     ///
+    /// `model` is compiled once, and each state game's space is cut from
+    /// it ([`CompiledSpace::state_space`]); only a model that names no
+    /// state types ([`BayesianModel::state_types`]) has its state games
+    /// compiled on their own.
+    ///
     /// # Errors
     ///
     /// [`BayesianModel::state_too_large`] past the gate,
     /// [`SolveError::NoStateEquilibrium`], and enumeration failures.
     pub fn complete_info<M: BayesianModel>(&self, model: &M) -> Result<CompleteInfo, SolveError> {
+        self.complete_info_in(model, &CompiledSpace::compile(model)?)
+    }
+
+    /// [`Solver::complete_info`] over `model`'s own compiled space.
+    fn complete_info_in<M: BayesianModel>(
+        &self,
+        model: &M,
+        parent: &CompiledSpace<M::Action>,
+    ) -> Result<CompleteInfo, SolveError> {
         let mut ci = CompleteInfo {
             opt_c: 0.0,
             best_eq_c: 0.0,
@@ -522,7 +545,10 @@ impl Solver {
         };
         for state in 0..model.state_count() {
             let game = model.state_model(state, 1.0);
-            let space = CompiledSpace::compile(&game)?;
+            let space = match model.state_types(state) {
+                Some(types) => parent.state_space(types, &game),
+                None => CompiledSpace::compile(&game)?,
+            };
             let size = space.space_size()?;
             if size > MAX_ENUMERATION {
                 return Err(model.state_too_large(size));
@@ -557,20 +583,15 @@ impl Solver {
         max_profiles: u128,
     ) -> Result<SweepStats, SolveError> {
         let full = space.space_size()?;
-        let stats = match split_states(model) {
+        let stats = match split_states(model, space) {
             None => {
                 let domain = Domain::detect(model, space)?;
                 gate(domain.size, max_profiles)?;
                 self.sweep(space, &domain, model.lower(space).as_ref())
             }
-            Some(games) => {
-                let spaces = games
+            Some(states) => {
+                let domains = states
                     .iter()
-                    .map(CompiledSpace::compile)
-                    .collect::<Result<Vec<_>, _>>()?;
-                let domains = games
-                    .iter()
-                    .zip(&spaces)
                     .map(|(game, space)| Domain::detect(game, space))
                     .collect::<Result<Vec<_>, _>>()?;
                 let required = domains
@@ -592,7 +613,7 @@ impl Solver {
                     found_equilibrium: true,
                     evaluated: 0,
                 };
-                for ((game, space), domain) in games.iter().zip(&spaces).zip(&domains) {
+                for ((game, space), domain) in states.iter().zip(&domains) {
                     let state = self.sweep(space, domain, game.lower(space).as_ref());
                     if !state.found_equilibrium {
                         total.found_equilibrium = false;
@@ -627,7 +648,7 @@ impl Solver {
     /// order than the odometer, and a zero extremum's sign depends on
     /// which zero came first (`f64::min` may return either of `±0`), so
     /// such a sweep is redone in full.
-    fn sweep<A: Clone + PartialEq + Sync>(
+    fn sweep<A: Clone + PartialEq + Send + Sync>(
         &self,
         space: &CompiledSpace<A>,
         domain: &Domain,
@@ -803,12 +824,16 @@ fn effective_threads(threads: usize, size: u128) -> usize {
 }
 
 /// The support states of `model` as games of their own, `G_t` at prior
-/// `p(t)` ([`BayesianModel::state_model`]), when the exhaustive sweep can
-/// split on them: there are at least two, every one names its type tuple
-/// ([`BayesianModel::state_types`]), and no `(agent, type)` slot appears
-/// in two of them — every agent's type reveals the state. `None`
+/// `p(t)` ([`BayesianModel::state_model`]), each with its space cut from
+/// `space` ([`CompiledSpace::state_space`]), when the exhaustive sweep
+/// can split on them: there are at least two, every one names its type
+/// tuple ([`BayesianModel::state_types`]), and no `(agent, type)` slot
+/// appears in two of them — every agent's type reveals the state. `None`
 /// otherwise, at the first shared slot.
-fn split_states<M: BayesianModel>(model: &M) -> Option<Vec<M>> {
+fn split_states<M: BayesianModel>(
+    model: &M,
+    space: &CompiledSpace<M::Action>,
+) -> Option<Vec<(M, CompiledSpace<M::Action>)>> {
     let states = model.state_count();
     if states < 2 {
         return None;
@@ -827,11 +852,13 @@ fn split_states<M: BayesianModel>(model: &M) -> Option<Vec<M>> {
             }
         }
     }
-    Some(
-        (0..states)
-            .map(|idx| model.state_model(idx, model.state_prob(idx)))
-            .collect(),
-    )
+    (0..states)
+        .map(|idx| {
+            let game = model.state_model(idx, model.state_prob(idx));
+            let space = space.state_space(model.state_types(idx)?, &game);
+            Some((game, space))
+        })
+        .collect()
 }
 
 /// What one exhaustive sweep enumerates: one canonical profile per orbit
@@ -1762,14 +1789,19 @@ mod tests {
     /// Binary agents whose costs are exact integer counts (so every
     /// permutation of agents with the same types is bitwise
     /// cost-preserving). Playing action 1 costs 1, so the all-zeros
-    /// profile is optimal and the unique equilibrium. A state game keeps
-    /// at most 4 agents, so a one-state model of many agents still has an
-    /// enumerable complete-information side. Every `social_cost` call is
-    /// counted, the state games' calls included.
+    /// profile is optimal and the unique equilibrium. Every `social_cost`
+    /// call is counted, the state games' calls included.
+    ///
+    /// A state game keeps at most 4 agents, so a one-state model of many
+    /// agents still has an enumerable complete-information side. Such a
+    /// model names no state types: its state game is not the parent cut
+    /// to one type per agent, so it is compiled on its own.
     struct CountingModel {
         agents: usize,
         /// Each support state's type tuple.
         states: Vec<Vec<usize>>,
+        /// Whether `state_types` names them.
+        named: bool,
         calls: std::sync::Arc<std::sync::atomic::AtomicU64>,
     }
 
@@ -1779,6 +1811,7 @@ mod tests {
             CountingModel {
                 agents,
                 states: vec![vec![0; agents]],
+                named: false,
                 calls: Default::default(),
             }
         }
@@ -1792,9 +1825,11 @@ mod tests {
             if shared {
                 types[1][0] = 0;
             }
+            assert!(agents <= 4, "a diagonal state game keeps every agent");
             CountingModel {
                 agents,
                 states: types,
+                named: true,
                 calls: Default::default(),
             }
         }
@@ -1869,7 +1904,7 @@ mod tests {
         }
 
         fn state_types(&self, idx: usize) -> Option<&[usize]> {
-            Some(&self.states[idx])
+            self.named.then(|| self.states[idx].as_slice())
         }
 
         fn state_model(&self, _idx: usize, _prob: f64) -> Self {

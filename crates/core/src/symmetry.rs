@@ -265,7 +265,9 @@ impl Symmetry {
     }
 
     /// Writes the `rank`-th canonical profile (lexicographic over agent
-    /// tuples, agents in index order) into `digits`.
+    /// tuples, agents in index order) into `digits`. Rank 0, where every
+    /// sequential sweep starts, is the all-zeros profile: every member
+    /// tuple at its least value is non-decreasing within each class.
     ///
     /// # Panics
     ///
@@ -275,7 +277,16 @@ impl Symmetry {
     /// realistically budgeted space).
     pub fn decode_canonical(&self, rank: u128, digits: &mut [u32]) {
         assert_eq!(digits.len(), self.slot_sizes.len(), "digit buffer length");
-        let mut rank = rank;
+        if rank == 0 {
+            digits.fill(0);
+        } else {
+            self.unrank(rank, digits);
+        }
+    }
+
+    /// [`Symmetry::decode_canonical`] for any rank: each agent in turn
+    /// takes the least tuple whose completions reach past the rank.
+    fn unrank(&self, mut rank: u128, digits: &mut [u32]) {
         // Per-class lower bound (the last decided member's tuple) and
         // number of still-undecided members.
         let mut class_lb = vec![0u128; self.classes.len()];
@@ -610,6 +621,48 @@ mod tests {
             let space = CompiledSpace::compile(&game).unwrap();
             let sym = Symmetry::detect(&game, &space);
             assert!(sym.is_trivial(), "seed {seed}");
+        }
+    }
+
+    /// The all-zeros profile is rank 0 of the general unranking, for
+    /// singleton classes, one big class, mixed classes and agents of
+    /// several types: the fact [`Symmetry::decode_canonical`]'s rank-0
+    /// start rests on.
+    #[test]
+    fn rank_zero_is_the_all_zeros_profile() {
+        let sum = |_: usize, a: &[usize]| a.iter().sum::<usize>() as f64;
+        let skew = |_: usize, a: &[usize]| (4 * a[0] + 2 * a[1] + a[2]) as f64;
+        let one_state = |actions: &[usize], cost: fn(usize, &[usize]) -> f64| {
+            let g = MatrixFormGame::from_fn(actions.len(), actions, cost);
+            let k = actions.len();
+            BayesianGame::new(vec![1; k], vec![(vec![0; k], 1.0, g)]).unwrap()
+        };
+        let multi_type = {
+            let g = MatrixFormGame::from_fn(2, &[3, 3], sum);
+            let support = (0..2).map(|t| (vec![t, t], 0.5, g.clone())).collect();
+            BayesianGame::new(vec![2, 2], support).unwrap()
+        };
+        let cases = [
+            (one_state(&[2, 3, 2], skew), vec![vec![0], vec![1], vec![2]]),
+            (one_state(&[3; 4], sum), vec![vec![0, 1, 2, 3]]),
+            (two_plus_one_game(), vec![vec![0, 1], vec![2]]),
+            (multi_type, vec![vec![0, 1]]),
+        ];
+        for (game, classes) in cases {
+            let (sym, space) = symmetry_of(&game);
+            assert_eq!(sym.classes(), classes.as_slice());
+            let zeros = vec![0u32; space.num_slots()];
+            let mut digits = vec![1u32; space.num_slots()];
+            sym.unrank(0, &mut digits);
+            assert_eq!(digits, zeros, "classes {classes:?}");
+            digits.fill(1);
+            sym.decode_canonical(0, &mut digits);
+            assert_eq!(digits, zeros, "classes {classes:?}");
+            // Its successor is rank 1 of the general unranking.
+            assert!(sym.next_canonical(&mut digits, |_, _, _| {}));
+            let mut one = vec![0u32; space.num_slots()];
+            sym.unrank(1, &mut one);
+            assert_eq!(digits, one, "classes {classes:?}");
         }
     }
 

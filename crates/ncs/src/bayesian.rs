@@ -591,6 +591,10 @@ impl BayesianModel for BayesianNcsGame {
 /// best responses are all functions of them — so kernels maintain the
 /// loads incrementally (subtract the old path's edges, add the new
 /// path's) instead of rebuilding every state's loads per profile.
+///
+/// Per-state and per-slot tables are flat, row-major buffers: one row of
+/// `agents` slots per state, one row of `edges · agents` shares per
+/// state, and each slot's states at `slot_state_starts`.
 struct NcsLowered<'a> {
     game: &'a BayesianNcsGame,
     space: &'a CompiledSpace<Path>,
@@ -598,19 +602,26 @@ struct NcsLowered<'a> {
     edge_costs: Vec<f64>,
     /// Support-state probabilities, in support order.
     state_probs: Vec<f64>,
-    /// Per state: the slot index of each agent's type in that state.
-    state_slots: Vec<Vec<usize>>,
-    /// Per slot: the support states the slot participates in, ascending
-    /// (interim sums must preserve the legacy state order bit-for-bit).
-    slot_states: Vec<Vec<usize>>,
+    /// Number of agents `k`: the row length of `state_slots`.
+    agents: usize,
+    /// `state_slots[s·k + i]`: the slot index of agent `i`'s type in
+    /// state `s`.
+    state_slots: Vec<usize>,
+    /// Per slot, the support states the slot participates in, ascending
+    /// (interim sums must preserve the legacy state order bit-for-bit):
+    /// slot `j`'s span `slot_state_starts[j]..slot_state_starts[j + 1]`.
+    slot_states: Vec<usize>,
+    /// Start of each slot's states in `slot_states` (one extra terminal
+    /// entry).
+    slot_state_starts: Vec<usize>,
     /// Per slot: the agent's `(source, destination)` terminals.
     slot_terminals: Vec<AgentType>,
-    /// Precomputed fair shares: `shares[s][e·k + n] = p_s · c(e) / (n+1)`
-    /// for every possible rival load `n ∈ 0..k` — the interim-weight hot
-    /// loop does table lookups instead of divisions (the division was
-    /// performed once here, on identical operands, so the values are
-    /// bit-identical).
-    shares: Vec<Vec<f64>>,
+    /// Precomputed fair shares: `shares[(s·E + e)·k + n] = p_s · c(e) /
+    /// (n+1)` for every possible rival load `n ∈ 0..k` — the
+    /// interim-weight hot loop does table lookups instead of divisions
+    /// (the division was performed once here, on identical operands, so
+    /// the values are bit-identical).
+    shares: Vec<f64>,
     /// When `true`, the candidate sets provably contain **every** simple
     /// path (the length limit cannot prune: `max_len ≥ |V| − 1`) and all
     /// edge costs are non-negative — then the Dijkstra distance equals
@@ -622,25 +633,27 @@ struct NcsLowered<'a> {
 impl<'a> NcsLowered<'a> {
     fn new(game: &'a BayesianNcsGame, space: &'a CompiledSpace<Path>) -> Self {
         let edge_costs: Vec<f64> = game.graph.edges().map(|(_, e)| e.cost()).collect();
-        let mut slot_base = Vec::with_capacity(game.num_agents());
+        let agents = game.num_agents();
+        let mut slot_base = Vec::with_capacity(agents);
         let mut acc = 0usize;
         for types in &game.agent_types {
             slot_base.push(acc);
             acc += types.len();
         }
-        let mut slot_states: Vec<Vec<usize>> = vec![Vec::new(); space.num_slots()];
-        let mut state_slots = Vec::with_capacity(game.support.len());
-        for (s_idx, idx) in game.support_type_idx.iter().enumerate() {
-            let slots: Vec<usize> = idx
-                .iter()
-                .enumerate()
-                .map(|(i, &tau)| slot_base[i] + tau)
-                .collect();
-            for &slot in &slots {
-                slot_states[slot].push(s_idx);
-            }
-            state_slots.push(slots);
+        let state_slots: Vec<usize> = game
+            .support_type_idx
+            .iter()
+            .flat_map(|idx| idx.iter().zip(&slot_base).map(|(&tau, &base)| base + tau))
+            .collect();
+        let mut slot_states = Vec::with_capacity(state_slots.len());
+        let mut slot_state_starts = Vec::with_capacity(space.num_slots() + 1);
+        for j in 0..space.num_slots() {
+            let (i, tau) = space.slot(j);
+            slot_state_starts.push(slot_states.len());
+            slot_states
+                .extend((0..game.support.len()).filter(|&s| game.support_type_idx[s][i] == tau));
         }
+        slot_state_starts.push(slot_states.len());
         let slot_terminals: Vec<AgentType> = (0..space.num_slots())
             .map(|j| {
                 let (i, tau) = space.slot(j);
@@ -649,31 +662,32 @@ impl<'a> NcsLowered<'a> {
             .collect();
         let exact_candidates = game.limits.max_len >= game.graph.node_count().saturating_sub(1)
             && edge_costs.iter().all(|&c| c >= 0.0);
-        let k = game.num_agents();
-        let shares: Vec<Vec<f64>> = game
-            .support
-            .iter()
-            .map(|(_, prob)| {
-                let mut table = Vec::with_capacity(edge_costs.len() * k);
-                for &cost in &edge_costs {
-                    for n in 0..k as u32 {
-                        table.push(*prob * cost / f64::from(n + 1));
-                    }
+        let mut shares = Vec::with_capacity(game.support.len() * edge_costs.len() * agents);
+        for (_, prob) in &game.support {
+            for &cost in &edge_costs {
+                for n in 0..agents as u32 {
+                    shares.push(*prob * cost / f64::from(n + 1));
                 }
-                table
-            })
-            .collect();
+            }
+        }
         NcsLowered {
             game,
             space,
             edge_costs,
             state_probs: game.support.iter().map(|(_, p)| *p).collect(),
+            agents,
             state_slots,
             slot_states,
+            slot_state_starts,
             slot_terminals,
             shares,
             exact_candidates,
         }
+    }
+
+    /// The support states slot `slot` participates in, ascending.
+    fn slot_states(&self, slot: usize) -> &[usize] {
+        &self.slot_states[self.slot_state_starts[slot]..self.slot_state_starts[slot + 1]]
     }
 }
 
@@ -681,20 +695,18 @@ impl Lowered for NcsLowered<'_> {
     fn kernel(&self) -> Box<dyn EvalKernel + '_> {
         let states = self.state_probs.len();
         let edges = self.edge_costs.len();
+        let slots = self.space.num_slots();
         Box::new(NcsKernel {
             lowered: self,
-            digits: vec![0; self.space.num_slots()],
-            loads: vec![vec![0; edges]; states],
+            edges,
+            digits: vec![0; slots],
+            loads: vec![0; states * edges],
             state_cost: vec![0.0; states],
             cost_dirty: vec![true; states],
             state_mods: vec![0; states],
-            weight_cache: vec![vec![0.0; edges]; self.space.num_slots()],
-            weight_snap: self
-                .slot_states
-                .iter()
-                .map(|states| vec![0; states.len()])
-                .collect(),
-            weight_valid: vec![false; self.space.num_slots()],
+            weight_cache: vec![0.0; slots * edges],
+            weight_snap: vec![0; self.slot_states.len()],
+            weight_valid: vec![false; slots],
             loads_buf: vec![0; edges],
             unstable_hint: 0,
         })
@@ -711,21 +723,24 @@ impl Lowered for NcsLowered<'_> {
 ///   (a slot's own path never enters its own weights).
 struct NcsKernel<'a> {
     lowered: &'a NcsLowered<'a>,
+    /// Number of edges `E`: the row length of `loads` and
+    /// `weight_cache`.
+    edges: usize,
     digits: Vec<u32>,
-    /// `loads[state][edge]`: number of agents whose current path buys the
-    /// edge in that state.
-    loads: Vec<Vec<u32>>,
+    /// `loads[state·E + edge]`: number of agents whose current path buys
+    /// the edge in that state.
+    loads: Vec<u32>,
     /// Cached `K_t` per state (valid when not dirty).
     state_cost: Vec<f64>,
     cost_dirty: Vec<bool>,
     /// Bumped on every load change of a state; drives weight-cache
     /// invalidation.
     state_mods: Vec<u64>,
-    /// Cached interim weights per slot.
-    weight_cache: Vec<Vec<f64>>,
+    /// Cached interim weights, one row of `E` per slot.
+    weight_cache: Vec<f64>,
     /// `state_mods` snapshot per slot (aligned with
     /// `NcsLowered::slot_states`) at the time its weights were computed.
-    weight_snap: Vec<Vec<u64>>,
+    weight_snap: Vec<u64>,
     weight_valid: Vec<bool>,
     /// Scratch: a state's loads minus the checked agent's own path.
     loads_buf: Vec<u32>,
@@ -736,37 +751,46 @@ struct NcsKernel<'a> {
 }
 
 impl NcsKernel<'_> {
-    /// Ensures `weight_cache[slot]` holds the slot's expected-share
-    /// weights for the current digits — recomputed in the legacy order
-    /// (states ascending, edges ascending) whenever another agent's path
-    /// changed in a relevant state, reused otherwise.
+    /// Slot `slot`'s cached interim weights, one per edge.
+    fn weights(&self, slot: usize) -> &[f64] {
+        &self.weight_cache[slot * self.edges..(slot + 1) * self.edges]
+    }
+
+    /// Ensures `slot`'s row of `weight_cache` holds the slot's
+    /// expected-share weights for the current digits — recomputed in the
+    /// legacy order (states ascending, edges ascending) whenever another
+    /// agent's path changed in a relevant state, reused otherwise.
     fn refresh_weights(&mut self, slot: usize) {
-        let relevant = &self.lowered.slot_states[slot];
+        let lowered = self.lowered;
+        let relevant = lowered.slot_states(slot);
+        let snaps = lowered.slot_state_starts[slot]..lowered.slot_state_starts[slot + 1];
         if self.weight_valid[slot]
             && relevant
                 .iter()
-                .zip(&self.weight_snap[slot])
+                .zip(&self.weight_snap[snaps.clone()])
                 .all(|(&s, &snap)| self.state_mods[s] == snap)
         {
             return;
         }
-        let own_path = self.lowered.space.action(slot, self.digits[slot]);
-        let weights = &mut self.weight_cache[slot];
+        let edges = self.edges;
+        let k = lowered.agents;
+        let own_path = lowered.space.action(slot, self.digits[slot]);
+        let weights = &mut self.weight_cache[slot * edges..(slot + 1) * edges];
         weights.fill(0.0);
-        for (idx, &s) in relevant.iter().enumerate() {
-            self.loads_buf.copy_from_slice(&self.loads[s]);
+        for (&s, snap) in relevant.iter().zip(&mut self.weight_snap[snaps]) {
+            self.loads_buf
+                .copy_from_slice(&self.loads[s * edges..(s + 1) * edges]);
             for &e in own_path {
                 self.loads_buf[e.index()] -= 1;
             }
             // `shares` holds the precomputed `p_s·c(e)/(n+1)` divisions;
             // the accumulation order (states ascending, edges ascending)
             // is the legacy `interim_weights` order.
-            let shares = &self.lowered.shares[s];
-            let k = self.lowered.state_slots[s].len();
+            let shares = &lowered.shares[s * edges * k..(s + 1) * edges * k];
             for (id, weight) in weights.iter_mut().enumerate() {
                 *weight += shares[id * k + self.loads_buf[id] as usize];
             }
-            self.weight_snap[slot][idx] = self.state_mods[s];
+            *snap = self.state_mods[s];
         }
         self.weight_valid[slot] = true;
     }
@@ -774,7 +798,7 @@ impl NcsKernel<'_> {
     /// Fold-left path cost under the slot's cached weights — the exact
     /// summation `BayesianNcsGame::interim_cost` performs.
     fn path_cost(&self, slot: usize, path: &[bi_graph::EdgeId]) -> f64 {
-        let weights = &self.weight_cache[slot];
+        let weights = self.weights(slot);
         path.iter().map(|&e| weights[e.index()]).sum()
     }
 
@@ -799,7 +823,7 @@ impl NcsKernel<'_> {
             true
         } else {
             let (src, dst) = self.lowered.slot_terminals[slot];
-            let weights = &self.weight_cache[slot];
+            let weights = self.weights(slot);
             let sp = bi_graph::dijkstra(&self.lowered.game.graph, src, |e| weights[e.index()]);
             bi_util::approx_le(played, sp.distance(dst))
         }
@@ -809,11 +833,13 @@ impl NcsKernel<'_> {
 impl EvalKernel for NcsKernel<'_> {
     fn seed(&mut self, digits: &[u32]) {
         self.digits.copy_from_slice(digits);
-        for (s, slots) in self.lowered.state_slots.iter().enumerate() {
-            self.loads[s].fill(0);
-            for &slot in slots {
+        let (edges, k) = (self.edges, self.lowered.agents);
+        for s in 0..self.state_cost.len() {
+            let loads = &mut self.loads[s * edges..(s + 1) * edges];
+            loads.fill(0);
+            for &slot in &self.lowered.state_slots[s * k..(s + 1) * k] {
                 for &e in self.lowered.space.action(slot, digits[slot]) {
-                    self.loads[s][e.index()] += 1;
+                    loads[e.index()] += 1;
                 }
             }
             self.cost_dirty[s] = true;
@@ -824,24 +850,33 @@ impl EvalKernel for NcsKernel<'_> {
 
     fn advance(&mut self, slot: usize, old: u32, new: u32) {
         self.digits[slot] = new;
-        let old_path = self.lowered.space.action(slot, old);
-        let new_path = self.lowered.space.action(slot, new);
-        for (idx, &s) in self.lowered.slot_states[slot].iter().enumerate() {
+        let lowered = self.lowered;
+        let edges = self.edges;
+        let old_path = lowered.space.action(slot, old);
+        let new_path = lowered.space.action(slot, new);
+        let snaps = lowered.slot_state_starts[slot]..lowered.slot_state_starts[slot + 1];
+        for (&s, snap) in lowered
+            .slot_states(slot)
+            .iter()
+            .zip(&mut self.weight_snap[snaps])
+        {
+            let loads = &mut self.loads[s * edges..(s + 1) * edges];
             for &e in old_path {
-                self.loads[s][e.index()] -= 1;
+                loads[e.index()] -= 1;
             }
             for &e in new_path {
-                self.loads[s][e.index()] += 1;
+                loads[e.index()] += 1;
             }
             self.cost_dirty[s] = true;
             self.state_mods[s] += 1;
             // The slot's own weights never depend on its own path: keep
             // its snapshot in lock-step so the cache stays valid.
-            self.weight_snap[slot][idx] += 1;
+            *snap += 1;
         }
     }
 
     fn social_cost(&mut self) -> f64 {
+        let edges = self.edges;
         for s in 0..self.state_cost.len() {
             if self.cost_dirty[s] {
                 // Same fold as `NcsGame::social_cost`: bought edges in
@@ -850,7 +885,7 @@ impl EvalKernel for NcsKernel<'_> {
                     .lowered
                     .edge_costs
                     .iter()
-                    .zip(&self.loads[s])
+                    .zip(&self.loads[s * edges..(s + 1) * edges])
                     .map(|(&c, &load)| if load > 0 { c } else { 0.0 })
                     .sum();
                 self.cost_dirty[s] = false;
@@ -881,7 +916,7 @@ impl EvalKernel for NcsKernel<'_> {
         self.refresh_weights(slot);
         let played = self.path_cost(slot, self.lowered.space.action(slot, self.digits[slot]));
         let (src, dst) = self.lowered.slot_terminals[slot];
-        let weights = &self.weight_cache[slot];
+        let weights = self.weights(slot);
         let sp = bi_graph::dijkstra(&self.lowered.game.graph, src, |e| weights[e.index()]);
         if sp.distance(dst) < played - bi_util::EPS {
             let path = sp.path_edges(dst).expect("feasibility checked");
