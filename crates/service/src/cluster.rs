@@ -3,14 +3,14 @@
 //!
 //! Every measure the engine serves is a pure function of the canonical
 //! request bytes, so the content-addressed cache key
-//! ([`SolveService::cache_key`]) *is* the result identity — which makes
-//! horizontal sharding trivially correct: route each request to the
-//! backend owning its key and that backend's cache concentrates exactly
-//! its arc of the key space. The router never decodes a canonical
-//! `/solve` body: it hashes the key the body's own bytes spell
-//! ([`SolveService::span_key`]), the same key its node looks up. The
-//! ring is a classic consistent hash with virtual nodes over the 64-bit
-//! XXH64 space the caches index with ([`bi_util::xxh64`]). A
+//! ([`SolveService::cache_key`](crate::SolveService::cache_key)) *is*
+//! the result identity — which makes horizontal sharding trivially
+//! correct: route each request to the backend owning its key and that
+//! backend's cache concentrates exactly its arc of the key space. The
+//! router keys a `/solve` body with its node's own helper, so a
+//! canonical body is keyed by the spans of its bytes, with no decode.
+//! The ring is a classic consistent hash with virtual nodes over the
+//! 64-bit XXH64 space the caches index with ([`bi_util::xxh64`]). A
 //! `/solve_batch` is a list of routed solves: each game goes through the
 //! same routing step as a `/solve` body, so a game sent alone and inside
 //! a batch meet the same backend.
@@ -51,12 +51,11 @@
 //! count against the same consecutive-failure threshold, so a backend
 //! that dies mid-burst is ejected by the traffic itself rather than
 //! waiting for the next probe cycle. Upstream connections are pooled and
-//! kept alive per backend. A `/solve_batch` is decoded once, to reject an
-//! invalid game, and each of its games is routed as its canonical
-//! `/solve` body, copied with its key from the batch's canonical bytes,
-//! with the retries, failover, write-through and read-repair below; the
-//! answers are spliced in request order, exactly as a node splices its
-//! own.
+//! kept alive per backend. A `/solve_batch` is split by the splitter a
+//! node uses, which decodes it once to reject an invalid game; each of
+//! its games is routed as its canonical `/solve` body, with the retries,
+//! failover, write-through and read-repair below, and the answers are
+//! spliced in request order, exactly as a node splices its own.
 //!
 //! **Replication** (`--replication R`): each key's *intended owners* are
 //! its first R distinct ring successors, liveness-blind
@@ -93,6 +92,7 @@
 //!
 //! [`Dispatcher`]: crate::server
 
+use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -102,16 +102,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bi_obs::{Recorder, Stage, TraceCtx};
-use bi_util::{fnv1a, xxh64, Encode, Json};
+use bi_util::{fnv1a, xxh64, Json};
 
 use crate::cache::{CacheConfig, ShardedLru};
 use crate::fault::mix;
 use crate::http::{ClientResponse, HttpClient, Response};
 use crate::metrics::ServiceMetrics;
-use crate::server::{parse_body, serve, Dispatcher, Engine, Reply, Request, ServerConfig};
-use crate::service::{
-    batch_solves, error_body, reports_body, BatchRequest, SolveRequest, SolveService,
-};
+use crate::server::{serve, Dispatcher, Engine, Reply, Request, ServerConfig};
+use crate::service::{error_body, reports_body, solve_key, split_batch, ServeError};
 
 /// What the router answers when no live backend is left. It has one
 /// value, because the router never solves; the type and
@@ -602,14 +600,13 @@ fn route_hash(key: &[u8]) -> u64 {
 
 /// The routing hash of a `/solve` body: the [`route_hash`] of its
 /// content address, through the body-bytes → hash cache so hot traffic
-/// skips even the key scan. On a key-cache miss a canonical body is
-/// keyed by [`SolveService::span_key`], with no decode; any other body
-/// is decoded (a `400` when it does not decode) and keyed by
-/// [`SolveService::cache_key`]. A canonical body that does not decode
-/// is routed like any other and answered `400` by its node. The second
-/// value says whether the body may enter the key cache once answered
-/// `200`: [`handle_solve`] inserts it then, so a body that never
-/// decodes never takes a key-cache entry.
+/// skips even the key scan. On a key-cache miss the body is keyed by
+/// [`solve_key`], a node's own keying (a `400` when a non-canonical body
+/// does not decode; a canonical one that does not decode is answered
+/// `400` by its node). The second value says whether the body arrived
+/// canonical and so may enter the key cache once answered `200`:
+/// [`handle_solve`] inserts it then, so a body that never decodes never
+/// takes a key-cache entry.
 ///
 /// The cache is looked up **first**, without checking the body. This is
 /// sound because only bodies `span_key` keys (they pass
@@ -624,12 +621,8 @@ fn routing_hash(shared: &Shared, body: &[u8]) -> Result<(u64, bool), Response> {
         );
         return Ok((hash, false));
     }
-    if let Some(key) = SolveService::span_key(body) {
-        return Ok((route_hash(&key), true));
-    }
-    let request: SolveRequest = parse_body(body)?;
-    let key = SolveService::cache_key(&request.game, &request.config);
-    Ok((route_hash(&key), false))
+    let (key, canonical) = solve_key(body).map_err(|e| ServeError::Decode(e).response())?;
+    Ok((route_hash(&key), matches!(canonical, Cow::Borrowed(_))))
 }
 
 /// The router's aggregated `GET /healthz`: overall status plus one row
@@ -1029,26 +1022,18 @@ fn release(shared: &Shared, idx: usize, client: HttpClient) {
 /// sent alone. The answers are spliced as a node splices them; a game
 /// answered `500` answers the whole batch, as on a node.
 ///
-/// The batch is decoded once, so one invalid game answers the whole
-/// batch `400`. Each game's key and `/solve` body are then copied from
-/// the canonical batch bytes ([`batch_solves`]): the body as sent when
-/// it is canonical, else the decoded batch encoded once.
+/// The batch is taken apart by [`split_batch`], the node's splitter, so
+/// a bad batch gets the node's `400`.
 fn handle_batch(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
     shared.served.batch_requests.fetch_add(1, Ordering::Relaxed);
-    let batch: BatchRequest = match parse_body(body) {
-        Ok(batch) => batch,
-        Err(response) => return response,
-    };
-    let Some(solves) = batch_solves(body).or_else(|| batch_solves(&batch.canonical_bytes())) else {
-        return Response::json(
-            500,
-            error_body("internal error: the batch's canonical bytes did not split into games"),
-        );
+    let games = match split_batch(body) {
+        Ok((games, _)) => games,
+        Err(e) => return e.response(),
     };
     let deadline = Instant::now() + shared.config.request_deadline;
-    let mut answers = Vec::with_capacity(solves.len());
-    for (key, solve_body) in solves {
-        let answer = route_solve(shared, route_hash(&key), &solve_body, ctx, deadline);
+    let mut answers = Vec::with_capacity(games.len());
+    for game in games {
+        let answer = route_solve(shared, route_hash(&game.key), &game.body, ctx, deadline);
         if answer.status == 500 {
             return answer;
         }

@@ -40,8 +40,8 @@
 //!   or NCS games), [`SolveRequest`]/[`BatchRequest`] wire types, and
 //!   [`SolveService`] routing every solve through the cache (with the
 //!   raw-byte zero-copy index in front); its `compute` is the only
-//!   place anything is solved, one game at a time, and a batch is a
-//!   list of such solves in request order;
+//!   place anything is solved, one game at a time, and each batch game
+//!   is served as the `/solve` of its canonical body, in request order;
 //! * [`http`] — a minimal HTTP/1.1 layer over `std::io`: the
 //!   allocation-free incremental head parser the reactor feeds, the one
 //!   response head writer, and the blocking client;

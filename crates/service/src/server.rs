@@ -37,8 +37,10 @@
 //! building a JSON value tree at all — a hit never queues behind a cold
 //! solve. Any other canonical body is looked up by the key its bytes
 //! spell ([`SolveService::span_key`]), also without a decode: the
-//! reactor decodes only non-canonical bodies, and a canonical one is
-//! decoded on the solver pool, on a true miss.
+//! reactor decodes only non-canonical bodies, to key them, and every
+//! miss is decoded on the solver pool from its canonical bytes. A
+//! `/solve_batch` is decoded on the pool, once, and each of its games
+//! is then served as the `/solve` of its canonical body.
 //!
 //! Backpressure is explicit at two levels: the job queue is bounded and
 //! its overflow is answered `429 Too Many Requests` + `Retry-After`
@@ -92,8 +94,7 @@ use crate::reactor::{
     POLLOUT,
 };
 use crate::service::{
-    chain_failure, decode_body, error_body, reports_body, BatchRequest, FastOutcome, PreparedSolve,
-    SolveService,
+    chain_failure, error_body, reports_body, FastOutcome, PreparedSolve, SolveService,
 };
 
 /// Server sizing and addressing.
@@ -1148,10 +1149,10 @@ enum NodeJob {
     /// A keyed `POST /solve` miss (a canonical body is decoded on the
     /// worker).
     Solve(Box<PreparedSolve>),
-    /// A `POST /solve_batch` body (parsed on the worker: batches are
+    /// A `POST /solve_batch` body (decoded on the worker: batches are
     /// bulk work by definition, so their decode cost stays off the
-    /// reactor) and its trace, under which the worker records the batch
-    /// decode + solve as one `solve` span.
+    /// reactor) and its trace, under which each game records the stages
+    /// of a `/solve`.
     Batch(Vec<u8>, TraceCtx),
 }
 
@@ -1238,19 +1239,9 @@ impl Dispatcher for Node {
                 // A canonical body that does not decode, a 400; a game
                 // unsolvable as asked (budget, no equilibrium, …), a
                 // semantic 422; or a wrong engine answer, a 500.
-                Err(e) => Response::json(e.status(), error_body(&e.to_string())),
+                Err(e) => e.response(),
             },
-            NodeJob::Batch(body, ctx) => {
-                let t0 = service.recorder().now_ns();
-                let response = handle_batch(service, &body);
-                if ctx.active() {
-                    let t1 = service.recorder().now_ns();
-                    service
-                        .recorder()
-                        .record(ctx.trace_id, ctx.parent, Stage::Solve, t0, t1);
-                }
-                response
-            }
+            NodeJob::Batch(body, ctx) => handle_batch(service, &body, ctx),
         }
     }
 }
@@ -1315,19 +1306,13 @@ fn handle_cache_put(service: &SolveService, body: &[u8]) -> (u16, Vec<u8>) {
     }
 }
 
-/// Decodes a JSON request body, or the `400` that answers it.
-pub(crate) fn parse_body<T: bi_util::Decode>(body: &[u8]) -> Result<T, Response> {
-    decode_body(body).map_err(|e| Response::json(400, error_body(&e.to_string())))
-}
-
-fn handle_batch(service: &SolveService, body: &[u8]) -> Response {
-    let batch: BatchRequest = match parse_body(body) {
-        Ok(batch) => batch,
-        Err(response) => return response,
+fn handle_batch(service: &SolveService, body: &[u8], ctx: TraceCtx) -> Response {
+    let results = match service.solve_batch(body, ctx) {
+        Ok(results) => results,
+        Err(e) => return e.response(),
     };
-    let results = service.solve_batch(&batch);
     if let Some(e) = chain_failure(&results) {
-        return Response::json(e.status(), error_body(&e.to_string()));
+        return e.response();
     }
     let count = |hit: bool| {
         results
@@ -1592,8 +1577,8 @@ mod tests {
     #[test]
     fn batch_handler_maps_parse_errors_to_400() {
         let service = SolveService::new(CacheConfig::default());
-        assert_eq!(handle_batch(&service, b"not json").status, 400);
-        assert_eq!(handle_batch(&service, &[0xff, 0xfe]).status, 400);
-        assert_eq!(handle_batch(&service, b"{}").status, 400);
+        for body in [&b"not json"[..], &[0xff, 0xfe], b"{}"] {
+            assert_eq!(handle_batch(&service, body, TraceCtx::NONE).status, 400);
+        }
     }
 }

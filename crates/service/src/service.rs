@@ -11,10 +11,10 @@
 //!   [`Solver::solve`] result.
 //! * `POST /solve_batch` — `{"games": [GameSpec, …], "config": …}`: one
 //!   shared config, many games (e.g. a family of priors over one
-//!   underlying graph). Each game is served as a `/solve` would be,
-//!   cache lookup then one [`Solver::solve`] on a miss, in request
-//!   order; the response is `{"reports": [{"report": …} | {"error": …},
-//!   …]}`, aligned by index.
+//!   underlying graph). The batch is decoded once and each game is
+//!   served as the `/solve` of its canonical body, in request order;
+//!   the response is `{"reports": [{"report": …} | {"error": …}, …]}`,
+//!   aligned by index.
 //!
 //! The cache key is the canonical bytes of `{game, backend, budget}` —
 //! the thread count is deliberately **excluded**: sweeps are bit-for-bit
@@ -23,11 +23,13 @@
 //!
 //! A canonical request body already holds those three values, canonically
 //! spelled, so its key is read off its bytes ([`SolveService::span_key`]):
-//! one scan, no value tree, no re-encode. Only a true miss decodes the
-//! body, on the solver pool. A non-canonical body is decoded to find its
-//! key ([`SolveService::cache_key`]); both reach the same key for one
-//! request.
+//! one scan, no value tree, no re-encode. Any other body is decoded to
+//! find its key ([`SolveService::cache_key`]) and re-encoded once. Either
+//! way a miss carries canonical bytes to the solver pool, which decodes
+//! them, and they answer the next byte-identical body off the raw index.
 
+use std::borrow::Cow;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use bi_core::measures::ChainViolation;
@@ -39,6 +41,7 @@ use bi_util::json::{canon_elements, canon_members, field};
 use bi_util::{CodecError, Decode, Encode, Json};
 
 use crate::cache::{CacheConfig, CacheStats, ShardedLru};
+use crate::http::Response;
 use crate::metrics::ServiceMetrics;
 use crate::persist::{DiskTier, DiskTierStats};
 
@@ -55,6 +58,9 @@ pub enum ServeError {
     /// solver pool: a `400`, with the text the reactor's decode would
     /// have answered.
     Decode(CodecError),
+    /// A request the service accepted but could not take apart as it
+    /// must: a `500`.
+    Internal(&'static str),
 }
 
 impl ServeError {
@@ -65,7 +71,13 @@ impl ServeError {
             ServeError::Solve(_) => 422,
             ServeError::Chain(_) => 500,
             ServeError::Decode(_) => 400,
+            ServeError::Internal(_) => 500,
         }
+    }
+
+    /// The answer to this error, the same at every hop.
+    pub(crate) fn response(&self) -> Response {
+        Response::json(self.status(), error_body(&self.to_string()))
     }
 }
 
@@ -81,6 +93,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Solve(e) => e.fmt(f),
             ServeError::Chain(e) => write!(f, "internal error: the solver's report failed {e}"),
             ServeError::Decode(e) => e.fmt(f),
+            ServeError::Internal(what) => write!(f, "internal error: {what}"),
         }
     }
 }
@@ -91,6 +104,7 @@ impl std::error::Error for ServeError {
             ServeError::Solve(e) => Some(e),
             ServeError::Chain(e) => Some(e),
             ServeError::Decode(e) => Some(e),
+            ServeError::Internal(_) => None,
         }
     }
 }
@@ -215,36 +229,23 @@ pub struct ServedResponse {
     /// Whether the cache answered (no engine work happened).
     pub cache_hit: bool,
     /// Whether the answer came straight off the raw-byte index: the
-    /// request body was already canonical and byte-identical to a prior
-    /// one, so no JSON value tree was built at any point. Always `false`
-    /// on the batch path, which decodes the whole batch.
+    /// `/solve` body (a batch game's canonical one) was byte-identical to
+    /// a prior canonical one, so no key was read off it.
     pub zero_copy: bool,
 }
 
 /// A keyed cache miss, ready to cross into the solver pool. Produced by
 /// [`SolveService::try_serve_fast`], consumed by
-/// [`SolveService::complete_solve`]. A canonical body crosses as its raw
-/// bytes and is decoded once, on the solver thread; a non-canonical one
-/// was decoded on the transport thread to find its key, and crosses
-/// decoded. Either way the body is decoded exactly once.
+/// [`SolveService::complete_solve`]: the request crosses as its canonical
+/// bytes (the body as sent, or a non-canonical body re-encoded) and is
+/// decoded on the solver thread.
 #[derive(Debug)]
 pub struct PreparedSolve {
-    body: MissBody,
+    body: Vec<u8>,
     key: Vec<u8>,
     /// The trace context this miss was prepared under; the solver thread
     /// records its `decode`/`solve`/`encode` spans into the same trace.
     ctx: TraceCtx,
-}
-
-/// What a [`PreparedSolve`] carries of its request.
-#[derive(Debug)]
-enum MissBody {
-    /// A canonical body, keyed by its spans and not yet decoded. Its
-    /// bytes enter the raw index on success, so the next byte-identical
-    /// body is zero-copy.
-    Canonical(Vec<u8>),
-    /// A non-canonical body, decoded to find its key.
-    Decoded(Box<SolveRequest>),
 }
 
 impl PreparedSolve {
@@ -272,21 +273,17 @@ pub enum FastOutcome {
 ///
 /// Two caches back the service. The primary cache is keyed by the
 /// content address ([`SolveService::cache_key`], or for a canonical
-/// body the same bytes read off it by [`SolveService::span_key`]) and is
-/// what `solve` / `solve_batch` consult. The **raw index** maps exact
-/// request-body bytes (only bodies `span_key` keys) to the same shared
+/// body the same bytes read off it by [`SolveService::span_key`]). The
+/// **raw index** maps exact canonical request bytes to the same shared
 /// response `Arc`s, giving the transport a zero-parse hit path:
-/// byte-identical body ⟹ identical parse ⟹ identical result, so
-/// exact-byte keying is correct regardless of how conservatively the
-/// canonicality check classifies a body.
+/// byte-identical body ⟹ identical parse ⟹ identical result.
 ///
 /// The fast path looks the raw index up **before** checking anything.
-/// Every insert into it is gated by `span_key`, which runs
-/// [`bi_util::json::canon_check`]'s scan (a solved miss, a span-keyed
-/// hit warming the index, and `cache_put`), and a hit compares the full
-/// key bytes, so a hit is byte-identical to a body that once passed the
-/// check. Checking again would prove nothing new, so a hot body costs
-/// one hash and one comparison; the scan runs only on a raw-index miss.
+/// Only canonical bytes are inserted: a body that passed `span_key`'s
+/// [`bi_util::json::canon_check`] scan (a hit warming the index, and
+/// `cache_put`) or the encoder's own bytes of a solved miss. A hit
+/// compares the full key bytes, so checking again would prove nothing
+/// new: a hot body costs one hash and one comparison.
 pub struct SolveService {
     cache: ShardedLru<Arc<[u8]>>,
     /// Exact request-body bytes → response bytes, canonical bodies only.
@@ -430,52 +427,64 @@ impl SolveService {
         std::str::from_utf8(body).is_ok().then_some(key)
     }
 
-    /// Solves one request through the cache. On a miss the report is
-    /// computed by [`Solver::solve`], encoded canonically, and inserted;
-    /// on a hit the engine is never invoked.
+    /// Solves one request as a `POST /solve` of its canonical bytes:
+    /// [`Self::try_serve_fast`], then [`Self::complete_solve`] on a miss.
     ///
     /// # Errors
     ///
     /// Returns the engine's [`SolveError`], or a report that breaks the
     /// measure chain (neither is cached).
     pub fn solve(&self, request: &SolveRequest) -> Result<ServedResponse, ServeError> {
-        self.serve(&request.game, request.config)
-    }
-
-    /// Solves a batch: each game goes through [`SolveService::solve`]'s
-    /// lookup and compute, in request order, so a game repeated within
-    /// the batch is solved once. The results align with the input order.
-    pub fn solve_batch(&self, batch: &BatchRequest) -> Vec<Result<ServedResponse, ServeError>> {
-        batch
-            .games
-            .iter()
-            .map(|game| self.serve(game, batch.config))
-            .collect()
-    }
-
-    /// One game through the cache: the LRU and disk lookup, then
-    /// [`Self::compute`] on a miss.
-    fn serve(&self, game: &GameSpec, config: SolverConfig) -> Result<ServedResponse, ServeError> {
-        let key = Self::cache_key(game, &config);
-        if let Some(body) = self.lookup(&key, TraceCtx::NONE) {
-            return Ok(ServedResponse {
-                body,
-                cache_hit: true,
-                zero_copy: false,
-            });
+        match self.try_serve_fast(&request.canonical_bytes(), TraceCtx::NONE) {
+            Ok(FastOutcome::Hit(served)) => Ok(served),
+            Ok(FastOutcome::Miss(prepared)) => self.complete_solve(*prepared),
+            Err(e) => Err(ServeError::Decode(e)),
         }
-        self.compute(game, config, key, None, TraceCtx::NONE)
+    }
+
+    /// Solves a `POST /solve_batch` body as a list of `/solve`s under the
+    /// request's trace: the batch is decoded once (the `decode` stage),
+    /// then each game takes a `/solve`'s lookup under its canonical body
+    /// and a miss is solved from the decoded game, so a game repeated
+    /// within the batch is solved once. Results keep the input order.
+    ///
+    /// # Errors
+    ///
+    /// Returns the whole batch's `400` when it does not decode.
+    pub fn solve_batch(
+        &self,
+        batch: &[u8],
+        ctx: TraceCtx,
+    ) -> Result<Vec<Result<ServedResponse, ServeError>>, ServeError> {
+        let t_decode = self.recorder.now_ns();
+        let split = split_batch(batch);
+        self.finish_stage(ctx, Stage::Decode, t_decode);
+        let (games, config) = split?;
+        Ok(games
+            .into_iter()
+            .map(|game| {
+                let (key, body) = (game.key, &game.body);
+                let keyed = || Ok::<_, Infallible>((key, Cow::Borrowed(&body[..])));
+                let Ok(outcome) = self.serve_cached(body, ctx, keyed);
+                match outcome {
+                    FastOutcome::Hit(served) => Ok(served),
+                    FastOutcome::Miss(miss) => {
+                        self.compute(&game.game, config, miss.key, body, ctx)
+                    }
+                }
+            })
+            .collect())
     }
 
     /// The transport fast path for one `POST /solve` body. The body is
     /// first looked up in the raw-byte index, before any canonicality
     /// check (see [`SolveService`] for why that is sound) — a hit there
-    /// is served without building any JSON value tree. Otherwise a
-    /// canonical body is keyed by [`Self::span_key`], with no decode; a
-    /// non-canonical one is decoded and keyed by [`Self::cache_key`].
-    /// The LRU and the disk tier are consulted by that key, and a miss
-    /// comes back as a [`PreparedSolve`] for the solver pool, which
-    /// decodes a canonical body there, once.
+    /// is served without building any JSON value tree. Otherwise it is
+    /// keyed by `solve_key`: a canonical body by its spans, with no
+    /// decode; any other by decoding it once. The LRU and the disk tier
+    /// are consulted by that key, and a miss comes back as a
+    /// [`PreparedSolve`] carrying the canonical bytes, which the solver
+    /// pool decodes.
     ///
     /// # Errors
     ///
@@ -483,67 +492,59 @@ impl SolveService {
     /// valid UTF-8 or fails to decode as a solve request. A canonical
     /// body that fails to decode fails in [`Self::complete_solve`].
     pub fn try_serve_fast(&self, body: &[u8], ctx: TraceCtx) -> Result<FastOutcome, CodecError> {
-        // The whole lookup — raw index, span scan or decode, LRU, disk
-        // probe — is the `cache` stage of the request; the disk tier
-        // additionally records a nested `disk_promote` on a second-tier
-        // hit.
+        self.serve_cached(body, ctx, || solve_key(body))
+    }
+
+    /// The cache lookup of one `/solve`, its `cache` stage: the raw index
+    /// by the bytes as sent, then `keyed`'s key in the LRU and the disk
+    /// tier (which records a nested `disk_promote` on a second-tier
+    /// hit). A keyed hit warms the raw index only with bytes that arrived
+    /// canonical, so a non-canonical spelling never enters it.
+    fn serve_cached<'a, E>(
+        &self,
+        body: &[u8],
+        ctx: TraceCtx,
+        keyed: impl FnOnce() -> Result<(Vec<u8>, Cow<'a, [u8]>), E>,
+    ) -> Result<FastOutcome, E> {
+        use std::sync::atomic::Ordering::Relaxed;
         let t0 = self.recorder.now_ns();
-        if let Some(cached) = self.raw_index.get(body) {
+        let hit = |body, zero_copy| {
+            FastOutcome::Hit(ServedResponse {
+                body,
+                cache_hit: true,
+                zero_copy,
+            })
+        };
+        let outcome = if let Some(cached) = self.raw_index.get(body) {
             debug_assert!(
                 bi_util::json::canon_check(body),
                 "only canonical bodies enter the raw index"
             );
-            self.metrics
-                .zero_copy_hits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.finish_stage(ctx, Stage::Cache, t0);
-            return Ok(FastOutcome::Hit(ServedResponse {
-                body: cached,
-                cache_hit: true,
-                zero_copy: true,
-            }));
-        }
-        let (key, decoded) = match Self::span_key(body) {
-            Some(key) => (key, None),
-            None => {
-                let request = decode_body::<SolveRequest>(body)?;
-                (
-                    Self::cache_key(&request.game, &request.config),
-                    Some(request),
-                )
+            self.metrics.zero_copy_hits.fetch_add(1, Relaxed);
+            hit(cached, true)
+        } else {
+            let (key, canonical) = keyed()?;
+            if let Some(cached) = self.lookup(&key, ctx) {
+                self.metrics.parsed_hits.fetch_add(1, Relaxed);
+                if let Cow::Borrowed(canonical) = canonical {
+                    self.raw_index.insert(canonical, Arc::clone(&cached));
+                }
+                hit(cached, false)
+            } else {
+                FastOutcome::Miss(Box::new(PreparedSolve {
+                    body: canonical.into_owned(),
+                    key,
+                    ctx,
+                }))
             }
         };
-        if let Some(cached) = self.lookup(&key, ctx) {
-            self.metrics
-                .parsed_hits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            // Warm the raw index so the next byte-identical body skips
-            // the scan entirely.
-            if decoded.is_none() {
-                self.raw_index.insert(body, Arc::clone(&cached));
-            }
-            self.finish_stage(ctx, Stage::Cache, t0);
-            return Ok(FastOutcome::Hit(ServedResponse {
-                body: cached,
-                cache_hit: true,
-                zero_copy: false,
-            }));
-        }
         self.finish_stage(ctx, Stage::Cache, t0);
-        let body = match decoded {
-            Some(request) => MissBody::Decoded(Box::new(request)),
-            None => MissBody::Canonical(body.to_vec()),
-        };
-        Ok(FastOutcome::Miss(Box::new(PreparedSolve {
-            body,
-            key,
-            ctx,
-        })))
+        Ok(outcome)
     }
 
-    /// Finishes a [`PreparedSolve`] on a solver thread: decodes a
-    /// canonical body (the `decode` stage), runs the engine, populates
-    /// both caches, and returns the response bytes.
+    /// Finishes a [`PreparedSolve`] on a solver thread: decodes its
+    /// canonical bytes (the `decode` stage), runs the engine, stores the
+    /// report, and returns the response bytes.
     ///
     /// # Errors
     ///
@@ -552,18 +553,11 @@ impl SolveService {
     /// breaks the measure chain (none of them is cached).
     pub fn complete_solve(&self, prepared: PreparedSolve) -> Result<ServedResponse, ServeError> {
         let PreparedSolve { body, key, ctx } = prepared;
-        match body {
-            MissBody::Decoded(request) => {
-                self.compute(&request.game, request.config, key, None, ctx)
-            }
-            MissBody::Canonical(raw) => {
-                let t_decode = self.recorder.now_ns();
-                let decoded = decode_body::<SolveRequest>(&raw);
-                self.finish_stage(ctx, Stage::Decode, t_decode);
-                let request = decoded.map_err(ServeError::Decode)?;
-                self.compute(&request.game, request.config, key, Some(&raw), ctx)
-            }
-        }
+        let t_decode = self.recorder.now_ns();
+        let decoded = decode_body::<SolveRequest>(&body);
+        self.finish_stage(ctx, Stage::Decode, t_decode);
+        let request = decoded.map_err(ServeError::Decode)?;
+        self.compute(&request.game, request.config, key, &body, ctx)
     }
 
     /// The one solve path, behind every miss of a `/solve` body and of
@@ -575,7 +569,7 @@ impl SolveService {
         game: &GameSpec,
         config: SolverConfig,
         key: Vec<u8>,
-        raw: Option<&[u8]>,
+        raw: &[u8],
         ctx: TraceCtx,
     ) -> Result<ServedResponse, ServeError> {
         let solver = Self::solver(config);
@@ -607,16 +601,16 @@ impl SolveService {
         })
     }
 
-    /// The one tail of every miss, single or batched: counts the
-    /// computed report, checks it against Observation 2.2 (a report that
-    /// breaks the chain is counted, answered `500` and never cached),
-    /// then encodes it and stores it under `key` in the LRU and the disk
-    /// tier, and under the raw request bytes when they were canonical.
-    /// The encode and the stores are the miss's `encode` stage.
+    /// The one tail of every miss: counts the computed report, checks it
+    /// against Observation 2.2 (a report that breaks the chain is
+    /// counted, answered `500` and never cached), then encodes it and
+    /// [stores](Self::store) it under `key` and the canonical request
+    /// bytes `raw`. The encode and the stores are the miss's `encode`
+    /// stage.
     fn finish_miss(
         &self,
         key: Vec<u8>,
-        raw: Option<&[u8]>,
+        raw: &[u8],
         result: Result<SolveReport, SolveError>,
         ctx: TraceCtx,
     ) -> Result<ServedResponse, ServeError> {
@@ -629,21 +623,27 @@ impl SolveService {
         }
         let t_encode = self.recorder.now_ns();
         let body: Arc<[u8]> = Arc::from(report.canonical_bytes());
-        self.cache.insert(&key, Arc::clone(&body));
-        if let Some(disk) = &self.disk {
-            // Write-behind: the append is queued, never blocking a
-            // solver or transport thread.
-            disk.append_shared(&key, Arc::clone(&body));
-        }
-        if let Some(raw) = raw {
-            self.raw_index.insert(raw, Arc::clone(&body));
-        }
+        self.store(&key, Some(raw), &body);
         self.finish_stage(ctx, Stage::Encode, t_encode);
         Ok(ServedResponse {
             body,
             cache_hit: false,
             zero_copy: false,
         })
+    }
+
+    /// Stores a response under `key` in the LRU and, write-behind, the
+    /// disk tier, and under `canonical`, the request's canonical bytes,
+    /// in the raw index.
+    fn store(&self, key: &[u8], canonical: Option<&[u8]>, body: &Arc<[u8]>) {
+        self.cache.insert(key, Arc::clone(body));
+        if let Some(canonical) = canonical {
+            self.raw_index.insert(canonical, Arc::clone(body));
+        }
+        if let Some(disk) = &self.disk {
+            // Queued, never blocking a solver or transport thread.
+            disk.append_shared(key, Arc::clone(body));
+        }
     }
 
     /// Installs a peer-shipped response without solving — the handler
@@ -664,23 +664,26 @@ impl SolveService {
             .map_err(|_| CodecError::new("cache_put request bytes are not valid UTF-8"))?;
         let request = SolveRequest::decode_str(text)?;
         let span_key = Self::span_key(request_body);
-        let canonical = span_key.is_some();
+        let canonical = span_key.is_some().then_some(request_body);
         let key = span_key.unwrap_or_else(|| Self::cache_key(&request.game, &request.config));
-        let body: Arc<[u8]> = Arc::from(response_body.to_vec());
-        self.cache.insert(&key, Arc::clone(&body));
-        if canonical {
-            // Canonical request bytes warm the zero-copy index too, so a
-            // repaired node's next hit skips the parse entirely.
-            self.raw_index.insert(request_body, Arc::clone(&body));
-        }
-        if let Some(disk) = &self.disk {
-            disk.append_shared(&key, body);
-        }
+        self.store(&key, canonical, &Arc::from(response_body));
         self.metrics
             .cache_puts
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(())
     }
+}
+
+/// A `/solve` body's content address and canonical bytes: a body
+/// [`SolveService::span_key`] keys is borrowed as it is; any other is
+/// decoded once, keyed by [`SolveService::cache_key`] and re-encoded once.
+pub(crate) fn solve_key(body: &[u8]) -> Result<(Vec<u8>, Cow<'_, [u8]>), CodecError> {
+    if let Some(key) = SolveService::span_key(body) {
+        return Ok((key, Cow::Borrowed(body)));
+    }
+    let request = decode_body::<SolveRequest>(body)?;
+    let key = SolveService::cache_key(&request.game, &request.config);
+    Ok((key, Cow::Owned(request.canonical_bytes())))
 }
 
 /// Decodes a request body, on a node and on the router alike, so one
@@ -781,6 +784,31 @@ impl<'a> ConfigSpans<'a> {
         body.push(b'}');
         body
     }
+}
+
+/// One game of a batch as its own `/solve`: its content address, its
+/// canonical `/solve` body, and the game decoded.
+pub(crate) struct BatchGame {
+    pub(crate) key: Vec<u8>,
+    pub(crate) body: Vec<u8>,
+    pub(crate) game: GameSpec,
+}
+
+/// The one batch splitter, behind a node's and a router's
+/// `/solve_batch`: decodes the batch once, so one invalid game answers
+/// the whole batch `400` with one text at every hop, then copies each
+/// game's key and `/solve` body with [`batch_solves`] from the body as
+/// sent when it is canonical, else from the batch encoded once.
+pub(crate) fn split_batch(body: &[u8]) -> Result<(Vec<BatchGame>, SolverConfig), ServeError> {
+    let batch = decode_body::<BatchRequest>(body).map_err(ServeError::Decode)?;
+    let solves = batch_solves(body)
+        .or_else(|| batch_solves(&batch.canonical_bytes()))
+        .ok_or(ServeError::Internal(
+            "the batch's canonical bytes did not split into games",
+        ))?;
+    let games = batch.games.into_iter().zip(solves);
+    let games = games.map(|(game, (key, body))| BatchGame { key, body, game });
+    Ok((games.collect(), batch.config))
 }
 
 /// One game of a canonical `POST /solve_batch` body as a `/solve`:
@@ -901,8 +929,9 @@ mod tests {
         // optP above best-eqP: no exact solve reports that.
         broken.measures.opt_p = broken.measures.best_eq_p + 1.0;
         let key = SolveService::cache_key(&req.game, &req.config);
+        let raw = req.canonical_bytes();
         let err = service
-            .finish_miss(key.clone(), None, Ok(broken), TraceCtx::NONE)
+            .finish_miss(key.clone(), &raw, Ok(broken), TraceCtx::NONE)
             .unwrap_err();
         assert!(matches!(err, ServeError::Chain(_)), "{err}");
         assert_eq!(err.status(), 500);
@@ -915,7 +944,7 @@ mod tests {
         assert_eq!(metrics.get("chain_violations").unwrap().as_u64(), Some(1));
         // The sound report of the same game is cached and served.
         let served = service
-            .finish_miss(key.clone(), None, Ok(sound), TraceCtx::NONE)
+            .finish_miss(key.clone(), &raw, Ok(sound), TraceCtx::NONE)
             .unwrap();
         assert_eq!(served.body.as_ref(), sound.canonical_bytes().as_slice());
         assert!(service.lookup(&key, TraceCtx::NONE).is_some());
@@ -930,10 +959,10 @@ mod tests {
         let cold = service.solve(&req).unwrap();
         let warm = service.solve(&req).unwrap();
         assert!(!cold.cache_hit);
-        assert!(warm.cache_hit);
+        assert!(warm.cache_hit && warm.zero_copy);
         assert_eq!(cold.body, warm.body);
         let stats = service.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!((stats.hits, stats.misses), (0, 1));
     }
 
     #[test]
@@ -1068,7 +1097,9 @@ mod tests {
             games: vec![matrix_game(5), matrix_game(6), ncs_game()],
             config: SolverConfig::default(),
         };
-        let results = service.solve_batch(&batch);
+        let results = service
+            .solve_batch(&batch.canonical_bytes(), TraceCtx::NONE)
+            .unwrap();
         assert_eq!(results.len(), 3);
         assert!(results[0].as_ref().unwrap().cache_hit);
         assert!(!results[1].as_ref().unwrap().cache_hit);
@@ -1105,10 +1136,13 @@ mod tests {
         ));
         assert_eq!(service.cache_stats().insertions, 0);
         // Batch errors stay per-game.
-        let results = service.solve_batch(&BatchRequest {
+        let batch = BatchRequest {
             games: vec![req.game.clone()],
             config: req.config,
-        });
+        };
+        let results = service
+            .solve_batch(&batch.canonical_bytes(), TraceCtx::NONE)
+            .unwrap();
         assert!(matches!(
             results[0],
             Err(ServeError::Solve(SolveError::BudgetExceeded { .. }))
@@ -1137,9 +1171,10 @@ mod tests {
             ],
             config: req.config,
         };
-        service.solve_batch(&batch);
+        let batch = batch.canonical_bytes();
+        service.solve_batch(&batch, TraceCtx::NONE).unwrap();
         assert_eq!(solves(), 4);
-        service.solve_batch(&batch);
+        service.solve_batch(&batch, TraceCtx::NONE).unwrap();
         assert_eq!(solves(), 4);
         // Failed engine invocations count too.
         let unsolvable = SolveRequest {
@@ -1195,7 +1230,7 @@ mod tests {
         let m = service.metrics();
         assert_eq!(
             m.zero_copy_hits.load(std::sync::atomic::Ordering::Relaxed),
-            1
+            2
         );
         assert_eq!(m.parsed_hits.load(std::sync::atomic::Ordering::Relaxed), 1);
     }
@@ -1204,9 +1239,14 @@ mod tests {
     fn parsed_hits_warm_the_raw_index() {
         let service = SolveService::new(CacheConfig::default());
         let req = request(matrix_game(13));
-        // Populate the primary cache through the blocking path — the raw
-        // index has never seen these bytes.
-        service.solve(&req).unwrap();
+        // Populate the primary cache alone — the raw index has never
+        // seen these bytes.
+        let GameSpec::Matrix(game) = &req.game else {
+            unreachable!()
+        };
+        let report = Solver::default().solve(game).unwrap().canonical_bytes();
+        let key = SolveService::cache_key(&req.game, &req.config);
+        service.cache.insert(&key, Arc::from(report));
         let body = req.encode().canonical_bytes();
         let first = match service.try_serve_fast(&body, TraceCtx::NONE).unwrap() {
             FastOutcome::Hit(r) => r,
@@ -1260,6 +1300,34 @@ mod tests {
         }
         assert_eq!(service.recorder().spans().len(), before);
         assert_eq!(m.stages.get(bi_obs::Stage::Cache).count(), 2);
+    }
+
+    #[test]
+    fn a_traced_batch_records_a_decode_span_and_each_games_solve_stages() {
+        let service = SolveService::new(CacheConfig::default());
+        service.solve(&request(matrix_game(21))).unwrap();
+        let recorder = service.recorder();
+        let (trace, root) = (recorder.new_trace_id(), recorder.next_span_id());
+        let ctx = TraceCtx {
+            trace_id: trace,
+            parent: root,
+        };
+        let batch = BatchRequest {
+            games: vec![matrix_game(21), matrix_game(22), ncs_game()],
+            config: SolverConfig::default(),
+        };
+        let results = service.solve_batch(&batch.canonical_bytes(), ctx).unwrap();
+        assert!(results[0].as_ref().unwrap().zero_copy);
+        let spans = recorder.trace_spans(trace);
+        assert!(spans.iter().all(|s| s.parent == root), "{spans:?}");
+        let count = |stage: &str| spans.iter().filter(|s| s.stage.name() == stage).count();
+        // One decode for the batch, a lookup per game, and a solve and
+        // an encode per missed game: no span covers the whole batch.
+        assert_eq!(
+            ["decode", "cache", "solve", "encode"].map(count),
+            [1, 3, 2, 2]
+        );
+        assert_eq!(spans.len(), 8, "{spans:?}");
     }
 
     #[test]

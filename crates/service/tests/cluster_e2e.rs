@@ -907,6 +907,28 @@ fn a_respelled_batch_routes_as_its_canonical_batch() {
     }
 }
 
+#[test]
+fn a_bad_batch_is_answered_the_same_400_by_a_node_and_a_router() {
+    let (backends, router) = start_cluster(1, RouterConfig::default());
+    let unknown_kind = br#"{"games":[{"kind":"cubic"}]}"#;
+    for body in [&b"not json"[..], &[b'[', 0xff, b']'], unknown_kind] {
+        let direct = call(backends[0].addr(), "POST", "/solve_batch", body);
+        let routed = call(router.addr(), "POST", "/solve_batch", body);
+        assert_eq!(direct.status, 400, "{}", String::from_utf8_lossy(body));
+        assert_eq!(routed.status, 400, "{}", String::from_utf8_lossy(body));
+        assert_eq!(
+            routed.body,
+            direct.body,
+            "{}",
+            String::from_utf8_lossy(body)
+        );
+    }
+    router.stop();
+    for backend in backends {
+        backend.stop();
+    }
+}
+
 /// A tiny seeded generator for the churn test's choices.
 struct Picks(u64);
 

@@ -158,6 +158,13 @@ fn batches_share_the_cache_with_single_solves() {
     // Warm one game through /solve.
     let warm = call(handle.addr(), "POST", "/solve", &solve_body(&games[0]));
     assert_eq!(warm.status, 200);
+    let zero_copy_hits = || {
+        handle
+            .service()
+            .metrics()
+            .zero_copy_hits
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
     let batch = BatchRequest {
         games: games.clone(),
         config: SolverConfig::default(),
@@ -171,6 +178,8 @@ fn batches_share_the_cache_with_single_solves() {
     assert_eq!(response.status, 200);
     assert_eq!(response.header("x-cache-hits"), Some("1"));
     assert_eq!(response.header("x-cache-misses"), Some("3"));
+    // The warm game was served off the raw index, as its `/solve` is.
+    assert_eq!(zero_copy_hits(), 1);
     let doc = Json::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
     let reports = doc.get("reports").unwrap().as_arr().unwrap();
     assert_eq!(reports.len(), 4);
@@ -184,6 +193,13 @@ fn batches_share_the_cache_with_single_solves() {
             report.canonical_string(),
             direct.encode().canonical_string()
         );
+    }
+    // Each game the batch solved entered the raw index under its
+    // canonical `/solve` body, so sent alone it is a zero-copy hit.
+    for (i, game) in games.iter().enumerate().skip(1) {
+        let alone = call(handle.addr(), "POST", "/solve", &solve_body(game));
+        assert_eq!(alone.header("x-cache"), Some("hit"), "game {i}");
+        assert_eq!(zero_copy_hits(), 1 + i as u64, "game {i}");
     }
     handle.stop();
 }

@@ -246,6 +246,17 @@ fn non_canonical_solve_bodies_never_enter_the_raw_index() {
         "the canonical body still hits"
     );
     assert_eq!(zero_copy_hits(&service), 1);
+    // A spelling solved cold stores the request under its canonical
+    // bytes, never under its own.
+    for spelling in non_canonical_spellings(&request) {
+        let fresh = SolveService::new(CacheConfig::default());
+        assert_eq!(served_bytes(&fresh, &spelling), (cold.clone(), false));
+        for _ in 0..2 {
+            assert_eq!(served_bytes(&fresh, &spelling), (cold.clone(), false));
+        }
+        assert_eq!(served_bytes(&fresh, &body), (cold.clone(), true));
+        assert_eq!(zero_copy_hits(&fresh), 1);
+    }
 }
 
 #[test]

@@ -16,7 +16,7 @@ use bayesian_ignorance::core::solve::SolverConfig;
 use bayesian_ignorance::graph::{Direction, Graph};
 use bayesian_ignorance::ncs::{BayesianNcsGame, Prior};
 use bayesian_ignorance::service::{
-    BatchRequest, CacheConfig, GameSpec, SolveRequest, SolveService,
+    BatchRequest, CacheConfig, GameSpec, SolveRequest, SolveService, TraceCtx,
 };
 use bayesian_ignorance::util::{Decode, Encode};
 
@@ -63,8 +63,9 @@ fn main() {
     );
 
     // 3. Batch solving: one config, many games (here: a family of
-    //    priors over one graph) — each uncached member is solved as a
-    //    single `solve` would solve it, one after another.
+    //    priors over one graph), sent as the bytes of a `/solve_batch`
+    //    body — each member is served as the `/solve` of its canonical
+    //    body, one after another.
     let family: Vec<GameSpec> = [0.25, 0.5, 0.75]
         .iter()
         .map(|&p| {
@@ -89,7 +90,10 @@ fn main() {
             ..SolverConfig::default()
         },
     };
-    for (i, result) in service.solve_batch(&batch).iter().enumerate() {
+    let results = service
+        .solve_batch(&batch.canonical_bytes(), TraceCtx::NONE)
+        .expect("a valid batch");
+    for (i, result) in results.iter().enumerate() {
         let outcome = result.as_ref().expect("solvable");
         println!(
             "batch[{i}]: hit={} report={}",
