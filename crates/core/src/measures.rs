@@ -50,8 +50,9 @@ pub struct IgnoranceRatios {
     pub worst_eq: f64,
 }
 
-/// Error from [`Measures::verify_chain`]: the Observation 2.2 chain
-/// `optC ≤ optP ≤ best-eqP ≤ worst-eqP` failed.
+/// Error from [`Measures::verify_chain`]: a link of the Observation 2.2
+/// chain `optC ≤ optP ≤ best-eqP ≤ worst-eqP`, or of its
+/// complete-information side `optC ≤ best-eqC ≤ worst-eqC`, failed.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChainViolation {
     /// Human-readable name of the failed link.
@@ -87,19 +88,48 @@ impl Measures {
         }
     }
 
-    /// Checks Observation 2.2: `optC ≤ optP ≤ best-eqP ≤ worst-eqP`.
+    /// Checks Observation 2.2: `optC ≤ optP ≤ best-eqP ≤ worst-eqP`, up
+    /// to [`approx_le`]'s tolerance, and its complete-information side
+    /// `optC ≤ best-eqC ≤ worst-eqC`, exactly.
+    ///
+    /// The exact comparison is sound. In each state the optimum is at
+    /// most the best equilibrium, which is at most the worst: all three
+    /// are the same state costs, minimized over every profile, minimized
+    /// over the equilibria and maximized over them. The solver sums the
+    /// `p(t)` terms of all three values in the same state order, and
+    /// rounding is monotone (after rounding, `p ≥ 0` and `a ≤ b` give
+    /// `p·a ≤ p·b`, and `a ≤ b`, `c ≤ d` give `a + c ≤ b + d`), so the
+    /// sums keep the order of their terms.
     ///
     /// # Errors
     ///
     /// Returns the first violated link.
     pub fn verify_chain(&self) -> Result<(), ChainViolation> {
+        // `(link, lhs, rhs, exact)`.
         let links = [
-            ("optC ≤ optP", self.opt_c, self.opt_p),
-            ("optP ≤ best-eqP", self.opt_p, self.best_eq_p),
-            ("best-eqP ≤ worst-eqP", self.best_eq_p, self.worst_eq_p),
+            ("optC ≤ optP", self.opt_c, self.opt_p, false),
+            ("optP ≤ best-eqP", self.opt_p, self.best_eq_p, false),
+            (
+                "best-eqP ≤ worst-eqP",
+                self.best_eq_p,
+                self.worst_eq_p,
+                false,
+            ),
+            ("optC ≤ best-eqC", self.opt_c, self.best_eq_c, true),
+            (
+                "best-eqC ≤ worst-eqC",
+                self.best_eq_c,
+                self.worst_eq_c,
+                true,
+            ),
         ];
-        for (link, lhs, rhs) in links {
-            if !approx_le(lhs, rhs) {
+        for (link, lhs, rhs, exact) in links {
+            let holds = if exact {
+                lhs <= rhs
+            } else {
+                approx_le(lhs, rhs)
+            };
+            if !holds {
                 return Err(ChainViolation { link, lhs, rhs });
             }
         }
@@ -174,6 +204,32 @@ mod tests {
         m.worst_eq_p = 4.5;
         let err = m.verify_chain().unwrap_err();
         assert_eq!(err.link, "best-eqP ≤ worst-eqP");
+    }
+
+    #[test]
+    fn chain_rejects_opt_c_above_best_eq_c_by_any_margin() {
+        let mut m = sample();
+        m.opt_c = f64::from_bits(m.best_eq_c.to_bits() + 1);
+        let err = m.verify_chain().unwrap_err();
+        assert_eq!(err.link, "optC ≤ best-eqC");
+        assert_eq!((err.lhs, err.rhs), (m.opt_c, m.best_eq_c));
+    }
+
+    #[test]
+    fn chain_rejects_best_eq_c_above_worst_eq_c_by_any_margin() {
+        let mut m = sample();
+        m.best_eq_c = f64::from_bits(m.worst_eq_c.to_bits() + 1);
+        let err = m.verify_chain().unwrap_err();
+        assert_eq!(err.link, "best-eqC ≤ worst-eqC");
+        assert_eq!((err.lhs, err.rhs), (m.best_eq_c, m.worst_eq_c));
+    }
+
+    #[test]
+    fn chain_accepts_equal_complete_information_values() {
+        let mut m = sample();
+        m.best_eq_c = m.opt_c;
+        m.worst_eq_c = m.opt_c;
+        m.verify_chain().unwrap();
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Bayesian network cost-sharing games.
 
+use std::sync::Arc;
+
 use bi_core::compiled::{CompiledSpace, EvalKernel, Lowered, SlotStep};
 use bi_core::game::EnumerationError;
 use bi_core::measures::Measures;
@@ -46,15 +48,14 @@ pub type NcsStrategyProfile = Vec<Vec<Path>>;
 /// ```
 #[derive(Clone, Debug)]
 pub struct BayesianNcsGame {
-    graph: Graph,
+    /// Shared with every state model cut from this game, so a state's
+    /// complete-information game copies no graph.
+    graph: Arc<Graph>,
     support: Vec<(Vec<AgentType>, f64)>,
     /// Distinct positive-marginal types per agent.
     agent_types: Vec<Vec<AgentType>>,
     /// Per support state, the type index of each agent.
     support_type_idx: Vec<Vec<usize>>,
-    /// The complete-information game of each support state, built once at
-    /// construction (cost evaluations are the solver's hot path).
-    state_games: Vec<NcsGame>,
     /// Prior marginal weight of each `(agent, type)` slot, precomputed
     /// (the solver reads it per profile in its hot loop).
     type_weights: Vec<Vec<f64>>,
@@ -121,18 +122,11 @@ impl BayesianNcsGame {
                 type_weights[i][tau] += *prob;
             }
         }
-        let state_games = support
-            .iter()
-            .map(|(types, _)| {
-                NcsGame::new(graph.clone(), types.clone()).expect("feasibility checked above")
-            })
-            .collect();
         Ok(BayesianNcsGame {
-            graph,
+            graph: Arc::new(graph),
             support,
             agent_types,
             support_type_idx,
-            state_games,
             type_weights,
             limits,
         })
@@ -162,14 +156,16 @@ impl BayesianNcsGame {
         &self.support
     }
 
-    /// The complete-information NCS game of the `idx`-th support state.
+    /// The complete-information NCS game of the `idx`-th support state,
+    /// built on demand.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
     #[must_use]
     pub fn underlying_game(&self, idx: usize) -> NcsGame {
-        self.state_games[idx].clone()
+        NcsGame::new(Graph::clone(&self.graph), self.support[idx].0.clone())
+            .expect("feasibility checked at construction")
     }
 
     /// Candidate paths of one `(agent, type)` slot: every simple path of
@@ -201,16 +197,21 @@ impl BayesianNcsGame {
             .collect()
     }
 
-    /// The action profile a strategy induces in support state `idx`.
-    fn state_profile(&self, s: &NcsStrategyProfile, idx: usize) -> Vec<Path> {
-        self.support_type_idx[idx]
-            .iter()
-            .enumerate()
-            .map(|(i, &tau)| s[i][tau].clone())
-            .collect()
+    /// The edge loads a strategy induces in support state `idx`: how many
+    /// agents' paths buy each edge.
+    fn state_loads(&self, s: &NcsStrategyProfile, idx: usize) -> Vec<u32> {
+        let mut loads = vec![0u32; self.graph.edge_count()];
+        for (i, &tau) in self.support_type_idx[idx].iter().enumerate() {
+            for &e in &s[i][tau] {
+                loads[e.index()] += 1;
+            }
+        }
+        loads
     }
 
-    /// Ex-ante social cost `K(s) = E_t[K_t(s(t))]`.
+    /// Ex-ante social cost `K(s) = E_t[K_t(s(t))]`, where `K_t` sums the
+    /// bought edges' costs in edge-id order (as [`NcsGame::social_cost`]
+    /// does).
     ///
     /// # Panics
     ///
@@ -220,13 +221,21 @@ impl BayesianNcsGame {
         self.check_strategy(s);
         self.support
             .iter()
-            .zip(&self.state_games)
             .enumerate()
-            .map(|(idx, ((_, prob), game))| prob * game.social_cost(&self.state_profile(s, idx)))
+            .map(|(idx, (_, prob))| {
+                let loads = self.state_loads(s, idx);
+                let cost: f64 = self
+                    .graph
+                    .edges()
+                    .map(|(id, e)| if loads[id.index()] > 0 { e.cost() } else { 0.0 })
+                    .sum();
+                prob * cost
+            })
             .sum()
     }
 
-    /// Ex-ante expected payment of agent `i`.
+    /// Ex-ante expected payment of agent `i`: per state, her fair shares
+    /// `c(e)/load(e)` along her path (as [`NcsGame::payment`] sums them).
     ///
     /// # Panics
     ///
@@ -236,9 +245,16 @@ impl BayesianNcsGame {
         self.check_strategy(s);
         self.support
             .iter()
-            .zip(&self.state_games)
             .enumerate()
-            .map(|(idx, ((_, prob), game))| prob * game.payment(i, &self.state_profile(s, idx)))
+            .map(|(idx, (_, prob))| {
+                let loads = self.state_loads(s, idx);
+                let tau = self.support_type_idx[idx][i];
+                let payment: f64 = s[i][tau]
+                    .iter()
+                    .map(|&e| self.graph.edge(e).cost() / f64::from(loads[e.index()]))
+                    .sum();
+                prob * payment
+            })
             .sum()
     }
 
@@ -253,12 +269,7 @@ impl BayesianNcsGame {
         self.check_strategy(s);
         let mut total = 0.0;
         for (idx, (_, prob)) in self.support.iter().enumerate() {
-            let mut loads = vec![0u32; self.graph.edge_count()];
-            for (i, &tau) in self.support_type_idx[idx].iter().enumerate() {
-                for &e in &s[i][tau] {
-                    loads[e.index()] += 1;
-                }
-            }
+            let loads = self.state_loads(s, idx);
             total += prob
                 * self
                     .graph
@@ -567,11 +578,10 @@ impl BayesianModel for BayesianNcsGame {
         let types = &self.support[idx].0;
         let k = types.len();
         BayesianNcsGame {
-            graph: self.graph.clone(),
+            graph: Arc::clone(&self.graph),
             support: vec![(types.clone(), prob)],
             agent_types: types.iter().map(|&t| vec![t]).collect(),
             support_type_idx: vec![vec![0; k]],
-            state_games: vec![self.state_games[idx].clone()],
             type_weights: vec![vec![prob]; k],
             limits: self.limits,
         }
@@ -1048,6 +1058,15 @@ mod tests {
         let game = diamond_game();
         // Agent 0: 2 paths; agent 1: 2 paths × 1 (empty) = 2·2·1 = 4.
         assert_eq!(game.strategy_space_size().unwrap(), 4);
+    }
+
+    #[test]
+    fn a_state_model_shares_its_parents_graph() {
+        let game = diamond_game();
+        for idx in 0..game.support().len() {
+            let state = game.state_model(idx, 1.0);
+            assert!(Arc::ptr_eq(&game.graph, &state.graph));
+        }
     }
 
     #[test]

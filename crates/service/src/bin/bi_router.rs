@@ -14,8 +14,12 @@
 //! ```text
 //! bi-router --addr 127.0.0.1:0 \
 //!           --backends 127.0.0.1:4101,127.0.0.1:4102,127.0.0.1:4103 \
-//!           --vnodes 64
+//!           --replication 2
 //! ```
+//!
+//! The ring's 64 virtual nodes per backend, the 30 s deadline budget of
+//! a request, the 10 ms first retry backoff and the 10 s idle timeout of
+//! a client connection are fixed; only the flags below are settings.
 //!
 //! Endpoints: `POST /solve`, `POST /solve_batch`, `GET /metrics`
 //! (router + per-backend counters), `GET /healthz`, `GET /debug/trace`.
@@ -40,21 +44,15 @@ USAGE: bi-router --backends HOST:PORT,... [OPTIONS]
 OPTIONS:
   --addr HOST:PORT      bind address (default 127.0.0.1:0 = ephemeral port)
   --backends LIST       comma-separated bi-serve addresses (required)
-  --vnodes N            virtual nodes per backend on the ring (default 64)
   --probe-ms N          health-probe sweep interval in ms (default 500)
   --fail-threshold N    consecutive failures before eject (default 2)
   --replication N       replica owners per key: solved results are written
                         through to all N owners and dead owners are
                         read-repaired when they return (default 1)
-  --deadline-ms N       per-request retry/backoff deadline budget
-                        (default 30000)
   --retry-rounds N      retry rounds across live replicas per request
                         (default 3)
-  --backoff-ms N        first-round retry backoff, doubled per round with
-                        jitter (default 10)
-  --backoff-max-ms N    retry backoff ceiling (default 500)
-  --timeout-secs N      idle keep-alive timeout per client connection
-                        (default 10)
+  --backoff-max-ms N    ceiling of the retry backoff, which starts at 10 ms
+                        and doubles per round with jitter (default 500)
   --trace-slow-us N     log the span tree of any request slower than N µs
                         (default: off)
   --help                print this help
@@ -81,7 +79,6 @@ fn parse_args() -> Result<RouterConfig, String> {
                     .map(String::from)
                     .collect();
             }
-            "--vnodes" => config.vnodes = parse_num(&flag, &value)?,
             "--probe-ms" => {
                 config.probe_interval = Duration::from_millis(parse_num(&flag, &value)? as u64);
             }
@@ -89,20 +86,11 @@ fn parse_args() -> Result<RouterConfig, String> {
                 config.fail_threshold = parse_num(&flag, &value)?.max(1) as u32;
             }
             "--replication" => config.replication = parse_num(&flag, &value)?.max(1),
-            "--deadline-ms" => {
-                config.request_deadline = Duration::from_millis(parse_num(&flag, &value)? as u64);
-            }
             "--retry-rounds" => {
                 config.max_retry_rounds = parse_num(&flag, &value)?.max(1) as u32;
             }
-            "--backoff-ms" => {
-                config.retry_base_backoff = Duration::from_millis(parse_num(&flag, &value)? as u64);
-            }
             "--backoff-max-ms" => {
                 config.retry_max_backoff = Duration::from_millis(parse_num(&flag, &value)? as u64);
-            }
-            "--timeout-secs" => {
-                config.read_timeout = Duration::from_secs(parse_num(&flag, &value)? as u64);
             }
             "--trace-slow-us" => {
                 config.trace_slow_us = Some(parse_num(&flag, &value)? as u64);
@@ -135,7 +123,6 @@ fn main() {
         "starting",
         &[
             ("backends", Json::str(config.backends.join(","))),
-            ("vnodes", Json::from_u64(config.vnodes as u64)),
             (
                 "probe_ms",
                 Json::from_u64(config.probe_interval.as_millis() as u64),
@@ -145,10 +132,6 @@ fn main() {
                 Json::from_u64(u64::from(config.fail_threshold)),
             ),
             ("replication", Json::from_u64(config.replication as u64)),
-            (
-                "deadline_ms",
-                Json::from_u64(config.request_deadline.as_millis() as u64),
-            ),
             (
                 "retry_rounds",
                 Json::from_u64(u64::from(config.max_retry_rounds)),

@@ -8,7 +8,9 @@
 //! correct: route each request to the backend owning its key and that
 //! backend's cache concentrates exactly its arc of the key space. The
 //! router keys a `/solve` body with its node's own helper, so a
-//! canonical body is keyed by the spans of its bytes, with no decode.
+//! canonical body is keyed by the spans of its bytes, with no decode,
+//! and a non-canonical one is forwarded as the canonical bytes it was
+//! keyed by.
 //! The ring is a classic consistent hash with virtual nodes over the
 //! 64-bit XXH64 space the caches index with ([`bi_util::xxh64`]). A
 //! `/solve_batch` is a list of routed solves: each game goes through the
@@ -39,7 +41,7 @@
 //! and `GET /debug/trace` on the reactor thread and hands every
 //! `POST /solve` and `POST /solve_batch` to a bounded pool of
 //! forwarders, one per pooled upstream connection (`backends ×
-//! pool_capacity`). The forwarders block on upstream I/O, retries and
+//! POOL_CAPACITY`). The forwarders block on upstream I/O, retries and
 //! backoff; the reactor never does. A full forward queue is answered
 //! `429` + `Retry-After`, exactly as a node sheds load. Connection and
 //! status counters and stage histograms live in the router's own
@@ -202,15 +204,16 @@ impl HashRing {
     }
 }
 
-/// Router addressing, ring shape, health policy, and timeouts.
+/// The router settings a caller sets: addressing, health policy,
+/// replication, retries and sampling. The ring shape, the upstream
+/// timeouts, the pool size, the deadline budget, the first backoff and
+/// the repair-queue bound are constants of this module.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
     /// Bind address; port `0` for ephemeral.
     pub addr: String,
     /// Backend `host:port` addresses the ring is built over.
     pub backends: Vec<String>,
-    /// Virtual points per backend.
-    pub vnodes: usize,
     /// What to answer when no backend is live (always `503`).
     pub fallback: FallbackMode,
     /// How often the prober sweeps `/healthz` across backends.
@@ -219,14 +222,6 @@ pub struct RouterConfig {
     pub fail_threshold: u32,
     /// Idle keep-alive timeout for downstream client connections.
     pub read_timeout: Duration,
-    /// Connect deadline for upstream sockets (forwarding and probing).
-    pub connect_timeout: Duration,
-    /// Response deadline for a forwarded request.
-    pub upstream_timeout: Duration,
-    /// Pooled keep-alive connections retained per backend. The router
-    /// runs one forwarder thread per pooled connection
-    /// (`backends × pool_capacity`, at least one).
-    pub pool_capacity: usize,
     /// Sizing of the body-bytes → routing-hash cache (skips re-decoding
     /// hot canonical bodies). Every `/solve` body is looked up, so its
     /// `misses` in `/metrics` also count non-canonical bodies, which are
@@ -240,51 +235,56 @@ pub struct RouterConfig {
     /// `R` each solved result is written through to all `R` owners, so
     /// killing any single backend loses no cached work.
     pub replication: usize,
-    /// Total deadline budget per `/solve`, and per `/solve_batch` for all
-    /// its games: retries and backoff sleeps stop once it is spent, and
-    /// each game still unanswered gets its last upstream answer (`503`
-    /// when no live backend answered it).
-    pub request_deadline: Duration,
-    /// First-round retry backoff (doubled per round, deterministically
-    /// jittered, capped by `retry_max_backoff`).
-    pub retry_base_backoff: Duration,
     /// Backoff ceiling across retry rounds.
     pub retry_max_backoff: Duration,
     /// Retry rounds per `/solve` (clamped to ≥ 1): each round walks
     /// every live replica once; later rounds re-try backends that
     /// answered a retryable status (`429`/`5xx`) earlier.
     pub max_retry_rounds: u32,
-    /// Pending write-through/read-repair deliveries retained; overflow
-    /// is dropped (and counted) rather than growing without bound.
-    pub repair_queue_capacity: usize,
 }
 
 impl Default for RouterConfig {
-    /// Ephemeral port, no backends, 64 vnodes, 500 ms probes, 2-failure
-    /// ejection, 8-connection pools.
+    /// Ephemeral port, no backends, 500 ms probes, 2-failure ejection,
+    /// a node's 10 s idle timeout, no replicas, 3 retry rounds backing
+    /// off to at most 500 ms.
     fn default() -> Self {
         RouterConfig {
             addr: "127.0.0.1:0".into(),
             backends: Vec::new(),
-            vnodes: 64,
             fallback: FallbackMode::Unavailable,
             probe_interval: Duration::from_millis(500),
             fail_threshold: 2,
-            read_timeout: Duration::from_secs(10),
-            connect_timeout: Duration::from_secs(1),
-            upstream_timeout: Duration::from_secs(30),
-            pool_capacity: 8,
+            read_timeout: ServerConfig::default().read_timeout,
             key_cache: CacheConfig::default(),
             trace_slow_us: None,
             replication: 1,
-            request_deadline: Duration::from_secs(30),
-            retry_base_backoff: Duration::from_millis(10),
             retry_max_backoff: Duration::from_millis(500),
             max_retry_rounds: 3,
-            repair_queue_capacity: 4096,
         }
     }
 }
+
+/// Virtual points per backend on the ring.
+const VNODES: usize = 64;
+/// Connect deadline for upstream sockets (forwarding and probing).
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+/// Response deadline for a forwarded request.
+const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(30);
+/// Pooled keep-alive connections retained per backend. The router runs
+/// one forwarder thread per pooled connection (`backends ×
+/// POOL_CAPACITY`, at least one).
+const POOL_CAPACITY: usize = 8;
+/// Total deadline budget per `/solve`, and per `/solve_batch` for all
+/// its games: retries and backoff sleeps stop once it is spent, and each
+/// game still unanswered gets its last upstream answer (`503` when no
+/// live backend answered it).
+const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
+/// First-round retry backoff (doubled per round, deterministically
+/// jittered, capped by [`RouterConfig::retry_max_backoff`]).
+const RETRY_BASE_BACKOFF: Duration = Duration::from_millis(10);
+/// Pending write-through/read-repair deliveries retained; overflow is
+/// dropped (and counted) rather than growing without bound.
+const REPAIR_QUEUE_CAPACITY: usize = 4096;
 
 /// One upstream backend: liveness, failure accounting, and the
 /// keep-alive connection pool.
@@ -485,7 +485,7 @@ impl Router {
     /// Returns the bind failure.
     pub fn bind(config: RouterConfig) -> io::Result<Router> {
         let listener = TcpListener::bind(&config.addr)?;
-        let ring = HashRing::new(config.backends.len(), config.vnodes);
+        let ring = HashRing::new(config.backends.len(), VNODES);
         let backends = config.backends.iter().cloned().map(Backend::new).collect();
         let key_cache = ShardedLru::new(config.key_cache);
         let shared = Arc::new(Shared {
@@ -523,7 +523,7 @@ impl Router {
         let config = &self.shared.config;
         let engine_config = ServerConfig {
             // One forwarder per pooled upstream connection.
-            workers: (config.backends.len() * config.pool_capacity).max(1),
+            workers: (config.backends.len() * POOL_CAPACITY).max(1),
             read_timeout: config.read_timeout,
             trace_slow_us: config.trace_slow_us,
             // The forward-queue bound and the connection cap are a
@@ -603,26 +603,33 @@ fn route_hash(key: &[u8]) -> u64 {
 /// skips even the key scan. On a key-cache miss the body is keyed by
 /// [`solve_key`], a node's own keying (a `400` when a non-canonical body
 /// does not decode; a canonical one that does not decode is answered
-/// `400` by its node). The second value says whether the body arrived
-/// canonical and so may enter the key cache once answered `200`:
-/// [`handle_solve`] inserts it then, so a body that never decodes never
-/// takes a key-cache entry.
+/// `400` by its node). The second value is what to forward: the body
+/// itself when it arrived canonical, else the canonical bytes
+/// [`solve_key`] encoded, so the node keys them by their spans and
+/// decodes them once, on its pool. The third says whether the body
+/// arrived canonical and so may enter the key cache once answered
+/// `200`: [`handle_solve`] inserts it then, so a body that never decodes
+/// never takes a key-cache entry.
 ///
 /// The cache is looked up **first**, without checking the body. This is
 /// sound because only bodies `span_key` keys (they pass
 /// [`bi_util::json::canon_check`]) are ever inserted, and a hit compares
 /// the full body bytes, so a hit is byte-identical to a body that once
 /// passed the check.
-fn routing_hash(shared: &Shared, body: &[u8]) -> Result<(u64, bool), Response> {
+fn routing_hash<'a>(
+    shared: &Shared,
+    body: &'a [u8],
+) -> Result<(u64, Cow<'a, [u8]>, bool), Response> {
     if let Some(hash) = shared.key_cache.get(body) {
         debug_assert!(
             bi_util::json::canon_check(body),
             "only canonical bodies enter the key cache"
         );
-        return Ok((hash, false));
+        return Ok((hash, Cow::Borrowed(body), false));
     }
     let (key, canonical) = solve_key(body).map_err(|e| ServeError::Decode(e).response())?;
-    Ok((route_hash(&key), matches!(canonical, Cow::Borrowed(_))))
+    let arrived_canonical = matches!(canonical, Cow::Borrowed(_));
+    Ok((route_hash(&key), canonical, arrived_canonical))
 }
 
 /// The router's aggregated `GET /healthz`: overall status plus one row
@@ -727,7 +734,7 @@ fn retryable_status(status: u16) -> bool {
 /// key hash — two routers never thundering-herd the same backend on the
 /// same schedule, yet a rerun of the same traffic backs off identically.
 fn retry_backoff(config: &RouterConfig, hash: u64, round: u32) -> Duration {
-    let base = u64::try_from(config.retry_base_backoff.as_millis().max(1)).unwrap_or(u64::MAX);
+    let base = u64::try_from(RETRY_BASE_BACKOFF.as_millis()).unwrap_or(u64::MAX);
     let cap = u64::try_from(config.retry_max_backoff.as_millis().max(1)).unwrap_or(u64::MAX);
     let exp = base.saturating_mul(1u64 << round.min(16)).min(cap).max(1);
     let mut seed = [0u8; 16];
@@ -737,27 +744,27 @@ fn retry_backoff(config: &RouterConfig, hash: u64, round: u32) -> Duration {
 }
 
 /// Routes one `/solve` body: the routing-hash lookup (its
-/// `ring_lookup` stage), then [`route_solve`] under the request's
-/// deadline budget.
+/// `ring_lookup` stage), then [`route_solve`] of its canonical bytes
+/// under the request's deadline budget.
 fn handle_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
     shared.served.solve_requests.fetch_add(1, Ordering::Relaxed);
     let t_lookup = shared.recorder.now_ns();
-    let (hash, cacheable) = match routing_hash(shared, body) {
+    let (hash, canonical, cacheable) = match routing_hash(shared, body) {
         Ok(routed) => routed,
         Err(response) => return response,
     };
     shared
         .served
         .finish_stage(&shared.recorder, ctx, Stage::RingLookup, t_lookup);
-    let deadline = Instant::now() + shared.config.request_deadline;
-    let answer = route_solve(shared, hash, body, ctx, deadline);
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let answer = route_solve(shared, hash, &canonical, ctx, deadline);
     if cacheable && answer.status == 200 {
         shared.key_cache.insert(body, hash);
     }
     answer
 }
 
-/// Routes one `/solve` body whose key hashes to `hash`, until
+/// Routes one canonical `/solve` body whose key hashes to `hash`, until
 /// `deadline`: forward to the key's backend, failing over clockwise on
 /// transport errors (each feeds the ejection counter), retrying
 /// retryable statuses across replicas and rounds with capped jittered
@@ -895,7 +902,7 @@ fn schedule_repairs(
         if !queue.pending.insert((owner, hash)) {
             continue; // a delivery for this (owner, key) is already queued
         }
-        if queue.jobs.len() >= shared.config.repair_queue_capacity {
+        if queue.jobs.len() >= REPAIR_QUEUE_CAPACITY {
             queue.pending.remove(&(owner, hash));
             shared.metrics.repair_drops.fetch_add(1, Ordering::Relaxed);
             continue;
@@ -999,8 +1006,8 @@ fn forward(
         }
         // Stale pooled socket: drop it and retry on a fresh connection.
     }
-    let mut client = HttpClient::connect_timeout(&backend.addr, shared.config.connect_timeout)?;
-    client.set_read_timeout(Some(shared.config.upstream_timeout))?;
+    let mut client = HttpClient::connect_timeout(&backend.addr, CONNECT_TIMEOUT)?;
+    client.set_read_timeout(Some(UPSTREAM_TIMEOUT))?;
     let response = client.request_with("POST", path, body, extra)?;
     release(shared, idx, client);
     Ok(response)
@@ -1010,7 +1017,7 @@ fn forward(
 /// the pool is full).
 fn release(shared: &Shared, idx: usize, client: HttpClient) {
     let mut pool = shared.backends[idx].pool.lock().expect("pool poisoned");
-    if pool.len() < shared.config.pool_capacity {
+    if pool.len() < POOL_CAPACITY {
         pool.push(client);
     }
 }
@@ -1030,7 +1037,7 @@ fn handle_batch(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
         Ok((games, _)) => games,
         Err(e) => return e.response(),
     };
-    let deadline = Instant::now() + shared.config.request_deadline;
+    let deadline = Instant::now() + REQUEST_DEADLINE;
     let mut answers = Vec::with_capacity(games.len());
     for game in games {
         let answer = route_solve(shared, route_hash(&game.key), &game.body, ctx, deadline);
@@ -1056,7 +1063,7 @@ fn probe_loop(shared: &Shared) {
             if shared.shutdown.load(Ordering::Relaxed) {
                 return;
             }
-            if probe(backend, shared.config.connect_timeout) {
+            if probe(backend) {
                 backend.record_success();
             } else {
                 backend.record_failure(shared.config.fail_threshold);
@@ -1076,12 +1083,13 @@ fn probe_loop(shared: &Shared) {
     }
 }
 
-/// One `/healthz` round-trip on a fresh connection.
-fn probe(backend: &Backend, timeout: Duration) -> bool {
-    let Ok(mut client) = HttpClient::connect_timeout(&backend.addr, timeout) else {
+/// One `/healthz` round-trip on a fresh connection, each leg bounded by
+/// [`CONNECT_TIMEOUT`].
+fn probe(backend: &Backend) -> bool {
+    let Ok(mut client) = HttpClient::connect_timeout(&backend.addr, CONNECT_TIMEOUT) else {
         return false;
     };
-    if client.set_read_timeout(Some(timeout)).is_err() {
+    if client.set_read_timeout(Some(CONNECT_TIMEOUT)).is_err() {
         return false;
     }
     client

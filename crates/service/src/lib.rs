@@ -61,15 +61,19 @@
 //! * [`persist`] — the disk-backed second cache tier: an append-only log
 //!   of canonical-request-bytes → response-bytes with CRC-framed
 //!   records, rebuilt by a torn-tail-tolerant boot scan, appended behind
-//!   the hot path — a restarted node answers its old key space warm;
+//!   the hot path — a restarted node answers its old key space warm (a
+//!   node opens it with the default [`DiskTierConfig`]);
 //! * [`cluster`] — `bi-router`: a second dispatcher on the same reactor,
 //!   whose forwarder pool routes `/solve` bodies by canonical cache key
 //!   over a consistent-hash ring (virtual nodes over the same XXH64 key
 //!   space the cache uses) across N `bi-serve` backends over keep-alive
 //!   upstream pools, with `/healthz` probing, automatic eject/readmit,
-//!   replication and retries. A `/solve_batch` is routed game by game,
-//!   each game retried, failed over, written through and read-repaired
-//!   exactly as a `/solve`, and the answers spliced in request order.
+//!   replication and retries ([`RouterConfig`] holds the settings a
+//!   caller sets; the rest are constants). A non-canonical body is
+//!   forwarded as the canonical bytes the router keyed it by. A
+//!   `/solve_batch` is routed game by game, each game retried, failed
+//!   over, written through and read-repaired exactly as a `/solve`, and
+//!   the answers spliced in request order.
 //!   The router never solves: it returns a node's answer, or `503`
 //!   when no backend is live.
 //!

@@ -38,7 +38,9 @@
 //! solve. Any other canonical body is looked up by the key its bytes
 //! spell ([`SolveService::span_key`]), also without a decode: the
 //! reactor decodes only non-canonical bodies, to key them, and every
-//! miss is decoded on the solver pool from its canonical bytes. A
+//! miss is decoded on the solver pool from its canonical bytes. (A
+//! router forwards only canonical bytes, so a routed body is never
+//! decoded on the reactor.) A
 //! `/solve_batch` is decoded on the pool, once, and each of its games
 //! is then served as the `/solve` of its canonical body.
 //!
@@ -88,7 +90,7 @@ use crate::cache::CacheConfig;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::http::{parse_head, write_head_into, Response};
 use crate::metrics::ServiceMetrics;
-use crate::persist::DiskTierConfig;
+use crate::persist::{DiskTier, DiskTierConfig};
 use crate::reactor::{
     listener_fd, raw_fd, PollFd, Poller, WakePair, Waker, POLLERR, POLLHUP, POLLIN, POLLNVAL,
     POLLOUT,
@@ -119,12 +121,9 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Path of the disk-backed cache log (`None` runs memory-only). The
     /// log is opened (and its torn tail repaired) at bind time; a
-    /// restarted node replays its old key space warm.
+    /// restarted node replays its old key space warm, with the default
+    /// [`DiskTierConfig`] sizing.
     pub disk_path: Option<std::path::PathBuf>,
-    /// Disk-tier sizing: the write-behind queue bound (ignored when
-    /// `disk_path` is `None`). The log is write-once, so it never needs
-    /// compacting.
-    pub disk: DiskTierConfig,
     /// Deterministic fault injection (`--fault-plan` on `bi-serve`).
     /// `None` serves faithfully; `Some` threads the seeded plan through
     /// the reactor's accept/read/write/dispatch seams for chaos tests.
@@ -149,7 +148,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(10),
             max_connections: 8192,
             disk_path: None,
-            disk: DiskTierConfig::default(),
             fault: None,
             trace_slow_us: None,
         }
@@ -172,7 +170,7 @@ impl Server {
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let disk = match &config.disk_path {
-            Some(path) => Some(crate::persist::DiskTier::open(path, config.disk)?),
+            Some(path) => Some(DiskTier::open(path, DiskTierConfig::default())?),
             None => None,
         };
         let service = Arc::new(SolveService::with_disk(config.cache, disk));

@@ -925,23 +925,42 @@ mod tests {
             unreachable!()
         };
         let sound = Solver::default().solve(game).unwrap();
+        // No exact solve reports any of these. The complete-information
+        // links are broken by less than `approx_le`'s tolerance: they are
+        // compared exactly.
+        let below = |x: f64| x - 1e-12 * x.abs().max(1.0);
+        let mut breaks = Vec::new();
         let mut broken = sound;
-        // optP above best-eqP: no exact solve reports that.
         broken.measures.opt_p = broken.measures.best_eq_p + 1.0;
+        breaks.push(("optP ≤ best-eqP", broken));
+        let mut broken = sound;
+        broken.measures.best_eq_c = below(broken.measures.opt_c);
+        breaks.push(("optC ≤ best-eqC", broken));
+        let mut broken = sound;
+        broken.measures.worst_eq_c = below(broken.measures.best_eq_c);
+        breaks.push(("best-eqC ≤ worst-eqC", broken));
         let key = SolveService::cache_key(&req.game, &req.config);
         let raw = req.canonical_bytes();
-        let err = service
-            .finish_miss(key.clone(), &raw, Ok(broken), TraceCtx::NONE)
-            .unwrap_err();
-        assert!(matches!(err, ServeError::Chain(_)), "{err}");
-        assert_eq!(err.status(), 500);
-        assert!(chain_failure(&[Ok(()), Err(err)]).is_some());
-        service.sync_disk();
-        assert_eq!(service.cache_stats().insertions, 0);
-        assert_eq!(service.disk_stats().unwrap().appends, 0);
-        assert!(service.lookup(&key, TraceCtx::NONE).is_none());
-        let metrics = service.metrics_json();
-        assert_eq!(metrics.get("chain_violations").unwrap().as_u64(), Some(1));
+        for (n, (link, broken)) in breaks.into_iter().enumerate() {
+            let err = service
+                .finish_miss(key.clone(), &raw, Ok(broken), TraceCtx::NONE)
+                .unwrap_err();
+            assert!(
+                matches!(&err, ServeError::Chain(v) if v.link == link),
+                "{err}"
+            );
+            assert_eq!(err.status(), 500);
+            assert!(chain_failure(&[Ok(()), Err(err)]).is_some());
+            service.sync_disk();
+            assert_eq!(service.cache_stats().insertions, 0);
+            assert_eq!(service.disk_stats().unwrap().appends, 0);
+            assert!(service.lookup(&key, TraceCtx::NONE).is_none());
+            let metrics = service.metrics_json();
+            assert_eq!(
+                metrics.get("chain_violations").unwrap().as_u64(),
+                Some(n as u64 + 1)
+            );
+        }
         // The sound report of the same game is cached and served.
         let served = service
             .finish_miss(key.clone(), &raw, Ok(sound), TraceCtx::NONE)

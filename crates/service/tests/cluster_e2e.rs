@@ -13,7 +13,9 @@
 //! cluster answers `503`), a disk-backed server reboots
 //! warm — the whole pool replayed as byte-identical cache hits — and
 //! one injected `X-Bi-Trace` id stitches router and backend
-//! `/debug/trace` dumps into a single parent/child span tree.
+//! `/debug/trace` dumps into a single parent/child span tree, and a
+//! non-canonical `/solve` reaches its owner as canonical bytes, so a
+//! repeat is a zero-copy hit there.
 
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -901,6 +903,43 @@ fn a_respelled_batch_routes_as_its_canonical_batch() {
         assert_eq!(alone.header("x-cache"), Some("hit"), "game {i}");
     }
     standalone.stop();
+    router.stop();
+    for backend in backends {
+        backend.stop();
+    }
+}
+
+#[test]
+fn a_respelled_solve_is_a_zero_copy_hit_on_its_owner_the_second_time() {
+    let (backends, router) = start_cluster(3, RouterConfig::default());
+    let game = &light_workload(97, 1)[0];
+    // Leading whitespace makes the body non-canonical: the router keys it
+    // by decoding it and forwards the canonical bytes it encoded.
+    let mut spaced = b" ".to_vec();
+    spaced.extend_from_slice(&solve_body(game));
+    let zero_copy_hits = |addr: &str| -> u64 {
+        let owner = backends
+            .iter()
+            .find(|b| b.addr().to_string() == addr)
+            .expect("X-Backend names a backend");
+        owner
+            .service()
+            .metrics()
+            .zero_copy_hits
+            .load(Ordering::Relaxed)
+    };
+    let first = call(router.addr(), "POST", "/solve", &spaced);
+    assert_eq!(first.status, 200);
+    assert_eq!(first.header("x-cache"), Some("miss"));
+    assert_eq!(first.body, oracle_bytes(game));
+    let owner = first.header("x-backend").expect("owner").to_string();
+    let before = zero_copy_hits(&owner);
+    let second = call(router.addr(), "POST", "/solve", &spaced);
+    assert_eq!(second.status, 200);
+    assert_eq!(second.header("x-cache"), Some("hit"));
+    assert_eq!(second.header("x-backend"), Some(owner.as_str()));
+    assert_eq!(second.body, first.body);
+    assert_eq!(zero_copy_hits(&owner), before + 1);
     router.stop();
     for backend in backends {
         backend.stop();

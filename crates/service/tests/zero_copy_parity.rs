@@ -336,14 +336,16 @@ fn non_canonical_bodies_never_enter_the_router_key_cache() {
         }
     }
     // Every spelling missed the key cache both times and left no entry;
-    // the backend answered each from its parse path.
+    // the router forwarded the canonical bytes it keyed, so the backend
+    // answered each off its raw index.
+    let forwarded = 2 * spellings.len() as u64;
     assert_eq!((key_cache("hits"), key_cache("entries")), (0, 1));
-    assert_eq!(key_cache("misses"), 1 + 2 * spellings.len() as u64);
-    assert_eq!(zero_copy_hits(&backend.service()), 0);
+    assert_eq!(key_cache("misses"), 1 + forwarded);
+    assert_eq!(zero_copy_hits(&backend.service()), forwarded);
     // The canonical body still hits both tables.
     assert_eq!(call(router.addr(), &body).body, cold.body);
     assert_eq!(key_cache("hits"), 1);
-    assert_eq!(zero_copy_hits(&backend.service()), 1);
+    assert_eq!(zero_copy_hits(&backend.service()), forwarded + 1);
     router.stop();
     backend.stop();
 }
