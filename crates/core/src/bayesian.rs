@@ -586,7 +586,13 @@ impl BayesianModel for BayesianGame {
         // (2) makes social and third-party interim sums termwise
         // identical under the swap; (2)+(3) make the stability decision
         // of agent `a`'s slots under the swapped profile coincide with
-        // agent `b`'s under the original.
+        // agent `b`'s under the original. On a profile where `a` and `b`
+        // play the same action at every type the swap is the identity:
+        // by (1) both play it in the same states, so by (3) and then (2)
+        // a deviation of `b` reads the same table entry as the same
+        // deviation of `a`, and slot `(b, τ)`'s interim vector, and with
+        // it its verdict, equals slot `(a, τ)`'s bit for bit. The orbit
+        // sweep skips such repeated slots in its equilibrium check.
         //
         // (3) and the cheap checks run over every state before any table
         // walk, so asymmetric pairs cost O(states). (2) walks only each
@@ -903,21 +909,6 @@ impl MatrixKernel<'_> {
         self.fresh[slot / 64] |= 1 << (slot % 64);
         range
     }
-
-    /// Bit-faithful `BayesianGame::slot_is_stable` for one slot: exact
-    /// over every deviation. The legacy short-circuit over actions only
-    /// skipped computation, never changed the decision, so the verdict
-    /// over the memoized all-deviations vector is the identical boolean.
-    fn slot_is_stable(&mut self, slot: usize) -> bool {
-        let range = self.refresh(slot);
-        let at = range.start + self.digits[slot] as usize;
-        if let Some(stable) = self.verdicts[at] {
-            return stable;
-        }
-        let stable = stable_against(&self.interim[range], self.interim[at]);
-        self.verdicts[at] = Some(stable);
-        stable
-    }
 }
 
 /// The `slot_is_stable` verdict of a candidate of interim cost `played`
@@ -973,15 +964,30 @@ impl EvalKernel for MatrixKernel<'_> {
         }
     }
 
-    fn is_equilibrium(&mut self) -> bool {
+    /// Bit-faithful `BayesianGame::slot_is_stable` for one slot: exact
+    /// over every deviation. The legacy short-circuit over actions only
+    /// skipped computation, never changed the decision, so the verdict
+    /// over the memoized all-deviations vector is the identical boolean.
+    fn slot_is_stable(&mut self, slot: usize) -> bool {
+        let range = self.refresh(slot);
+        let at = range.start + self.digits[slot] as usize;
+        if let Some(stable) = self.verdicts[at] {
+            return stable;
+        }
+        let stable = stable_against(&self.interim[range], self.interim[at]);
+        self.verdicts[at] = Some(stable);
+        stable
+    }
+
+    fn is_equilibrium_except(&mut self, skip: &[bool]) -> bool {
         // An AND over independent slots, so the order cannot change the
         // result. Last to first: the last slots move fastest, so their
         // vectors depend only on slow digits and a memoized verdict
         // usually refutes the profile in O(1).
         let space = self.lowered.space;
-        (0..space.num_slots())
-            .rev()
-            .all(|slot| space.weight(slot) == 0.0 || self.slot_is_stable(slot))
+        (0..space.num_slots()).rev().all(|slot| {
+            space.weight(slot) == 0.0 || skip.get(slot) == Some(&true) || self.slot_is_stable(slot)
+        })
     }
 
     fn slot_improvement(&mut self, slot: usize) -> SlotStep {

@@ -22,7 +22,8 @@
 //!
 //! Kernels are an *evaluation strategy*, not a semantics change: every
 //! kernel must return results bit-for-bit identical to the trait-method
-//! path (`social_cost`, `is_equilibrium`, `slot_improvement`) on the
+//! path (`social_cost`, `slot_is_stable`, `is_equilibrium`,
+//! `slot_improvement`) on the
 //! materialized profile. [`GenericLowered`]'s kernel is the reference
 //! implementation — it literally maintains a profile and calls those
 //! methods — and doubles as the fallback for models without a compiled
@@ -326,11 +327,12 @@ pub trait Lowered: Sync {
 /// independent slots, so evaluation order cannot change the result — the
 /// slot that refuted the previous profile (`hint`) is checked first
 /// (odometer neighbours usually fail at the same slot), then the rest in
-/// slot order. Zero-weight slots are skipped; `hint` is updated on
-/// failure.
+/// slot order. Slots for which `skipped` holds (zero-weight slots, and
+/// those [`EvalKernel::is_equilibrium_except`] is told to skip) are not
+/// checked; `hint` is updated on failure.
 pub fn stable_with_hint(
     num_slots: usize,
-    weight: impl Fn(usize) -> f64,
+    skipped: impl Fn(usize) -> bool,
     hint: &mut usize,
     mut slot_is_stable: impl FnMut(usize) -> bool,
 ) -> bool {
@@ -338,11 +340,11 @@ pub fn stable_with_hint(
         return true;
     }
     let first = *hint;
-    if weight(first) != 0.0 && !slot_is_stable(first) {
+    if !skipped(first) && !slot_is_stable(first) {
         return false;
     }
     for slot in 0..num_slots {
-        if slot == first || weight(slot) == 0.0 {
+        if slot == first || skipped(slot) {
             continue;
         }
         if !slot_is_stable(slot) {
@@ -373,8 +375,27 @@ pub trait EvalKernel {
     /// Ex-ante social cost of the current digits.
     fn social_cost(&mut self) -> f64;
 
-    /// Whether the current digits form a pure Bayesian equilibrium.
-    fn is_equilibrium(&mut self) -> bool;
+    /// Whether slot `slot` is interim-stable under the current digits:
+    /// the verdict [`BayesianModel::slot_is_stable`] gives the slot on
+    /// the materialized profile.
+    fn slot_is_stable(&mut self, slot: usize) -> bool;
+
+    /// Whether the current digits form a pure Bayesian equilibrium: every
+    /// positive-weight slot is interim-stable.
+    fn is_equilibrium(&mut self) -> bool {
+        self.is_equilibrium_except(&[])
+    }
+
+    /// [`is_equilibrium`](Self::is_equilibrium) without the slots `skip`
+    /// marks (`skip[slot]`; a slot past its end is unmarked, so `&[]`
+    /// skips nothing): the AND of
+    /// [`slot_is_stable`](Self::slot_is_stable) over every positive-weight
+    /// slot it does not mark. The caller vouches that each marked slot's
+    /// verdict equals that of a slot it leaves in, so the result is the
+    /// full check's: the orbit sweep marks the slots of agents that
+    /// repeat their class predecessor's tuple
+    /// ([`crate::symmetry::Symmetry::mark_repeats`]).
+    fn is_equilibrium_except(&mut self, skip: &[bool]) -> bool;
 
     /// An interim improvement at `slot` (over the **full** action space,
     /// like [`BayesianModel::slot_improvement`]), mapped to a candidate
@@ -457,8 +478,19 @@ impl<M: BayesianModel> EvalKernel for GenericKernel<'_, M> {
         self.model.social_cost(&self.profile)
     }
 
-    fn is_equilibrium(&mut self) -> bool {
-        self.model.is_equilibrium(&self.profile)
+    fn slot_is_stable(&mut self, slot: usize) -> bool {
+        let (i, tau) = self.space.slot(slot);
+        self.model.slot_is_stable(i, tau, &self.profile)
+    }
+
+    fn is_equilibrium_except(&mut self, skip: &[bool]) -> bool {
+        // The AND of `BayesianModel::is_equilibrium`, in the same slot
+        // order, over the slots the caller does not skip.
+        (0..self.space.num_slots()).all(|slot| {
+            self.space.weight(slot) == 0.0
+                || skip.get(slot) == Some(&true)
+                || self.slot_is_stable(slot)
+        })
     }
 
     fn slot_improvement(&mut self, slot: usize) -> SlotStep {

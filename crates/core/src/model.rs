@@ -184,8 +184,14 @@ pub trait BayesianModel: Sync {
     /// equal values.
     ///
     /// The symmetry-reduced sweep ([`crate::symmetry`]) relies on this
-    /// contract to evaluate only one canonical representative per orbit,
-    /// so implementations must only return `true` when they can verify
+    /// contract to evaluate only one canonical representative per orbit.
+    /// It also relies on its per-slot consequence: on a profile where `a`
+    /// and `b` play equal strategies (the same action at each type), the
+    /// swap fixes the profile, so [`slot_is_stable`](Self::slot_is_stable)
+    /// gives `(a, τ)` and `(b, τ)` the same verdict for every type `τ`,
+    /// and the sweep's equilibrium check takes one verdict per run of
+    /// equal strategies. So implementations must only return `true` when
+    /// they can verify
     /// the invariance on their own data (e.g. bitwise-equal cost tables
     /// under the coordinate swap). The relation must be an equivalence
     /// (exact interchangeability always is — transpositions compose).

@@ -25,7 +25,13 @@
 //! representative per orbit, on both measure sides. The measures are
 //! bit-for-bit those of the full sweep, and so is the report:
 //! [`SolveReport::profiles_evaluated`] counts the profiles the sweep
-//! covers, not the representatives it evaluated.
+//! covers, not the representatives it evaluated. An orbit step tells
+//! the kernel each slot whose digit differs, once
+//! ([`Symmetry::next_canonical`]), and the equilibrium check takes one
+//! verdict per run of class members playing equal tuples: the others'
+//! slots are marked ([`Symmetry::mark_repeats`]) and skipped
+//! ([`EvalKernel::is_equilibrium_except`]), as their verdicts are the
+//! run's first member's, bit for bit.
 //!
 //! The exhaustive sweep also splits by support state when every agent's
 //! type reveals the state: no `(agent, type)` slot appears in two states
@@ -1284,7 +1290,8 @@ const MIN_STEAL_BLOCK: u128 = 1024;
 /// caller owns the kernel and digit buffer (workers reuse them across
 /// stolen blocks); the kernel is re-seeded once from the block's starting
 /// digits, then delta-updated per tick — no action is cloned anywhere in
-/// this loop.
+/// this loop. On the orbit domain the equilibrium check skips the slots
+/// of agents that repeat their class predecessor's tuple.
 fn sweep_block<A: Clone + PartialEq>(
     space: &CompiledSpace<A>,
     symmetry: Option<&Symmetry>,
@@ -1297,14 +1304,21 @@ fn sweep_block<A: Clone + PartialEq>(
     if count == 0 {
         return stats;
     }
+    // On the orbit domain, the slots of agents that repeat their class
+    // predecessor's tuple: their verdicts are the predecessor's.
+    let mut repeats = Vec::new();
     match symmetry {
         None => space.decode(start, digits),
-        Some(sym) => sym.decode_canonical(start, digits),
+        Some(sym) => {
+            sym.decode_canonical(start, digits);
+            repeats.resize(digits.len(), false);
+            sym.mark_repeats(digits, 0, &mut repeats);
+        }
     }
     kernel.seed(digits);
     let mut done = 0u128;
     loop {
-        stats.observe(kernel.social_cost(), kernel.is_equilibrium());
+        stats.observe(kernel.social_cost(), kernel.is_equilibrium_except(&repeats));
         done += 1;
         if done == count {
             return stats;
@@ -1331,8 +1345,15 @@ fn sweep_block<A: Clone + PartialEq>(
                 }
             }
             Some(sym) => {
-                let more = sym.next_canonical(digits, |j, old, new| kernel.advance(j, old, new));
+                // The first report is in the agent that grew.
+                let mut grown = None;
+                let more = sym.next_canonical(digits, |j, old, new| {
+                    grown.get_or_insert(j);
+                    kernel.advance(j, old, new);
+                });
                 debug_assert!(more, "canonical domain exhausted before count was reached");
+                let grown = grown.expect("a step changes a digit");
+                sym.mark_repeats(digits, space.slot(grown).0, &mut repeats);
             }
         }
     }

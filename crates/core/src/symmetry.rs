@@ -19,9 +19,14 @@
 //!   sweeping, exactly as in the unreduced path;
 //! * [`Symmetry::decode_canonical`] unranks a canonical profile by index
 //!   and [`Symmetry::next_canonical`] steps to the lexicographic
-//!   successor in place — together they give the work-stealing sweep a
-//!   block-decodable enumeration domain identical in shape to the flat
-//!   odometer;
+//!   successor in place, reporting each differing slot once — together
+//!   they give the work-stealing sweep a block-decodable enumeration
+//!   domain identical in shape to the flat odometer, and a step costs
+//!   the kernel only the digits that differ net;
+//! * [`Symmetry::mark_repeats`] marks the agents whose tuple repeats
+//!   their class predecessor's: their slot verdicts are copies of the
+//!   predecessor's, so the sweep's equilibrium check takes one verdict
+//!   per run of equal tuples;
 //! * [`Symmetry::canonicalize`] / [`Symmetry::is_canonical`] /
 //!   [`Symmetry::orbit_size`] expose the underlying group action for
 //!   property tests and diagnostics.
@@ -36,7 +41,10 @@
 //!
 //! Everything here rests on the [`BayesianModel::agents_interchangeable`]
 //! contract: swapping the two agents' strategies must leave
-//! `social_cost` and every interim cost **bit-for-bit** unchanged.
+//! `social_cost` and every interim cost **bit-for-bit** unchanged. On a
+//! profile where two interchangeable agents play equal tuples the swap
+//! is the identity, so each agent's slot verdicts equal the other's, bit
+//! for bit: that is what [`Symmetry::mark_repeats`] lets a check skip.
 //! Representations therefore only declare symmetry they can verify on
 //! their own data (bitwise-equal cost tables under the coordinate swap
 //! for matrix games, identical type lists and per-state type incidence
@@ -322,10 +330,10 @@ impl Symmetry {
     }
 
     /// Advances `digits` to the lexicographically next canonical profile
-    /// in place, reporting every changed slot as `(slot, old, new)` so an
-    /// incremental [`crate::compiled::EvalKernel`] can follow along.
-    /// Returns `false` (leaving `digits` unspecified) when `digits` was
-    /// the last canonical profile.
+    /// in place, reporting each differing slot once as `(slot, old, new)`
+    /// so an incremental [`crate::compiled::EvalKernel`] can follow along.
+    /// Returns `false` (leaving `digits` unchanged) when `digits` was the
+    /// last canonical profile.
     ///
     /// # Panics
     ///
@@ -337,17 +345,15 @@ impl Symmetry {
     ) -> bool {
         assert_eq!(digits.len(), self.slot_sizes.len(), "digit buffer length");
         // Rightmost agent whose tuple can still grow; increments never
-        // violate the (lower-bound-only) class constraints.
-        let mut a = self.agent_slots.len();
-        loop {
-            if a == 0 {
-                return false;
-            }
-            a -= 1;
-            if self.increment_agent(digits, a, &mut on_change) {
-                break;
-            }
-        }
+        // violate the (lower-bound-only) class constraints. Every later
+        // agent holds its largest tuple and is written once below.
+        let Some(a) = (0..self.agent_slots.len())
+            .rev()
+            .find(|&a| !self.is_last_tuple(digits, a))
+        else {
+            return false;
+        };
+        self.increment_agent(digits, a, &mut on_change);
         // Minimal completion of every later agent: its class
         // predecessor's (already final) tuple, or all zeros.
         for b in a + 1..self.agent_slots.len() {
@@ -359,6 +365,37 @@ impl Symmetry {
         true
     }
 
+    /// Sets each slot's flag in `repeats` to whether its agent's tuple
+    /// equals its class predecessor's: on a canonical profile these are
+    /// the members after the first of each run of equal tuples.
+    /// Swapping such an agent with its predecessor fixes the profile, so
+    /// under the [`BayesianModel::agents_interchangeable`] contract each of
+    /// its slots gets the same stability verdict as the predecessor's
+    /// slot at the same position, and an equilibrium check may skip it
+    /// ([`crate::compiled::EvalKernel::is_equilibrium_except`]).
+    ///
+    /// Only agents `from` and later are rewritten: after
+    /// [`Symmetry::next_canonical`], `from` may be the agent of the first
+    /// slot it reported, since no earlier agent's tuple moved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `digits` or `repeats` has the wrong length.
+    pub fn mark_repeats(&self, digits: &[u32], from: usize, repeats: &mut [bool]) {
+        assert_eq!(digits.len(), self.slot_sizes.len(), "digit buffer length");
+        assert_eq!(repeats.len(), self.slot_sizes.len(), "repeat buffer length");
+        for b in from..self.agent_slots.len() {
+            let (start, count) = self.agent_slots[b];
+            let repeat = self.class_pred[b].is_some_and(|p| {
+                let pred = self.agent_slots[p].0;
+                (0..count).all(|s| digits[pred + s] == digits[start + s])
+            });
+            for r in &mut repeats[start..start + count] {
+                *r = repeat;
+            }
+        }
+    }
+
     /// Compares the strategy tuples of agents `a` and `b` (which must be
     /// structurally equal) lexicographically over their slot blocks.
     fn cmp_agent_tuples(&self, digits: &[u32], a: usize, b: usize) -> std::cmp::Ordering {
@@ -367,29 +404,36 @@ impl Symmetry {
         digits[sa..sa + count].cmp(&digits[sb..sb + count])
     }
 
-    /// Mixed-radix increment of agent `a`'s tuple (last slot fastest).
-    /// On overflow the tuple wraps to all zeros and `false` is returned;
-    /// every digit change is reported either way.
+    /// Whether agent `a` plays its largest tuple (every digit at its
+    /// slot's last candidate).
+    fn is_last_tuple(&self, digits: &[u32], a: usize) -> bool {
+        let (start, count) = self.agent_slots[a];
+        (start..start + count).all(|j| digits[j] + 1 == self.slot_sizes[j])
+    }
+
+    /// Mixed-radix increment of agent `a`'s tuple (last slot fastest),
+    /// which must not be its largest: trailing last-candidate digits wrap
+    /// to zero and one digit grows, each change reported once.
     fn increment_agent(
         &self,
         digits: &mut [u32],
         a: usize,
         on_change: &mut impl FnMut(usize, u32, u32),
-    ) -> bool {
+    ) {
         let (start, count) = self.agent_slots[a];
         for j in (start..start + count).rev() {
             let old = digits[j];
             if old + 1 < self.slot_sizes[j] {
                 digits[j] = old + 1;
                 on_change(j, old, old + 1);
-                return true;
+                return;
             }
             digits[j] = 0;
             if old != 0 {
                 on_change(j, old, 0);
             }
         }
-        false
+        unreachable!("agent {a} already plays its largest tuple");
     }
 
     /// Overwrites agent `to`'s tuple with agent `from`'s, reporting the
@@ -624,12 +668,9 @@ mod tests {
         }
     }
 
-    /// The all-zeros profile is rank 0 of the general unranking, for
-    /// singleton classes, one big class, mixed classes and agents of
-    /// several types: the fact [`Symmetry::decode_canonical`]'s rank-0
-    /// start rests on.
-    #[test]
-    fn rank_zero_is_the_all_zeros_profile() {
+    /// Games of several class shapes, with their classes: singleton
+    /// classes, one big class, mixed classes and agents of several types.
+    fn class_shapes() -> Vec<(BayesianGame, Vec<Vec<usize>>)> {
         let sum = |_: usize, a: &[usize]| a.iter().sum::<usize>() as f64;
         let skew = |_: usize, a: &[usize]| (4 * a[0] + 2 * a[1] + a[2]) as f64;
         let one_state = |actions: &[usize], cost: fn(usize, &[usize]) -> f64| {
@@ -642,13 +683,20 @@ mod tests {
             let support = (0..2).map(|t| (vec![t, t], 0.5, g.clone())).collect();
             BayesianGame::new(vec![2, 2], support).unwrap()
         };
-        let cases = [
+        vec![
             (one_state(&[2, 3, 2], skew), vec![vec![0], vec![1], vec![2]]),
             (one_state(&[3; 4], sum), vec![vec![0, 1, 2, 3]]),
             (two_plus_one_game(), vec![vec![0, 1], vec![2]]),
             (multi_type, vec![vec![0, 1]]),
-        ];
-        for (game, classes) in cases {
+        ]
+    }
+
+    /// The all-zeros profile is rank 0 of the general unranking, for
+    /// every class shape: the fact [`Symmetry::decode_canonical`]'s
+    /// rank-0 start rests on.
+    #[test]
+    fn rank_zero_is_the_all_zeros_profile() {
+        for (game, classes) in class_shapes() {
             let (sym, space) = symmetry_of(&game);
             assert_eq!(sym.classes(), classes.as_slice());
             let zeros = vec![0u32; space.num_slots()];
@@ -664,6 +712,67 @@ mod tests {
             sym.unrank(1, &mut one);
             assert_eq!(digits, one, "classes {classes:?}");
         }
+    }
+
+    /// Each step reports every slot whose digit differs exactly once and
+    /// no other slot, so a kernel pays only for net changes; and marking
+    /// repeats from the agent of the first reported slot on gives the
+    /// marks of the whole profile. Stepping that wraps a tuple to zeros and then
+    /// copies its predecessor back reports a restored digit twice.
+    #[test]
+    fn steps_report_each_differing_slot_once() {
+        for (game, classes) in class_shapes() {
+            let (sym, space) = symmetry_of(&game);
+            let n = space.num_slots();
+            let mut digits = vec![0u32; n];
+            sym.decode_canonical(0, &mut digits);
+            let mut repeats = vec![false; n];
+            sym.mark_repeats(&digits, 0, &mut repeats);
+            loop {
+                let before = digits.clone();
+                let mut reports = vec![0usize; n];
+                let mut first = n;
+                let more = sym.next_canonical(&mut digits, |j, old, _| {
+                    assert_eq!(before[j], old, "classes {classes:?}: stale `old` digit");
+                    reports[j] += 1;
+                    first = first.min(j);
+                });
+                if !more {
+                    assert_eq!(digits, before, "classes {classes:?}: last profile kept");
+                    assert_eq!(reports, vec![0; n]);
+                    break;
+                }
+                for j in 0..n {
+                    let differs = usize::from(before[j] != digits[j]);
+                    assert_eq!(
+                        reports[j], differs,
+                        "classes {classes:?}: slot {j}, {before:?} -> {digits:?}"
+                    );
+                }
+                sym.mark_repeats(&digits, space.slot(first).0, &mut repeats);
+                let mut whole = vec![false; n];
+                sym.mark_repeats(&digits, 0, &mut whole);
+                assert_eq!(repeats, whole, "classes {classes:?}: {digits:?}");
+            }
+        }
+    }
+
+    /// Repeats are the members after the first of each run of equal
+    /// tuples within a class, and nothing else.
+    #[test]
+    fn repeats_mark_runs_of_equal_tuples() {
+        // Four interchangeable one-slot agents; then a pair plus a
+        // singleton.
+        let (sym, _) = symmetry_of(&class_shapes()[1].0);
+        let mut repeats = vec![true; 4];
+        sym.mark_repeats(&[0, 0, 1, 1], 0, &mut repeats);
+        assert_eq!(repeats, [false, true, false, true]);
+        sym.mark_repeats(&[0, 1, 2, 2], 0, &mut repeats);
+        assert_eq!(repeats, [false, false, false, true]);
+        let (sym, _) = symmetry_of(&two_plus_one_game());
+        let mut repeats = vec![true; 3];
+        sym.mark_repeats(&[1, 1, 1], 0, &mut repeats);
+        assert_eq!(repeats, [false, true, false], "a singleton never repeats");
     }
 
     #[test]

@@ -550,7 +550,12 @@ impl BayesianModel for BayesianNcsGame {
         // enumerations) and identical types in every support state:
         // swapping their strategies then leaves every state's edge-load
         // vector — and with it every social and interim term — exactly
-        // unchanged.
+        // unchanged. When the two play the same path at every type, each
+        // one's loads minus its own path are the same integers in the
+        // same states, and its candidates and terminals are the same, so
+        // slot `(a, τ)` and slot `(b, τ)` get the same stability verdict:
+        // the orbit sweep skips such repeated slots in its equilibrium
+        // check.
         a == b
             || (self.agent_types[a] == self.agent_types[b]
                 && self
@@ -811,33 +816,6 @@ impl NcsKernel<'_> {
         let weights = self.weights(slot);
         path.iter().map(|&e| weights[e.index()]).sum()
     }
-
-    /// Bit-faithful `BayesianNcsGame::slot_is_stable` for one slot.
-    ///
-    /// With provably complete candidates and non-negative weights the
-    /// Dijkstra distance equals the minimum candidate cost (identical
-    /// fold-left sums), and `approx_le(played, min)` fails iff it fails
-    /// against some individual candidate (all comparisons share the same
-    /// relative scale `max(played, 1)`), so the scan early-exits and no
-    /// Dijkstra runs. Under custom path limits the legacy Dijkstra check
-    /// runs verbatim.
-    fn slot_is_stable(&mut self, slot: usize) -> bool {
-        self.refresh_weights(slot);
-        let played = self.path_cost(slot, self.lowered.space.action(slot, self.digits[slot]));
-        if self.lowered.exact_candidates {
-            for cand in self.lowered.space.slot_actions(slot) {
-                if !bi_util::approx_le(played, self.path_cost(slot, cand)) {
-                    return false;
-                }
-            }
-            true
-        } else {
-            let (src, dst) = self.lowered.slot_terminals[slot];
-            let weights = self.weights(slot);
-            let sp = bi_graph::dijkstra(&self.lowered.game.graph, src, |e| weights[e.index()]);
-            bi_util::approx_le(played, sp.distance(dst))
-        }
-    }
 }
 
 impl EvalKernel for NcsKernel<'_> {
@@ -906,12 +884,39 @@ impl EvalKernel for NcsKernel<'_> {
         self.state_probs_fold()
     }
 
-    fn is_equilibrium(&mut self) -> bool {
+    /// Bit-faithful `BayesianNcsGame::slot_is_stable` for one slot.
+    ///
+    /// With provably complete candidates and non-negative weights the
+    /// Dijkstra distance equals the minimum candidate cost (identical
+    /// fold-left sums), and `approx_le(played, min)` fails iff it fails
+    /// against some individual candidate (all comparisons share the same
+    /// relative scale `max(played, 1)`), so the scan early-exits and no
+    /// Dijkstra runs. Under custom path limits the legacy Dijkstra check
+    /// runs verbatim.
+    fn slot_is_stable(&mut self, slot: usize) -> bool {
+        self.refresh_weights(slot);
+        let played = self.path_cost(slot, self.lowered.space.action(slot, self.digits[slot]));
+        if self.lowered.exact_candidates {
+            for cand in self.lowered.space.slot_actions(slot) {
+                if !bi_util::approx_le(played, self.path_cost(slot, cand)) {
+                    return false;
+                }
+            }
+            true
+        } else {
+            let (src, dst) = self.lowered.slot_terminals[slot];
+            let weights = self.weights(slot);
+            let sp = bi_graph::dijkstra(&self.lowered.game.graph, src, |e| weights[e.index()]);
+            bi_util::approx_le(played, sp.distance(dst))
+        }
+    }
+
+    fn is_equilibrium_except(&mut self, skip: &[bool]) -> bool {
         let space = self.lowered.space;
         let mut hint = self.unstable_hint;
         let stable = bi_core::compiled::stable_with_hint(
             space.num_slots(),
-            |slot| space.weight(slot),
+            |slot| space.weight(slot) == 0.0 || skip.get(slot) == Some(&true),
             &mut hint,
             |slot| self.slot_is_stable(slot),
         );
