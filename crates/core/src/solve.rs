@@ -29,7 +29,8 @@
 //! the kernel each slot whose digit differs, once
 //! ([`Symmetry::next_canonical`]), and the equilibrium check takes one
 //! verdict per run of class members playing equal tuples: the others'
-//! slots are marked ([`Symmetry::mark_repeats`]) and skipped
+//! slots are marked ([`Symmetry::mark_repeats`] where a block starts,
+//! [`Symmetry::next_canonical_marked`] at each step) and skipped
 //! ([`EvalKernel::is_equilibrium_except`]), as their verdicts are the
 //! run's first member's, bit for bit.
 //!
@@ -1345,15 +1346,10 @@ fn sweep_block<A: Clone + PartialEq>(
                 }
             }
             Some(sym) => {
-                // The first report is in the agent that grew.
-                let mut grown = None;
-                let more = sym.next_canonical(digits, |j, old, new| {
-                    grown.get_or_insert(j);
+                let more = sym.next_canonical_marked(digits, &mut repeats, |j, old, new| {
                     kernel.advance(j, old, new);
                 });
                 debug_assert!(more, "canonical domain exhausted before count was reached");
-                let grown = grown.expect("a step changes a digit");
-                sym.mark_repeats(digits, space.slot(grown).0, &mut repeats);
             }
         }
     }

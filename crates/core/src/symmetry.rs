@@ -26,7 +26,9 @@
 //! * [`Symmetry::mark_repeats`] marks the agents whose tuple repeats
 //!   their class predecessor's: their slot verdicts are copies of the
 //!   predecessor's, so the sweep's equilibrium check takes one verdict
-//!   per run of equal tuples;
+//!   per run of equal tuples. It compares tuples once, where a block
+//!   starts; [`Symmetry::next_canonical_marked`] then keeps the marks
+//!   in closed form as it steps;
 //! * [`Symmetry::canonicalize`] / [`Symmetry::is_canonical`] /
 //!   [`Symmetry::orbit_size`] expose the underlying group action for
 //!   property tests and diagnostics.
@@ -341,18 +343,57 @@ impl Symmetry {
     pub fn next_canonical(
         &self,
         digits: &mut [u32],
-        mut on_change: impl FnMut(usize, u32, u32),
+        on_change: impl FnMut(usize, u32, u32),
     ) -> bool {
+        self.grow(digits, on_change).is_some()
+    }
+
+    /// [`Symmetry::next_canonical`] that also rewrites `repeats`, which
+    /// must hold the marks of the profile stepped from, to what
+    /// [`Symmetry::mark_repeats`] gives for the new one — in closed form,
+    /// with no tuple compared. The grown agent's tuple now exceeds its
+    /// old one, which was at least its predecessor's, so it repeats
+    /// nothing; every later agent was set to its class predecessor's
+    /// tuple (a repeat) or, with no predecessor, to zeros (no repeat);
+    /// earlier agents did not move.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `digits` or `repeats` has the wrong length.
+    pub fn next_canonical_marked(
+        &self,
+        digits: &mut [u32],
+        repeats: &mut [bool],
+        on_change: impl FnMut(usize, u32, u32),
+    ) -> bool {
+        assert_eq!(repeats.len(), self.slot_sizes.len(), "repeat buffer length");
+        let Some(a) = self.grow(digits, on_change) else {
+            return false;
+        };
+        let (start, count) = self.agent_slots[a];
+        repeats[start..start + count].fill(false);
+        for b in a + 1..self.agent_slots.len() {
+            let (start, count) = self.agent_slots[b];
+            repeats[start..start + count].fill(self.class_pred[b].is_some());
+        }
+        true
+    }
+
+    /// The step behind [`Symmetry::next_canonical`]: returns the agent
+    /// whose tuple grew, or `None` (leaving `digits` unchanged) at the
+    /// last canonical profile.
+    fn grow(
+        &self,
+        digits: &mut [u32],
+        mut on_change: impl FnMut(usize, u32, u32),
+    ) -> Option<usize> {
         assert_eq!(digits.len(), self.slot_sizes.len(), "digit buffer length");
         // Rightmost agent whose tuple can still grow; increments never
         // violate the (lower-bound-only) class constraints. Every later
         // agent holds its largest tuple and is written once below.
-        let Some(a) = (0..self.agent_slots.len())
+        let a = (0..self.agent_slots.len())
             .rev()
-            .find(|&a| !self.is_last_tuple(digits, a))
-        else {
-            return false;
-        };
+            .find(|&a| !self.is_last_tuple(digits, a))?;
         self.increment_agent(digits, a, &mut on_change);
         // Minimal completion of every later agent: its class
         // predecessor's (already final) tuple, or all zeros.
@@ -362,7 +403,7 @@ impl Symmetry {
                 None => self.zero_agent(digits, b, &mut on_change),
             }
         }
-        true
+        Some(a)
     }
 
     /// Sets each slot's flag in `repeats` to whether its agent's tuple
@@ -754,6 +795,45 @@ mod tests {
                 sym.mark_repeats(&digits, 0, &mut whole);
                 assert_eq!(repeats, whole, "classes {classes:?}: {digits:?}");
             }
+        }
+    }
+
+    /// The marks a step sets in closed form equal the ones
+    /// [`Symmetry::mark_repeats`] finds by comparing tuples, at every
+    /// canonical profile of every class shape, and the step itself is
+    /// [`Symmetry::next_canonical`]'s.
+    #[test]
+    fn closed_form_marks_equal_compared_marks_at_every_canonical_profile() {
+        for (game, classes) in class_shapes() {
+            let (sym, space) = symmetry_of(&game);
+            let n = space.num_slots();
+            let mut digits = vec![0u32; n];
+            sym.decode_canonical(0, &mut digits);
+            let mut repeats = vec![false; n];
+            sym.mark_repeats(&digits, 0, &mut repeats);
+            let mut plain = digits.clone();
+            let mut steps = 0usize;
+            loop {
+                let mut reports = Vec::new();
+                let more = sym.next_canonical_marked(&mut digits, &mut repeats, |j, old, new| {
+                    reports.push((j, old, new));
+                });
+                let mut plain_reports = Vec::new();
+                let plain_more =
+                    sym.next_canonical(&mut plain, |j, old, new| plain_reports.push((j, old, new)));
+                assert_eq!(more, plain_more, "classes {classes:?}");
+                assert_eq!(digits, plain, "classes {classes:?}");
+                assert_eq!(reports, plain_reports, "classes {classes:?}");
+                if !more {
+                    break;
+                }
+                steps += 1;
+                let mut compared = vec![false; n];
+                sym.mark_repeats(&digits, 0, &mut compared);
+                assert_eq!(repeats, compared, "classes {classes:?}: {digits:?}");
+            }
+            let orbits = sym.orbit_count().expect("small orbit count");
+            assert_eq!(steps as u128 + 1, orbits, "classes {classes:?}");
         }
     }
 

@@ -38,33 +38,46 @@
 //!
 //! The router serves on the same reactor as a node ([`crate::server`]):
 //! it is a [`Dispatcher`] that answers `GET /healthz`, `GET /metrics`
-//! and `GET /debug/trace` on the reactor thread and hands every
-//! `POST /solve` and `POST /solve_batch` to a bounded pool of
-//! forwarders, one per pooled upstream connection (`backends ×
-//! POOL_CAPACITY`). The forwarders block on upstream I/O, retries and
-//! backoff; the reactor never does. A full forward queue is answered
+//! and `GET /debug/trace` inline, and turns every `POST /solve` and
+//! `POST /solve_batch` into a `Routed` value: connection state that
+//! the reactor steps with each upstream outcome. A step asks for one of
+//! three things — send this body to backend k, wait until t (backoff or
+//! `Retry-After`), or answer — and the reactor does it. Upstream sockets
+//! sit in the reactor's poll set beside the downstream ones, their
+//! answers are read with the one response parser the blocking client
+//! uses, and retry waits and the upstream timeout are folded into the
+//! poll timeout. So a routed hit crosses no thread. Nothing on the
+//! reactor blocks: `std` has no nonblocking connect, so when no idle
+//! socket to a backend is left the prober dials one and hands it back
+//! over the wake channel. The router runs its reactor, the prober and
+//! the repair worker, and no pool workers. Routes in flight are capped
+//! at a node's queue capacity; past the cap a request is answered
 //! `429` + `Retry-After`, exactly as a node sheds load. Connection and
 //! status counters and stage histograms live in the router's own
 //! [`ServiceMetrics`], the struct a node reports; the router adds only
 //! its `503`, retry and replication counters. The router never solves:
 //! every answer it returns came from a node.
 //!
-//! Health is probed (`GET /healthz`) on an interval; forwarding failures
+//! Health is probed (`GET /healthz`) on an interval; failed exchanges
 //! count against the same consecutive-failure threshold, so a backend
 //! that dies mid-burst is ejected by the traffic itself rather than
-//! waiting for the next probe cycle. Upstream connections are pooled and
-//! kept alive per backend. A `/solve_batch` is split by the splitter a
-//! node uses, which decodes it once to reject an invalid game; each of
-//! its games is routed as its canonical `/solve` body, with the retries,
-//! failover, write-through and read-repair below, and the answers are
-//! spliced in request order, exactly as a node splices its own.
+//! waiting for the next probe cycle. Upstream sockets are kept alive per
+//! backend; one that breaks after an earlier exchange (the backend may
+//! have closed an idle keep-alive) is replaced by a fresh dial before
+//! the attempt counts as failed. A `/solve_batch` is split by the
+//! splitter a node uses, which decodes it once to reject an invalid
+//! game; each of its games is routed in turn as its canonical `/solve`
+//! body, under one deadline, with the retries, failover, write-through
+//! and read-repair below, and the answers are spliced in request order,
+//! exactly as a node splices its own.
 //!
 //! **Replication** (`--replication R`): each key's *intended owners* are
 //! its first R distinct ring successors, liveness-blind
 //! ([`HashRing::route_replicas`]). Serving still walks the live ring —
 //! when the primary is dead the next live replica answers from its own
 //! copy — and a background worker, woken as each delivery is queued,
-//! brings the owners back in sync over `POST /cache_put`: freshly
+//! brings the owners back in sync over `POST /cache_put` on its own
+//! blocking client per backend: freshly
 //! solved misses are **written through** to
 //! the other live owners, and owners that were dead at serve time get a
 //! **read-repair** queued until they return, so a restarted backend is
@@ -85,9 +98,10 @@
 //!
 //! **Tracing**: the reactor gives every downstream request a 64-bit
 //! trace id — adopted from an `X-Bi-Trace` header when present, minted
-//! otherwise — plus `parse`/`write` spans and a root `route` span. The
-//! forwarders record `ring_lookup` and one `upstream` span per forward
-//! attempt, and forward the trace id plus the upstream span id
+//! otherwise — plus `parse`/`write` spans and a root `route` span. A
+//! route records `ring_lookup`, the reactor one `upstream` span per
+//! attempt (its dial, write and read), and each attempt carries the
+//! trace id plus the upstream span id
 //! (`X-Bi-Trace` / `X-Bi-Parent`) so the backend's own spans nest under
 //! this hop. Everything lands in the router's own [`Recorder`], which
 //! `GET /debug/trace` dumps.
@@ -96,8 +110,9 @@
 
 use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
+use std::convert::Infallible;
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -108,10 +123,13 @@ use bi_util::{fnv1a, xxh64, Json};
 
 use crate::cache::{CacheConfig, ShardedLru};
 use crate::fault::mix;
-use crate::http::{ClientResponse, HttpClient, Response};
+use crate::http::{dial, ClientResponse, HttpClient, Response};
 use crate::metrics::ServiceMetrics;
-use crate::server::{serve, Dispatcher, Engine, Reply, Request, ServerConfig};
-use crate::service::{error_body, reports_body, solve_key, split_batch, ServeError};
+use crate::server::{
+    serve, Dispatched, Dispatcher, Engine, Handback, Outcome, Reply, Request, ServerConfig, Step,
+    UPSTREAM_TIMEOUT,
+};
+use crate::service::{error_body, reports_body, solve_key, split_batch, BatchGame, ServeError};
 
 /// What the router answers when no live backend is left. It has one
 /// value, because the router never solves; the type and
@@ -206,8 +224,8 @@ impl HashRing {
 
 /// The router settings a caller sets: addressing, health policy,
 /// replication, retries and sampling. The ring shape, the upstream
-/// timeouts, the pool size, the deadline budget, the first backoff and
-/// the repair-queue bound are constants of this module.
+/// timeouts, the deadline budget, the first backoff and the
+/// repair-queue bound are constants.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
     /// Bind address; port `0` for ephemeral.
@@ -266,14 +284,8 @@ impl Default for RouterConfig {
 
 /// Virtual points per backend on the ring.
 const VNODES: usize = 64;
-/// Connect deadline for upstream sockets (forwarding and probing).
+/// Connect deadline for upstream sockets (dials, probes and repairs).
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
-/// Response deadline for a forwarded request.
-const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(30);
-/// Pooled keep-alive connections retained per backend. The router runs
-/// one forwarder thread per pooled connection (`backends ×
-/// POOL_CAPACITY`, at least one).
-const POOL_CAPACITY: usize = 8;
 /// Total deadline budget per `/solve`, and per `/solve_batch` for all
 /// its games: retries and backoff sleeps stop once it is spent, and each
 /// game still unanswered gets its last upstream answer (`503` when no
@@ -286,13 +298,13 @@ const RETRY_BASE_BACKOFF: Duration = Duration::from_millis(10);
 /// dropped (and counted) rather than growing without bound.
 const REPAIR_QUEUE_CAPACITY: usize = 4096;
 
-/// One upstream backend: liveness, failure accounting, and the
-/// keep-alive connection pool.
+/// One upstream backend: liveness and failure accounting.
 struct Backend {
     addr: String,
     alive: AtomicBool,
     consecutive_failures: AtomicU64,
-    pool: Mutex<Vec<HttpClient>>,
+    /// Idle keep-alive sockets the reactor holds to it.
+    pooled: AtomicU64,
     forwarded: AtomicU64,
     upstream_errors: AtomicU64,
     ejects: AtomicU64,
@@ -309,7 +321,7 @@ impl Backend {
             addr,
             alive: AtomicBool::new(true),
             consecutive_failures: AtomicU64::new(0),
-            pool: Mutex::new(Vec::new()),
+            pooled: AtomicU64::new(0),
             forwarded: AtomicU64::new(0),
             upstream_errors: AtomicU64::new(0),
             ejects: AtomicU64::new(0),
@@ -334,8 +346,6 @@ impl Backend {
         let failures = self.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
         if failures >= u64::from(threshold) && self.alive.swap(false, Ordering::Relaxed) {
             self.ejects.fetch_add(1, Ordering::Relaxed);
-            // A dead backend's pooled connections are dead too.
-            self.pool.lock().expect("pool poisoned").clear();
         }
     }
 }
@@ -394,8 +404,8 @@ struct RepairQueue {
 /// refusing while nominally alive).
 const REPAIR_MAX_ATTEMPTS: u32 = 64;
 
-/// Everything the reactor, the forwarders, the prober and the repair
-/// worker share; it is also the router's [`Dispatcher`].
+/// Everything the reactor, the prober and the repair worker share; it is
+/// also the router's [`Dispatcher`].
 struct Shared {
     config: RouterConfig,
     ring: HashRing,
@@ -414,21 +424,41 @@ struct Shared {
     /// so a write-through leaves right behind its answer instead of in a
     /// burst after a polling sleep.
     repair_queued: Condvar,
+    /// Backends the reactor wants a fresh socket to; the prober dials
+    /// them.
+    dials: Mutex<VecDeque<usize>>,
+    /// Wakes the prober when a dial is queued (and on stop).
+    dial_queued: Condvar,
     /// Router start time — the epoch of `last_probe_ms`.
     started: Instant,
     /// Stops the prober and the repair worker.
     shutdown: AtomicBool,
 }
 
-/// A `POST /solve` or `POST /solve_batch` body (copied out of the
-/// connection buffer) on its way to a forwarder, with its trace.
-enum Forward {
-    Solve(Vec<u8>, TraceCtx),
-    Batch(Vec<u8>, TraceCtx),
+impl Shared {
+    /// The router's state over `config.backends`, before any socket.
+    fn new(config: RouterConfig) -> Shared {
+        Shared {
+            ring: HashRing::new(config.backends.len(), VNODES),
+            backends: config.backends.iter().cloned().map(Backend::new).collect(),
+            metrics: RouterMetrics::default(),
+            key_cache: ShardedLru::new(config.key_cache),
+            served: ServiceMetrics::default(),
+            recorder: Recorder::default(),
+            repair: Mutex::new(RepairQueue::default()),
+            repair_queued: Condvar::new(),
+            dials: Mutex::new(VecDeque::new()),
+            dial_queued: Condvar::new(),
+            started: Instant::now(),
+            shutdown: AtomicBool::new(false),
+            config,
+        }
+    }
 }
 
 impl Dispatcher for Shared {
-    type Job = Forward;
+    type Job = Infallible;
+    type Route = Routed;
     const ROOT: Stage = Stage::Route;
     const NAME: &'static str = "bi-router";
 
@@ -440,17 +470,23 @@ impl Dispatcher for Shared {
         &self.recorder
     }
 
-    fn dispatch(&self, request: &Request<'_>, reply: &mut Reply<'_>) -> Option<Forward> {
+    fn dispatch(
+        &self,
+        request: &Request<'_>,
+        reply: &mut Reply<'_>,
+    ) -> Dispatched<Infallible, Routed> {
+        let route = |phase| {
+            Dispatched::Route(Routed {
+                ctx: request.ctx,
+                phase,
+            })
+        };
         match (request.method, request.path) {
-            (b"POST", b"/solve") => {
-                return Some(Forward::Solve(request.body.to_vec(), request.ctx))
-            }
-            (b"POST", b"/solve_batch") => {
-                return Some(Forward::Batch(request.body.to_vec(), request.ctx));
-            }
+            (b"POST", b"/solve") => return route(Phase::Solve),
+            (b"POST", b"/solve_batch") => return route(Phase::Batch),
             (b"GET", b"/healthz") => reply.send(200, &healthz_json(self).canonical_bytes(), &[]),
             (b"GET", b"/metrics") => {
-                reply.send(200, metrics_json(self).to_string().as_bytes(), &[])
+                reply.send(200, metrics_json(self).to_string().as_bytes(), &[]);
             }
             (b"GET", b"/debug/trace") => {
                 reply.send(200, self.recorder.to_json().to_string().as_bytes(), &[]);
@@ -460,14 +496,314 @@ impl Dispatcher for Shared {
             }
             _ => reply.send(404, &error_body("unknown endpoint"), &[]),
         }
-        None
+        Dispatched::Answered
     }
 
-    fn run(&self, job: Forward) -> Response {
-        match job {
-            Forward::Solve(body, ctx) => handle_solve(self, &body, ctx),
-            Forward::Batch(body, ctx) => handle_batch(self, &body, ctx),
+    fn run(&self, job: Infallible) -> Response {
+        match job {}
+    }
+
+    fn step<'a>(
+        &self,
+        routed: &'a mut Routed,
+        request: &'a [u8],
+        outcome: Outcome,
+        now: Instant,
+    ) -> Step<'a> {
+        match routed.advance(self, request, outcome, now) {
+            RouteStep::Send(backend) => Step::Send {
+                backend,
+                body: routed.body(request),
+            },
+            RouteStep::Wait(until) => Step::Wait(until),
+            RouteStep::Done(answer) => Step::Done(answer),
         }
+    }
+
+    fn dial(&self, backend: usize) {
+        self.dials
+            .lock()
+            .expect("dial queue poisoned")
+            .push_back(backend);
+        self.dial_queued.notify_one();
+    }
+
+    fn pooled(&self, backend: usize, idle: usize) {
+        self.backends[backend]
+            .pooled
+            .store(idle as u64, Ordering::Relaxed);
+    }
+}
+
+/// A routed `POST /solve` or `POST /solve_batch`: the connection state
+/// the reactor steps with each upstream outcome.
+pub(crate) struct Routed {
+    ctx: TraceCtx,
+    phase: Phase,
+}
+
+enum Phase {
+    /// A `/solve`, admitted but not yet keyed.
+    Solve,
+    /// A `/solve_batch`, admitted but not yet split.
+    Batch,
+    /// A keyed `/solve`: its route, the canonical bytes when they are
+    /// not the body as sent, and whether the body may enter the key
+    /// cache once answered `200`.
+    Keyed {
+        route: Route,
+        canonical: Option<Vec<u8>>,
+        cacheable: bool,
+    },
+    /// A split batch: its games, the answers so far, and the route of
+    /// the next game, all under one deadline.
+    Games {
+        games: Vec<BatchGame>,
+        answers: Vec<Response>,
+        route: Route,
+    },
+}
+
+impl Routed {
+    /// Advances the request by `outcome` (see [`Route::step`]); a batch
+    /// routes its games one after another, each as its `/solve` body.
+    fn advance(
+        &mut self,
+        shared: &Shared,
+        request: &[u8],
+        mut outcome: Outcome,
+        now: Instant,
+    ) -> RouteStep {
+        loop {
+            match &mut self.phase {
+                Phase::Solve => {
+                    shared.served.solve_requests.fetch_add(1, Ordering::Relaxed);
+                    let t_lookup = shared.recorder.now_ns();
+                    let (hash, canonical, cacheable) = match routing_hash(shared, request) {
+                        Ok(routed) => routed,
+                        Err(response) => return RouteStep::Done(response),
+                    };
+                    shared.served.finish_stage(
+                        &shared.recorder,
+                        self.ctx,
+                        Stage::RingLookup,
+                        t_lookup,
+                    );
+                    self.phase = Phase::Keyed {
+                        route: Route::new(shared, hash, now + REQUEST_DEADLINE),
+                        canonical: match canonical {
+                            Cow::Borrowed(_) => None,
+                            Cow::Owned(bytes) => Some(bytes),
+                        },
+                        cacheable,
+                    };
+                }
+                Phase::Batch => {
+                    shared.served.batch_requests.fetch_add(1, Ordering::Relaxed);
+                    let games = match split_batch(request) {
+                        Ok((games, _)) if !games.is_empty() => games,
+                        Ok(_) => {
+                            let none = std::iter::empty::<Result<&[u8], &[u8]>>();
+                            return RouteStep::Done(Response::json(200, reports_body(none)));
+                        }
+                        Err(e) => return RouteStep::Done(e.response()),
+                    };
+                    let route =
+                        Route::new(shared, route_hash(&games[0].key), now + REQUEST_DEADLINE);
+                    self.phase = Phase::Games {
+                        answers: Vec::with_capacity(games.len()),
+                        games,
+                        route,
+                    };
+                }
+                Phase::Keyed {
+                    route,
+                    canonical,
+                    cacheable,
+                } => {
+                    let body = canonical.as_deref().unwrap_or(request);
+                    let step = route.step(shared, body, outcome, now);
+                    if let RouteStep::Done(answer) = &step {
+                        if *cacheable && answer.status == 200 {
+                            shared.key_cache.insert(request, route.hash);
+                        }
+                    }
+                    return step;
+                }
+                Phase::Games {
+                    games,
+                    answers,
+                    route,
+                } => {
+                    let answer = match route.step(shared, &games[answers.len()].body, outcome, now)
+                    {
+                        RouteStep::Done(answer) => answer,
+                        step => return step,
+                    };
+                    // A game answered `500` answers the whole batch, as
+                    // on a node.
+                    if answer.status == 500 {
+                        return RouteStep::Done(answer);
+                    }
+                    answers.push(answer);
+                    let Some(next) = games.get(answers.len()) else {
+                        let entries = answers.iter().map(|answer| {
+                            if answer.status == 200 {
+                                Ok(&answer.body[..])
+                            } else {
+                                Err(&answer.body[..])
+                            }
+                        });
+                        return RouteStep::Done(Response::json(200, reports_body(entries)));
+                    };
+                    *route = Route::new(shared, route_hash(&next.key), route.deadline);
+                }
+            }
+            outcome = Outcome::Start;
+        }
+    }
+
+    /// The body the current route sends: the request's own bytes, their
+    /// canonical form, or the current batch game's.
+    fn body<'a>(&'a self, request: &'a [u8]) -> &'a [u8] {
+        match &self.phase {
+            Phase::Keyed { canonical, .. } => canonical.as_deref().unwrap_or(request),
+            Phase::Games { games, answers, .. } => &games[answers.len()].body,
+            Phase::Solve | Phase::Batch => request,
+        }
+    }
+}
+
+/// What a [`Route`] asks for next: the engine's [`Step`] before the
+/// body to send is attached.
+#[derive(Debug)]
+enum RouteStep {
+    Send(usize),
+    Wait(Instant),
+    Done(Response),
+}
+
+/// One canonical `/solve` body on its way to an answer: the key's
+/// backend first, failing over clockwise on transport errors (each
+/// feeds the ejection counter), retrying retryable statuses across
+/// replicas and rounds with capped jittered backoff (honoring upstream
+/// `Retry-After`), until the rounds or the deadline run out. A served
+/// `200` schedules write-through/read-repair to the key's other
+/// intended owners. When the rounds or the budget run out, the last
+/// upstream answer is returned as it came; a request that no live
+/// backend answered gets `503`.
+struct Route {
+    hash: u64,
+    /// The key's intended owners, liveness-blind: where its value should
+    /// live. The serve walk skips dead backends; `schedule_repairs`
+    /// reconciles the difference after a successful serve.
+    owners: Vec<usize>,
+    deadline: Instant,
+    round: u32,
+    /// Backends tried this round.
+    tried: Vec<bool>,
+    /// The backend of the outstanding send.
+    pending: Option<usize>,
+    retry_hint: Option<Duration>,
+    last: Option<Response>,
+}
+
+impl Route {
+    fn new(shared: &Shared, hash: u64, deadline: Instant) -> Route {
+        Route {
+            hash,
+            owners: shared
+                .ring
+                .route_replicas(hash, shared.config.replication.max(1), |_| true),
+            deadline,
+            round: 0,
+            tried: vec![false; shared.backends.len()],
+            pending: None,
+            retry_hint: None,
+            last: None,
+        }
+    }
+
+    /// Takes the outcome of the last step (`body` is what was sent) and
+    /// says what to do next at `now`.
+    fn step(&mut self, shared: &Shared, body: &[u8], outcome: Outcome, now: Instant) -> RouteStep {
+        match outcome {
+            Outcome::Start => {}
+            Outcome::Answer(upstream) => {
+                let idx = self.pending.take().expect("an answer follows a send");
+                let backend = &shared.backends[idx];
+                backend.record_success();
+                if !retryable_status(upstream.status) {
+                    backend.forwarded.fetch_add(1, Ordering::Relaxed);
+                    if upstream.status == 200 {
+                        let miss = upstream.header("x-cache") == Some("miss");
+                        schedule_repairs(
+                            shared,
+                            &self.owners,
+                            idx,
+                            self.hash,
+                            body,
+                            &upstream.body,
+                            miss,
+                        );
+                    }
+                    return RouteStep::Done(relay(backend, upstream));
+                }
+                let cause = if upstream.status == 429 {
+                    &shared.metrics.retries_429
+                } else {
+                    &shared.metrics.retries_5xx
+                };
+                cause.fetch_add(1, Ordering::Relaxed);
+                self.retry_hint = upstream
+                    .header("retry-after")
+                    .and_then(|v| v.parse::<u64>().ok())
+                    .map(Duration::from_secs)
+                    .or(self.retry_hint);
+                self.last = Some(relay(backend, upstream));
+            }
+            Outcome::Failed => {
+                let idx = self.pending.take().expect("a failure follows a send");
+                let backend = &shared.backends[idx];
+                shared
+                    .metrics
+                    .retries_transport
+                    .fetch_add(1, Ordering::Relaxed);
+                backend.upstream_errors.fetch_add(1, Ordering::Relaxed);
+                backend.record_failure(shared.config.fail_threshold);
+            }
+            Outcome::Woke => {
+                self.round += 1;
+                self.tried.fill(false);
+            }
+        }
+        let tried = &self.tried;
+        let next = shared.ring.route(self.hash, |i| {
+            !tried[i] && shared.backends[i].alive.load(Ordering::Relaxed)
+        });
+        if let Some(idx) = next {
+            self.tried[idx] = true;
+            self.pending = Some(idx);
+            return RouteStep::Send(idx);
+        }
+        // The round is over: wait for the next one, unless nobody live
+        // was tried, the rounds are exhausted or the budget is spent.
+        let attempted = self.tried.contains(&true);
+        let remaining = self.deadline.saturating_duration_since(now);
+        if attempted
+            && self.round + 1 < shared.config.max_retry_rounds.max(1)
+            && !remaining.is_zero()
+        {
+            let wait = self
+                .retry_hint
+                .take()
+                .unwrap_or_else(|| retry_backoff(&shared.config, self.hash, self.round));
+            return RouteStep::Wait(now + wait.min(remaining));
+        }
+        RouteStep::Done(self.last.take().unwrap_or_else(|| {
+            shared.metrics.fallback_503.fetch_add(1, Ordering::Relaxed);
+            Response::json(503, error_body("no live backend")).with_header("X-Backend", "none")
+        }))
     }
 }
 
@@ -485,22 +821,7 @@ impl Router {
     /// Returns the bind failure.
     pub fn bind(config: RouterConfig) -> io::Result<Router> {
         let listener = TcpListener::bind(&config.addr)?;
-        let ring = HashRing::new(config.backends.len(), VNODES);
-        let backends = config.backends.iter().cloned().map(Backend::new).collect();
-        let key_cache = ShardedLru::new(config.key_cache);
-        let shared = Arc::new(Shared {
-            ring,
-            backends,
-            metrics: RouterMetrics::default(),
-            key_cache,
-            served: ServiceMetrics::default(),
-            recorder: Recorder::default(),
-            repair: Mutex::new(RepairQueue::default()),
-            repair_queued: Condvar::new(),
-            started: Instant::now(),
-            shutdown: AtomicBool::new(false),
-            config,
-        });
+        let shared = Arc::new(Shared::new(config));
         Ok(Router { listener, shared })
     }
 
@@ -513,8 +834,9 @@ impl Router {
         self.listener.local_addr()
     }
 
-    /// Starts the reactor with its forwarders, the health prober and the
-    /// repair worker; returns the stop handle.
+    /// Starts the reactor, the health prober (which also dials the
+    /// reactor's upstream sockets) and the repair worker; returns the
+    /// stop handle. The router has no pool workers.
     ///
     /// # Errors
     ///
@@ -522,18 +844,18 @@ impl Router {
     pub fn start(self) -> io::Result<RouterHandle> {
         let config = &self.shared.config;
         let engine_config = ServerConfig {
-            // One forwarder per pooled upstream connection.
-            workers: (config.backends.len() * POOL_CAPACITY).max(1),
+            workers: 0,
             read_timeout: config.read_timeout,
             trace_slow_us: config.trace_slow_us,
-            // The forward-queue bound and the connection cap are a
-            // node's defaults.
+            // The cap on routes in flight and the connection cap are a
+            // node's queue and connection defaults.
             ..ServerConfig::default()
         };
         let engine = serve(self.listener, Arc::clone(&self.shared), &engine_config)?;
         let prober = {
             let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || probe_loop(&shared))
+            let mut handback = engine.handback()?;
+            std::thread::spawn(move || probe_loop(&shared, &mut handback))
         };
         let repairer = {
             let shared = Arc::clone(&self.shared);
@@ -560,7 +882,7 @@ impl Router {
 
 /// A running router: address plus the stop switch.
 pub struct RouterHandle {
-    engine: Engine<Forward>,
+    engine: Engine<Infallible>,
     shared: Arc<Shared>,
     prober: JoinHandle<()>,
     repairer: JoinHandle<()>,
@@ -580,12 +902,13 @@ impl RouterHandle {
         metrics_json(&self.shared)
     }
 
-    /// Stops the reactor, the forwarders, the prober and the repair
-    /// worker, joining every thread.
+    /// Stops the reactor, the prober and the repair worker, joining
+    /// every thread.
     pub fn stop(self) {
         self.engine.stop();
         self.shared.shutdown.store(true, Ordering::Relaxed);
         self.shared.repair_queued.notify_all();
+        self.shared.dial_queued.notify_all();
         let _ = self.prober.join();
         let _ = self.repairer.join();
     }
@@ -689,39 +1012,6 @@ fn healthz_json(shared: &Shared) -> Json {
     ])
 }
 
-/// [`forward`] as one `upstream` span. The span id is minted up front so
-/// it rides the forwarded `X-Bi-Trace` / `X-Bi-Parent` headers as the
-/// backend's parent, nesting the backend's spans under this hop.
-fn forward_traced(
-    shared: &Shared,
-    idx: usize,
-    path: &str,
-    body: &[u8],
-    ctx: TraceCtx,
-) -> io::Result<ClientResponse> {
-    let recorder = &shared.recorder;
-    let span = recorder.next_span_id();
-    let headers = if ctx.active() {
-        vec![
-            ("X-Bi-Trace", ctx.trace_id.to_string()),
-            ("X-Bi-Parent", span.to_string()),
-        ]
-    } else {
-        Vec::new()
-    };
-    let t0 = recorder.now_ns();
-    let outcome = forward(shared, idx, path, body, &headers);
-    let t1 = recorder.now_ns();
-    shared
-        .served
-        .stages
-        .record(Stage::Upstream, t1.saturating_sub(t0) / 1_000);
-    if ctx.active() {
-        recorder.record_span(span, ctx.trace_id, ctx.parent, Stage::Upstream, t0, t1);
-    }
-    outcome
-}
-
 /// A status the router retries on another replica (or a later round)
 /// instead of returning: the backend answered — it is alive and earns no
 /// ejection credit — but the work was shed (`429`) or lost (`5xx`).
@@ -741,114 +1031,6 @@ fn retry_backoff(config: &RouterConfig, hash: u64, round: u32) -> Duration {
     seed[..8].copy_from_slice(&hash.to_le_bytes());
     seed[8..].copy_from_slice(&u64::from(round).to_le_bytes());
     Duration::from_millis(exp / 2 + fnv1a(&seed) % (exp / 2 + 1))
-}
-
-/// Routes one `/solve` body: the routing-hash lookup (its
-/// `ring_lookup` stage), then [`route_solve`] of its canonical bytes
-/// under the request's deadline budget.
-fn handle_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
-    shared.served.solve_requests.fetch_add(1, Ordering::Relaxed);
-    let t_lookup = shared.recorder.now_ns();
-    let (hash, canonical, cacheable) = match routing_hash(shared, body) {
-        Ok(routed) => routed,
-        Err(response) => return response,
-    };
-    shared
-        .served
-        .finish_stage(&shared.recorder, ctx, Stage::RingLookup, t_lookup);
-    let deadline = Instant::now() + REQUEST_DEADLINE;
-    let answer = route_solve(shared, hash, &canonical, ctx, deadline);
-    if cacheable && answer.status == 200 {
-        shared.key_cache.insert(body, hash);
-    }
-    answer
-}
-
-/// Routes one canonical `/solve` body whose key hashes to `hash`, until
-/// `deadline`: forward to the key's backend, failing over clockwise on
-/// transport errors (each feeds the ejection counter), retrying
-/// retryable statuses across replicas and rounds with capped jittered
-/// backoff (honoring upstream `Retry-After`). A served `200` schedules
-/// write-through/read-repair to the key's other intended owners. When
-/// the rounds or the budget run out, the last upstream answer is
-/// returned as it came; a request that no live backend answered gets
-/// `503`.
-fn route_solve(
-    shared: &Shared,
-    hash: u64,
-    body: &[u8],
-    ctx: TraceCtx,
-    deadline: Instant,
-) -> Response {
-    // The key's intended owners, liveness-blind: where its value should
-    // live. The serve walk below skips dead backends; `schedule_repairs`
-    // reconciles the difference after a successful serve.
-    let owners = shared
-        .ring
-        .route_replicas(hash, shared.config.replication.max(1), |_| true);
-    let mut retry_hint: Option<Duration> = None;
-    let mut last: Option<Response> = None;
-    for round in 0..shared.config.max_retry_rounds.max(1) {
-        let mut tried = vec![false; shared.backends.len()];
-        let mut attempted = false;
-        while let Some(idx) = shared.ring.route(hash, |i| {
-            !tried[i] && shared.backends[i].alive.load(Ordering::Relaxed)
-        }) {
-            tried[idx] = true;
-            attempted = true;
-            let backend = &shared.backends[idx];
-            // Each attempt is its own `upstream` span.
-            match forward_traced(shared, idx, "/solve", body, ctx) {
-                Ok(upstream) if retryable_status(upstream.status) => {
-                    backend.record_success();
-                    let cause = if upstream.status == 429 {
-                        &shared.metrics.retries_429
-                    } else {
-                        &shared.metrics.retries_5xx
-                    };
-                    cause.fetch_add(1, Ordering::Relaxed);
-                    retry_hint = upstream
-                        .header("retry-after")
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .map(Duration::from_secs)
-                        .or(retry_hint);
-                    last = Some(relay(backend, upstream));
-                }
-                Ok(upstream) => {
-                    backend.record_success();
-                    backend.forwarded.fetch_add(1, Ordering::Relaxed);
-                    if upstream.status == 200 {
-                        let miss = upstream.header("x-cache") == Some("miss");
-                        schedule_repairs(shared, &owners, idx, hash, body, &upstream.body, miss);
-                    }
-                    return relay(backend, upstream);
-                }
-                Err(_) => {
-                    shared
-                        .metrics
-                        .retries_transport
-                        .fetch_add(1, Ordering::Relaxed);
-                    backend.upstream_errors.fetch_add(1, Ordering::Relaxed);
-                    backend.record_failure(shared.config.fail_threshold);
-                }
-            }
-        }
-        if !attempted || round + 1 >= shared.config.max_retry_rounds.max(1) {
-            break; // nobody live, or rounds exhausted
-        }
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            break; // deadline budget spent
-        }
-        let wait = retry_hint
-            .take()
-            .unwrap_or_else(|| retry_backoff(&shared.config, hash, round));
-        std::thread::sleep(wait.min(remaining));
-    }
-    last.unwrap_or_else(|| {
-        shared.metrics.fallback_503.fetch_add(1, Ordering::Relaxed);
-        Response::json(503, error_body("no live backend")).with_header("X-Backend", "none")
-    })
 }
 
 /// An upstream answer as the router returns it: the status and body as
@@ -928,6 +1110,8 @@ fn schedule_repairs(
 /// that is what repopulates a restarted backend), and giving up on jobs
 /// a live target keeps refusing.
 fn repair_loop(shared: &Shared) {
+    // The worker's own blocking keep-alive client per backend.
+    let mut clients: Vec<Option<HttpClient>> = shared.backends.iter().map(|_| None).collect();
     while !shared.shutdown.load(Ordering::Relaxed) {
         let job = {
             let mut queue = shared.repair.lock().expect("repair queue poisoned");
@@ -956,7 +1140,8 @@ fn repair_loop(shared: &Shared) {
             std::thread::sleep(Duration::from_millis(20));
             continue;
         }
-        match forward(shared, job.backend, "/cache_put", &job.body, &[]) {
+        let addr = &shared.backends[job.backend].addr;
+        match put(&mut clients[job.backend], addr, &job.body) {
             Ok(response) if response.status == 200 => {
                 shared
                     .repair
@@ -987,79 +1172,61 @@ fn repair_loop(shared: &Shared) {
     }
 }
 
-/// Forwards one request to backend `idx` over a pooled connection,
-/// retrying once on a fresh socket (a pooled connection may have idled
-/// out on the backend side between bursts).
-fn forward(
-    shared: &Shared,
-    idx: usize,
-    path: &str,
-    body: &[u8],
-    extra: &[(&str, String)],
-) -> io::Result<ClientResponse> {
-    let backend = &shared.backends[idx];
-    let pooled = backend.pool.lock().expect("pool poisoned").pop();
-    if let Some(mut client) = pooled {
-        if let Ok(response) = client.request_with("POST", path, body, extra) {
-            release(shared, idx, client);
+/// One `POST /cache_put` to `addr` over the repair worker's `client`,
+/// retried once on a fresh socket (a kept-alive one may have idled out
+/// on the backend side between bursts).
+fn put(client: &mut Option<HttpClient>, addr: &str, body: &[u8]) -> io::Result<ClientResponse> {
+    if let Some(kept) = client.as_mut() {
+        if let Ok(response) = kept.request("POST", "/cache_put", body) {
             return Ok(response);
         }
-        // Stale pooled socket: drop it and retry on a fresh connection.
     }
-    let mut client = HttpClient::connect_timeout(&backend.addr, CONNECT_TIMEOUT)?;
-    client.set_read_timeout(Some(UPSTREAM_TIMEOUT))?;
-    let response = client.request_with("POST", path, body, extra)?;
-    release(shared, idx, client);
+    *client = None;
+    let mut fresh = HttpClient::connect_timeout(addr, CONNECT_TIMEOUT)?;
+    fresh.set_read_timeout(Some(UPSTREAM_TIMEOUT))?;
+    let response = fresh.request("POST", "/cache_put", body)?;
+    *client = Some(fresh);
     Ok(response)
 }
 
-/// Returns a healthy connection to backend `idx`'s pool (dropped when
-/// the pool is full).
-fn release(shared: &Shared, idx: usize, client: HttpClient) {
-    let mut pool = shared.backends[idx].pool.lock().expect("pool poisoned");
-    if pool.len() < POOL_CAPACITY {
-        pool.push(client);
-    }
-}
-
-/// Routes a `/solve_batch` as one [`route_solve`] per game, in request
-/// order and under one deadline for the whole request: each game goes
-/// as its canonical `/solve` body, so it meets the owner, the retries,
-/// the failover, the write-through and the read-repair of the same game
-/// sent alone. The answers are spliced as a node splices them; a game
-/// answered `500` answers the whole batch, as on a node.
-///
-/// The batch is taken apart by [`split_batch`], the node's splitter, so
-/// a bad batch gets the node's `400`.
-fn handle_batch(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
-    shared.served.batch_requests.fetch_add(1, Ordering::Relaxed);
-    let games = match split_batch(body) {
-        Ok((games, _)) => games,
-        Err(e) => return e.response(),
-    };
-    let deadline = Instant::now() + REQUEST_DEADLINE;
-    let mut answers = Vec::with_capacity(games.len());
-    for game in games {
-        let answer = route_solve(shared, route_hash(&game.key), &game.body, ctx, deadline);
-        if answer.status == 500 {
-            return answer;
+/// The prober: dials every socket the reactor asks for, handing each
+/// back over the wake channel, and probes every backend's `/healthz` on
+/// the configured interval. Dials go first — a route is waiting on each
+/// — so between two probes it serves every queued dial.
+fn probe_loop(shared: &Shared, handback: &mut Handback) {
+    let mut next_probe = Instant::now();
+    loop {
+        let dial = {
+            let mut dials = shared.dials.lock().expect("dial queue poisoned");
+            if dials.is_empty() && !shared.shutdown.load(Ordering::Relaxed) {
+                let wait = next_probe.saturating_duration_since(Instant::now());
+                dials = shared
+                    .dial_queued
+                    .wait_timeout(dials, wait)
+                    .expect("dial queue poisoned")
+                    .0;
+            }
+            dials.pop_front()
+        };
+        if shared.shutdown.load(Ordering::Relaxed) {
+            return;
         }
-        answers.push(answer);
-    }
-    let entries = answers.iter().map(|answer| {
-        if answer.status == 200 {
-            Ok(&answer.body[..])
-        } else {
-            Err(&answer.body[..])
+        if let Some(idx) = dial {
+            handback.give(idx, dial_backend(&shared.backends[idx]));
+            continue;
         }
-    });
-    Response::json(200, reports_body(entries))
-}
-
-/// Probes every backend's `/healthz` on the configured interval.
-fn probe_loop(shared: &Shared) {
-    while !shared.shutdown.load(Ordering::Relaxed) {
+        if Instant::now() < next_probe {
+            continue;
+        }
         for backend in &shared.backends {
+            while let Some(idx) = shared
+                .dials
+                .lock()
+                .expect("dial queue poisoned")
+                .pop_front()
+            {
+                handback.give(idx, dial_backend(&shared.backends[idx]));
+            }
             if shared.shutdown.load(Ordering::Relaxed) {
                 return;
             }
@@ -1073,14 +1240,17 @@ fn probe_loop(shared: &Shared) {
                 Ordering::Relaxed,
             );
         }
-        let deadline = Instant::now() + shared.config.probe_interval;
-        while Instant::now() < deadline {
-            if shared.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        next_probe = Instant::now() + shared.config.probe_interval;
     }
+}
+
+/// A fresh socket to `backend` for the reactor: nodelay and nonblocking,
+/// its connect bounded by [`CONNECT_TIMEOUT`].
+fn dial_backend(backend: &Backend) -> io::Result<TcpStream> {
+    let stream = dial(&backend.addr, CONNECT_TIMEOUT)?;
+    stream.set_nodelay(true)?;
+    stream.set_nonblocking(true)?;
+    Ok(stream)
 }
 
 /// One `/healthz` round-trip on a fresh connection, each leg bounded by
@@ -1114,10 +1284,7 @@ fn metrics_json(shared: &Shared) -> Json {
                 ("upstream_errors".into(), load(&b.upstream_errors)),
                 ("ejects".into(), load(&b.ejects)),
                 ("readmits".into(), load(&b.readmits)),
-                (
-                    "pooled_connections".into(),
-                    Json::from_u64(b.pool.lock().expect("pool poisoned").len() as u64),
-                ),
+                ("pooled_connections".into(), load(&b.pooled)),
             ])
         })
         .collect();
@@ -1284,6 +1451,197 @@ mod tests {
             assert!(!after.contains(&1));
             assert_eq!(after.len(), 2);
         }
+    }
+
+    /// Router state over `n` backends that are never dialed: the route
+    /// tests below drive [`Route`] with scripted outcomes, no sockets.
+    fn shared_over(n: usize, config: RouterConfig) -> Shared {
+        Shared::new(RouterConfig {
+            backends: (0..n).map(|i| format!("127.0.0.1:{}", 9 + i)).collect(),
+            ..config
+        })
+    }
+
+    fn answer(status: u16, headers: &[(&str, &str)], body: &[u8]) -> Outcome {
+        Outcome::Answer(ClientResponse {
+            status,
+            headers: headers
+                .iter()
+                .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
+                .collect(),
+            body: body.to_vec(),
+        })
+    }
+
+    fn sent(step: RouteStep) -> usize {
+        match step {
+            RouteStep::Send(backend) => backend,
+            other => panic!("expected a send, got {other:?}"),
+        }
+    }
+
+    fn done(step: RouteStep) -> Response {
+        match step {
+            RouteStep::Done(response) => response,
+            other => panic!("expected an answer, got {other:?}"),
+        }
+    }
+
+    fn header<'a>(response: &'a Response, name: &str) -> Option<&'a str> {
+        let mut found = response.extra_headers.iter().filter(|(k, _)| *k == name);
+        found.next().map(|(_, v)| v.as_str())
+    }
+
+    const BODY: &[u8] = b"{}";
+    const HASH: u64 = 0x5eed;
+
+    #[test]
+    fn a_transport_error_fails_over_to_the_next_live_replica_and_counts_toward_ejection() {
+        let shared = shared_over(
+            2,
+            RouterConfig {
+                fail_threshold: 1,
+                ..RouterConfig::default()
+            },
+        );
+        let now = Instant::now();
+        let mut route = Route::new(&shared, HASH, now + REQUEST_DEADLINE);
+        let first = sent(route.step(&shared, BODY, Outcome::Start, now));
+        let second = sent(route.step(&shared, BODY, Outcome::Failed, now));
+        assert_ne!(first, second, "the failover goes to the other replica");
+        let failed = &shared.backends[first];
+        assert_eq!(failed.upstream_errors.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            failed.ejects.load(Ordering::Relaxed),
+            1,
+            "threshold 1 ejects"
+        );
+        assert!(!failed.alive.load(Ordering::Relaxed));
+        let metrics = &shared.metrics;
+        assert_eq!(metrics.retries_transport.load(Ordering::Relaxed), 1);
+        let relayed = done(route.step(
+            &shared,
+            BODY,
+            answer(200, &[("x-cache", "hit")], b"[1]"),
+            now,
+        ));
+        assert_eq!((relayed.status, &relayed.body[..]), (200, &b"[1]"[..]));
+        assert_eq!(
+            header(&relayed, "X-Backend"),
+            Some(shared.backends[second].addr.as_str())
+        );
+        assert_eq!(header(&relayed, "X-Cache"), Some("hit"));
+    }
+
+    #[test]
+    fn a_429_with_retry_after_one_waits_one_second() {
+        let shared = shared_over(1, RouterConfig::default());
+        let now = Instant::now();
+        let mut route = Route::new(&shared, HASH, now + REQUEST_DEADLINE);
+        assert_eq!(sent(route.step(&shared, BODY, Outcome::Start, now)), 0);
+        let shed = answer(429, &[("retry-after", "1")], b"{}");
+        match route.step(&shared, BODY, shed, now) {
+            RouteStep::Wait(until) => assert_eq!(until, now + Duration::from_secs(1)),
+            other => panic!("expected a wait, got {other:?}"),
+        }
+        assert_eq!(shared.metrics.retries_429.load(Ordering::Relaxed), 1);
+        assert!(
+            shared.backends[0].alive.load(Ordering::Relaxed),
+            "a 429 is no failure"
+        );
+        let later = now + Duration::from_secs(1);
+        assert_eq!(sent(route.step(&shared, BODY, Outcome::Woke, later)), 0);
+    }
+
+    #[test]
+    fn a_5xx_goes_to_the_other_replica_then_to_the_next_round_after_the_jittered_backoff() {
+        let shared = shared_over(2, RouterConfig::default());
+        let now = Instant::now();
+        let mut route = Route::new(&shared, HASH, now + REQUEST_DEADLINE);
+        let first = sent(route.step(&shared, BODY, Outcome::Start, now));
+        let second = sent(route.step(&shared, BODY, answer(503, &[], b"{}"), now));
+        assert_ne!(first, second);
+        let backoff = retry_backoff(&shared.config, HASH, 0);
+        assert!(
+            (RETRY_BASE_BACKOFF / 2..=RETRY_BASE_BACKOFF).contains(&backoff),
+            "round 0 jitters within [base/2, base]: {backoff:?}"
+        );
+        match route.step(&shared, BODY, answer(500, &[], b"{}"), now) {
+            RouteStep::Wait(until) => assert_eq!(until, now + backoff),
+            other => panic!("expected a wait, got {other:?}"),
+        }
+        assert_eq!(shared.metrics.retries_5xx.load(Ordering::Relaxed), 2);
+        // The next round walks the ring from the key's owner again.
+        assert_eq!(
+            sent(route.step(&shared, BODY, Outcome::Woke, now + backoff)),
+            first
+        );
+    }
+
+    #[test]
+    fn exhausted_rounds_relay_the_last_upstream_answer_with_x_backend() {
+        let shared = shared_over(
+            1,
+            RouterConfig {
+                max_retry_rounds: 2,
+                ..RouterConfig::default()
+            },
+        );
+        let now = Instant::now();
+        let mut route = Route::new(&shared, HASH, now + REQUEST_DEADLINE);
+        sent(route.step(&shared, BODY, Outcome::Start, now));
+        let first = answer(503, &[], b"{\"round\":0}");
+        assert!(matches!(
+            route.step(&shared, BODY, first, now),
+            RouteStep::Wait(_)
+        ));
+        sent(route.step(&shared, BODY, Outcome::Woke, now));
+        let last = answer(502, &[("retry-after", "3")], b"{\"round\":1}");
+        let relayed = done(route.step(&shared, BODY, last, now));
+        assert_eq!(
+            (relayed.status, &relayed.body[..]),
+            (502, &b"{\"round\":1}"[..])
+        );
+        assert_eq!(
+            header(&relayed, "X-Backend"),
+            Some(shared.backends[0].addr.as_str())
+        );
+        assert_eq!(header(&relayed, "Retry-After"), Some("3"));
+        assert_eq!(shared.metrics.fallback_503.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn with_no_live_backend_the_answer_is_503_from_none() {
+        let shared = shared_over(2, RouterConfig::default());
+        for backend in &shared.backends {
+            backend.alive.store(false, Ordering::Relaxed);
+        }
+        let now = Instant::now();
+        let mut route = Route::new(&shared, HASH, now + REQUEST_DEADLINE);
+        let answer = done(route.step(&shared, BODY, Outcome::Start, now));
+        assert_eq!(answer.status, 503);
+        assert_eq!(answer.body, br#"{"error":"no live backend"}"#);
+        assert_eq!(header(&answer, "X-Backend"), Some("none"));
+        assert_eq!(shared.metrics.fallback_503.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_spent_deadline_stops_the_route() {
+        let shared = shared_over(2, RouterConfig::default());
+        let now = Instant::now();
+        let mut route = Route::new(&shared, HASH, now);
+        let first = sent(route.step(&shared, BODY, Outcome::Start, now));
+        // The round still tries every live replica …
+        let second = sent(route.step(&shared, BODY, answer(503, &[], b"{}"), now));
+        assert_ne!(first, second);
+        // … but with the budget spent, no next round is waited for: the
+        // last answer is relayed.
+        let relayed = done(route.step(&shared, BODY, answer(504, &[], b"{}"), now));
+        assert_eq!(relayed.status, 504);
+        assert_eq!(
+            header(&relayed, "X-Backend"),
+            Some(shared.backends[second].addr.as_str())
+        );
     }
 
     #[test]

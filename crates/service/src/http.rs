@@ -9,11 +9,13 @@
 //! Both sides of the repo speak this module. The reactor behind
 //! `bi-serve` and `bi-router` parses requests in place with
 //! [`parse_head`] and stages every answer through [`write_head_into`].
-//! Clients (the load generator, the router's upstream forwards, the
-//! tests) write requests with [`write_request`] and parse responses
-//! with [`read_response`].
+//! Clients write requests with [`write_request`]; a response head is
+//! parsed by one buffer parser, [`parse_response_head`], which a
+//! router's reactor runs over each upstream socket's bytes and the
+//! blocking [`read_response`] (the load generator, the router's prober
+//! and repair worker, the tests) runs over its reader's buffer.
 
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, Write};
 
 /// Longest accepted request line + header block, in bytes.
 const MAX_HEAD: usize = 64 * 1024;
@@ -238,24 +240,6 @@ fn trim_ascii(slice: &[u8]) -> &[u8] {
     &slice[start..end]
 }
 
-/// `read_line` with a byte cap (a peer streaming an endless header line
-/// must not exhaust memory).
-fn read_limited_line<S: BufRead>(
-    stream: &mut S,
-    line: &mut String,
-    max: usize,
-) -> io::Result<usize> {
-    let mut taken = stream.take(max as u64 + 1);
-    let n = taken.read_line(line)?;
-    if n > max {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "line exceeds the protocol limit",
-        ));
-    }
-    Ok(n)
-}
-
 /// An outgoing JSON response built off the reactor thread (a pool job's
 /// answer), staged by the reactor through [`write_head_into`].
 #[derive(Clone, Debug)]
@@ -368,20 +352,36 @@ pub fn write_request_with<S: Write>(
 ) -> io::Result<()> {
     // Head and body leave in one write: a split write costs the peer an
     // extra wakeup per request.
-    let connection = if keep_alive { "keep-alive" } else { "close" };
     let mut message = Vec::with_capacity(160 + body.len());
-    write!(
-        message,
-        "{method} {path} HTTP/1.1\r\nHost: bi-serve\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
-        body.len(),
-    )?;
-    for (name, value) in extra {
-        write!(message, "{name}: {value}\r\n")?;
-    }
-    message.extend_from_slice(b"\r\n");
-    message.extend_from_slice(body);
+    request_into(&mut message, method, path, body, keep_alive, extra);
     stream.write_all(&message)?;
     stream.flush()
+}
+
+/// Serializes one client request, head and body, into `out` (cleared
+/// first) — the one request writer: [`write_request_with`] sends what
+/// it builds, and a router's reactor stages it on an upstream socket.
+pub fn request_into(
+    out: &mut Vec<u8>,
+    method: &str,
+    path: &str,
+    body: &[u8],
+    keep_alive: bool,
+    extra: &[(&str, String)],
+) {
+    out.clear();
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    write!(
+        out,
+        "{method} {path} HTTP/1.1\r\nHost: bi-serve\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
+        body.len(),
+    )
+    .expect("writing to a Vec cannot fail");
+    for (name, value) in extra {
+        write!(out, "{name}: {value}\r\n").expect("writing to a Vec cannot fail");
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
 }
 
 /// A parsed client-side view of a response: status, headers, body.
@@ -406,57 +406,146 @@ impl ClientResponse {
     }
 }
 
-/// Reads one response (used by the load generator and tests).
+/// One response head parsed from a (possibly partial) buffer by
+/// [`parse_response_head`].
+#[derive(Clone, Debug)]
+pub struct ResponseHead {
+    /// The status code.
+    pub status: u16,
+    /// Header `(name, value)` pairs; names lowercased.
+    pub headers: Vec<(String, String)>,
+    /// Length of the head (status line + headers + blank line).
+    pub head_len: usize,
+    /// The declared `Content-Length`.
+    pub body_len: usize,
+}
+
+impl ResponseHead {
+    /// Total wire length of the response: head plus body.
+    #[must_use]
+    pub fn total_len(&self) -> usize {
+        self.head_len + self.body_len
+    }
+
+    /// The whole response once `buf` (which this head was parsed from)
+    /// holds [`ResponseHead::total_len`] bytes.
+    #[must_use]
+    pub fn into_response(self, buf: &[u8]) -> ClientResponse {
+        ClientResponse {
+            body: buf[self.head_len..self.total_len()].to_vec(),
+            status: self.status,
+            headers: self.headers,
+        }
+    }
+}
+
+/// Incremental response-head parse over a (possibly partial) buffer —
+/// the one response parser: a router's reactor feeds it an upstream
+/// socket's bytes as they arrive, and the blocking [`read_response`]
+/// feeds it its reader's buffer.
+///
+/// Returns `Ok(None)` until the blank line ending the head has arrived.
+///
+/// # Errors
+///
+/// `io::ErrorKind::InvalidData` for a head past the protocol cap, one
+/// that is not UTF-8, a malformed status line, a missing or malformed
+/// `Content-Length`, or a body past the body cap.
+pub fn parse_response_head(buf: &[u8]) -> io::Result<Option<ResponseHead>> {
+    let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
+    let Some(head_len) = find_head_end(buf) else {
+        if buf.len() > MAX_HEAD {
+            return Err(invalid("response head exceeds the protocol limit"));
+        }
+        return Ok(None);
+    };
+    if head_len > MAX_HEAD {
+        return Err(invalid("response head exceeds the protocol limit"));
+    }
+    let text = std::str::from_utf8(&buf[..head_len - 4])
+        .map_err(|_| invalid("response head is not valid UTF-8"))?;
+    let mut lines = text.split("\r\n");
+    let status = lines
+        .next()
+        .and_then(|line| line.split_whitespace().nth(1))
+        .and_then(|s| s.parse::<u16>().ok())
+        .ok_or_else(|| invalid("malformed status line"))?;
+    let headers: Vec<(String, String)> = lines
+        .filter_map(|line| line.split_once(':'))
+        .map(|(name, value)| (name.trim().to_ascii_lowercase(), value.trim().to_string()))
+        .collect();
+    let body_len = headers
+        .iter()
+        .find(|(k, _)| k == "content-length")
+        .and_then(|(_, v)| v.parse::<usize>().ok())
+        .ok_or_else(|| invalid("response without Content-Length"))?;
+    if body_len > MAX_BODY {
+        return Err(invalid("response body too large"));
+    }
+    Ok(Some(ResponseHead {
+        status,
+        headers,
+        head_len,
+        body_len,
+    }))
+}
+
+/// Reads one response (used by the load generator, the router's prober
+/// and repair worker, and tests) through [`parse_response_head`],
+/// consuming exactly its bytes from `stream`.
 ///
 /// # Errors
 ///
 /// Returns `io::ErrorKind::InvalidData` on protocol violations and
 /// transport failures as-is.
 pub fn read_response<S: BufRead>(stream: &mut S) -> io::Result<ClientResponse> {
-    let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let mut line = String::new();
-    if read_limited_line(stream, &mut line, MAX_HEAD)? == 0 {
-        return Err(invalid("connection closed before the status line"));
-    }
-    let mut parts = line.split_whitespace();
-    let status = parts
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| invalid("malformed status line"))?;
-    let mut headers = Vec::new();
-    loop {
-        line.clear();
-        if read_limited_line(stream, &mut line, MAX_HEAD)? == 0 {
-            return Err(invalid("connection closed inside headers"));
+    let mut bytes = Vec::new();
+    let head = loop {
+        let available = stream.fill_buf()?;
+        if available.is_empty() {
+            let msg = if bytes.is_empty() {
+                "connection closed before the status line"
+            } else {
+                "connection closed inside headers"
+            };
+            return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
         }
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() {
-            break;
+        let seen = bytes.len();
+        let taken = available.len();
+        bytes.extend_from_slice(available);
+        if let Some(head) = parse_response_head(&bytes)? {
+            // Leave whatever follows the head in the reader.
+            stream.consume(head.head_len - seen);
+            break head;
         }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        }
-    }
-    let len = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .and_then(|(_, v)| v.parse::<usize>().ok())
-        .ok_or_else(|| invalid("response without Content-Length"))?;
-    if len > MAX_BODY {
-        return Err(invalid("response body too large"));
-    }
-    let mut body = vec![0u8; len];
+        stream.consume(taken);
+    };
+    let mut body = vec![0u8; head.body_len];
     stream.read_exact(&mut body)?;
     Ok(ClientResponse {
-        status,
-        headers,
+        status: head.status,
+        headers: head.headers,
         body,
     })
 }
 
-/// A keep-alive HTTP/1.1 client over one TCP connection: the shared
-/// transport of the load generator, the router's upstream pools, and the
-/// socket-level test suites.
+/// Connects to `addr` (its first resolved address) within `timeout`.
+///
+/// # Errors
+///
+/// Propagates resolution failures, connect failures, and the timeout.
+pub fn dial(addr: &str, timeout: std::time::Duration) -> io::Result<std::net::TcpStream> {
+    use std::net::ToSocketAddrs;
+    let resolved = addr
+        .to_socket_addrs()?
+        .next()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "address resolved to nothing"))?;
+    std::net::TcpStream::connect_timeout(&resolved, timeout)
+}
+
+/// A keep-alive HTTP/1.1 client over one TCP connection: the blocking
+/// transport of the load generator, the router's prober and repair
+/// worker, and the socket-level test suites.
 ///
 /// One request is in flight at a time ([`HttpClient::request`] writes,
 /// then blocks on the response). A transport error poisons the
@@ -477,18 +566,14 @@ impl HttpClient {
         Self::from_stream(std::net::TcpStream::connect(addr)?)
     }
 
-    /// Connects to `addr` with a connect deadline — the router's probe
-    /// and forwarding path must not hang on a dead backend.
+    /// Connects to `addr` with a connect deadline ([`dial`]) — the
+    /// router's probes and repairs must not hang on a dead backend.
     ///
     /// # Errors
     ///
     /// Propagates resolution failures, connect failures, and the timeout.
     pub fn connect_timeout(addr: &str, timeout: std::time::Duration) -> io::Result<HttpClient> {
-        use std::net::ToSocketAddrs;
-        let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, "address resolved to nothing")
-        })?;
-        Self::from_stream(std::net::TcpStream::connect_timeout(&resolved, timeout)?)
+        Self::from_stream(dial(addr, timeout)?)
     }
 
     /// Wraps an already connected stream (nodelay is enabled here).
@@ -630,6 +715,47 @@ mod tests {
         let resp = read_response(&mut BufReader::new(&wire[..])).unwrap();
         assert_eq!(resp.status, 500);
         assert_eq!(resp.body, b"{}");
+    }
+
+    #[test]
+    fn response_heads_parse_incrementally_and_reads_take_one_response() {
+        let mut wire = Vec::new();
+        write_head_into(
+            &mut wire,
+            429,
+            "application/json",
+            2,
+            true,
+            &[("Retry-After", "1")],
+        );
+        wire.extend_from_slice(b"{}");
+        let first = wire.len();
+        let mut second = Vec::new();
+        write_head_into(&mut second, 200, "application/json", 4, true, &[]);
+        wire.extend_from_slice(&second);
+        wire.extend_from_slice(b"null");
+        let head = parse_response_head(&wire).unwrap().expect("complete head");
+        for cut in 0..head.head_len {
+            assert!(
+                parse_response_head(&wire[..cut]).unwrap().is_none(),
+                "cut {cut}"
+            );
+        }
+        assert_eq!((head.status, head.total_len()), (429, first));
+        let whole = head.into_response(&wire);
+        assert_eq!(whole.header("retry-after"), Some("1"));
+        assert_eq!(whole.body, b"{}");
+        // A reader smaller than a head still yields each response whole
+        // and leaves the next one's bytes unread.
+        let mut reader = BufReader::with_capacity(7, &wire[..]);
+        let a = read_response(&mut reader).unwrap();
+        let b = read_response(&mut reader).unwrap();
+        assert_eq!((a.status, &a.body[..]), (429, &b"{}"[..]));
+        assert_eq!((b.status, &b.body[..]), (200, &b"null"[..]));
+        let cut = read_response(&mut BufReader::new(&wire[..10])).unwrap_err();
+        assert_eq!(cut.kind(), io::ErrorKind::InvalidData);
+        let no_length = b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n";
+        assert!(parse_response_head(no_length).is_err());
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //!
 //! ```text
 //!   client ──► bi-router ──(consistent-hash ring over canonical key)──►
-//!               reactor +                    bi-serve node 1..N, each:
-//!               forwarder pool
+//!               reactor: each routed      bi-serve node 1..N, each:
+//!               request is connection
+//!               state, its upstream
+//!               sockets in the same poll set
 //!                  │ no live backend
 //!                  ▼
 //!                 503
@@ -29,7 +31,7 @@
 //!     │                          │ miss
 //!     │                          bounded try_send ──► solver pool:
 //!     │                             │ full          decode once, solve
-//!     └── 429 + Retry-After ◄───────┘      wake pipe +     │
+//!     └── 429 + Retry-After ◄───────┘      wake channel +  │
 //!     └── SolveReport bytes ◄── completion queue ◄─────────┘
 //! ```
 //!
@@ -44,13 +46,17 @@
 //!   is served as the `/solve` of its canonical body, in request order;
 //! * [`http`] — a minimal HTTP/1.1 layer over `std::io`: the
 //!   allocation-free incremental head parser the reactor feeds, the one
-//!   response head writer, and the blocking client;
+//!   response head writer, the one response head parser (fed by a
+//!   router's reactor and by the blocking client alike), and the
+//!   blocking client;
 //! * [`reactor`] — the readiness layer: a `ppoll(2)` syscall shim (no
-//!   libc) with a portable fallback, plus the loopback wake channel;
+//!   libc) with a portable fallback, plus the Unix-socket-pair wake
+//!   channel;
 //! * [`server`] — the one connection engine, behind both binaries: a
-//!   single reactor thread multiplexing every connection, a bounded
-//!   worker pool, `429` + `Retry-After` backpressure on its queue, the
-//!   connection cap and the idle sweep. What a request means is a
+//!   single reactor thread multiplexing every connection (and a router's
+//!   upstream sockets), a bounded worker pool, `429` + `Retry-After`
+//!   backpressure on its queue and on routes in flight, the connection
+//!   cap and the idle sweep. What a request means is a
 //!   dispatcher's business; `bi-serve`'s (here) answers hits inline and
 //!   sends only cache misses to the solver pool, for endpoints
 //!   `POST /solve`, `POST /solve_batch`, `POST /cache_put`,
@@ -64,10 +70,12 @@
 //!   the hot path — a restarted node answers its old key space warm (a
 //!   node opens it with the default [`DiskTierConfig`]);
 //! * [`cluster`] — `bi-router`: a second dispatcher on the same reactor,
-//!   whose forwarder pool routes `/solve` bodies by canonical cache key
-//!   over a consistent-hash ring (virtual nodes over the same XXH64 key
-//!   space the cache uses) across N `bi-serve` backends over keep-alive
-//!   upstream pools, with `/healthz` probing, automatic eject/readmit,
+//!   which routes `/solve` bodies by canonical cache key over a
+//!   consistent-hash ring (virtual nodes over the same XXH64 key space
+//!   the cache uses) across N `bi-serve` backends. Each routed request
+//!   is a state machine the reactor steps over keep-alive upstream
+//!   sockets it polls itself; the router runs no pool workers. It adds
+//!   `/healthz` probing, automatic eject/readmit,
 //!   replication and retries ([`RouterConfig`] holds the settings a
 //!   caller sets; the rest are constants). A non-canonical body is
 //!   forwarded as the canonical bytes the router keyed it by. A

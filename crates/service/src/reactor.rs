@@ -1,6 +1,7 @@
 //! The readiness layer under the event-driven server: a thin poll
-//! abstraction over nonblocking sockets plus the wake channel solver
-//! threads use to re-enter the event loop.
+//! abstraction over nonblocking sockets — downstream connections and,
+//! on a router, the upstream ones to its backends — plus the wake
+//! channel other threads use to re-enter the event loop.
 //!
 //! Three pieces, all built on `std`:
 //!
@@ -11,17 +12,19 @@
 //!   every descriptor ready after a short sleep; since the event loop
 //!   treats readiness as a *hint* (every I/O call handles `WouldBlock`),
 //!   spurious readiness is safe, just less efficient.
-//! * [`WakePair`] — a loopback socket pair: the reactor parks in
-//!   [`Poller::wait`] with the read end registered, and solver threads
-//!   call [`Waker::wake`] after pushing a completion so the loop resumes
-//!   immediately instead of timing out.
+//! * [`WakePair`] — a Unix socket pair: the reactor parks in
+//!   [`Poller::wait`] with the read end registered, and other threads (a
+//!   node's solver pool, a router's prober handing back a dialed
+//!   upstream socket) call [`Waker::wake`] after pushing a completion,
+//!   so the loop resumes immediately instead of timing out.
 //!
 //! The abstraction is deliberately minimal — interest registration is
 //! rebuilding the `PollFd` slice each iteration, which is `O(n)` exactly
 //! like the kernel's own scan, so there is nothing to keep in sync.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
+use std::os::unix::net::UnixStream;
 
 /// Readiness interest/result flags, matching `poll(2)`.
 pub const POLLIN: i16 = 0x001;
@@ -252,30 +255,28 @@ impl Poller {
     }
 }
 
-/// A loopback socket pair waking a [`Poller`] from other threads.
+/// A Unix socket pair waking a [`Poller`] from other threads.
 ///
-/// `std` exposes no pipes, so the wake channel is a connected TCP pair
-/// on `127.0.0.1` — the portable reactor-wakeup trick. The read end is
-/// nonblocking and lives in the reactor's poll set; [`Waker`] clones
-/// share the write end.
+/// The wake channel is a connected `socketpair(2)`
+/// ([`UnixStream::pair`]): one call, no port and no handshake, and a
+/// wake never crosses the TCP stack. The read end is nonblocking and
+/// lives in the reactor's poll set; [`Waker`] clones share the write
+/// end.
 pub struct WakePair {
-    reader: TcpStream,
-    writer: TcpStream,
+    reader: UnixStream,
+    writer: UnixStream,
 }
 
 impl WakePair {
-    /// Builds the connected pair on an ephemeral loopback port.
+    /// Builds the connected pair.
     ///
     /// # Errors
     ///
     /// Propagates socket failures.
     pub fn new() -> io::Result<WakePair> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let writer = TcpStream::connect(listener.local_addr()?)?;
-        let (reader, _) = listener.accept()?;
+        let (reader, writer) = UnixStream::pair()?;
         reader.set_nonblocking(true)?;
         writer.set_nonblocking(true)?;
-        writer.set_nodelay(true)?;
         Ok(WakePair { reader, writer })
     }
 
@@ -311,7 +312,7 @@ impl WakePair {
 /// The writing side of a [`WakePair`]; one byte per wake, excess wakes
 /// coalesce in the socket buffer.
 pub struct Waker {
-    writer: TcpStream,
+    writer: UnixStream,
 }
 
 impl Waker {
@@ -349,6 +350,7 @@ pub fn listener_fd(listener: &TcpListener) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpStream;
     use std::time::{Duration, Instant};
 
     #[test]

@@ -1,34 +1,42 @@
 //! The event-driven HTTP engine behind both binaries: a single reactor
 //! thread multiplexing every connection over [`crate::reactor`]
-//! readiness, plus a bounded worker pool for the requests that must not
-//! run on it.
+//! readiness — a router's upstream sockets included — plus a bounded
+//! worker pool for the requests that must not run on it.
 //!
 //! ```text
-//!                        ┌──────────────────────────────┐
-//!   clients ──accept──▶  │        reactor thread        │
-//!     ▲                  │  poll(listener, conns, wake) │
-//!     │  inline answers, │  read → parse → dispatch     │
-//!     └── 4xx, metrics ◀─│  write staged responses      │
-//!                        └──────┬──────────────▲────────┘
-//!                      jobs     │              │ wake pipe +
-//!                 (bounded try_send)           │ completion queue
-//!                        ┌──────▼──────────────┴────────┐
-//!                        │        worker pool (N)       │
-//!                        │  solves / batches / forwards │
-//!                        └──────────────────────────────┘
+//!                        ┌──────────────────────────────────┐
+//!   clients ──accept──▶  │          reactor thread          │  upstream
+//!     ▲                  │ poll(listener, conns, wake, ups) │◀─ sockets ─▶ backends
+//!     │  inline answers, │ read → parse → dispatch          │  (a router's
+//!     └── 4xx, metrics, ◀│ step routes: send / wait / done  │   routes)
+//!         routed answers │ write staged responses           │
+//!                        └──────┬──────────────────▲────────┘
+//!                      jobs     │                  │ wake channel +
+//!                 (bounded try_send)               │ completion queue
+//!                        ┌──────▼──────────────────┴────────┐
+//!                        │ worker pool (a node's solvers)   │
+//!                        │ solves / batches                 │
+//!                        └──────────────────────────────────┘
 //! ```
 //!
 //! The reactor knows HTTP framing, connections and tracing; what a
 //! request *means* is a `Dispatcher`'s business. For each parsed
-//! request the dispatcher either stages an inline answer on the reactor
-//! thread or returns a job for the pool. Two dispatchers exist:
-//! `bi-serve`'s node (below: cache hits, probes and metrics inline;
-//! misses and batches to the solver pool) and `bi-router`'s
-//! ([`crate::cluster`]: probes and metrics inline; every `/solve` and
-//! `/solve_batch` to a pool of forwarders, which route a batch game by
-//! game, each game exactly as a `/solve`). Either way, the connection
-//! cap, the idle sweep, in-order pipelining, the `413`/`431` limits,
-//! `429` backpressure and trace roots are this module's.
+//! request the dispatcher stages an inline answer, returns a job for
+//! the pool, or returns a route. Two dispatchers exist: `bi-serve`'s
+//! node (below: cache hits, probes and metrics inline; misses and
+//! batches to the solver pool) and `bi-router`'s ([`crate::cluster`]:
+//! probes and metrics inline; every `/solve` and `/solve_batch` a
+//! route). A route is connection state: the reactor steps it with each
+//! outcome (start, an upstream answer, a transport failure, a wait
+//! over), and each step asks to send a body to backend k, to wait until
+//! an instant, or to answer. The reactor runs the exchange on a kept
+//! idle socket to k, or asks the dispatcher to have one dialed off the
+//! reactor and takes it back over the wake channel; a reused socket
+//! that breaks is replaced once by a fresh dial. Waits and the
+//! 30 s per-exchange upstream timeout are folded into the poll timeout.
+//! Either way, the connection cap, the idle sweep, in-order pipelining,
+//! the `413`/`431` limits, `429` backpressure and trace roots are this
+//! module's.
 //!
 //! Each connection is a small state machine (reading → dispatch →
 //! writing) over two reusable buffers. On a node, `POST /solve` bodies
@@ -44,14 +52,14 @@
 //! `/solve_batch` is decoded on the pool, once, and each of its games
 //! is then served as the `/solve` of its canonical body.
 //!
-//! Backpressure is explicit at two levels: the job queue is bounded and
-//! its overflow is answered `429 Too Many Requests` + `Retry-After`
-//! (the request was understood — retry shortly), and a
-//! connection cap above which new arrivals get `503` and an immediate
-//! close. Responses are staged one at a time per connection, so
-//! pipelined requests are answered strictly in order; the connection's
-//! read interest is dropped while a response is pending, letting the TCP
-//! window push back on floods.
+//! Backpressure is explicit at two levels: the job queue and the routes
+//! in flight are bounded (both by `queue_capacity`), and their overflow
+//! is answered `429 Too Many Requests` + `Retry-After` (the request was
+//! understood — retry shortly); and a connection cap above which new
+//! arrivals get `503` and an immediate close. Responses are staged one
+//! at a time per connection, so pipelined requests are answered
+//! strictly in order; the connection's read interest is dropped while a
+//! response is pending, letting the TCP window push back on floods.
 //!
 //! A node's endpoints:
 //!
@@ -68,7 +76,8 @@
 //! `X-Bi-Trace` header (how a router hop correlates with the backend)
 //! or mints one, records `parse` and `write` spans around its own work
 //! plus the root span (`request` on a node, `route` on a router), and
-//! the dispatcher and pool record their stages under the same trace.
+//! the dispatcher and pool record their stages under the same trace, as
+//! does the reactor one `upstream` span per routed attempt.
 //! Recording is a few relaxed atomic stores per stage — the zero-copy
 //! hit path stays intact. Requests slower than `trace_slow_us` get their
 //! whole span tree logged as one JSON line.
@@ -76,6 +85,7 @@
 //! [`Solver`]: bi_core::solve::Solver
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -88,7 +98,9 @@ use bi_util::Json;
 
 use crate::cache::CacheConfig;
 use crate::fault::{FaultKind, FaultPlan};
-use crate::http::{parse_head, write_head_into, Response};
+use crate::http::{
+    parse_head, parse_response_head, request_into, write_head_into, ClientResponse, Response,
+};
 use crate::metrics::ServiceMetrics;
 use crate::persist::{DiskTier, DiskTierConfig};
 use crate::reactor::{
@@ -264,11 +276,53 @@ pub(crate) struct Request<'a> {
     pub(crate) ctx: TraceCtx,
 }
 
+/// What a dispatch leaves to do once it returns.
+pub(crate) enum Dispatched<J, R> {
+    /// The answer is staged (through [`Reply`]).
+    Answered,
+    /// Work for the bounded pool.
+    Job(J),
+    /// A request the reactor answers through upstream exchanges.
+    Route(R),
+}
+
+/// What the reactor tells a route at each step.
+pub(crate) enum Outcome {
+    /// The route was admitted; nothing was sent yet.
+    Start,
+    /// The backend of the last [`Step::Send`] answered.
+    Answer(ClientResponse),
+    /// The exchange with that backend failed at the transport: no socket
+    /// could be dialed, a fresh socket broke, or no whole answer came
+    /// within [`UPSTREAM_TIMEOUT`].
+    Failed,
+    /// The [`Step::Wait`] is over.
+    Woke,
+}
+
+/// What a route asks of the reactor next.
+pub(crate) enum Step<'a> {
+    /// `POST /solve` `body` to backend `backend`; its answer comes back
+    /// as the next [`Outcome`].
+    Send { backend: usize, body: &'a [u8] },
+    /// Step again, with [`Outcome::Woke`], at this instant.
+    Wait(Instant),
+    /// The request's answer.
+    Done(Response),
+}
+
+/// How long one upstream exchange may take, from its send (a dial
+/// included) to the last byte of its answer.
+pub(crate) const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// What a request means: the part of serving that differs between a
 /// node and a router. The reactor owns everything else.
 pub(crate) trait Dispatcher: Send + Sync + 'static {
     /// Work that must leave the reactor thread for the bounded pool.
     type Job: Send + 'static;
+    /// A request answered through upstream exchanges, kept as its
+    /// connection's state while the reactor runs them.
+    type Route: Send + 'static;
     /// The stage of each request's root span.
     const ROOT: Stage;
     /// The component name on the slow-request log line.
@@ -278,12 +332,32 @@ pub(crate) trait Dispatcher: Send + Sync + 'static {
     /// The flight recorder the reactor's spans land in.
     fn recorder(&self) -> &Recorder;
     /// Handles one request on the reactor thread: stages an answer
-    /// through `reply` and returns `None`, or returns a job for the pool
-    /// (and stages nothing).
-    fn dispatch(&self, request: &Request<'_>, reply: &mut Reply<'_>) -> Option<Self::Job>;
+    /// through `reply`, or returns a job for the pool or a route (and
+    /// stages nothing).
+    fn dispatch(
+        &self,
+        request: &Request<'_>,
+        reply: &mut Reply<'_>,
+    ) -> Dispatched<Self::Job, Self::Route>;
     /// Runs one job on a pool thread; the answer travels back to the
     /// reactor over the wake channel.
     fn run(&self, job: Self::Job) -> Response;
+    /// Advances `route` by `outcome`, on the reactor thread. `request`
+    /// is the body of the request the route answers.
+    fn step<'a>(
+        &self,
+        route: &'a mut Self::Route,
+        request: &'a [u8],
+        outcome: Outcome,
+        now: Instant,
+    ) -> Step<'a>;
+    /// Asks for a connected, nonblocking socket to `backend`, handed
+    /// back through the engine's [`Handback`]. Connects never run on
+    /// the reactor: `std` has no nonblocking connect.
+    fn dial(&self, _backend: usize) {}
+    /// Notes that the reactor now keeps `idle` idle sockets to
+    /// `backend`.
+    fn pooled(&self, _backend: usize, _idle: usize) {}
 }
 
 /// Where a dispatcher stages an inline answer: straight into the
@@ -307,12 +381,26 @@ pub(crate) struct Engine<J> {
     reactor: JoinHandle<()>,
     pool: Arc<Pool<J>>,
     workers: Vec<JoinHandle<()>>,
+    completions: Arc<Mutex<Vec<Completion>>>,
     waker: Waker,
 }
 
 impl<J> Engine<J> {
     pub(crate) fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// A handle through which another thread gives the reactor the
+    /// sockets it asked a [`Dispatcher`] to dial.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the wake-channel clone failure.
+    pub(crate) fn handback(&self) -> io::Result<Handback> {
+        Ok(Handback {
+            completions: Arc::clone(&self.completions),
+            waker: self.waker.try_clone()?,
+        })
     }
 
     /// Blocks on the reactor thread, which only exits on [`Engine::stop`].
@@ -333,10 +421,30 @@ impl<J> Engine<J> {
     }
 }
 
+/// The way back onto the reactor for a socket dialed off it.
+pub(crate) struct Handback {
+    completions: Arc<Mutex<Vec<Completion>>>,
+    waker: Waker,
+}
+
+impl Handback {
+    /// Gives the reactor what one [`Dispatcher::dial`] to `backend`
+    /// came to: a connected, nonblocking socket, or the failure.
+    pub(crate) fn give(&mut self, backend: usize, dialed: io::Result<TcpStream>) {
+        self.completions
+            .lock()
+            .expect("completion lock poisoned")
+            .push(Completion::Dialed { backend, dialed });
+        self.waker.wake();
+    }
+}
+
 /// Serves `listener` through `dispatcher` on a new reactor thread and
-/// `config.workers` pool threads. Of `config` only the engine's sizing
-/// is read: `workers` (resolved, ≥ 1), `queue_capacity`,
-/// `read_timeout`, `max_connections`, `trace_slow_us` and `fault`.
+/// `config.workers` pool threads (none for a dispatcher that never
+/// returns a job). Of `config` only the engine's sizing is read:
+/// `workers`, `queue_capacity` (the pool's queue, and the cap on routes
+/// in flight), `read_timeout`, `max_connections`, `trace_slow_us` and
+/// `fault`.
 ///
 /// # Errors
 ///
@@ -348,7 +456,7 @@ pub(crate) fn serve<D: Dispatcher>(
 ) -> io::Result<Engine<D::Job>> {
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let workers = config.workers.max(1);
+    let workers = config.workers;
     let queue_capacity = config.queue_capacity.max(1);
     let max_connections = config.max_connections.max(1);
     dispatcher.metrics().set_config_gauges(
@@ -382,9 +490,16 @@ pub(crate) fn serve<D: Dispatcher>(
         listener,
         poller: Poller::new(),
         wake,
-        completions,
+        completions: Arc::clone(&completions),
         slots: Vec::new(),
         free: Vec::new(),
+        ups: Vec::new(),
+        up_free: Vec::new(),
+        idle: Vec::new(),
+        dialing: Vec::new(),
+        ready: VecDeque::new(),
+        flights: 0,
+        route_cap: queue_capacity,
         shutdown: Arc::clone(&shutdown),
         read_timeout: config.read_timeout,
         max_connections,
@@ -396,24 +511,25 @@ pub(crate) fn serve<D: Dispatcher>(
         reactor: reactor_handle,
         pool,
         workers: worker_handles,
+        completions,
         waker: stop_waker,
     })
 }
 
-/// Runs an engine thread's loop. Each dispatch and each job runs under
-/// [`handle_panics`]; a panic anywhere else leaves the engine unable to
-/// answer, so it aborts the process: the listener closes and a router
-/// ejects the node, where a dead reactor behind a live listener would
-/// leave every client waiting.
+/// Runs an engine thread's loop. Each dispatch, job and route step runs
+/// under [`handle_panics`]; a panic anywhere else leaves the engine
+/// unable to answer, so it aborts the process: the listener closes and
+/// a router ejects the node, where a dead reactor behind a live
+/// listener would leave every client waiting.
 fn abort_on_panic(body: impl FnOnce()) {
     if std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).is_err() {
         std::process::abort();
     }
 }
 
-/// Runs one dispatch or job; a panic in it is counted and becomes
-/// `None`, which the caller answers with [`panic_body`] as a `500`. The
-/// panic message goes to stderr through the panic hook.
+/// Runs one dispatch, job or route step; a panic in it is counted and
+/// becomes `None`, which the caller answers with [`panic_body`] as a
+/// `500`. The panic message goes to stderr through the panic hook.
 fn handle_panics<T>(metrics: &ServiceMetrics, body: impl FnOnce() -> T) -> Option<T> {
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
     if outcome.is_err() {
@@ -514,11 +630,19 @@ impl<J> Pool<J> {
     }
 }
 
-/// A finished job traveling back to the reactor over the wake channel.
-struct Completion {
-    slot: usize,
-    generation: u64,
-    response: Response,
+/// What other threads hand the reactor over the wake channel.
+enum Completion {
+    /// A finished pool job and the connection it answers.
+    Job {
+        slot: usize,
+        generation: u64,
+        response: Response,
+    },
+    /// What a [`Dispatcher::dial`] to `backend` came to.
+    Dialed {
+        backend: usize,
+        dialed: io::Result<TcpStream>,
+    },
 }
 
 fn pool_loop<D: Dispatcher>(
@@ -537,7 +661,7 @@ fn pool_loop<D: Dispatcher>(
         completions
             .lock()
             .expect("completion lock poisoned")
-            .push(Completion {
+            .push(Completion::Job {
                 slot: task.slot,
                 generation: task.generation,
                 response,
@@ -551,7 +675,7 @@ const READ_CHUNK: usize = 16 * 1024;
 
 /// One connection's state machine: reading into `buf`, at most one
 /// staged response in `out`, and the in-flight marker while a job is
-/// in the pool.
+/// in the pool or a route is out upstream.
 struct Conn {
     stream: TcpStream,
     /// Accumulated request bytes (consumed per request, capacity kept).
@@ -563,7 +687,8 @@ struct Conn {
     /// before its first flush: an answer replaced before it is sent — a
     /// panicking handler's — is never counted.
     status: u16,
-    /// A job for this connection is in the pool; parsing is paused.
+    /// A job or a route is answering this connection's request; parsing
+    /// is paused.
     in_flight: bool,
     /// Keep-alive of the request currently being answered.
     req_keep_alive: bool,
@@ -594,23 +719,90 @@ struct ConnTrace {
     staged_ns: u64,
 }
 
+/// A routed request's connection state: the dispatcher's route plus the
+/// upstream exchange the reactor runs for it.
+struct Flight<R> {
+    route: R,
+    ctx: TraceCtx,
+    /// The request body within the connection buffer, which keeps the
+    /// request (no copy) until it is answered.
+    body: std::ops::Range<usize>,
+    /// The request's length in that buffer, drained once it is answered.
+    consumed: usize,
+    /// The current attempt's upstream request, head and body.
+    message: Vec<u8>,
+    /// The outstanding attempt, if one is out.
+    attempt: Option<Attempt>,
+    /// When the attempt times out, or when a waiting route steps again.
+    timer: Option<Instant>,
+}
+
+/// One upstream attempt, recorded as one `upstream` span.
+struct Attempt {
+    backend: usize,
+    /// Minted at the send, so it rides `X-Bi-Parent` as the backend's
+    /// parent span.
+    span: u64,
+    t0: u64,
+    /// The socket carrying it; `None` while a dial is awaited.
+    up: Option<usize>,
+    /// A reused socket broke and the attempt moved to a fresh one.
+    redialed: bool,
+}
+
+/// An upstream socket: idle in its backend's list, or carrying one
+/// attempt.
+struct Up {
+    stream: TcpStream,
+    backend: usize,
+    /// The connection (slot, generation) whose attempt it carries.
+    carrying: Option<(usize, u64)>,
+    /// Bytes of the attempt's message written so far.
+    sent: usize,
+    /// The message is not yet fully written.
+    writing: bool,
+    /// Answer bytes read so far.
+    buf: Vec<u8>,
+    /// It carried an exchange before. A break on such a socket may only
+    /// be a keep-alive the backend closed, so the attempt moves once to
+    /// a fresh socket instead of failing.
+    reused: bool,
+}
+
+/// Where an upstream exchange stands after an I/O pass.
+enum Progress {
+    Pending,
+    /// A whole answer, and whether the socket may carry another.
+    Answered(ClientResponse, bool),
+    Broken,
+}
+
 /// A slab slot: its occupant plus a generation counter so completions
 /// for closed connections are discarded instead of answering whoever
-/// reused the slot.
-struct Slot {
+/// reused the slot, and the occupant's route while one is in flight.
+struct Slot<R> {
     conn: Option<Conn>,
     generation: u64,
+    flight: Option<Flight<R>>,
 }
 
 /// What to do with a connection after an I/O pass.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ConnAction {
+enum ConnAction<R> {
     Keep,
     Remove,
+    /// A request became a route, to admit.
+    Route(Flight<R>),
 }
 
-/// The reactor: owns the listener, the connection slab, and the poll
-/// loop.
+/// A poll-set entry past the wake channel and the listener.
+#[derive(Clone, Copy)]
+enum Tag {
+    Conn(usize),
+    Up(usize),
+}
+
+/// The reactor: owns the listener, the connection slab, the upstream
+/// sockets, and the poll loop.
 struct Reactor<D: Dispatcher> {
     /// What every connection pass needs (kept apart from the slab so a
     /// connection can be borrowed alongside it).
@@ -619,8 +811,20 @@ struct Reactor<D: Dispatcher> {
     poller: Poller,
     wake: WakePair,
     completions: Arc<Mutex<Vec<Completion>>>,
-    slots: Vec<Slot>,
+    slots: Vec<Slot<D::Route>>,
     free: Vec<usize>,
+    /// Upstream sockets (a router's), and the free indices among them.
+    ups: Vec<Option<Up>>,
+    up_free: Vec<usize>,
+    /// Idle upstream sockets per backend.
+    idle: Vec<Vec<usize>>,
+    /// Connections whose attempt awaits a socket, per backend.
+    dialing: Vec<VecDeque<(usize, u64)>>,
+    /// Outcomes to step routes with, in order.
+    ready: VecDeque<(usize, u64, Outcome)>,
+    /// Routes in flight, and their cap; past it a request is shed `429`.
+    flights: usize,
+    route_cap: usize,
     shutdown: Arc<AtomicBool>,
     read_timeout: Duration,
     max_connections: usize,
@@ -645,17 +849,16 @@ impl<D: Dispatcher> Reactor<D> {
 
     fn run(&mut self) {
         let mut fds: Vec<PollFd> = Vec::new();
-        let mut fd_slots: Vec<usize> = Vec::new();
-        let timeout_ms = u32::try_from(self.read_timeout.as_millis() / 4)
+        let mut tags: Vec<Tag> = Vec::new();
+        let sweep_ms = u32::try_from(self.read_timeout.as_millis() / 4)
             .unwrap_or(u32::MAX)
             .clamp(10, 200);
         while !self.shutdown.load(Ordering::Relaxed) {
             fds.clear();
-            fd_slots.clear();
+            tags.clear();
             fds.push(PollFd::new(self.wake.read_fd(), POLLIN));
-            fd_slots.push(usize::MAX);
             fds.push(PollFd::new(listener_fd(&self.listener), POLLIN));
-            fd_slots.push(usize::MAX);
+            let mut next_timer: Option<Instant> = None;
             for (i, slot) in self.slots.iter().enumerate() {
                 if let Some(conn) = &slot.conn {
                     let mut events = 0i16;
@@ -666,9 +869,29 @@ impl<D: Dispatcher> Reactor<D> {
                         events |= POLLOUT;
                     }
                     fds.push(PollFd::new(raw_fd(&conn.stream), events));
-                    fd_slots.push(i);
+                    tags.push(Tag::Conn(i));
+                }
+                if let Some(t) = slot.flight.as_ref().and_then(|f| f.timer) {
+                    next_timer = Some(next_timer.map_or(t, |n| n.min(t)));
                 }
             }
+            for (u, up) in self.ups.iter().enumerate() {
+                if let Some(up) = up {
+                    // An idle socket is watched too: it turns readable
+                    // when the backend closes it.
+                    let events = if up.writing { POLLIN | POLLOUT } else { POLLIN };
+                    fds.push(PollFd::new(raw_fd(&up.stream), events));
+                    tags.push(Tag::Up(u));
+                }
+            }
+            // Route waits and attempt deadlines are folded into the
+            // poll timeout; the idle sweep bounds it.
+            let timeout_ms = next_timer.map_or(sweep_ms, |t| {
+                let us = t.saturating_duration_since(Instant::now()).as_micros();
+                u32::try_from(us.div_ceil(1_000))
+                    .unwrap_or(u32::MAX)
+                    .min(sweep_ms)
+            });
             let ready = match self.poller.wait(&mut fds, timeout_ms) {
                 Ok(n) => n,
                 Err(_) => continue,
@@ -685,13 +908,19 @@ impl<D: Dispatcher> Reactor<D> {
             if fds[1].ready(POLLIN) {
                 self.accept_ready();
             }
-            for k in 2..fds.len() {
-                let fd = fds[k];
+            // Nothing below opens an upstream socket before the routes
+            // are stepped, so an `Up` tag never names a newer socket.
+            for (fd, &tag) in fds[2..].iter().zip(&tags) {
                 if fd.revents() == 0 {
                     continue;
                 }
-                self.handle_conn_event(fd_slots[k], fd);
+                match tag {
+                    Tag::Conn(idx) => self.handle_conn_event(idx, *fd),
+                    Tag::Up(u) => self.handle_up_event(u),
+                }
             }
+            self.fire_timers();
+            self.step_ready();
             self.sweep_idle();
         }
     }
@@ -700,26 +929,52 @@ impl<D: Dispatcher> Reactor<D> {
     fn handle_conn_event(&mut self, idx: usize, fd: PollFd) {
         let generation = self.slots[idx].generation;
         let io = &self.io;
-        let action = {
-            let Some(conn) = self.slots[idx].conn.as_mut() else {
-                return;
-            };
-            let result = if fd.ready(POLLOUT) && !conn.out.is_empty() {
-                io.pump(conn, idx, generation)
-            } else if fd.ready(POLLIN) && !conn.in_flight && conn.out.is_empty() && !conn.eof {
-                io.on_readable(conn, idx, generation)
-            } else if fd.revents() & (POLLERR | POLLHUP | POLLNVAL) != 0 {
-                // An errored or hung-up peer we have nothing staged for
-                // (including one we are mid-job for): drop it; any
-                // completion is discarded by the generation check.
-                Ok(ConnAction::Remove)
-            } else {
-                Ok(ConnAction::Keep)
-            };
-            result.unwrap_or(ConnAction::Remove)
+        let Some(conn) = self.slots[idx].conn.as_mut() else {
+            return;
         };
-        if action == ConnAction::Remove {
-            self.remove_conn(idx);
+        let action = if fd.ready(POLLOUT) && !conn.out.is_empty() {
+            io.pump(conn, idx, generation)
+        } else if fd.ready(POLLIN) && !conn.in_flight && conn.out.is_empty() && !conn.eof {
+            io.on_readable(conn, idx, generation)
+        } else if fd.revents() & (POLLERR | POLLHUP | POLLNVAL) != 0 {
+            // An errored or hung-up peer we have nothing staged for
+            // (including one we are mid-job or mid-route for): drop it;
+            // any completion is discarded by the generation check.
+            Ok(ConnAction::Remove)
+        } else {
+            Ok(ConnAction::Keep)
+        };
+        self.settle(idx, action);
+    }
+
+    /// Carries out what a pass over connection `idx` left to do: drop
+    /// it, or admit the route its request became — or, past the route
+    /// cap, answer `429` and go on with its pipelined requests.
+    fn settle(&mut self, idx: usize, mut action: io::Result<ConnAction<D::Route>>) {
+        loop {
+            match action {
+                Ok(ConnAction::Keep) => return,
+                Ok(ConnAction::Remove) | Err(_) => {
+                    self.remove_conn(idx);
+                    return;
+                }
+                Ok(ConnAction::Route(flight)) => {
+                    let generation = self.slots[idx].generation;
+                    if self.flights < self.route_cap {
+                        self.flights += 1;
+                        self.slots[idx].flight = Some(flight);
+                        self.ready.push_back((idx, generation, Outcome::Start));
+                        return;
+                    }
+                    let Some(conn) = self.slots[idx].conn.as_mut() else {
+                        return;
+                    };
+                    conn.in_flight = false;
+                    conn.buf.drain(..flight.consumed);
+                    self.io.shed(conn);
+                    action = self.io.pump(conn, idx, generation);
+                }
+            }
         }
     }
 
@@ -770,6 +1025,7 @@ impl<D: Dispatcher> Reactor<D> {
                     self.slots.push(Slot {
                         conn: None,
                         generation: 0,
+                        flight: None,
                     });
                     self.slots.len() - 1
                 }
@@ -780,39 +1036,409 @@ impl<D: Dispatcher> Reactor<D> {
     }
 
     /// Stages every completed job onto its (still-live) connection and
-    /// pushes the response out.
+    /// pushes the response out, and hands every dialed socket to an
+    /// attempt waiting for one.
     fn drain_completions(&mut self) {
         let done = std::mem::take(&mut *self.completions.lock().expect("completion lock poisoned"));
         for completion in done {
-            let idx = completion.slot;
-            let action = {
-                if self.slots[idx].generation != completion.generation {
-                    continue; // the connection closed mid-job
+            match completion {
+                Completion::Job {
+                    slot: idx,
+                    generation,
+                    response,
+                } => {
+                    if self.slots[idx].generation != generation {
+                        continue; // the connection closed mid-job
+                    }
+                    let Some(conn) = self.slots[idx].conn.as_mut() else {
+                        continue;
+                    };
+                    conn.in_flight = false;
+                    stage_response(conn, self.io.dispatcher.recorder(), &response);
+                    let action = self.io.pump(conn, idx, generation);
+                    self.settle(idx, action);
                 }
-                let Some(conn) = self.slots[idx].conn.as_mut() else {
-                    continue;
-                };
-                conn.in_flight = false;
-                let response = &completion.response;
-                let extra: Vec<(&str, &str)> = response
-                    .extra_headers
-                    .iter()
-                    .map(|(k, v)| (*k, v.as_str()))
-                    .collect();
-                let recorder = self.io.dispatcher.recorder();
-                stage_bytes(conn, recorder, response.status, &response.body, &extra);
-                self.io
-                    .pump(conn, idx, completion.generation)
-                    .unwrap_or(ConnAction::Remove)
-            };
-            if action == ConnAction::Remove {
-                self.remove_conn(idx);
+                Completion::Dialed { backend, dialed } => self.dialed(backend, dialed),
             }
         }
     }
 
+    /// Steps every route that has an outcome waiting.
+    fn step_ready(&mut self) {
+        while let Some((idx, generation, outcome)) = self.ready.pop_front() {
+            let slot = &self.slots[idx];
+            if slot.generation == generation && slot.flight.is_some() {
+                self.drive(idx, outcome);
+            }
+        }
+    }
+
+    /// Steps the route of connection `idx` with `outcome` and does what
+    /// it asks: start an attempt, arm its wait, or stage its answer.
+    fn drive(&mut self, idx: usize, outcome: Outcome) {
+        let generation = self.slots[idx].generation;
+        let slot = &mut self.slots[idx];
+        let (Some(conn), Some(flight)) = (slot.conn.as_mut(), slot.flight.as_mut()) else {
+            return;
+        };
+        let dispatcher = &*self.io.dispatcher;
+        let now = Instant::now();
+        let route = &mut flight.route;
+        let request = &conn.buf[flight.body.clone()];
+        let step = handle_panics(dispatcher.metrics(), move || {
+            dispatcher.step(route, request, outcome, now)
+        })
+        .unwrap_or_else(|| Step::Done(Response::json(500, panic_body())));
+        match step {
+            Step::Send { backend, body } => {
+                let recorder = dispatcher.recorder();
+                let span = recorder.next_span_id();
+                let headers = if flight.ctx.active() {
+                    vec![
+                        ("X-Bi-Trace", flight.ctx.trace_id.to_string()),
+                        ("X-Bi-Parent", span.to_string()),
+                    ]
+                } else {
+                    Vec::new()
+                };
+                request_into(&mut flight.message, "POST", "/solve", body, true, &headers);
+                flight.attempt = Some(Attempt {
+                    backend,
+                    span,
+                    t0: recorder.now_ns(),
+                    up: None,
+                    redialed: false,
+                });
+                flight.timer = Some(now + UPSTREAM_TIMEOUT);
+                self.start_attempt(idx, generation, backend);
+            }
+            Step::Wait(until) => flight.timer = Some(until),
+            Step::Done(response) => {
+                let consumed = flight.consumed;
+                slot.flight = None;
+                self.flights -= 1;
+                conn.in_flight = false;
+                conn.buf.drain(..consumed);
+                stage_response(conn, dispatcher.recorder(), &response);
+                let action = self.io.pump(conn, idx, generation);
+                self.settle(idx, action);
+            }
+        }
+    }
+
+    /// Puts connection `idx`'s new attempt on an idle socket to
+    /// `backend`, or asks for a dial when there is none.
+    fn start_attempt(&mut self, idx: usize, generation: u64, backend: usize) {
+        self.reach(backend);
+        match self.idle[backend].pop() {
+            Some(u) => {
+                self.io.dispatcher.pooled(backend, self.idle[backend].len());
+                self.carry(u, idx, generation);
+            }
+            None => self.await_dial(idx, generation, backend),
+        }
+    }
+
+    /// Sizes the per-backend lists to hold `backend`.
+    fn reach(&mut self, backend: usize) {
+        if self.idle.len() <= backend {
+            self.idle.resize_with(backend + 1, Vec::new);
+            self.dialing.resize_with(backend + 1, VecDeque::new);
+        }
+    }
+
+    fn await_dial(&mut self, idx: usize, generation: u64, backend: usize) {
+        self.dialing[backend].push_back((idx, generation));
+        self.io.dispatcher.dial(backend);
+    }
+
+    /// The next connection whose attempt still awaits a socket to
+    /// `backend` (entries left by attempts that ended are skipped).
+    fn next_waiter(&mut self, backend: usize) -> Option<(usize, u64)> {
+        while let Some((idx, generation)) = self.dialing[backend].pop_front() {
+            let slot = &self.slots[idx];
+            let waits = slot.generation == generation
+                && slot
+                    .flight
+                    .as_ref()
+                    .and_then(|f| f.attempt.as_ref())
+                    .is_some_and(|a| a.backend == backend && a.up.is_none());
+            if waits {
+                return Some((idx, generation));
+            }
+        }
+        None
+    }
+
+    /// Takes what a dial to `backend` came to: a socket carries the
+    /// first waiting attempt (or idles), a failure fails that attempt.
+    fn dialed(&mut self, backend: usize, dialed: io::Result<TcpStream>) {
+        self.reach(backend);
+        let waiter = self.next_waiter(backend);
+        match dialed {
+            Ok(stream) => {
+                let up = Up {
+                    stream,
+                    backend,
+                    carrying: None,
+                    sent: 0,
+                    writing: false,
+                    buf: Vec::new(),
+                    reused: false,
+                };
+                let u = match self.up_free.pop() {
+                    Some(u) => {
+                        self.ups[u] = Some(up);
+                        u
+                    }
+                    None => {
+                        self.ups.push(Some(up));
+                        self.ups.len() - 1
+                    }
+                };
+                match waiter {
+                    Some((idx, generation)) => self.carry(u, idx, generation),
+                    None => self.park_up(u),
+                }
+            }
+            Err(_) => {
+                if let Some((idx, generation)) = waiter {
+                    self.end_attempt(idx);
+                    self.ready.push_back((idx, generation, Outcome::Failed));
+                }
+            }
+        }
+    }
+
+    /// Starts connection `idx`'s attempt on upstream socket `u`.
+    fn carry(&mut self, u: usize, idx: usize, generation: u64) {
+        let up = self.ups[u].as_mut().expect("a live upstream socket");
+        up.carrying = Some((idx, generation));
+        up.sent = 0;
+        up.writing = true;
+        up.buf.clear();
+        if let Some(attempt) = self.slots[idx]
+            .flight
+            .as_mut()
+            .and_then(|f| f.attempt.as_mut())
+        {
+            attempt.up = Some(u);
+        }
+        let progress = self.exchange(u);
+        self.settle_up(u, progress);
+    }
+
+    /// Readiness on upstream socket `u`.
+    fn handle_up_event(&mut self, u: usize) {
+        let Some(up) = self.ups[u].as_ref() else {
+            return;
+        };
+        if up.carrying.is_none() {
+            // Nothing was asked on an idle socket: it turned readable
+            // because the backend closed it.
+            self.close_up(u);
+            return;
+        }
+        let progress = self.exchange(u);
+        self.settle_up(u, progress);
+    }
+
+    /// Writes what is left of the carried attempt's request or, once it
+    /// is out, reads what has arrived of its answer, as far as the
+    /// socket goes without blocking.
+    fn exchange(&mut self, u: usize) -> Progress {
+        let up = self.ups[u].as_mut().expect("a live upstream socket");
+        let (idx, _) = up.carrying.expect("a socket carrying an attempt");
+        if up.writing {
+            let Some(flight) = self.slots[idx].flight.as_ref() else {
+                return Progress::Broken;
+            };
+            while up.sent < flight.message.len() {
+                match up.stream.write(&flight.message[up.sent..]) {
+                    Ok(0) => return Progress::Broken,
+                    Ok(n) => up.sent += n,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Progress::Pending,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(_) => return Progress::Broken,
+                }
+            }
+            // No answer can have come yet; it is read on `POLLIN`.
+            up.writing = false;
+            return Progress::Pending;
+        }
+        let mut chunk = [0u8; READ_CHUNK];
+        let mut eof = false;
+        loop {
+            match up.stream.read(&mut chunk) {
+                Ok(0) => {
+                    eof = true;
+                    break;
+                }
+                Ok(n) => {
+                    up.buf.extend_from_slice(&chunk[..n]);
+                    if n < READ_CHUNK {
+                        break; // drained; `POLLIN` brings the rest
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return Progress::Broken,
+            }
+        }
+        match parse_response_head(&up.buf) {
+            Ok(Some(head)) if up.buf.len() >= head.total_len() => {
+                // Bytes past the answer, or a close, leave the socket
+                // unfit for another exchange.
+                let reusable = !eof
+                    && up.buf.len() == head.total_len()
+                    && head
+                        .headers
+                        .iter()
+                        .all(|(k, v)| k != "connection" || !v.eq_ignore_ascii_case("close"));
+                Progress::Answered(head.into_response(&up.buf), reusable)
+            }
+            Ok(_) if !eof => Progress::Pending,
+            _ => Progress::Broken,
+        }
+    }
+
+    /// Carries out what an exchange pass on socket `u` came to.
+    fn settle_up(&mut self, u: usize, progress: Progress) {
+        let answered = match progress {
+            Progress::Pending => return,
+            Progress::Answered(response, reusable) => Some((response, reusable)),
+            Progress::Broken => None,
+        };
+        let up = self.ups[u].as_mut().expect("a live upstream socket");
+        let (idx, generation) = up.carrying.take().expect("a socket carrying an attempt");
+        let (backend, reused) = (up.backend, up.reused);
+        up.reused = true;
+        match answered {
+            Some((response, reusable)) => {
+                if reusable {
+                    self.park_up(u);
+                } else {
+                    self.close_up(u);
+                }
+                self.end_attempt(idx);
+                self.ready
+                    .push_back((idx, generation, Outcome::Answer(response)));
+            }
+            None => {
+                self.close_up(u);
+                let attempt = self.slots[idx]
+                    .flight
+                    .as_mut()
+                    .and_then(|f| f.attempt.as_mut());
+                match attempt {
+                    Some(attempt) if reused && !attempt.redialed => {
+                        attempt.redialed = true;
+                        attempt.up = None;
+                        self.await_dial(idx, generation, backend);
+                    }
+                    _ => {
+                        self.end_attempt(idx);
+                        self.ready.push_back((idx, generation, Outcome::Failed));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Returns socket `u` to its backend's idle list, or straight to an
+    /// attempt waiting on a dial there.
+    fn park_up(&mut self, u: usize) {
+        let up = self.ups[u].as_mut().expect("a live upstream socket");
+        up.buf.clear();
+        let backend = up.backend;
+        self.reach(backend);
+        match self.next_waiter(backend) {
+            Some((idx, generation)) => self.carry(u, idx, generation),
+            None => {
+                self.idle[backend].push(u);
+                self.io.dispatcher.pooled(backend, self.idle[backend].len());
+            }
+        }
+    }
+
+    /// Closes upstream socket `u`, dropping it from the idle list.
+    fn close_up(&mut self, u: usize) {
+        let Some(up) = self.ups[u].take() else {
+            return;
+        };
+        self.up_free.push(u);
+        if let Some(list) = self.idle.get_mut(up.backend) {
+            if let Some(at) = list.iter().position(|&v| v == u) {
+                list.swap_remove(at);
+                self.io.dispatcher.pooled(up.backend, list.len());
+            }
+        }
+    }
+
+    /// Ends connection `idx`'s attempt: records its `upstream` span and
+    /// stage sample and disarms its deadline.
+    fn end_attempt(&mut self, idx: usize) {
+        let Some(flight) = self.slots[idx].flight.as_mut() else {
+            return;
+        };
+        let Some(attempt) = flight.attempt.take() else {
+            return;
+        };
+        flight.timer = None;
+        let recorder = self.io.dispatcher.recorder();
+        let t1 = recorder.now_ns();
+        self.io
+            .dispatcher
+            .metrics()
+            .stages
+            .record(Stage::Upstream, t1.saturating_sub(attempt.t0) / 1_000);
+        let ctx = flight.ctx;
+        if ctx.active() {
+            recorder.record_span(
+                attempt.span,
+                ctx.trace_id,
+                ctx.parent,
+                Stage::Upstream,
+                attempt.t0,
+                t1,
+            );
+        }
+    }
+
+    /// Fails attempts past their deadline and wakes routes whose wait
+    /// is over.
+    fn fire_timers(&mut self) {
+        if self.flights == 0 {
+            return; // a node never has one
+        }
+        let now = Instant::now();
+        for idx in 0..self.slots.len() {
+            let slot = &mut self.slots[idx];
+            let Some(flight) = slot.flight.as_mut() else {
+                continue;
+            };
+            if flight.timer.is_none_or(|t| t > now) {
+                continue;
+            }
+            flight.timer = None;
+            let generation = slot.generation;
+            let outcome = match flight.attempt.as_ref() {
+                Some(attempt) => {
+                    if let Some(u) = attempt.up {
+                        self.close_up(u);
+                    }
+                    self.end_attempt(idx);
+                    Outcome::Failed
+                }
+                None => Outcome::Woke,
+            };
+            self.ready.push_back((idx, generation, outcome));
+        }
+    }
+
     /// Closes connections quiet for longer than the timeout. In-flight
-    /// connections are exempt — their clock is the job, not the peer.
+    /// connections are exempt — their clock is the job or the route,
+    /// not the peer.
     fn sweep_idle(&mut self) {
         let now = Instant::now();
         for idx in 0..self.slots.len() {
@@ -826,6 +1452,13 @@ impl<D: Dispatcher> Reactor<D> {
     }
 
     fn remove_conn(&mut self, idx: usize) {
+        if let Some(flight) = self.slots[idx].flight.take() {
+            self.flights -= 1;
+            // A half-done exchange leaves its socket unfit for another.
+            if let Some(u) = flight.attempt.and_then(|a| a.up) {
+                self.close_up(u);
+            }
+        }
         if self.slots[idx].conn.take().is_some() {
             self.slots[idx].generation += 1;
             self.free.push(idx);
@@ -838,7 +1471,12 @@ impl<D: Dispatcher> Reactor<D> {
 
 impl<D: Dispatcher> Io<D> {
     /// Reads everything available, then drives the state machine.
-    fn on_readable(&self, conn: &mut Conn, slot: usize, generation: u64) -> io::Result<ConnAction> {
+    fn on_readable(
+        &self,
+        conn: &mut Conn,
+        slot: usize,
+        generation: u64,
+    ) -> io::Result<ConnAction<D::Route>> {
         // The read seam: a disconnect drops the peer mid-body, a delay
         // stalls the whole pass, a short read caps it at one byte (the
         // request still completes — across many passes).
@@ -875,10 +1513,18 @@ impl<D: Dispatcher> Io<D> {
 
     /// Drives one connection as far as it can go without blocking:
     /// parse → dispatch → write, looping while pipelined requests
-    /// complete.
-    fn pump(&self, conn: &mut Conn, slot: usize, generation: u64) -> io::Result<ConnAction> {
+    /// complete, until a request becomes a route for the reactor to
+    /// admit.
+    fn pump(
+        &self,
+        conn: &mut Conn,
+        slot: usize,
+        generation: u64,
+    ) -> io::Result<ConnAction<D::Route>> {
         loop {
-            self.process_buffered(conn, slot, generation);
+            if let Some(flight) = self.process_buffered(conn, slot, generation) {
+                return Ok(ConnAction::Route(flight));
+            }
             if conn.out.is_empty() {
                 // Waiting on more bytes or on the pool. A peer that
                 // finished sending and owes us nothing is done.
@@ -953,26 +1599,32 @@ impl<D: Dispatcher> Io<D> {
     }
 
     /// Parses and dispatches buffered requests while the connection has
-    /// no staged response and no job in flight (one response at a time
-    /// keeps pipelined answers in order).
-    fn process_buffered(&self, conn: &mut Conn, slot: usize, generation: u64) {
+    /// no staged response and nothing in flight (one response at a time
+    /// keeps pipelined answers in order). Returns the flight of a
+    /// request that became a route; its bytes stay in the buffer.
+    fn process_buffered(
+        &self,
+        conn: &mut Conn,
+        slot: usize,
+        generation: u64,
+    ) -> Option<Flight<D::Route>> {
         let metrics = self.dispatcher.metrics();
         let recorder = self.dispatcher.recorder();
         while conn.out.is_empty() && !conn.in_flight {
             let t_parse = recorder.now_ns();
             let head = match parse_head(&conn.buf) {
-                Ok(None) => return, // need more bytes
+                Ok(None) => return None, // need more bytes
                 Ok(Some(head)) => head,
                 Err(e) => {
                     // Protocol errors poison framing: answer and close.
                     conn.close_after_write = true;
                     stage_bytes(conn, recorder, e.status, &error_body(&e.msg), &[]);
-                    return;
+                    return None;
                 }
             };
             let total = head.total_len();
             if conn.buf.len() < total {
-                return; // body still in flight
+                return None; // body still in flight
             }
             metrics.requests_total.fetch_add(1, Ordering::Relaxed);
             conn.req_keep_alive = head.keep_alive;
@@ -998,16 +1650,18 @@ impl<D: Dispatcher> Io<D> {
             // the request can borrow it while the answer is staged into
             // the same connection.
             let buf = std::mem::take(&mut conn.buf);
+            let ctx = TraceCtx {
+                trace_id,
+                parent: root_span,
+            };
+            let body = head.head_len..total;
             let request = Request {
                 method: &buf[head.method.clone()],
                 path: &buf[head.path.clone()],
-                body: &buf[head.head_len..total],
-                ctx: TraceCtx {
-                    trace_id,
-                    parent: root_span,
-                },
+                body: &buf[body.clone()],
+                ctx,
             };
-            let job = handle_panics(metrics, || {
+            let dispatched = handle_panics(metrics, || {
                 self.dispatcher
                     .dispatch(&request, &mut Reply { conn, recorder })
             })
@@ -1015,40 +1669,69 @@ impl<D: Dispatcher> Io<D> {
                 // Drop whatever the handler staged before it panicked.
                 conn.out.clear();
                 stage_bytes(conn, recorder, 500, &panic_body(), &[]);
-                None
+                Dispatched::Answered
             });
             conn.buf = buf;
-            conn.buf.drain(..total);
-            if let Some(job) = job {
-                self.submit(
-                    conn,
-                    Task {
-                        slot,
-                        generation,
-                        job,
-                    },
-                );
+            match dispatched {
+                Dispatched::Answered => {
+                    conn.buf.drain(..total);
+                }
+                Dispatched::Job(job) => {
+                    conn.buf.drain(..total);
+                    self.submit(
+                        conn,
+                        Task {
+                            slot,
+                            generation,
+                            job,
+                        },
+                    );
+                }
+                Dispatched::Route(route) => {
+                    conn.in_flight = true;
+                    return Some(Flight {
+                        route,
+                        ctx,
+                        body,
+                        consumed: total,
+                        message: Vec::new(),
+                        attempt: None,
+                        timer: None,
+                    });
+                }
             }
+        }
+        None
+    }
+
+    /// Hands a job to the pool, shedding it when the bounded queue is
+    /// full.
+    fn submit(&self, conn: &mut Conn, task: Task<D::Job>) {
+        if self.pool.submit(task).is_ok() {
+            conn.in_flight = true;
+            self.dispatcher
+                .metrics()
+                .solves_in_flight
+                .fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.shed(conn);
         }
     }
 
-    /// Hands a job to the pool, answering `429` + `Retry-After` when the
-    /// bounded queue is full — backpressure, not failure.
-    fn submit(&self, conn: &mut Conn, task: Task<D::Job>) {
-        let metrics = self.dispatcher.metrics();
-        if self.pool.submit(task).is_ok() {
-            conn.in_flight = true;
-            metrics.solves_in_flight.fetch_add(1, Ordering::Relaxed);
-        } else {
-            metrics.backpressure_429.fetch_add(1, Ordering::Relaxed);
-            stage_bytes(
-                conn,
-                self.dispatcher.recorder(),
-                429,
-                &error_body("work queue is full, retry shortly"),
-                &[("Retry-After", "1")],
-            );
-        }
+    /// Answers `429` + `Retry-After` to a request past the pool's queue
+    /// or the route cap — backpressure, not failure.
+    fn shed(&self, conn: &mut Conn) {
+        self.dispatcher
+            .metrics()
+            .backpressure_429
+            .fetch_add(1, Ordering::Relaxed);
+        stage_bytes(
+            conn,
+            self.dispatcher.recorder(),
+            429,
+            &error_body("work queue is full, retry shortly"),
+            &[("Retry-After", "1")],
+        );
     }
 }
 
@@ -1085,6 +1768,16 @@ fn flush_out(conn: &mut Conn, fault: Option<&FaultPlan>) -> io::Result<bool> {
         }
     }
     Ok(true)
+}
+
+/// Stages a pool job's or a route's answer, with its extra headers.
+fn stage_response(conn: &mut Conn, recorder: &Recorder, response: &Response) {
+    let extra: Vec<(&str, &str)> = response
+        .extra_headers
+        .iter()
+        .map(|(k, v)| (*k, v.as_str()))
+        .collect();
+    stage_bytes(conn, recorder, response.status, &response.body, &extra);
 }
 
 /// Stages a response into the connection's reusable output buffer and
@@ -1156,6 +1849,7 @@ enum NodeJob {
 
 impl Dispatcher for Node {
     type Job = NodeJob;
+    type Route = Infallible;
     const ROOT: Stage = Stage::Request;
     const NAME: &'static str = "bi-serve";
 
@@ -1167,7 +1861,11 @@ impl Dispatcher for Node {
         self.service.recorder()
     }
 
-    fn dispatch(&self, request: &Request<'_>, reply: &mut Reply<'_>) -> Option<NodeJob> {
+    fn dispatch(
+        &self,
+        request: &Request<'_>,
+        reply: &mut Reply<'_>,
+    ) -> Dispatched<NodeJob, Infallible> {
         let service = &*self.service;
         let metrics = service.metrics();
         let target = classify(request.method, request.path);
@@ -1181,7 +1879,7 @@ impl Dispatcher for Node {
             if let Some(plan) = &self.fault {
                 if plan.next() == Some(FaultKind::Err500) {
                     reply.send(500, &error_body("injected fault"), &[]);
-                    return None;
+                    return Dispatched::Answered;
                 }
             }
         }
@@ -1196,13 +1894,15 @@ impl Dispatcher for Node {
                         reply.send(200, &served.body, &[("X-Cache", "hit")]);
                         service.finish_stage(request.ctx, Stage::Encode, t_enc);
                     }
-                    Ok(FastOutcome::Miss(prepared)) => return Some(NodeJob::Solve(prepared)),
+                    Ok(FastOutcome::Miss(prepared)) => {
+                        return Dispatched::Job(NodeJob::Solve(prepared))
+                    }
                     Err(e) => reply.send(400, &error_body(&e.to_string()), &[]),
                 }
             }
             Target::Batch => {
                 metrics.batch_requests.fetch_add(1, Ordering::Relaxed);
-                return Some(NodeJob::Batch(request.body.to_vec(), request.ctx));
+                return Dispatched::Job(NodeJob::Batch(request.body.to_vec(), request.ctx));
             }
             Target::Healthz => reply.send(200, &healthz_body(), &[]),
             Target::CachePut => {
@@ -1224,7 +1924,11 @@ impl Dispatcher for Node {
             Target::MethodNotAllowed => reply.send(405, &error_body("method not allowed"), &[]),
             Target::NotFound => reply.send(404, &error_body("unknown endpoint"), &[]),
         }
-        None
+        Dispatched::Answered
+    }
+
+    fn step<'a>(&self, route: &'a mut Infallible, _: &'a [u8], _: Outcome, _: Instant) -> Step<'a> {
+        match *route {}
     }
 
     fn run(&self, job: NodeJob) -> Response {
@@ -1378,6 +2082,7 @@ mod tests {
 
     impl Dispatcher for Panicky {
         type Job = ();
+        type Route = Infallible;
         const ROOT: Stage = Stage::Request;
         const NAME: &'static str = "panicky";
 
@@ -1389,20 +2094,34 @@ mod tests {
             &self.recorder
         }
 
-        fn dispatch(&self, request: &Request<'_>, reply: &mut Reply<'_>) -> Option<()> {
+        fn dispatch(
+            &self,
+            request: &Request<'_>,
+            reply: &mut Reply<'_>,
+        ) -> Dispatched<(), Infallible> {
             match request.path {
-                b"/boom-job" => return Some(()),
+                b"/boom-job" => return Dispatched::Job(()),
                 b"/boom" => {
                     reply.send(200, b"{}", &[]);
                     panic!("dispatch panics on purpose");
                 }
                 _ => reply.send(200, b"{}", &[]),
             }
-            None
+            Dispatched::Answered
         }
 
         fn run(&self, (): ()) -> Response {
             panic!("job panics on purpose");
+        }
+
+        fn step<'a>(
+            &self,
+            route: &'a mut Infallible,
+            _: &'a [u8],
+            _: Outcome,
+            _: Instant,
+        ) -> Step<'a> {
+            match *route {}
         }
     }
 
@@ -1441,6 +2160,7 @@ mod tests {
 
     impl Dispatcher for Gated {
         type Job = ();
+        type Route = Infallible;
         const ROOT: Stage = Stage::Request;
         const NAME: &'static str = "gated";
 
@@ -1452,12 +2172,16 @@ mod tests {
             &self.recorder
         }
 
-        fn dispatch(&self, request: &Request<'_>, reply: &mut Reply<'_>) -> Option<()> {
+        fn dispatch(
+            &self,
+            request: &Request<'_>,
+            reply: &mut Reply<'_>,
+        ) -> Dispatched<(), Infallible> {
             if request.path == b"/job" {
-                return Some(());
+                return Dispatched::Job(());
             }
             reply.send(200, b"{}", &[]);
-            None
+            Dispatched::Answered
         }
 
         fn run(&self, (): ()) -> Response {
@@ -1468,6 +2192,16 @@ mod tests {
                 .recv()
                 .expect("the test releases every job");
             Response::json(200, b"{}".to_vec())
+        }
+
+        fn step<'a>(
+            &self,
+            route: &'a mut Infallible,
+            _: &'a [u8],
+            _: Outcome,
+            _: Instant,
+        ) -> Step<'a> {
+            match *route {}
         }
     }
 

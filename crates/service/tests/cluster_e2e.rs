@@ -15,20 +15,24 @@
 //! one injected `X-Bi-Trace` id stitches router and backend
 //! `/debug/trace` dumps into a single parent/child span tree, and a
 //! non-canonical `/solve` reaches its owner as canonical bytes, so a
-//! repeat is a zero-copy hit there.
+//! repeat is a zero-copy hit there. The router keeps answering while
+//! one upstream exchange hangs, and reaches a restarted backend over a
+//! fresh socket without ejecting it.
 
 use std::io::BufReader;
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bi_core::solve::{Solver, SolverConfig};
-use bi_service::http::{read_response, write_request, write_request_with, ClientResponse};
+use bi_service::http::{
+    read_response, write_request, write_request_with, ClientResponse, HttpClient,
+};
 use bi_service::workload::{light_workload, mixed_workload};
 use bi_service::{
-    BatchRequest, FaultPlan, GameSpec, Router, RouterConfig, RouterHandle, Server, ServerConfig,
-    ServerHandle, SolveRequest, SpanEvent, Stage,
+    BatchRequest, FaultPlan, GameSpec, HashRing, Router, RouterConfig, RouterHandle, Server,
+    ServerConfig, ServerHandle, SolveRequest, SolveService, SpanEvent, Stage,
 };
 use bi_util::{Encode, Json};
 
@@ -1115,4 +1119,166 @@ fn churn_through_a_replicated_pair_counts_the_mix_exactly() {
     for log in logs {
         std::fs::remove_file(log).ok();
     }
+}
+
+/// The backend row of `addr` in the router's `/metrics`.
+fn backend_row(router: &RouterHandle, addr: &str) -> Json {
+    router
+        .metrics_json()
+        .get("backends")
+        .and_then(Json::as_arr)
+        .expect("backends section")
+        .iter()
+        .find(|row| row.get("addr").and_then(Json::as_str) == Some(addr))
+        .expect("the backend's row")
+        .clone()
+}
+
+#[test]
+fn the_router_answers_while_an_upstream_exchange_is_outstanding() {
+    let backend = start_backend();
+    // A backend that accepts connections and never answers.
+    let stub = TcpListener::bind("127.0.0.1:0").expect("bind stub");
+    stub.set_nonblocking(true).expect("nonblocking stub");
+    let stub_addr = stub.local_addr().expect("stub address").to_string();
+    let stop = Arc::new(AtomicBool::new(false));
+    let holder = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut held = Vec::new();
+            while !stop.load(Ordering::Relaxed) {
+                match stub.accept() {
+                    Ok((stream, _)) => held.push(stream),
+                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                }
+            }
+        })
+    };
+    let backend_addr = backend.addr().to_string();
+    let router = Router::bind(RouterConfig {
+        backends: vec![backend_addr.clone(), stub_addr],
+        // One probe sweep, at start: the stub's probe times out once,
+        // short of ejection.
+        probe_interval: Duration::from_secs(60),
+        ..RouterConfig::default()
+    })
+    .expect("bind router")
+    .start()
+    .expect("start router");
+    // The router's ring: 64 virtual points per backend index, keyed by
+    // the hash of each body's cache key.
+    let ring = HashRing::new(2, 64);
+    let owner = |body: &[u8]| {
+        let key = SolveService::span_key(body).expect("a canonical body");
+        ring.route(bi_util::xxh64(&key), |_| true)
+    };
+    let bodies: Vec<Vec<u8>> = light_workload(181, 60).iter().map(solve_body).collect();
+    let hung = bodies
+        .iter()
+        .find(|body| owner(body) == Some(1))
+        .expect("a key the stub owns");
+    let hits: Vec<&Vec<u8>> = bodies
+        .iter()
+        .filter(|body| owner(body) == Some(0))
+        .take(10)
+        .collect();
+    assert_eq!(hits.len(), 10, "ten keys the real backend owns");
+    // Warm every one: a cold solve each, and the router's sockets to
+    // the real backend.
+    for body in &hits {
+        let response = call(router.addr(), "POST", "/solve", body);
+        assert_eq!(response.status, 200);
+    }
+    // The stub's key goes out upstream and is never answered.
+    let mut hanging = connect(router.addr());
+    write_request(&mut hanging, "POST", "/solve", hung, false).expect("write");
+    assert!(
+        poll_until(Duration::from_secs(10), || {
+            router
+                .metrics_json()
+                .get("stages")
+                .and_then(|stages| stages.get("ring_lookup"))
+                .and_then(|stage| stage.get("count"))
+                .and_then(Json::as_u64)
+                > Some(10)
+        }),
+        "the hanging request was never routed"
+    );
+    let mut client = HttpClient::connect(&router.addr().to_string()).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let started = Instant::now();
+    let health = client.request("GET", "/healthz", b"").expect("healthz");
+    assert_eq!(health.status, 200);
+    assert!(started.elapsed() < Duration::from_secs(1), "healthz waited");
+    for (i, body) in hits.iter().enumerate() {
+        let started = Instant::now();
+        let response = client.request("POST", "/solve", body).expect("hit");
+        assert_eq!(
+            (response.status, response.header("x-cache")),
+            (200, Some("hit")),
+            "hit {i}"
+        );
+        assert_eq!(response.header("x-backend"), Some(backend_addr.as_str()));
+        assert!(started.elapsed() < Duration::from_secs(1), "hit {i} waited");
+    }
+    // The hanging request is still outstanding.
+    hanging
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .expect("read timeout");
+    let mut byte = [0u8; 1];
+    assert!(
+        std::io::Read::read(&mut hanging, &mut byte).is_err(),
+        "the stub's key was answered"
+    );
+    router.stop();
+    backend.stop();
+    stop.store(true, Ordering::Relaxed);
+    holder.join().expect("stub holder");
+}
+
+#[test]
+fn a_backend_restarted_on_its_port_is_reached_over_a_fresh_upstream_socket() {
+    let backend = start_backend();
+    let addr = backend.addr().to_string();
+    let router = Router::bind(RouterConfig {
+        backends: vec![addr.clone()],
+        // One failed exchange would eject; probes stay out of the way.
+        fail_threshold: 1,
+        probe_interval: Duration::from_secs(60),
+        ..RouterConfig::default()
+    })
+    .expect("bind router")
+    .start()
+    .expect("start router");
+    let body = solve_body(&light_workload(191, 1)[0]);
+    let first = call(router.addr(), "POST", "/solve", &body);
+    assert_eq!(first.status, 200);
+    assert_eq!(
+        backend_row(&router, &addr)
+            .get("pooled_connections")
+            .and_then(Json::as_u64),
+        Some(1),
+        "the answered exchange's socket is kept"
+    );
+    // The router's kept socket now leads to a closed process.
+    backend.stop();
+    let backend = Server::bind(ServerConfig {
+        addr: addr.clone(),
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("rebind the backend's port")
+    .start()
+    .expect("restart backend");
+    let again = call(router.addr(), "POST", "/solve", &body);
+    assert_eq!(again.status, 200);
+    assert_eq!(again.body, first.body);
+    assert_eq!(again.header("x-backend"), Some(addr.as_str()));
+    let row = backend_row(&router, &addr);
+    assert_eq!(row.get("ejects").and_then(Json::as_u64), Some(0));
+    assert_eq!(row.get("alive"), Some(&Json::Bool(true)));
+    router.stop();
+    backend.stop();
 }
